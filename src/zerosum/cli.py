@@ -192,6 +192,8 @@ def parse_config(text: str) -> SimulationConfig:
     if metrics_names is None:
         metrics_names = metric_pool
     else:
+        if not isinstance(metrics_names, list):
+            raise ConfigError(f"metrics: must be a list of metric names, got {metrics_names!r}")
         for name in metrics_names:
             if name not in metric_pool:
                 raise ConfigError(f"metrics: unknown metric {name!r}; choose from {metric_pool}")

@@ -59,6 +59,58 @@ def check_loss_vector(x: np.ndarray, context: str = "loss vector") -> np.ndarray
     return x
 
 
+def _rows(block: np.ndarray, context: str) -> np.ndarray:
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 2:
+        raise ValueError(f"{context}: expected a 2-D block of rows, got shape {block.shape}")
+    return block
+
+
+def _suspect_strategy_rows(s: np.ndarray) -> np.ndarray:
+    """Rows that may fail ``check_strategy``.
+
+    Min and finiteness tests are exact; a row sum may round differently
+    from the vector's, so the sum test flags rows at half the tolerance
+    and each flagged row is rechecked by ``check_strategy`` itself.
+    """
+    with np.errstate(invalid="ignore"):
+        return (
+            ~np.isfinite(s).all(axis=1)
+            | (s.min(axis=1, initial=0.0) < -SIMPLEX_ATOL)
+            | (np.abs(s.sum(axis=1) - 1.0) > 0.5 * SIMPLEX_ATOL)
+        )
+
+
+def _suspect_loss_rows(x: np.ndarray) -> np.ndarray:
+    """Rows that fail ``check_loss_vector`` (all its tests are exact)."""
+    return (
+        ~np.isfinite(x).all(axis=1)
+        | (x.min(axis=1, initial=0.0) < -LOSS_ATOL)
+        | (x.max(axis=1, initial=0.0) > 1.0 + LOSS_ATOL)
+    )
+
+
+def check_rounds(strategies: np.ndarray, losses: np.ndarray, context: str = "round") -> None:
+    """Validate a run's strategy and loss blocks, one row per round, at once.
+
+    Every row meets the test of ``check_strategy`` or ``check_loss_vector``
+    at the same tolerance.  The error is that vector check's own, raised
+    for the first bad round, with the round (1-based) named in its context;
+    within a round the strategy comes before the loss.
+    """
+    s = _rows(strategies, f"{context} strategies")
+    x = _rows(losses, f"{context} losses")
+    suspects = sorted(
+        [(int(t), 0) for t in np.flatnonzero(_suspect_strategy_rows(s))]
+        + [(int(t), 1) for t in np.flatnonzero(_suspect_loss_rows(x))]
+    )
+    for t, kind in suspects:
+        if kind == 0:
+            check_strategy(s[t], context=f"{context} {t + 1} strategy")
+        else:
+            check_loss_vector(x[t], context=f"{context} {t + 1} loss")
+
+
 def inner(a: np.ndarray, x: np.ndarray) -> float:
     """<a, x>, the realized loss of strategy ``a`` under loss vector ``x``."""
     a = np.asarray(a, dtype=float)
@@ -138,9 +190,6 @@ class MatrixGame:
         if any(len(r) != width for r in rows):
             raise ValueError(f"{path}: ragged rows")
         return cls(np.array(rows, dtype=float))
-
-    def in_unit_range(self) -> bool:
-        return bool(self.payoff.min() >= 0.0 and self.payoff.max() <= 1.0)
 
     def to_unit_range(self) -> tuple["MatrixGame", float, float]:
         """Affinely map payoffs into [0, 1].

@@ -10,6 +10,10 @@ Round timing is simultaneous-move: both sides commit their round-t
 strategies before either observes the other's, and feedback arrives after
 the round.  A non-oblivious adversary reacting to the agent therefore
 sees only f_1 .. f_{t-1} when choosing y_t.
+
+The play loops call the learners' unchecked ``update`` and validate every
+round once the loop ends (``core.check_rounds``), at the same tolerances
+as the per-vector checks.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, nash
-from .core import MatrixGame, Trace, check_loss_vector, uniform
+from .core import MatrixGame, Trace, check_rounds, uniform
 from .learners import (
     Aftrl,
     Amd,
@@ -152,7 +156,6 @@ class RunOutcome:
     index: int
     config: SimulationConfig
     series: dict = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)
     error: str | None = None
 
 
@@ -188,7 +191,8 @@ def record_oblivious_trace(
 
     Both third parties start uniform; the column player's strategies are
     recorded for later replay as an oblivious loss source.  The recording
-    partner's rate defaults to the adversary's.
+    partner's rate defaults to the adversary's.  Both players' rounds are
+    checked once the recording ends.
     """
     if adversary_eta <= 0.0:
         raise ValueError(f"adversary eta must be positive, got {adversary_eta}")
@@ -197,15 +201,23 @@ def record_oblivious_trace(
     n, m = unit.n, unit.m
     row = Mwu(n, recorder_eta if recorder_eta is not None else adversary_eta)
     col = Mwu(m, adversary_eta)
+    rs = np.empty((horizon, n))
     ys = np.empty((horizon, m))
+    row_losses = np.empty((horizon, n))
+    col_losses = np.empty((horizon, m))
     r = row.start()
     y = col.start()
     for t in range(horizon):
+        rs[t] = r
         ys[t] = y
         row_loss = a @ y
         col_loss = 1.0 - a.T @ r  # the column player's loss is the negated gain, kept in [0, 1]
-        r = row.step(row_loss)
-        y = col.step(col_loss)
+        row_losses[t] = row_loss
+        col_losses[t] = col_loss
+        r = row.update(row_loss)
+        y = col.update(col_loss)
+    check_rounds(rs, row_losses, context="replay row player round")
+    check_rounds(ys, col_losses, context="replay round")
     return ys
 
 
@@ -231,47 +243,61 @@ def _adversary_series(config: SimulationConfig, trace: Trace, agent) -> dict:
     return out
 
 
-def run_vs_adversary(config: SimulationConfig):
+def _record_replay(config: SimulationConfig, unit: MatrixGame) -> np.ndarray:
+    adv = config.adversary
+    return record_oblivious_trace(unit, adv.eta, config.horizon, adv.recorder_eta)
+
+
+def run_vs_adversary(config: SimulationConfig, replay: np.ndarray | None = None):
     """Simulate one agent against a replayed or reactive adversary.
 
     Returns (trace, series, game) where the trace records the agent's
     strategies and the loss stream x_t = A y_t on the unit-normalized game.
+    ``replay`` is an oblivious config's recorded adversary, as
+    ``record_oblivious_trace`` returns it for this config's game, etas and
+    horizon; it is recorded here when not given.
     """
     game = config.game.resolve()
     unit, _, _ = game.to_unit_range()
     a = unit.payoff
     n, m = unit.n, unit.m
     T = config.horizon
-    agent = build_agent(config.agent, n, T)
     adv = config.adversary
 
-    replay = None
     col = None
     if adv.kind == "oblivious_mwu":
-        replay = record_oblivious_trace(unit, adv.eta, T, adv.recorder_eta)
+        if replay is None:
+            replay = _record_replay(config, unit)
         if replay.shape[0] < T:
             raise ValueError(f"replay shorter than horizon: {replay.shape[0]} < {T}")
     elif adv.kind == "nonoblivious_mwu":
         if adv.eta is None or adv.eta <= 0.0:
             raise ValueError("nonoblivious_mwu adversary needs a positive eta")
         col = Mwu(m, adv.eta)
+        adv_strategies = np.empty((T, m))
+        adv_losses = np.empty((T, m))
     else:
         raise ValueError(f"run_vs_adversary cannot handle adversary kind {adv.kind!r}")
+    agent = build_agent(config.agent, n, T)
 
     strategies = np.empty((T, n))
     losses = np.empty((T, n))
     f = agent.start()
     y = col.start() if col is not None else None
     for t in range(T):
-        y_t = replay[t] if replay is not None else y
+        y_t = replay[t] if col is None else y
         x_t = a @ y_t
-        check_loss_vector(x_t, context=f"round {t + 1} loss")
         strategies[t] = f
         losses[t] = x_t
         if col is not None:
             # reactive update: the adversary sees f_t only after the round
-            y = col.step(1.0 - a.T @ f)
-        f = agent.step(x_t)
+            adv_strategies[t] = y
+            adv_losses[t] = 1.0 - a.T @ f
+            y = col.update(adv_losses[t])
+        f = agent.update(x_t)
+    check_rounds(strategies, losses)
+    if col is not None:
+        check_rounds(adv_strategies, adv_losses, context="adversary round")
     trace = Trace.from_rounds(strategies, losses)
     return trace, _adversary_series(config, trace, agent), unit
 
@@ -326,40 +352,78 @@ def run_self_play(config: SimulationConfig):
     return trace_max, trace_min, series, unit
 
 
-def _run_one(index: int, config: SimulationConfig) -> RunOutcome:
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_one(index: int, config: SimulationConfig, replay: np.ndarray | None) -> RunOutcome:
     out = RunOutcome(index=index, config=config)
     try:
         if config.adversary.kind == "self_play":
-            _, _, series, _ = run_self_play(config)
+            out.series = run_self_play(config)[2]
         else:
-            _, series, _ = run_vs_adversary(config)
-        out.series = series
-        out.stats = {
-            name: {
-                "final": float(vals[-1]),
-                "mean": float(np.mean(vals)),
-                "std": float(np.std(vals)),
-            }
-            for name, vals in series.items()
-        }
+            out.series = run_vs_adversary(config, replay)[1]
     except Exception as exc:  # noqa: BLE001 - reported per config, others unaffected
-        out.error = f"{type(exc).__name__}: {exc}"
+        out.error = _error(exc)
     return out
+
+
+def _replay_key(config: SimulationConfig):
+    """What an oblivious config's replay depends on; None for other configs."""
+    adv = config.adversary
+    if adv.kind != "oblivious_mwu":
+        return None
+    recorder_eta = adv.eta if adv.recorder_eta is None else adv.recorder_eta
+    return (config.game, adv.eta, recorder_eta, config.horizon)
+
+
+def _replay_groups(configs) -> list[list[tuple[int, SimulationConfig]]]:
+    """(index, config) pairs grouped by replay key, in order of first
+    appearance; a config without a replay is a group of its own."""
+    groups = {}
+    for i, config in enumerate(configs):
+        key = _replay_key(config)
+        groups.setdefault(("alone", i) if key is None else key, []).append((i, config))
+    return list(groups.values())
+
+
+def _run_group(group) -> list[RunOutcome]:
+    """Run one replay group, recording its replay (if any) once.
+
+    The replay is dropped when the group ends.  If recording fails, every
+    config of the group reports that error.
+    """
+    first = group[0][1]
+    replay = None
+    if _replay_key(first) is not None:
+        try:
+            unit, _, _ = first.game.resolve().to_unit_range()
+            replay = _record_replay(first, unit)
+        except Exception as exc:  # noqa: BLE001 - reported per config, other groups unaffected
+            return [RunOutcome(index=i, config=c, error=_error(exc)) for i, c in group]
+    return [_run_one(i, c, replay) for i, c in group]
 
 
 def grid_run(configs, parallelism: int = 1) -> list[RunOutcome]:
     """Execute independent configs, preserving input order in the output.
 
-    Each simulation is internally sequential and a pure function of its
-    config, so results are identical for any parallelism level.
+    Configs that share a replay key (game, adversary eta, recorder eta,
+    horizon) form one group, which records the oblivious replay once and
+    runs its configs against it; a group is one unit of work for the
+    serial loop and for the pool, so at most ``parallelism`` replays are
+    held at once.  Each simulation is internally sequential and a pure
+    function of its config, so results are identical for any parallelism
+    level, grouping or grid order.
     """
     configs = list(configs)
     if parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")
     if not configs:
         return []
+    groups = _replay_groups(configs)
     if parallelism == 1:
-        return [_run_one(i, c) for i, c in enumerate(configs)]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(_run_one, i, c) for i, c in enumerate(configs)]
-        return [f.result() for f in futures]
+        done = [_run_group(g) for g in groups]
+    else:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            done = list(pool.map(_run_group, groups))
+    return sorted((out for outs in done for out in outs), key=lambda out: out.index)

@@ -2,8 +2,11 @@
 
 Loss-stream learners expose ``start()`` (the strategy played before any
 feedback) and ``step(observed)`` (ingest the last loss vector, emit the
-next strategy).  The exploit rate ``alpha`` weights the most recent loss
-vector as a prediction of the next one:
+next strategy).  ``step`` checks the loss vector and the strategy it
+emits; ``update`` is the same step unchecked, for callers that check a
+whole run's rounds at once (the engine does).  The exploit rate
+``alpha`` weights the most recent loss vector as a prediction of the
+next one:
 
 * ``Aftrl``   f_{t+1} = argmin <f, sum_{s<=t} x_s + alpha x_t> + R(f)/eta
               (alpha=0 is plain FTRL, alpha=1 the optimistic variant)
@@ -28,7 +31,7 @@ import math
 
 import numpy as np
 
-from .core import MatrixGame, check_loss_vector, check_strategy, l_norm, uniform
+from .core import WEIGHT_FLOOR, MatrixGame, check_loss_vector, check_strategy, l_norm, uniform
 from .regularizers import ENTROPY, Regularizer, bregman_prox, regularized_argmin
 
 BR_TIE_ATOL = 1e-12
@@ -46,7 +49,27 @@ def best_response(observed: np.ndarray) -> np.ndarray:
     return mask / mask.sum()
 
 
-class Aftrl:
+class LossStreamLearner:
+    """Base of the loss-stream learners: ``start``, checked ``step``, unchecked ``update``."""
+
+    n: int
+    current: np.ndarray
+
+    def start(self) -> np.ndarray:
+        return self.current
+
+    def step(self, observed: np.ndarray) -> np.ndarray:
+        observed = check_loss_vector(observed)
+        if observed.shape != (self.n,):
+            raise ValueError(f"dimension mismatch: expected {self.n}, got {observed.shape}")
+        return check_strategy(self.update(observed))
+
+    def update(self, observed: np.ndarray) -> np.ndarray:
+        """Ingest a valid loss vector of length n; return the next strategy."""
+        raise NotImplementedError
+
+
+class Aftrl(LossStreamLearner):
     """Leader-style learner with exploit rate ``alpha`` on the latest loss."""
 
     def __init__(self, n: int, eta: float, alpha: float = 0.0, reg: Regularizer = ENTROPY):
@@ -59,22 +82,14 @@ class Aftrl:
         self.alpha = alpha
         self.reg = reg
         self.cumulative = np.zeros(n)
-        self.prev_loss = np.zeros(n)
         self.current = uniform(n)
 
-    def start(self) -> np.ndarray:
-        return self.current
-
-    def step(self, observed: np.ndarray) -> np.ndarray:
-        observed = check_loss_vector(observed)
-        if observed.shape != (self.n,):
-            raise ValueError(f"dimension mismatch: expected {self.n}, got {observed.shape}")
+    def update(self, observed: np.ndarray) -> np.ndarray:
         self.cumulative = self.cumulative + observed
-        self.prev_loss = observed
         self.current = regularized_argmin(
             self.reg, self.cumulative + self.alpha * observed, self.eta
         )
-        return check_strategy(self.current)
+        return self.current
 
 
 def ftrl(n: int, eta: float, reg: Regularizer = ENTROPY) -> Aftrl:
@@ -85,7 +100,7 @@ def oftrl(n: int, eta: float, reg: Regularizer = ENTROPY) -> Aftrl:
     return Aftrl(n, eta, alpha=1.0, reg=reg)
 
 
-class Amd:
+class Amd(LossStreamLearner):
     """Mirror-descent learner with an exploit-weighted prediction step.
 
     On observing x_t: g_{t+1} = prox(g_t, x_t), then the played strategy
@@ -105,16 +120,9 @@ class Amd:
         self.reg = reg
         self.secondary = uniform(n)
         self.current = uniform(n)
-        self.prev_loss = np.zeros(n)
         self.g_history: list[np.ndarray] = []
 
-    def start(self) -> np.ndarray:
-        return self.current
-
-    def step(self, observed: np.ndarray) -> np.ndarray:
-        observed = check_loss_vector(observed)
-        if observed.shape != (self.n,):
-            raise ValueError(f"dimension mismatch: expected {self.n}, got {observed.shape}")
+    def update(self, observed: np.ndarray) -> np.ndarray:
         self.secondary = bregman_prox(self.reg, self.secondary, observed, self.eta)
         self.g_history.append(self.secondary)
         if self.alpha == 0.0:
@@ -123,11 +131,10 @@ class Amd:
             self.current = bregman_prox(
                 self.reg, self.secondary, self.alpha * observed, self.eta
             )
-        self.prev_loss = observed
-        return check_strategy(self.current)
+        return self.current
 
 
-class Mwu:
+class Mwu(LossStreamLearner):
     """Plain multiplicative weights on a loss stream (incremental form)."""
 
     def __init__(self, n: int, eta: float):
@@ -137,16 +144,12 @@ class Mwu:
         self.eta = eta
         self.current = uniform(n)
 
-    def start(self) -> np.ndarray:
+    def update(self, observed: np.ndarray) -> np.ndarray:
+        self.current = bregman_prox(ENTROPY, self.current, observed, self.eta)
         return self.current
 
-    def step(self, observed: np.ndarray) -> np.ndarray:
-        observed = check_loss_vector(observed)
-        self.current = bregman_prox(ENTROPY, self.current, observed, self.eta)
-        return check_strategy(self.current)
 
-
-class Omwu:
+class Omwu(LossStreamLearner):
     """Optimistic multiplicative weights: exponent -eta (2 x_t - x_{t-1})."""
 
     def __init__(self, n: int, eta: float):
@@ -157,16 +160,12 @@ class Omwu:
         self.current = uniform(n)
         self.prev_loss = np.zeros(n)
 
-    def start(self) -> np.ndarray:
-        return self.current
-
-    def step(self, observed: np.ndarray) -> np.ndarray:
-        observed = check_loss_vector(observed)
+    def update(self, observed: np.ndarray) -> np.ndarray:
         self.current = bregman_prox(
             ENTROPY, self.current, 2.0 * observed - self.prev_loss, self.eta
         )
         self.prev_loss = observed
-        return check_strategy(self.current)
+        return self.current
 
 
 def _amwu_drive(game: MatrixGame, opp_now, opp_prev, side: str, alpha: float) -> np.ndarray:
@@ -199,7 +198,7 @@ def amwu_step(
         raise ValueError(f"dimension mismatch: {current.shape} vs {drive.shape}")
     z = eta * drive
     z -= z.max()
-    w = np.maximum(current * np.exp(z), 1e-300)
+    w = np.maximum(current * np.exp(z), WEIGHT_FLOOR)
     return w / w.sum()
 
 
@@ -240,6 +239,8 @@ class Amwu:
             raise ValueError(f"side must be 'max' or 'min', got {side!r}")
         if eta <= 0.0:
             raise ValueError(f"eta must be positive, got {eta}")
+        if alpha < 0.0:
+            raise ValueError(f"alpha must be nonnegative, got {alpha}")
         self.game = game
         self.side = side
         self.eta = eta
@@ -263,23 +264,19 @@ class Amwu:
         return check_strategy(self.current)
 
 
-class BestResponseLearner:
+class BestResponseLearner(LossStreamLearner):
     """Plays the best response to the last observed loss vector."""
 
     def __init__(self, n: int):
         self.n = n
         self.current = uniform(n)
 
-    def start(self) -> np.ndarray:
+    def update(self, observed: np.ndarray) -> np.ndarray:
+        self.current = best_response(observed)
         return self.current
 
-    def step(self, observed: np.ndarray) -> np.ndarray:
-        observed = check_loss_vector(observed)
-        self.current = best_response(observed)
-        return check_strategy(self.current)
 
-
-class ProdBr:
+class ProdBr(LossStreamLearner):
     """Anchored multiplicative mixture of an internal FTRL and best response.
 
     The horizon must be known up front; the parameters are
@@ -312,11 +309,7 @@ class ProdBr:
         total = self.w_r + self.w_br
         return (self.w_r * self.ftrl_current + self.w_br * self.br_current) / total
 
-    def start(self) -> np.ndarray:
-        return self.current
-
-    def step(self, observed: np.ndarray) -> np.ndarray:
-        observed = check_loss_vector(observed)
+    def update(self, observed: np.ndarray) -> np.ndarray:
         f_played, br_played = self._played_pair
         self.w_r = self.w_r * (1.0 + self.eta1 * float((br_played - f_played) @ observed))
         if self.w_r <= 0.0:
@@ -326,10 +319,10 @@ class ProdBr:
         self.br_current = best_response(observed)
         self._played_pair = (self.ftrl_current, self.br_current)
         self.current = self._mix()
-        return check_strategy(self.current)
+        return self.current
 
 
-class DoublingAftrl:
+class DoublingAftrl(LossStreamLearner):
     """Aftrl with phase restarts driven by accumulated loss variation.
 
     Phase i runs at eta_i = eta0 / 2^i and keeps the within-phase budget
@@ -344,6 +337,8 @@ class DoublingAftrl:
     def __init__(self, n: int, eta0: float, alpha: float, reg: Regularizer = ENTROPY):
         if eta0 <= 0.0:
             raise ValueError(f"eta0 must be positive, got {eta0}")
+        if alpha < 0.0:
+            raise ValueError(f"alpha must be nonnegative, got {alpha}")
         self.n = n
         self.eta0 = eta0
         self.alpha = alpha
@@ -358,17 +353,13 @@ class DoublingAftrl:
         self.restarts: list[int] = []
         self._round = 0
 
-    def start(self) -> np.ndarray:
-        return self.current
-
     def _budget_exceeded(self) -> bool:
         if self.alpha == 0.0:
             return False
         lhs = (self.eta * self.alpha / self.reg.beta) * self.accumulator
         return lhs > self.r_max / self.eta
 
-    def step(self, observed: np.ndarray) -> np.ndarray:
-        observed = check_loss_vector(observed)
+    def update(self, observed: np.ndarray) -> np.ndarray:
         self._round += 1
         delta_sq = l_norm(observed - self.prev_loss, self.reg.q) ** 2
         self.accumulator += delta_sq
@@ -383,4 +374,4 @@ class DoublingAftrl:
         self.current = regularized_argmin(
             self.reg, self.cumulative + self.alpha * observed, self.eta
         )
-        return check_strategy(self.current)
+        return self.current

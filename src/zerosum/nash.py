@@ -68,11 +68,11 @@ def _simplex_max(b: np.ndarray):
         best = ratios.min()
         ties = rows[np.nonzero(ratios <= best + _PIVOT_TOL)[0]]
         row = int(min(ties, key=lambda r: basis[r]))
-        pivot = tab[row, col]
-        tab[row] /= pivot
-        for r in range(n + 1):
-            if r != row and tab[r, col] != 0.0:
-                tab[r] -= tab[r, col] * tab[row]
+        tab[row] /= tab[row, col]
+        # rank-one elimination of the pivot column from every other row
+        factors = tab[:, col].copy()
+        factors[row] = 0.0
+        tab -= np.outer(factors, tab[row])
         basis[row] = col
 
     w = np.zeros(m)

@@ -74,6 +74,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="spectral"):
             parse_config(doc(metrics=["spectral"]))
 
+    def test_metrics_must_be_a_list(self):
+        with pytest.raises(ConfigError, match="metrics: must be a list"):
+            parse_config(doc(metrics="average_loss"))
+
     def test_self_play_metrics(self):
         cfg = parse_config(
             doc(agent={"kind": "AMWU", "eta": 0.01, "alpha": 100},

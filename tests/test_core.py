@@ -4,8 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerosum.core import (
+    LOSS_ATOL,
+    SIMPLEX_ATOL,
     MatrixGame,
     Trace,
+    check_loss_vector,
+    check_rounds,
+    check_strategy,
     inner,
     kl_divergence,
     l_norm,
@@ -137,3 +142,89 @@ class TestTrace:
             u = uniform(n)
             assert u.sum() == pytest.approx(1.0, abs=1e-9)
             assert u.min() >= 0.0
+
+
+def _passes(check, row):
+    try:
+        check(row)
+    except ValueError:
+        return False
+    return True
+
+
+class TestCheckRounds:
+    def blocks(self, horizon=12, n=4, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.dirichlet(np.ones(n), size=horizon), rng.uniform(0, 1, (horizon, n))
+
+    def test_valid_blocks_pass(self):
+        s, x = self.blocks()
+        check_rounds(s, x)
+
+    def test_off_simplex_strategy_names_its_round(self):
+        for k in (1, 7, 12):
+            s, x = self.blocks()
+            s[k - 1] *= 1.5
+            with pytest.raises(ValueError, match=rf"^round {k} strategy: entries sum to"):
+                check_rounds(s, x)
+
+    def test_out_of_range_loss_names_its_round(self):
+        for k, bad in ((1, -0.1), (5, 1.2), (9, np.nan), (12, np.inf)):
+            s, x = self.blocks()
+            x[k - 1, 2] = bad
+            with pytest.raises(ValueError, match=rf"^round {k} loss: "):
+                check_rounds(s, x)
+
+    def test_first_bad_round_is_named(self):
+        s, x = self.blocks()
+        s[8, 0] = -0.5
+        x[3, 1] = 2.0
+        with pytest.raises(ValueError, match=r"^round 4 loss"):
+            check_rounds(s, x)
+        x[8, 1] = 2.0
+        x[3, 1] = 0.5
+        # within a round the strategy comes first
+        with pytest.raises(ValueError, match=r"^round 9 strategy"):
+            check_rounds(s, x, context="round")
+
+    def test_context_prefix(self):
+        s, x = self.blocks()
+        x[2, 0] = 3.0
+        with pytest.raises(ValueError, match=r"^adversary round 3 loss"):
+            check_rounds(s, x, context="adversary round")
+
+    def test_rows_at_the_tolerance_agree_with_the_vector_checks(self):
+        # entries and sums stepped across the tolerance: each row passes
+        # the bulk check exactly when the vector check passes it
+        base = uniform(5)
+        seen = set()
+        for scale in np.linspace(0.5, 1.5, 41):
+            strategy = base.copy()
+            strategy[0] += scale * SIMPLEX_ATOL
+            negative = base.copy()
+            negative[0] = -scale * SIMPLEX_ATOL
+            negative[1] += scale * SIMPLEX_ATOL
+            for row in (strategy, negative):
+                ok = _passes(check_strategy, row)
+                seen.add(ok)
+                assert _passes(lambda r: check_rounds(r[None, :], np.zeros((1, 5))), row) == ok
+            for value in (-scale * LOSS_ATOL, 1.0 + scale * LOSS_ATOL):
+                loss = np.full(5, 0.5)
+                loss[3] = value
+                ok = _passes(check_loss_vector, loss)
+                seen.add(ok)
+                assert _passes(lambda r: check_rounds(base[None, :], r[None, :]), loss) == ok
+        assert seen == {True, False}
+
+    def test_rows_exactly_at_the_tolerance_pass(self):
+        s = np.array([[1.0 + SIMPLEX_ATOL, -SIMPLEX_ATOL], [0.5, 0.5]])
+        x = np.array([[-LOSS_ATOL, 1.0 + LOSS_ATOL], [0.0, 1.0]])
+        for row in s:
+            check_strategy(row)
+        for row in x:
+            check_loss_vector(row)
+        check_rounds(s, x)
+
+    def test_rejects_non_blocks(self):
+        with pytest.raises(ValueError, match="2-D"):
+            check_rounds(uniform(3), np.zeros((1, 3)))

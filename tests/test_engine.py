@@ -1,8 +1,14 @@
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
+from zerosum import engine
+from zerosum.cli import _AGENT_KINDS
 from zerosum.core import MatrixGame
 from zerosum.engine import (
+    ADVERSARY_METRICS,
     AdversarySpec,
     AgentSpec,
     GameSpec,
@@ -229,3 +235,191 @@ class TestGridRun:
         outcomes = grid_run(configs, parallelism=4)
         assert len(outcomes) == 50
         assert all(o.error is None for o in outcomes)
+
+
+# Parameters for one agent of every kind the config parser accepts.
+AGENT_PARAMS = {
+    "FTRL": {"eta": 0.1},
+    "OFTRL": {"eta": 0.1},
+    "AFTRL": {"eta": 0.1, "alpha": 3.0},
+    "AMD": {"eta": 0.1, "alpha": 2.0},
+    "MWU": {"eta": 0.1},
+    "OMWU": {"eta": 0.1},
+    "AMWU": {"eta": 0.05, "alpha": 10.0},
+    "BestResponse": {},
+    "ProdBR": {},
+    "DoublingAFTRL": {"eta": 0.5, "alpha": 2.0},
+}
+ALL_AGENTS = tuple(AgentSpec(kind=k, **p) for k, p in sorted(AGENT_PARAMS.items())) + (
+    AgentSpec(kind="FTRL", eta=0.1, regularizer="squared_l2", name="FTRL-l2"),
+)
+
+
+def _replay_key(game, adversary_eta, horizon, recorder_eta=None):
+    recorder = adversary_eta if recorder_eta is None else recorder_eta
+    return (game.payoff.tobytes(), adversary_eta, recorder, horizon)
+
+
+class TestReplayGroups:
+    def test_agent_table_covers_every_kind(self):
+        assert set(AGENT_PARAMS) == _AGENT_KINDS
+
+    def test_grid_series_equal_each_config_run_alone(self):
+        adversaries = (
+            AdversarySpec(kind="oblivious_mwu", eta=0.4),
+            AdversarySpec(kind="oblivious_mwu", eta=0.4, recorder_eta=0.2),
+            AdversarySpec(kind="nonoblivious_mwu", eta=0.4),
+        )
+        configs = [
+            vs_config(seed=seed, horizon=40, agent=agent, adversary=adv)
+            for adv in adversaries
+            for seed in (1, 2)
+            for agent in ALL_AGENTS
+        ]
+        alone = [run_vs_adversary(c)[1] for c in configs]
+        forward = list(range(len(configs)))
+        for order in (forward, forward[::-1]):
+            for parallelism in (1, 2):
+                outcomes = grid_run([configs[i] for i in order], parallelism)
+                assert [o.index for o in outcomes] == forward
+                for out in outcomes:
+                    assert out.error is None, out.error
+                    expected = alone[order[out.index]]
+                    assert set(out.series) == set(expected)
+                    for name, values in expected.items():
+                        np.testing.assert_array_equal(out.series[name], values)
+
+    def test_one_recording_per_replay_key(self, monkeypatch):
+        calls = []
+        lock = threading.Lock()
+        record = engine.record_oblivious_trace
+
+        def counting(game, adversary_eta, horizon, recorder_eta=None):
+            with lock:
+                calls.append(_replay_key(game, adversary_eta, horizon, recorder_eta))
+            return record(game, adversary_eta, horizon, recorder_eta)
+
+        monkeypatch.setattr(engine, "record_oblivious_trace", counting)
+        agents = (AgentSpec(kind="MWU", eta=0.1), AgentSpec(kind="ProdBR"))
+        configs = [
+            vs_config(seed=seed, horizon=30, agent=agent, adversary=adv)
+            for agent in agents
+            for seed in (1, 2, 3)
+            for adv in (
+                AdversarySpec(kind="oblivious_mwu", eta=0.3),
+                # the recorder's rate defaults to the adversary's: same key
+                AdversarySpec(kind="oblivious_mwu", eta=0.3, recorder_eta=0.3),
+                AdversarySpec(kind="oblivious_mwu", eta=0.2),
+                AdversarySpec(kind="nonoblivious_mwu", eta=0.3),
+            )
+        ]
+        for parallelism in (1, 2):
+            calls.clear()
+            outcomes = grid_run(configs, parallelism)
+            assert all(o.error is None for o in outcomes)
+            assert len(calls) == len(set(calls)) == 6  # 3 games x 2 adversary etas
+
+    def test_failed_replay_fails_only_its_group(self):
+        agents = (AgentSpec(kind="MWU", eta=0.1), AgentSpec(kind="OMWU", eta=0.1),
+                  AgentSpec(kind="ProdBR"))
+        bad_adv = AdversarySpec(kind="oblivious_mwu", eta=0.5, recorder_eta=-0.1)
+        bad = [vs_config(horizon=30, agent=a, adversary=bad_adv) for a in agents]
+        good = [vs_config(horizon=30, agent=a) for a in agents]
+        configs = [c for pair in zip(bad, good) for c in pair]
+        with pytest.raises(ValueError) as alone:
+            run_vs_adversary(bad[0])
+        for parallelism in (1, 2):
+            outcomes = grid_run(configs, parallelism)
+            assert [o.index for o in outcomes] == list(range(len(configs)))
+            assert len({id(o) for o in outcomes}) == len(configs)
+            for out, config in zip(outcomes[0::2], bad):
+                assert out.config is config
+                assert out.error == f"ValueError: {alone.value}"
+                assert out.series == {}
+            for out in outcomes[1::2]:
+                assert out.error is None
+                assert set(out.series) == set(ADVERSARY_METRICS)
+
+    def test_replays_held_at_most_one_per_worker(self, monkeypatch):
+        live = peak = 0
+        lock = threading.Lock()
+        record = engine.record_oblivious_trace
+
+        def release():
+            nonlocal live
+            with lock:
+                live -= 1
+
+        def tracked(*args):
+            nonlocal live, peak
+            ys = record(*args)
+            with lock:
+                live += 1
+                peak = max(peak, live)
+            weakref.finalize(ys, release)
+            return ys
+
+        monkeypatch.setattr(engine, "record_oblivious_trace", tracked)
+        configs = [
+            vs_config(seed=seed, horizon=60, agent=AgentSpec(kind="MWU", eta=eta))
+            for seed in range(6)
+            for eta in (0.05, 0.2)
+        ]
+        for parallelism in (1, 2):
+            peak = 0
+            outcomes = grid_run(configs, parallelism)
+            assert all(o.error is None for o in outcomes)
+            assert live == 0
+            assert 1 <= peak <= parallelism
+
+
+class _OffSimplexAt:
+    """A learner whose strategy for round k is scaled off the simplex."""
+
+    def __init__(self, inner, k):
+        self.inner, self.k, self.round = inner, k, 1
+
+    def start(self):
+        return self.inner.start()
+
+    def update(self, observed):
+        self.round += 1
+        f = self.inner.update(observed)
+        return 1.5 * f if self.round == self.k else f
+
+
+class TestRoundChecks:
+    @pytest.mark.parametrize("kind", ["oblivious_mwu", "nonoblivious_mwu"])
+    def test_bad_strategy_names_its_round(self, monkeypatch, kind):
+        build = engine.build_agent
+        monkeypatch.setattr(
+            engine, "build_agent", lambda spec, n, horizon: _OffSimplexAt(build(spec, n, horizon), 9)
+        )
+        cfg = vs_config(horizon=20, adversary=AdversarySpec(kind=kind, eta=0.4))
+        with pytest.raises(ValueError, match=r"^round 9 strategy: entries sum to"):
+            run_vs_adversary(cfg)
+
+    def test_bad_loss_names_its_round(self, monkeypatch):
+        record = engine.record_oblivious_trace
+
+        def corrupted(*args):
+            ys = record(*args)
+            ys[5] = 1.0  # every column at full weight: row sums exceed 1
+            return ys
+
+        monkeypatch.setattr(engine, "record_oblivious_trace", corrupted)
+        with pytest.raises(ValueError, match=r"^round 6 loss: entries outside \[0, 1\]"):
+            run_vs_adversary(vs_config(horizon=20))
+
+    def test_bad_replay_recording_names_its_round(self, monkeypatch):
+        mwu_update = engine.Mwu.update
+        counts = {}
+
+        def drifting(self, observed):
+            counts[id(self)] = counts.get(id(self), 0) + 1
+            f = mwu_update(self, observed)
+            return f + 1e-6 if counts[id(self)] == 3 else f
+
+        monkeypatch.setattr(engine.Mwu, "update", drifting)
+        with pytest.raises(ValueError, match=r"^replay row player round 4 strategy"):
+            record_oblivious_trace(make_random_game(4, 4, seed=1), 0.5, 10)

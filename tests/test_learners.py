@@ -203,6 +203,43 @@ class TestAmwuWrapper:
         np.testing.assert_allclose(got, ref, atol=1e-15)
 
 
+    def test_negative_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            Amwu(MP, "max", eta=0.1, alpha=-1.0)
+
+
+class TestCheckedStep:
+    """``step`` is ``update`` with the loss vector and the result checked."""
+
+    def learners(self, n=4, horizon=50):
+        return [
+            lambda: Aftrl(n, 0.2, alpha=3.0),
+            lambda: Aftrl(n, 0.2, alpha=1.0, reg=SQUARED_L2),
+            lambda: Amd(n, 0.2, alpha=2.0),
+            lambda: Mwu(n, 0.2),
+            lambda: Omwu(n, 0.2),
+            lambda: BestResponseLearner(n),
+            lambda: ProdBr(n, horizon=horizon),
+            lambda: DoublingAftrl(n, 1.0, alpha=2.0),
+        ]
+
+    def test_update_equals_step(self):
+        xs = np.random.default_rng(4).uniform(0, 1, (50, 4))
+        for make in self.learners():
+            checked, unchecked = make(), make()
+            np.testing.assert_array_equal(checked.start(), unchecked.start())
+            for x in xs:
+                np.testing.assert_array_equal(checked.step(x), unchecked.update(x))
+
+    def test_step_checks_its_input(self):
+        for make in self.learners():
+            learner = make()
+            with pytest.raises(ValueError, match="outside"):
+                learner.step(np.array([0.2, 1.5, 0.0, 0.0]))
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                learner.step(np.array([0.2, 0.5]))
+
+
 class TestBestResponse:
     def test_unique_minimizer(self):
         np.testing.assert_allclose(best_response(np.array([0.2, 0.7, 0.1])), [0, 0, 1])
@@ -274,6 +311,10 @@ class TestProdBr:
 
 
 class TestDoublingAftrl:
+    def test_negative_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            DoublingAftrl(3, 0.1, -1.0)
+
     def test_constant_stream_never_restarts(self):
         agent = DoublingAftrl(2, eta0=1.0, alpha=1.0)
         plain = Aftrl(2, eta=1.0, alpha=1.0)

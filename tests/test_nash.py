@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from zerosum import nash
 from zerosum.core import MatrixGame, l_norm
 from zerosum.engine import make_random_game
 from zerosum.metrics import exploitability
 from zerosum.nash import (
+    DegenerateGameError,
     amwu_update_map,
     solve_zero_sum,
     spectral_radius_at_ne,
@@ -84,6 +86,73 @@ class TestSolveZeroSum:
         ne = solve_zero_sum(game)
         assert ne.value == pytest.approx(2.0, abs=1e-9)
         np.testing.assert_allclose(ne.f_star, [1.0, 0.0], atol=1e-9)
+
+
+def simplex_max_row_loop(b):
+    """The tableau simplex with its elimination written as a loop over
+    rows, as an oracle for the rank-one update in ``nash._simplex_max``."""
+    n, m = b.shape
+    tab = np.zeros((n + 1, m + n + 1))
+    tab[:n, :m] = b
+    tab[:n, m : m + n] = np.eye(n)
+    tab[:n, -1] = 1.0
+    tab[n, :m] = -1.0
+    basis = list(range(m, m + n))
+    while True:
+        candidates = np.nonzero(tab[n, : m + n] < -nash._PIVOT_TOL)[0]
+        if candidates.size == 0:
+            break
+        col = int(candidates[0])
+        column = tab[:n, col]
+        rows = np.nonzero(column > nash._PIVOT_TOL)[0]
+        if rows.size == 0:
+            raise DegenerateGameError("simplex detected an unbounded direction")
+        ratios = tab[rows, -1] / column[rows]
+        ties = rows[np.nonzero(ratios <= ratios.min() + nash._PIVOT_TOL)[0]]
+        row = int(min(ties, key=lambda r: basis[r]))
+        tab[row] /= tab[row, col]
+        for r in range(n + 1):
+            if r != row and tab[r, col] != 0.0:
+                tab[r] -= tab[r, col] * tab[row]
+        basis[row] = col
+    w = np.zeros(m)
+    for r, var in enumerate(basis):
+        if var < m:
+            w[var] = tab[r, -1]
+    return w, tab[n, m : m + n].copy(), float(tab[n, -1])
+
+
+def oracle_games():
+    """A single row, a constant matrix, duplicated rows, square and
+    rectangular random games with sides 30 to 120."""
+    rng = np.random.default_rng(21)
+    base = rng.random((20, 50))
+    yield rng.random((1, 60))
+    yield np.full((60, 60), rng.random())
+    yield np.vstack([base, base])[rng.permutation(40)]
+    for n, m in ((30, 30), (30, 45), (45, 30), (64, 96), (120, 40)):
+        yield rng.random((n, m))
+
+
+class TestRankOnePivot:
+    def test_simplex_matches_row_loop(self):
+        for a in oracle_games():
+            b = a + 1.0 - a.min()
+            got, want = nash._simplex_max(b), simplex_max_row_loop(b)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+    def test_solutions_match_row_loop(self, monkeypatch):
+        for a in oracle_games():
+            got = solve_zero_sum(MatrixGame(a))
+            with monkeypatch.context() as m:
+                m.setattr(nash, "_simplex_max", simplex_max_row_loop)
+                want = solve_zero_sum(MatrixGame(a))
+            np.testing.assert_array_equal(got.f_star, want.f_star)
+            np.testing.assert_array_equal(got.y_star, want.y_star)
+            assert got.value == want.value
+            assert got.gap == want.gap
 
 
 class TestAmwuUpdateMap:
