@@ -9,29 +9,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .core import MatrixGame
 from .engine import (
-    ADVERSARY_METRICS,
-    SELF_PLAY_METRICS,
+    ADVERSARY_KINDS,
+    AGENT_KINDS,
     AdversarySpec,
     AgentSpec,
     GameSpec,
     SimulationConfig,
     grid_run,
     make_random_game,
-    run_self_play,
-    run_vs_adversary,
+    run_config,
 )
 from .nash import solve_zero_sum, spectral_radius_at_ne
-
-PRESET_NAMES = ("oblivious-loss", "nonoblivious-regret", "last-round", "spectral-certificate")
+from .regularizers import REGULARIZERS
 
 # Adversary learning-rate grid for the loss/regret presets.
 ADVERSARY_ETA_GRID = tuple(round(0.5 - 0.05 * i, 2) for i in range(10))
@@ -77,35 +77,98 @@ class ConfigError(ValueError):
     pass
 
 
-_AGENT_KEYS = {"kind", "eta", "alpha", "b", "regularizer", "name"}
-_ADVERSARY_KEYS = {"kind", "eta", "recorder_eta"}
 _TOP_KEYS = {"game", "horizon", "agent", "adversary", "metrics", "output"}
-_AGENT_KINDS = {
-    "FTRL", "OFTRL", "AFTRL", "AMD", "MWU", "OMWU", "AMWU",
-    "BestResponse", "ProdBR", "DoublingAFTRL",
-}
-_ADVERSARY_KINDS = {"oblivious_mwu", "nonoblivious_mwu", "self_play"}
+_REQUIRED = {"horizon", "n", "m", "seed", "eta"}  # wherever they are read
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str):
-    unknown = sorted(set(obj) - allowed)
+def _reject_unknown(obj: dict, allowed, where: str):
+    unknown = sorted(set(obj) - set(allowed))
     if unknown:
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+        accepted = ", ".join(sorted(allowed))
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}; accepted: {accepted}")
 
 
-def _require(obj: dict, key: str, where: str):
+def _require(obj: dict, key: str, prefix: str = ""):
     if key not in obj:
-        raise ConfigError(f"{where}: missing required key {key!r}")
+        raise ConfigError(f"{prefix}{key}: missing required key")
     return obj[key]
+
+
+def _object(obj: dict, key: str, prefix: str = "") -> dict:
+    value = _require(obj, key, prefix)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{prefix}{key}: must be a JSON object, got {value!r}")
+    return value
+
+
+def _choice(value, key: str, table):
+    if not isinstance(value, str) or value not in table:
+        raise ConfigError(f"{key}: unknown value {value!r}; choose from {', '.join(table)}")
+    return value
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: must be a string, got {value!r}")
+    return value
+
+
+def _number(value, key: str, low: float = -math.inf, above: bool = False, integer: bool = False):
+    """``value`` if it is a number but not a bool, finite (or an integer,
+    if ``integer``), and at least ``low`` (above it, if ``above``)."""
+    try:
+        ok = (
+            isinstance(value, int if integer else (int, float))
+            and not isinstance(value, bool)
+            and (integer or math.isfinite(value))
+            and (value > low if above else value >= low)
+        )
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not ok:
+        bound = "" if low == -math.inf else f" {'>' if above else '>='} {low:g}"
+        want = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{key}: must be {want}{bound}, got {value!r}")
+    return value if integer else float(value)
+
+
+# How the value of each config key is checked, whichever object holds it.
+_CHECKS = {
+    **dict.fromkeys(("horizon", "n", "m"), lambda v, key: _number(v, key, 2, integer=True)),
+    "seed": lambda v, key: _number(v, key, integer=True),
+    **dict.fromkeys(("eta", "recorder_eta"), lambda v, key: _number(v, key, 0, above=True)),
+    "alpha": lambda v, key: _number(v, key, 0),
+    "b": _number,
+    "regularizer": lambda v, key: _choice(v, key, REGULARIZERS),
+    **dict.fromkeys(("name", "output"), _string),
+}
+
+
+def _fields(obj: dict, keys, prefix: str = "") -> dict:
+    """The checked values of the ``keys`` that ``obj`` gives (or must give)."""
+    return {
+        key: _CHECKS[key](_require(obj, key, prefix), prefix + key)
+        for key in keys
+        if key in obj or key in _REQUIRED
+    }
+
+
+def _kind(obj: dict, where: str, table: dict, *common):
+    """The kind named by ``obj`` and its table entry; ``obj`` may hold only
+    the keys that kind reads and the ``common`` ones."""
+    kind = _choice(_require(obj, "kind", f"{where}."), f"{where}.kind", table)
+    _reject_unknown(obj, ("kind", *common, *table[kind].keys), f"{where} (kind {kind!r})")
+    return kind, table[kind]
 
 
 def parse_config(text: str) -> SimulationConfig:
     """Parse and validate a JSON simulation config.
 
-    Unknown keys are rejected and every error names the offending key.
-    Defaults: regularizer "entropy"; metrics all metrics for the run mode.
-    An AMWU/AFTRL agent may give ``b`` instead of ``alpha``, which resolves
-    to alpha = eta^(b-1).
+    An agent or adversary may give only the keys its kind reads (the
+    ``keys`` of ``engine.AGENT_KINDS`` and ``engine.ADVERSARY_KINDS``), and
+    every error names the offending key.  Defaults: regularizer "entropy";
+    metrics all metrics for the run mode; a kind with a free exploit rate
+    takes ``alpha`` (default 0) or ``b``, which resolves to eta^(b-1).
     """
     try:
         doc = json.loads(text)
@@ -115,126 +178,68 @@ def parse_config(text: str) -> SimulationConfig:
         raise ConfigError("config must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "config")
 
-    game_doc = _require(doc, "game", "config")
+    game_doc = _object(doc, "game")
     _reject_unknown(game_doc, {"random", "csv"}, "game")
-    if "random" in game_doc and "csv" in game_doc:
-        raise ConfigError("game: give either 'random' or 'csv', not both")
-    if "random" in game_doc:
-        rnd = game_doc["random"]
+    if len(game_doc) != 1:
+        raise ConfigError("game: give one of 'random' or 'csv'")
+    if "csv" in game_doc:
+        game = GameSpec(kind="csv", path=_string(game_doc["csv"], "game.csv"))
+    else:
+        rnd = _object(game_doc, "random", "game.")
         _reject_unknown(rnd, {"n", "m", "seed"}, "game.random")
-        n = _require(rnd, "n", "game.random")
-        m = _require(rnd, "m", "game.random")
-        seed = _require(rnd, "seed", "game.random")
-        if not isinstance(n, int) or n < 2:
-            raise ConfigError(f"game.random.n: must be an integer >= 2, got {n!r}")
-        if not isinstance(m, int) or m < 2:
-            raise ConfigError(f"game.random.m: must be an integer >= 2, got {m!r}")
-        if not isinstance(seed, int):
-            raise ConfigError(f"game.random.seed: must be an integer, got {seed!r}")
-        game = GameSpec(kind="random", n=n, m=m, seed=seed)
-    elif "csv" in game_doc:
-        game = GameSpec(kind="csv", path=str(game_doc["csv"]))
-    else:
-        raise ConfigError("game: missing required key 'random' or 'csv'")
+        game = GameSpec(kind="random", **_fields(rnd, ("n", "m", "seed"), "game.random."))
+    top = _fields(doc, ("horizon", "output"))
 
-    horizon = _require(doc, "horizon", "config")
-    if not isinstance(horizon, int) or horizon < 2:
-        raise ConfigError(f"horizon: must be an integer >= 2, got {horizon!r}")
-
-    agent_doc = _require(doc, "agent", "config")
-    _reject_unknown(agent_doc, _AGENT_KEYS, "agent")
-    kind = _require(agent_doc, "kind", "agent")
-    if kind not in _AGENT_KINDS:
-        raise ConfigError(f"agent.kind: unknown kind {kind!r}; choose from {sorted(_AGENT_KINDS)}")
-    eta = agent_doc.get("eta")
-    if eta is not None and (not isinstance(eta, (int, float)) or eta <= 0):
-        raise ConfigError(f"agent.eta: must be positive, got {eta!r}")
-    if eta is None and kind not in ("BestResponse", "ProdBR"):
-        raise ConfigError(f"agent.eta: required for kind {kind!r}")
-    alpha = agent_doc.get("alpha")
-    b = agent_doc.get("b")
-    if alpha is not None and b is not None:
+    agent_doc = _object(doc, "agent")
+    kind, rule = _kind(agent_doc, "agent", AGENT_KINDS, "name")
+    fields = _fields(agent_doc, ("name", *rule.keys), "agent.")
+    if "alpha" in fields and "b" in fields:
         raise ConfigError("agent.alpha: give either 'alpha' or 'b', not both")
-    if alpha is not None and alpha < 0:
-        raise ConfigError(f"agent.alpha: must be nonnegative, got {alpha!r}")
-    regularizer = agent_doc.get("regularizer", "entropy")
-    if regularizer not in ("entropy", "squared_l2"):
-        raise ConfigError(f"agent.regularizer: unknown regularizer {regularizer!r}")
-    agent = AgentSpec(
-        kind=kind,
-        eta=float(eta) if eta is not None else None,
-        alpha=float(alpha) if alpha is not None else None,
-        b=float(b) if b is not None else None,
-        regularizer=regularizer,
-        name=agent_doc.get("name"),
-    )
+    agent = AgentSpec(kind=kind, **fields)
+    try:
+        agent.resolved_alpha()
+    except OverflowError:
+        raise ConfigError(f"agent.b: eta^(b-1) overflows, b={agent.b!r}") from None
 
-    adv_doc = _require(doc, "adversary", "config")
-    _reject_unknown(adv_doc, _ADVERSARY_KEYS, "adversary")
-    adv_kind = _require(adv_doc, "kind", "adversary")
-    if adv_kind not in _ADVERSARY_KINDS:
-        raise ConfigError(
-            f"adversary.kind: unknown kind {adv_kind!r}; choose from {sorted(_ADVERSARY_KINDS)}"
-        )
-    adv_eta = adv_doc.get("eta")
-    if adv_kind != "self_play" and (adv_eta is None or adv_eta <= 0):
-        raise ConfigError(f"adversary.eta: must be positive for kind {adv_kind!r}")
-    adversary = AdversarySpec(
-        kind=adv_kind,
-        eta=float(adv_eta) if adv_eta is not None else None,
-        recorder_eta=(
-            float(adv_doc["recorder_eta"]) if adv_doc.get("recorder_eta") is not None else None
-        ),
-    )
+    adv_doc = _object(doc, "adversary")
+    adv_kind, adv_rule = _kind(adv_doc, "adversary", ADVERSARY_KINDS)
+    adversary = AdversarySpec(kind=adv_kind, **_fields(adv_doc, adv_rule.keys, "adversary."))
+    if adv_kind == "self_play" and not rule.self_play:
+        able = ", ".join(k for k, r in AGENT_KINDS.items() if r.self_play)
+        raise ConfigError(f"agent.kind: self_play needs one of {able}, got {kind!r}")
 
-    metric_pool = SELF_PLAY_METRICS if adv_kind == "self_play" else ADVERSARY_METRICS
-    metrics_names = doc.get("metrics")
-    if metrics_names is None:
-        metrics_names = metric_pool
-    else:
-        if not isinstance(metrics_names, list):
-            raise ConfigError(f"metrics: must be a list of metric names, got {metrics_names!r}")
-        for name in metrics_names:
-            if name not in metric_pool:
-                raise ConfigError(f"metrics: unknown metric {name!r}; choose from {metric_pool}")
+    names = doc.get("metrics", [])
+    if not isinstance(names, list):
+        raise ConfigError(f"metrics: must be a list of metric names, got {names!r}")
     return SimulationConfig(
         game=game,
-        horizon=horizon,
+        horizon=top["horizon"],
         agent=agent,
         adversary=adversary,
-        metrics=tuple(metrics_names),
-        output=doc.get("output"),
+        metrics=tuple(_choice(name, "metrics", adv_rule.metrics) for name in names),
+        output=top.get("output"),
     )
+
+
+def _given(obj, keys) -> dict:
+    return {key: getattr(obj, key) for key in keys if getattr(obj, key) is not None}
 
 
 def config_to_json(config: SimulationConfig) -> str:
-    """Serialize a config back to its JSON document form."""
+    """Serialize a config back to its JSON document form, with only the
+    keys each kind reads."""
     if config.game.kind == "random":
-        game = {"random": {"n": config.game.n, "m": config.game.m, "seed": config.game.seed}}
+        game = {"random": _given(config.game, ("n", "m", "seed"))}
     else:
         game = {"csv": config.game.path}
-    agent = {"kind": config.agent.kind}
-    for key in ("eta", "alpha", "b"):
-        val = getattr(config.agent, key)
-        if val is not None:
-            agent[key] = val
-    agent["regularizer"] = config.agent.regularizer
-    if config.agent.name is not None:
-        agent["name"] = config.agent.name
-    adversary = {"kind": config.adversary.kind}
-    if config.adversary.eta is not None:
-        adversary["eta"] = config.adversary.eta
-    if config.adversary.recorder_eta is not None:
-        adversary["recorder_eta"] = config.adversary.recorder_eta
+    adversary = config.adversary
     doc = {
         "game": game,
-        "horizon": config.horizon,
-        "agent": agent,
-        "adversary": adversary,
+        "agent": _given(config.agent, ("kind", "name", *config.agent.rule.keys)),
+        "adversary": _given(adversary, ("kind", *ADVERSARY_KINDS[adversary.kind].keys)),
         "metrics": list(config.metrics),
+        **_given(config, ("horizon", "output")),
     }
-    if config.output is not None:
-        doc["output"] = config.output
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
@@ -283,43 +288,95 @@ def emit_csv(records, path) -> None:
         fh.write("\n")
 
 
-def _vs_adversary_grid(kind: str, seeds, horizon: int) -> list[SimulationConfig]:
-    configs = []
-    for adv_eta in ADVERSARY_ETA_GRID:
-        for seed in seeds:
-            for agent in VS_ADVERSARY_AGENTS:
-                configs.append(
-                    SimulationConfig(
-                        game=GameSpec(kind="random", n=20, m=20, seed=seed),
-                        horizon=horizon,
-                        agent=agent,
-                        adversary=AdversarySpec(kind=kind, eta=adv_eta),
-                        metrics=(
-                            ("average_loss",) if kind == "oblivious_mwu"
-                            else ("average_dynamic_regret",)
-                        ),
-                    )
-                )
-    return configs
+def _records(config: SimulationConfig, series: dict) -> list[SeriesRecord]:
+    learner, seed, eta = config.agent.display_name, config.game.seed, config.adversary.eta
+    return [SeriesRecord(learner, metric, values, seed, eta) for metric, values in series.items()]
 
 
-def _collect_records(outcomes) -> tuple[list[SeriesRecord], list[str]]:
-    records, failures = [], []
-    for out in outcomes:
-        if out.error is not None:
-            failures.append(f"config {out.index}: {out.error}")
-            continue
-        for metric, values in out.series.items():
-            records.append(
-                SeriesRecord(
-                    learner=out.config.agent.display_name,
-                    metric=metric,
-                    values=values,
-                    seed=out.config.game.seed,
-                    adversary_eta=out.config.adversary.eta,
-                )
+@dataclass(frozen=True)
+class Preset:
+    """A named experiment: its CSV file, what makes its records, its manifest grid."""
+
+    csv: str
+    records: Callable  # (seeds, parallelism) -> (records, failure lines)
+    grid: dict
+
+
+def _grid_preset(csv, agents, horizon, adversary, metric_names, etas=(None,)) -> Preset:
+    """Each agent against ``adversary`` at each eta, on each seed's random 20x20 game."""
+
+    def records(seeds, parallelism):
+        configs = [
+            SimulationConfig(
+                game=GameSpec(kind="random", n=20, m=20, seed=seed),
+                horizon=horizon,
+                agent=agent,
+                adversary=AdversarySpec(kind=adversary, eta=eta),
+                metrics=metric_names,
             )
+            for eta in etas
+            for seed in seeds
+            for agent in agents
+        ]
+        out, failures = [], []
+        for outcome in grid_run(configs, parallelism):
+            if outcome.error is not None:
+                failures.append(f"config {outcome.index}: {outcome.error}")
+            else:
+                out += _records(outcome.config, outcome.series)
+        return out, failures
+
+    grid = {"agents": [a.display_name for a in agents], "horizon": horizon, "game": "random 20x20"}
+    if etas != (None,):
+        grid["adversary_eta"] = list(etas)
+    return Preset(csv, records, grid)
+
+
+_CERTIFICATE_GAMES = [("matching_pennies", None, MATCHING_PENNIES_UNIT)] + [
+    (f"centered_3x3_{seed}", seed, centered_random_game(3, 3, seed))
+    for seed in CERTIFICATE_3X3_SEEDS
+]
+
+
+def _certificate_records(seeds, parallelism):
+    """Spectral radii of both update rules at each certificate game's equilibrium."""
+    records, failures = [], []
+    for label, seed, game in _CERTIFICATE_GAMES:
+        try:
+            ne = solve_zero_sum(game)
+            for agent_name, alpha in CERTIFICATE_ALPHAS:
+                rho = spectral_radius_at_ne(game, ne, CERTIFICATE_ETA, alpha)
+                records.append(
+                    SeriesRecord(agent_name, f"spectral_radius_{label}", np.array([rho]), seed)
+                )
+        except Exception as exc:  # noqa: BLE001 - recorded per game
+            failures.append(f"{label}: {type(exc).__name__}: {exc}")
     return records, failures
+
+
+PRESETS = {
+    "oblivious-loss": _grid_preset(
+        "oblivious_loss.csv", VS_ADVERSARY_AGENTS, OBLIVIOUS_HORIZON,
+        "oblivious_mwu", ("average_loss",), ADVERSARY_ETA_GRID,
+    ),
+    "nonoblivious-regret": _grid_preset(
+        "nonoblivious_regret.csv", VS_ADVERSARY_AGENTS, NONOBLIVIOUS_HORIZON,
+        "nonoblivious_mwu", ("average_dynamic_regret",), ADVERSARY_ETA_GRID,
+    ),
+    "last-round": _grid_preset(
+        "last_round.csv", LAST_ROUND_AGENTS, LAST_ROUND_HORIZON,
+        "self_play", ("exploitability", "kl_to_ne"),
+    ),
+    "spectral-certificate": Preset(
+        "spectral_certificate.csv",
+        _certificate_records,
+        {
+            "eta": CERTIFICATE_ETA,
+            "alphas": dict(CERTIFICATE_ALPHAS),
+            "games": [label for label, _, _ in _CERTIFICATE_GAMES],
+        },
+    ),
+}
 
 
 def run_preset(name: str, output_dir, seeds, parallelism: int = 4) -> int:
@@ -327,123 +384,33 @@ def run_preset(name: str, output_dir, seeds, parallelism: int = 4) -> int:
 
     Returns the number of failed runs (0 means full success).
     """
-    if name not in PRESET_NAMES:
-        raise ConfigError(f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}")
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; valid presets: {', '.join(PRESETS)}")
+    preset = PRESETS[name]
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = list(seeds)
+    records, failures = preset.records(seeds, parallelism)
+    emit_csv(records, out_dir / preset.csv)
     manifest = {
         "preset": name,
         "seeds": seeds,
         "version": __version__,
-        "outputs": [],
-        "failures": [],
+        "outputs": [preset.csv],
+        "failures": failures,
+        "grid": preset.grid,
     }
-
-    if name == "oblivious-loss":
-        configs = _vs_adversary_grid("oblivious_mwu", seeds, OBLIVIOUS_HORIZON)
-        records, failures = _collect_records(grid_run(configs, parallelism))
-        csv_path = out_dir / "oblivious_loss.csv"
-        emit_csv(records, csv_path)
-        manifest["grid"] = {
-            "adversary_eta": list(ADVERSARY_ETA_GRID),
-            "agents": [a.display_name for a in VS_ADVERSARY_AGENTS],
-            "horizon": OBLIVIOUS_HORIZON,
-            "game": "random 20x20",
-        }
-        manifest["outputs"].append(csv_path.name)
-        manifest["failures"] = failures
-    elif name == "nonoblivious-regret":
-        configs = _vs_adversary_grid("nonoblivious_mwu", seeds, NONOBLIVIOUS_HORIZON)
-        records, failures = _collect_records(grid_run(configs, parallelism))
-        csv_path = out_dir / "nonoblivious_regret.csv"
-        emit_csv(records, csv_path)
-        manifest["grid"] = {
-            "adversary_eta": list(ADVERSARY_ETA_GRID),
-            "agents": [a.display_name for a in VS_ADVERSARY_AGENTS],
-            "horizon": NONOBLIVIOUS_HORIZON,
-            "game": "random 20x20",
-        }
-        manifest["outputs"].append(csv_path.name)
-        manifest["failures"] = failures
-    elif name == "last-round":
-        configs = [
-            SimulationConfig(
-                game=GameSpec(kind="random", n=20, m=20, seed=seed),
-                horizon=LAST_ROUND_HORIZON,
-                agent=agent,
-                adversary=AdversarySpec(kind="self_play"),
-                metrics=("exploitability", "kl_to_ne"),
-            )
-            for seed in seeds
-            for agent in LAST_ROUND_AGENTS
-        ]
-        records, failures = _collect_records(grid_run(configs, parallelism))
-        csv_path = out_dir / "last_round.csv"
-        emit_csv(records, csv_path)
-        manifest["grid"] = {
-            "agents": [a.display_name for a in LAST_ROUND_AGENTS],
-            "horizon": LAST_ROUND_HORIZON,
-            "game": "random 20x20",
-        }
-        manifest["outputs"].append(csv_path.name)
-        manifest["failures"] = failures
-    else:  # spectral-certificate
-        records = []
-        failures = []
-        games = [("matching_pennies", None, MATCHING_PENNIES_UNIT)]
-        for seed in CERTIFICATE_3X3_SEEDS:
-            games.append((f"centered_3x3_{seed}", seed, centered_random_game(3, 3, seed)))
-        for label, seed, game in games:
-            try:
-                ne = solve_zero_sum(game)
-                for agent_name, alpha in CERTIFICATE_ALPHAS:
-                    rho = spectral_radius_at_ne(game, ne, CERTIFICATE_ETA, alpha)
-                    records.append(
-                        SeriesRecord(
-                            learner=agent_name,
-                            metric=f"spectral_radius_{label}",
-                            values=np.array([rho]),
-                            seed=seed,
-                        )
-                    )
-            except Exception as exc:  # noqa: BLE001 - recorded per game
-                failures.append(f"{label}: {type(exc).__name__}: {exc}")
-        csv_path = out_dir / "spectral_certificate.csv"
-        emit_csv(records, csv_path)
-        manifest["grid"] = {
-            "eta": CERTIFICATE_ETA,
-            "alphas": dict(CERTIFICATE_ALPHAS),
-            "games": [g[0] for g in games],
-        }
-        manifest["outputs"].append(csv_path.name)
-        manifest["failures"] = failures
-
     with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return len(manifest["failures"])
+    return len(failures)
 
 
 def _cmd_run(args) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
-    config = parse_config(text)
-    if config.adversary.kind == "self_play":
-        _, _, series, _ = run_self_play(config)
-    else:
-        _, series, _ = run_vs_adversary(config)
-    records = [
-        SeriesRecord(
-            learner=config.agent.display_name,
-            metric=metric,
-            values=values,
-            seed=config.game.seed,
-            adversary_eta=config.adversary.eta,
-        )
-        for metric, values in series.items()
-    ]
+    config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    series = run_config(config)
     if config.output is not None:
-        emit_csv(records, config.output)
+        emit_csv(_records(config, series), config.output)
     else:
         summary = {
             metric: {"final": float(v[-1]), "mean": float(np.mean(v)), "std": float(np.std(v))}
@@ -503,7 +470,7 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=_cmd_run)
 
     p_preset = sub.add_parser("preset", help="run a named experiment preset")
-    p_preset.add_argument("name", help=f"one of: {', '.join(PRESET_NAMES)}")
+    p_preset.add_argument("name", help=f"one of: {', '.join(PRESETS)}")
     p_preset.add_argument("--out", required=True, help="output directory")
     p_preset.add_argument("--seeds", default=None, help="comma-separated seed list")
     p_preset.add_argument("--parallelism", type=int, default=4)
@@ -522,7 +489,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,13 +12,12 @@ All numerics are float64.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 SIMPLEX_ATOL = 1e-9
 LOSS_ATOL = 1e-9
-REALIZED_ATOL = 1e-12
 
 # Multiplicative updates drive off-support mass toward zero on long runs;
 # clamping keeps weights strictly positive so KL terms stay finite.
@@ -213,30 +212,24 @@ class Trace:
     """Round-by-round record of one simulation.
 
     ``strategies[t]`` is the strategy played in round t+1, ``losses[t]``
-    the loss vector revealed that round, and ``realized[t] = <f_t, x_t>``.
+    the loss vector revealed that round, and ``realized[t] = <f_t, x_t>``
+    (computed here, once).
     """
 
     strategies: np.ndarray
     losses: np.ndarray
-    realized: np.ndarray
+    realized: np.ndarray = field(init=False)
 
     def __post_init__(self):
         s = np.asarray(self.strategies, dtype=float)
         x = np.asarray(self.losses, dtype=float)
-        r = np.asarray(self.realized, dtype=float)
-        if s.ndim != 2 or x.shape != s.shape or r.shape != (s.shape[0],):
-            raise ValueError(
-                f"inconsistent trace shapes: strategies {s.shape}, losses {x.shape}, realized {r.shape}"
-            )
+        if s.ndim != 2 or x.shape != s.shape:
+            raise ValueError(f"inconsistent trace shapes: strategies {s.shape}, losses {x.shape}")
         if s.shape[0] < 1:
             raise ValueError("empty trace")
-        expected = np.einsum("ti,ti->t", s, x)
-        worst = np.abs(expected - r).max()
-        if worst > REALIZED_ATOL:
-            raise ValueError(f"realized losses inconsistent with <f_t, x_t>: max error {worst}")
         object.__setattr__(self, "strategies", s)
         object.__setattr__(self, "losses", x)
-        object.__setattr__(self, "realized", r)
+        object.__setattr__(self, "realized", np.einsum("ti,ti->t", s, x))
 
     @property
     def horizon(self) -> int:
@@ -244,6 +237,4 @@ class Trace:
 
     @classmethod
     def from_rounds(cls, strategies, losses) -> "Trace":
-        s = np.asarray(strategies, dtype=float)
-        x = np.asarray(losses, dtype=float)
-        return cls(s, x, np.einsum("ti,ti->t", s, x))
+        return cls(strategies, losses)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,9 +88,54 @@ class GameSpec:
         raise ValueError(f"unknown game kind {self.kind!r}")
 
 
+def _lookup(table: dict, name: str, what: str):
+    """``table[name]``, or a ValueError that names the choices."""
+    if name not in table:
+        raise ValueError(f"unknown {what} {name!r}; choose from {', '.join(table)}")
+    return table[name]
+
+
+class AgentKind(NamedTuple):
+    """How one agent kind is built, and the agent config keys it reads.
+
+    The learners are one family indexed by the exploit rate: ``alpha`` is
+    the kind's fixed rate (FTRL/MWU 0, OFTRL/OMWU 1), or None; then a
+    kind with ``alpha`` among its keys reads it from the config, as
+    ``alpha`` or as ``b``, and a kind without uses none.
+    """
+
+    build: Callable  # (n, eta, alpha, regularizer, horizon) -> a loss-stream learner
+    keys: tuple[str, ...]  # read besides kind and name; eta, when read, is required
+    alpha: float | None = None
+    self_play: bool = False
+
+
+def _leader(n, eta, alpha, reg, horizon):
+    return Aftrl(n, eta, alpha=alpha, reg=reg)
+
+
+_FREE = ("eta", "alpha", "b", "regularizer")  # the keys of a kind with a free exploit rate
+
+# The builders look the learner classes up when called, not at import.
+AGENT_KINDS = {
+    "FTRL": AgentKind(_leader, ("eta", "regularizer"), alpha=0.0),
+    "OFTRL": AgentKind(_leader, ("eta", "regularizer"), alpha=1.0),
+    "AFTRL": AgentKind(_leader, _FREE),
+    "AMD": AgentKind(lambda n, eta, a, reg, T: Amd(n, eta, a, reg), _FREE),
+    "MWU": AgentKind(lambda n, eta, *_: Mwu(n, eta), ("eta",), alpha=0.0, self_play=True),
+    "OMWU": AgentKind(lambda n, eta, *_: Omwu(n, eta), ("eta",), alpha=1.0, self_play=True),
+    # the multiplicative member of the leader family: it reads no
+    # regularizer, so build_agent gives it the entropy
+    "AMWU": AgentKind(_leader, ("eta", "alpha", "b"), self_play=True),
+    "BestResponse": AgentKind(lambda n, *_: BestResponseLearner(n), ()),
+    "ProdBR": AgentKind(lambda n, eta, a, reg, T: ProdBr(n, T, reg), ("regularizer",)),
+    "DoublingAFTRL": AgentKind(lambda n, eta, a, reg, T: DoublingAftrl(n, eta, a, reg), _FREE),
+}
+
+
 @dataclass(frozen=True)
 class AgentSpec:
-    kind: str  # FTRL | OFTRL | AFTRL | AMD | MWU | OMWU | AMWU | BestResponse | ProdBR | DoublingAFTRL
+    kind: str  # a key of AGENT_KINDS
     eta: float | None = None
     alpha: float | None = None
     b: float | None = None
@@ -100,36 +146,67 @@ class AgentSpec:
     def display_name(self) -> str:
         return self.name if self.name is not None else self.kind
 
+    @property
+    def rule(self) -> AgentKind:
+        return _lookup(AGENT_KINDS, self.kind, "agent kind")
+
     def resolved_alpha(self) -> float:
-        """Exploit rate, either given directly or derived as eta^(b-1)."""
+        """The kind's fixed exploit rate, else alpha, else eta^(b-1), else 0."""
+        if self.rule.alpha is not None:
+            return self.rule.alpha
         if self.alpha is not None:
             return self.alpha
         if self.b is not None:
             if self.eta is None:
                 raise ValueError("agent: b given without eta")
             return float(self.eta ** (self.b - 1.0))
-        return _DEFAULT_ALPHA.get(self.kind, 0.0)
-
-
-_DEFAULT_ALPHA = {"FTRL": 0.0, "MWU": 0.0, "OFTRL": 1.0, "OMWU": 1.0}
+        return 0.0
 
 
 @dataclass(frozen=True)
 class AdversarySpec:
-    kind: str  # "oblivious_mwu" | "nonoblivious_mwu" | "self_play"
+    kind: str  # a key of ADVERSARY_KINDS
     eta: float | None = None
     recorder_eta: float | None = None  # oblivious recording partner; defaults to eta
 
 
-ADVERSARY_METRICS = (
-    "average_loss",
-    "external_regret",
-    "dynamic_regret",
-    "average_dynamic_regret",
-    "forward_regret",
-    "step_distance_l1",
-)
-SELF_PLAY_METRICS = ("exploitability", "kl_to_ne")
+def _kl_to_ne(game: MatrixGame, trace_max: Trace, trace_min: Trace) -> np.ndarray:
+    ne = nash.solve_zero_sum(game)
+    return metrics.kl_series((trace_max, trace_min), (ne.f_star, ne.y_star))
+
+
+# Metric name -> series; the functions are looked up in ``metrics`` when called.
+ADVERSARY_METRICS = {  # (agent's trace, agent)
+    "average_loss": lambda trace, agent: metrics.average_loss(trace),
+    "external_regret": lambda trace, agent: metrics.external_regret(trace),
+    "dynamic_regret": lambda trace, agent: metrics.dynamic_regret(trace),
+    "average_dynamic_regret": lambda trace, agent: metrics.average_dynamic_regret(trace),
+    "forward_regret": lambda trace, agent: metrics.forward_regret(
+        trace, getattr(agent, "reg", ENTROPY), getattr(agent, "eta", None) or 1.0
+    ),
+    "step_distance_l1": lambda trace, agent: metrics.step_distances(trace, 1),
+}
+SELF_PLAY_METRICS = {  # (unit game, max side's trace, min side's trace)
+    "exploitability": lambda g, f, y: metrics.exploitability_series(g, f.strategies, y.strategies),
+    "kl_to_ne": _kl_to_ne,
+}
+
+
+class AdversaryKind(NamedTuple):
+    keys: tuple[str, ...]  # adversary config keys read besides kind; eta, when read, is required
+    metrics: dict  # the metrics of its run mode
+
+
+ADVERSARY_KINDS = {
+    "oblivious_mwu": AdversaryKind(("eta", "recorder_eta"), ADVERSARY_METRICS),
+    "nonoblivious_mwu": AdversaryKind(("eta",), ADVERSARY_METRICS),
+    "self_play": AdversaryKind((), SELF_PLAY_METRICS),
+}
+
+
+def _series(table: dict, names, *args) -> dict:
+    """Each named metric of ``table`` applied to ``args``."""
+    return {name: _lookup(table, name, "metric")(*args) for name in names}
 
 
 @dataclass(frozen=True)
@@ -145,10 +222,8 @@ class SimulationConfig:
         if self.horizon < 2:
             raise ValueError(f"horizon must be at least 2, got {self.horizon}")
         if not self.metrics:
-            default = (
-                SELF_PLAY_METRICS if self.adversary.kind == "self_play" else ADVERSARY_METRICS
-            )
-            object.__setattr__(self, "metrics", default)
+            rule = _lookup(ADVERSARY_KINDS, self.adversary.kind, "adversary kind")
+            object.__setattr__(self, "metrics", tuple(rule.metrics))
 
 
 @dataclass
@@ -160,28 +235,12 @@ class RunOutcome:
 
 
 def build_agent(spec: AgentSpec, n: int, horizon: int):
-    """Instantiate the loss-stream learner named by an agent spec."""
-    kind = spec.kind
-    reg = from_name(spec.regularizer)
-    alpha = spec.resolved_alpha()
-    if kind in ("FTRL", "OFTRL", "AFTRL"):
-        return Aftrl(n, spec.eta, alpha=alpha, reg=reg)
-    if kind == "AMWU":
-        # multiplicative special case of the leader update: entropy regularizer
-        return Aftrl(n, spec.eta, alpha=alpha, reg=ENTROPY)
-    if kind == "AMD":
-        return Amd(n, spec.eta, alpha=alpha, reg=reg)
-    if kind == "MWU":
-        return Mwu(n, spec.eta)
-    if kind == "OMWU":
-        return Omwu(n, spec.eta)
-    if kind == "BestResponse":
-        return BestResponseLearner(n)
-    if kind == "ProdBR":
-        return ProdBr(n, horizon=horizon, reg=reg)
-    if kind == "DoublingAFTRL":
-        return DoublingAftrl(n, spec.eta, alpha, reg=reg)
-    raise ValueError(f"unknown agent kind {kind!r}")
+    """Instantiate the loss-stream learner named by an agent spec.
+
+    A kind that reads no regularizer gets the entropy.
+    """
+    reg = from_name(spec.regularizer) if "regularizer" in spec.rule.keys else ENTROPY
+    return spec.rule.build(n, spec.eta, spec.resolved_alpha(), reg, horizon)
 
 
 def record_oblivious_trace(
@@ -219,28 +278,6 @@ def record_oblivious_trace(
     check_rounds(rs, row_losses, context="replay row player round")
     check_rounds(ys, col_losses, context="replay round")
     return ys
-
-
-def _adversary_series(config: SimulationConfig, trace: Trace, agent) -> dict:
-    eta = getattr(agent, "eta", None) or 1.0
-    reg = getattr(agent, "reg", ENTROPY)
-    out = {}
-    for name in config.metrics:
-        if name == "average_loss":
-            out[name] = metrics.average_loss(trace)
-        elif name == "external_regret":
-            out[name] = metrics.external_regret(trace)
-        elif name == "dynamic_regret":
-            out[name] = metrics.dynamic_regret(trace)
-        elif name == "average_dynamic_regret":
-            out[name] = metrics.average_dynamic_regret(trace)
-        elif name == "forward_regret":
-            out[name] = metrics.forward_regret(trace, reg, eta)
-        elif name == "step_distance_l1":
-            out[name] = metrics.step_distances(trace, 1)
-        else:
-            raise ValueError(f"unknown metric {name!r} for an adversary run")
-    return out
 
 
 def _record_replay(config: SimulationConfig, unit: MatrixGame) -> np.ndarray:
@@ -299,19 +336,21 @@ def run_vs_adversary(config: SimulationConfig, replay: np.ndarray | None = None)
     if col is not None:
         check_rounds(adv_strategies, adv_losses, context="adversary round")
     trace = Trace.from_rounds(strategies, losses)
-    return trace, _adversary_series(config, trace, agent), unit
+    return trace, _series(ADVERSARY_METRICS, config.metrics, trace, agent), unit
 
 
 def run_self_play(config: SimulationConfig):
     """Mirror-play both sides of the game with the agent's update rule.
 
-    Supports the multiplicative family (MWU, OMWU, AMWU).  Both players
-    start uniform and the first two strategies coincide, after which each
-    side updates from the opponent's current and previous strategies.
+    Supports the kinds marked ``self_play`` in ``AGENT_KINDS`` (the
+    multiplicative family).  Both players start uniform and the first two
+    strategies coincide, after which each side updates from the
+    opponent's current and previous strategies.
     Returns (trace_max, trace_min, series, game).
     """
-    if config.agent.kind not in ("MWU", "OMWU", "AMWU"):
-        raise ValueError(f"self-play supports MWU/OMWU/AMWU, got {config.agent.kind!r}")
+    if not config.agent.rule.self_play:
+        able = "/".join(kind for kind, rule in AGENT_KINDS.items() if rule.self_play)
+        raise ValueError(f"self-play supports {able}, got {config.agent.kind!r}")
     game = config.game.resolve()
     unit, _, _ = game.to_unit_range()
     a = unit.payoff
@@ -337,19 +376,18 @@ def run_self_play(config: SimulationConfig):
             raise AssertionError("self-play produced losses outside [0, 1]")
     trace_max = Trace.from_rounds(fs, loss_max)
     trace_min = Trace.from_rounds(ys, loss_min)
-
-    series = {}
-    for name in config.metrics:
-        if name == "exploitability":
-            series[name] = metrics.exploitability_series(unit, fs, ys)
-        elif name == "kl_to_ne":
-            ne = nash.solve_zero_sum(unit)
-            series[name] = metrics.kl_series(
-                (trace_max, trace_min), (ne.f_star, ne.y_star)
-            )
-        else:
-            raise ValueError(f"unknown metric {name!r} for a self-play run")
+    series = _series(SELF_PLAY_METRICS, config.metrics, unit, trace_max, trace_min)
     return trace_max, trace_min, series, unit
+
+
+def run_config(config: SimulationConfig, replay: np.ndarray | None = None) -> dict:
+    """The metric series of one config, in the run mode of its adversary.
+
+    ``replay`` is as for ``run_vs_adversary``; self-play has none.
+    """
+    if config.adversary.kind == "self_play":
+        return run_self_play(config)[2]
+    return run_vs_adversary(config, replay)[1]
 
 
 def _error(exc: Exception) -> str:
@@ -359,10 +397,7 @@ def _error(exc: Exception) -> str:
 def _run_one(index: int, config: SimulationConfig, replay: np.ndarray | None) -> RunOutcome:
     out = RunOutcome(index=index, config=config)
     try:
-        if config.adversary.kind == "self_play":
-            out.series = run_self_play(config)[2]
-        else:
-            out.series = run_vs_adversary(config, replay)[1]
+        out.series = run_config(config, replay)
     except Exception as exc:  # noqa: BLE001 - reported per config, others unaffected
         out.error = _error(exc)
     return out

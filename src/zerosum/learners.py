@@ -31,8 +31,8 @@ import math
 
 import numpy as np
 
-from .core import WEIGHT_FLOOR, MatrixGame, check_loss_vector, check_strategy, l_norm, uniform
-from .regularizers import ENTROPY, Regularizer, bregman_prox, regularized_argmin
+from .core import MatrixGame, check_loss_vector, check_strategy, l_norm, uniform
+from .regularizers import ENTROPY, Regularizer, bregman_prox, floored_softmax, regularized_argmin
 
 BR_TIE_ATOL = 1e-12
 
@@ -196,10 +196,7 @@ def amwu_step(
     drive = _amwu_drive(game, opp_now, opp_prev, side, alpha)
     if current.shape != drive.shape:
         raise ValueError(f"dimension mismatch: {current.shape} vs {drive.shape}")
-    z = eta * drive
-    z -= z.max()
-    w = np.maximum(current * np.exp(z), WEIGHT_FLOOR)
-    return w / w.sum()
+    return floored_softmax(eta * drive, current)
 
 
 def linear_amwu_step(

@@ -51,14 +51,15 @@ class Regularizer:
 ENTROPY = Regularizer("entropy", beta=1.0, p=1.0, q=np.inf)
 SQUARED_L2 = Regularizer("squared_l2", beta=1.0, p=2.0, q=2.0)
 
-_BY_NAME = {"entropy": ENTROPY, "squared_l2": SQUARED_L2}
+REGULARIZERS = {"entropy": ENTROPY, "squared_l2": SQUARED_L2}
 
 
 def from_name(name: str) -> Regularizer:
     try:
-        return _BY_NAME[name]
+        return REGULARIZERS[name]
     except KeyError:
-        raise ValueError(f"unknown regularizer {name!r}; choose from {sorted(_BY_NAME)}") from None
+        choices = sorted(REGULARIZERS)
+        raise ValueError(f"unknown regularizer {name!r}; choose from {choices}") from None
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -81,10 +82,22 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def floored_softmax(z: np.ndarray, prior: np.ndarray | None = None) -> np.ndarray:
+    """prior * exp(z - max z), floored at ``WEIGHT_FLOOR`` and normalized.
+
+    The multiplicative kernel of every entropy update; ``z`` is shifted in
+    place, so callers pass a fresh array.  No prior means a uniform one.
+    """
+    z -= z.max()
+    w = np.exp(z) if prior is None else prior * np.exp(z)
+    w = np.maximum(w, WEIGHT_FLOOR)
+    return w / w.sum()
+
+
 def regularized_argmin(reg: Regularizer, cumulative: np.ndarray, eta: float) -> np.ndarray:
     """argmin over the simplex of <f, cumulative> + R(f)/eta.
 
-    Entropy: softmax(-eta * cumulative), computed with max subtraction.
+    Entropy: the floored softmax of -eta * cumulative.
     Squared l2: Euclidean projection of -eta * cumulative onto the simplex.
     """
     cumulative = np.asarray(cumulative, dtype=float)
@@ -93,11 +106,7 @@ def regularized_argmin(reg: Regularizer, cumulative: np.ndarray, eta: float) -> 
     if not np.all(np.isfinite(cumulative)):
         raise ValueError("non-finite cumulative loss")
     if reg.kind == "entropy":
-        z = -eta * cumulative
-        z -= z.max()
-        w = np.exp(z)
-        w = np.maximum(w, WEIGHT_FLOOR)
-        return w / w.sum()
+        return floored_softmax(-eta * cumulative)
     return project_to_simplex(-eta * cumulative)
 
 
@@ -124,9 +133,5 @@ def bregman_prox(reg: Regularizer, prior: np.ndarray, grad: np.ndarray, eta: flo
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient")
     if reg.kind == "entropy":
-        z = -eta * grad
-        z -= z.max()
-        w = prior * np.exp(z)
-        w = np.maximum(w, WEIGHT_FLOOR)
-        return w / w.sum()
+        return floored_softmax(-eta * grad, prior)
     return project_to_simplex(prior - eta * grad)

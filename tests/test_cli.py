@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerosum.cli import (
     CSV_HEADER,
@@ -14,6 +17,7 @@ from zerosum.cli import (
     parse_config,
     run_preset,
 )
+from zerosum.engine import ADVERSARY_KINDS, AGENT_KINDS, run_config
 
 MINIMAL = {
     "game": {"random": {"n": 4, "m": 4, "seed": 1}},
@@ -196,3 +200,145 @@ class TestMainCommands:
         config_path.write_text("{}")
         assert main(["run", str(config_path)]) == 2
         assert "game" in capsys.readouterr().err
+
+    def test_missing_files_are_reported(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        payload = json.loads(doc())
+        payload["game"] = {"csv": str(tmp_path / "missing.csv")}
+        config_path.write_text(json.dumps(payload))
+        for argv in (
+            ["solve", str(tmp_path / "missing.csv")],
+            ["run", str(tmp_path / "missing.json")],
+            ["run", str(config_path)],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "missing" in err
+
+
+def _probe(agent=None, adversary=None, **top):
+    payload = json.loads(doc(**top))
+    if agent is not None:
+        payload["agent"] = agent
+    if adversary is not None:
+        payload["adversary"] = adversary
+    return payload
+
+
+# Bad documents, each with the key its one-line error must name.
+PROBES = [
+    (_probe(agent={"kind": "AMWU", "eta": 0.1, "alpha": "x"}), "agent.alpha"),
+    (_probe(adversary={"kind": "oblivious_mwu", "eta": "x"}), "adversary.eta"),
+    (_probe(agent={"kind": "AMWU", "eta": 0.1, "b": -400}), "agent.b"),
+    (_probe(agent={"kind": "MWU", "eta": True}), "agent.eta"),
+    (_probe(agent={"kind": "MWU", "eta": "1e400"}), "agent.eta"),  # the JSON number 1e400
+    (_probe(adversary={"kind": "oblivious_mwu", "eta": 0.5, "recorder_eta": -0.1}), "recorder_eta"),
+    (_probe(agent={"kind": "FTRL", "eta": 0.1}, adversary={"kind": "self_play"}), "agent.kind"),
+    *[
+        (_probe(agent={"kind": k, "eta": 0.1, "alpha": 5}), "alpha")
+        for k in ("MWU", "OMWU", "FTRL", "OFTRL")
+    ],
+    *[
+        (_probe(agent={"kind": k, "eta": 0.1, "regularizer": "entropy"}), "regularizer")
+        for k in ("AMWU", "MWU", "OMWU")
+    ],
+    *[(_probe(agent={"kind": k, "eta": 0.1}), "eta") for k in ("BestResponse", "ProdBR")],
+    (_probe(agent={"kind": "MWU", "eta": 0.1, "name": 7}), "agent.name"),
+    (_probe(game={"csv": 3}), "game.csv"),
+    (_probe(agent=["MWU"]), "agent"),
+    (_probe(game={"random": 5}), "game.random"),
+]
+
+
+def _text(payload) -> str:
+    return json.dumps(payload).replace('"1e400"', "1e400")
+
+
+class TestBadConfigs:
+    @pytest.mark.parametrize("payload,key", PROBES)
+    def test_one_error_line_names_the_key(self, tmp_path, capsys, payload, key):
+        path = tmp_path / "bad.json"
+        path.write_text(_text(payload))
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(_text(payload))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert re.search(rf"\b{re.escape(key)}\b", captured.err)
+
+
+_AGENT_KEYS = sorted({key for rule in AGENT_KINDS.values() for key in rule.keys} | {"name"})
+_PATHS = (
+    ["agent", "agent.kind", "agent.learningrate", "adversary.kind", "horizon", "metrics", "output"]
+    + [f"agent.{key}" for key in _AGENT_KEYS]
+    + ["adversary.eta", "adversary.recorder_eta"]
+    + ["game.random", "game.random.n", "game.random.seed"]
+)
+# Valid and invalid values alike; "1e400" stands for that JSON number.
+_VALUES = [
+    0.5, 2, 0, -400, True, "x", "1e400", None, {}, "squared_l2", "self_play", ["exploitability"],
+]
+_DELETE = object()
+
+
+@st.composite
+def _documents(draw):
+    """A valid document, then up to two keys set to drawn values or removed.
+
+    Returns the document and the paths of the keys changed."""
+    kind = draw(st.sampled_from(sorted(AGENT_KINDS)))
+    rule = AGENT_KINDS[kind]
+    agent = {"kind": kind}
+    for key, value in (("eta", 0.1), ("alpha", 2.0), ("b", 0.5), ("regularizer", "squared_l2"),
+                       ("name", "x")):
+        if key in rule.keys and (key == "eta" or draw(st.booleans())):
+            agent[key] = value
+    if "alpha" in agent and "b" in agent:
+        del agent["b"]
+    adv_kinds = sorted(k for k in ADVERSARY_KINDS if rule.self_play or k != "self_play")
+    adversary = {"kind": draw(st.sampled_from(adv_kinds))}
+    for key, value in (("eta", 0.3), ("recorder_eta", 0.2)):
+        if key in ADVERSARY_KINDS[adversary["kind"]].keys and (key == "eta" or draw(st.booleans())):
+            adversary[key] = value
+    payload = {
+        "game": {"random": {"n": 3, "m": 3, "seed": draw(st.integers(0, 50))}},
+        "horizon": 2,
+        "agent": agent,
+        "adversary": adversary,
+    }
+    changed = []
+    for _ in range(draw(st.sampled_from((1, 2, 0)))):
+        path = draw(st.sampled_from(_PATHS))
+        *parents, leaf = path.split(".")
+        obj = payload
+        for part in parents:
+            obj = obj.get(part) if isinstance(obj, dict) else None
+        if not isinstance(obj, dict):
+            continue  # a parent was replaced by an earlier change
+        value = draw(st.sampled_from(_VALUES + [_DELETE]))
+        if value is _DELETE:
+            obj.pop(leaf, None)
+        else:
+            obj[leaf] = value
+        changed.append(path)
+    return payload, changed
+
+
+class TestParseConfigProperty:
+    @given(_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_parses_to_a_runnable_config_or_names_the_key(self, drawn):
+        payload, changed = drawn
+        try:
+            config = parse_config(_text(payload))
+        except ConfigError as exc:
+            assert changed, f"valid document rejected: {exc}"
+            leaves = [path.split(".")[-1] for path in changed]
+            assert any(re.search(rf"\b{leaf}\b", str(exc)) for leaf in leaves), (str(exc), changed)
+            return
+        series = run_config(config)
+        assert set(series) == set(config.metrics)
+        assert all(np.all(np.isfinite(v)) for v in series.values())
+        assert parse_config(config_to_json(config)) == config

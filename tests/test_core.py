@@ -122,12 +122,13 @@ class TestMatrixGame:
 
 
 class TestTrace:
-    def test_realized_consistency_enforced(self):
+    def test_shape_mismatch_rejected(self):
         s = np.array([[0.5, 0.5], [1.0, 0.0]])
         x = np.array([[1.0, 0.0], [0.2, 0.4]])
-        Trace(s, x, np.array([0.5, 0.2]))  # consistent
-        with pytest.raises(ValueError, match="realized"):
-            Trace(s, x, np.array([0.5, 0.3]))
+        np.testing.assert_array_equal(Trace(s, x).realized, [0.5, 0.2])
+        for x in (np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0], [0.2, 0.4, 0.0]]), np.ones(2)):
+            with pytest.raises(ValueError, match="inconsistent trace shapes"):
+                Trace.from_rounds(s, x)
 
     def test_from_rounds(self):
         rng = np.random.default_rng(1)

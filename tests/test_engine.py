@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from zerosum import engine
-from zerosum.cli import _AGENT_KINDS
 from zerosum.core import MatrixGame
 from zerosum.engine import (
     ADVERSARY_METRICS,
+    AGENT_KINDS,
     AdversarySpec,
     AgentSpec,
     GameSpec,
@@ -262,7 +262,7 @@ def _replay_key(game, adversary_eta, horizon, recorder_eta=None):
 
 class TestReplayGroups:
     def test_agent_table_covers_every_kind(self):
-        assert set(AGENT_PARAMS) == _AGENT_KINDS
+        assert set(AGENT_PARAMS) == set(AGENT_KINDS)
 
     def test_grid_series_equal_each_config_run_alone(self):
         adversaries = (
