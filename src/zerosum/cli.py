@@ -421,7 +421,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    seeds = [int(tok) for tok in args.seeds.split(",")] if args.seeds else [1, 2, 3, 4, 5]
+    try:
+        seeds = [int(tok) for tok in args.seeds.split(",")] if args.seeds else [1, 2, 3, 4, 5]
+    except ValueError:
+        raise ConfigError(f"--seeds: must be comma-separated integers, got {args.seeds!r}") from None
     failures = run_preset(args.name, args.out, seeds, parallelism=args.parallelism)
     return 1 if failures else 0
 
@@ -445,6 +448,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    _number(args.eta, "--eta", 0, above=True)
+    _number(args.alpha, "--alpha", 0)
     game = MatrixGame.from_csv(args.matrix)
     ne = solve_zero_sum(game)
     rho = spectral_radius_at_ne(game, ne, args.eta, args.alpha)

@@ -119,32 +119,38 @@ def inner(a: np.ndarray, x: np.ndarray) -> float:
     return float(a @ x)
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Relative entropy sum_i p_i log(p_i / q_i), natural log.
+def kl_divergence(p: np.ndarray, q: np.ndarray):
+    """Relative entropy sum_i p_i log(p_i / q_i), natural log, over the last axis.
 
-    Terms with p_i = 0 contribute zero.  Raises if q puts zero mass where
-    p does not (the divergence would be infinite).
+    ``p`` is one distribution of shape (n,); ``q`` is one of shape (n,),
+    giving a float, or a block of rows of shape (T, n), giving one value
+    per row.  Terms with p_i = 0 contribute zero.  Raises if any row of q
+    puts zero mass where p does not (the divergence would be infinite).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
+    if p.ndim != 1 or q.shape[-1:] != p.shape:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
     support = p > 0.0
-    if np.any(q[support] <= 0.0):
+    # a boolean mask on the last axis leaves the rows non-contiguous, and a
+    # row sum over them would round differently from the 1-D sum
+    qs = np.ascontiguousarray(q[..., support])
+    if np.any(qs <= 0.0):
         raise ValueError("kl_divergence undefined: q has zero mass on the support of p")
     ps = p[support]
-    return float(np.sum(ps * np.log(ps / q[support])))
+    return np.sum(ps * np.log(ps / qs), axis=-1)
 
 
-def l_norm(v: np.ndarray, p) -> float:
-    """l_p norm for p in {1, 2, inf}."""
+def l_norm(v: np.ndarray, p):
+    """l_p norm over the last axis for p in {1, 2, inf}: a float for one
+    vector, one value per row for a block of rows."""
     v = np.asarray(v, dtype=float)
     if p == 1:
-        return float(np.abs(v).sum())
+        return np.abs(v).sum(axis=-1)
     if p == 2:
-        return float(np.sqrt(np.sum(v * v)))
+        return np.sqrt(np.sum(v * v, axis=-1))
     if p == np.inf or p == "inf":
-        return float(np.abs(v).max(initial=0.0))
+        return np.abs(v).max(axis=-1, initial=0.0)
     raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")
 
 

@@ -345,7 +345,8 @@ def run_self_play(config: SimulationConfig):
     Supports the kinds marked ``self_play`` in ``AGENT_KINDS`` (the
     multiplicative family).  Both players start uniform and the first two
     strategies coincide, after which each side updates from the
-    opponent's current and previous strategies.
+    opponent's current and previous strategies.  Both sides' rounds are
+    checked once the loop ends.
     Returns (trace_max, trace_min, series, game).
     """
     if not config.agent.rule.self_play:
@@ -371,9 +372,8 @@ def run_self_play(config: SimulationConfig):
 
     loss_max = 1.0 - ys @ a.T
     loss_min = fs @ a
-    for block in (loss_max, loss_min):
-        if block.min() < -1e-9 or block.max() > 1.0 + 1e-9:
-            raise AssertionError("self-play produced losses outside [0, 1]")
+    check_rounds(fs, loss_max, context="max side round")
+    check_rounds(ys, loss_min, context="min side round")
     trace_max = Trace.from_rounds(fs, loss_max)
     trace_min = Trace.from_rounds(ys, loss_min)
     series = _series(SELF_PLAY_METRICS, config.metrics, unit, trace_max, trace_min)

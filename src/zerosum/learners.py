@@ -49,6 +49,15 @@ def best_response(observed: np.ndarray) -> np.ndarray:
     return mask / mask.sum()
 
 
+def check_rates(eta: float, alpha: float) -> None:
+    """Reject a learning rate that is not positive and finite, or an
+    exploit rate that is negative or not finite."""
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
+
+
 class LossStreamLearner:
     """Base of the loss-stream learners: ``start``, checked ``step``, unchecked ``update``."""
 
@@ -73,10 +82,7 @@ class Aftrl(LossStreamLearner):
     """Leader-style learner with exploit rate ``alpha`` on the latest loss."""
 
     def __init__(self, n: int, eta: float, alpha: float = 0.0, reg: Regularizer = ENTROPY):
-        if eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
-        if alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        check_rates(eta, alpha)
         self.n = n
         self.eta = eta
         self.alpha = alpha
@@ -110,10 +116,7 @@ class Amd(LossStreamLearner):
     """
 
     def __init__(self, n: int, eta: float, alpha: float = 1.0, reg: Regularizer = ENTROPY):
-        if eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
-        if alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        check_rates(eta, alpha)
         self.n = n
         self.eta = eta
         self.alpha = alpha
@@ -234,10 +237,7 @@ class Amwu:
     def __init__(self, game: MatrixGame, side: str, eta: float, alpha: float, linear: bool = False):
         if side not in ("max", "min"):
             raise ValueError(f"side must be 'max' or 'min', got {side!r}")
-        if eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
-        if alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        check_rates(eta, alpha)
         self.game = game
         self.side = side
         self.eta = eta
@@ -319,7 +319,7 @@ class ProdBr(LossStreamLearner):
         return self.current
 
 
-class DoublingAftrl(LossStreamLearner):
+class DoublingAftrl(Aftrl):
     """Aftrl with phase restarts driven by accumulated loss variation.
 
     Phase i runs at eta_i = eta0 / 2^i and keeps the within-phase budget
@@ -328,47 +328,29 @@ class DoublingAftrl(LossStreamLearner):
     advances: eta halves, the cumulative loss restarts from that
     observation, and the crossing term opens the new phase's accumulator.
     The previous-loss pointer is kept across restarts (the adversary's
-    stream is continuous).
+    stream is continuous).  Each round then takes ``Aftrl``'s update.
     """
 
     def __init__(self, n: int, eta0: float, alpha: float, reg: Regularizer = ENTROPY):
-        if eta0 <= 0.0:
-            raise ValueError(f"eta0 must be positive, got {eta0}")
-        if alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {alpha}")
-        self.n = n
+        super().__init__(n, eta0, alpha, reg)
         self.eta0 = eta0
-        self.alpha = alpha
-        self.reg = reg
         self.r_max = reg.max_value(n)
         self.phase = 0
-        self.eta = eta0
-        self.cumulative = np.zeros(n)
         self.prev_loss = np.zeros(n)
         self.accumulator = 0.0
-        self.current = uniform(n)
         self.restarts: list[int] = []
         self._round = 0
-
-    def _budget_exceeded(self) -> bool:
-        if self.alpha == 0.0:
-            return False
-        lhs = (self.eta * self.alpha / self.reg.beta) * self.accumulator
-        return lhs > self.r_max / self.eta
 
     def update(self, observed: np.ndarray) -> np.ndarray:
         self._round += 1
         delta_sq = l_norm(observed - self.prev_loss, self.reg.q) ** 2
+        self.prev_loss = observed
         self.accumulator += delta_sq
-        self.cumulative = self.cumulative + observed
-        if self._budget_exceeded():
+        # the budget test (never true at alpha = 0)
+        if (self.eta * self.alpha / self.reg.beta) * self.accumulator > self.r_max / self.eta:
             self.phase += 1
             self.eta = self.eta0 / 2.0 ** self.phase
-            self.cumulative = observed.copy()
+            self.cumulative = np.zeros(self.n)
             self.accumulator = delta_sq
             self.restarts.append(self._round)
-        self.prev_loss = observed
-        self.current = regularized_argmin(
-            self.reg, self.cumulative + self.alpha * observed, self.eta
-        )
-        return self.current
+        return super().update(observed)

@@ -3,6 +3,11 @@
 All regret series are cumulative: entry t-1 is the regret after t rounds.
 Fixed and per-round comparators over the simplex are realized as pure
 strategies (a linear objective attains its minimum at a vertex).
+
+Every series is computed over the whole run at once, with no loop over
+rounds: the per-round kernels (``regularized_argmin``, ``kl_divergence``,
+``l_norm``) take a (T, n) block of rows and give the same result as T
+one-row calls.
 """
 from __future__ import annotations
 
@@ -36,14 +41,7 @@ def forward_comparators(losses: np.ndarray, reg: Regularizer, eta: float) -> np.
     g_t = argmin <g, sum_{s<t} x_s + x_t> + R(g)/eta.  Needs the full
     stream, so this is a post-hoc construction only.
     """
-    losses = np.asarray(losses, dtype=float)
-    T, n = losses.shape
-    out = np.empty((T, n))
-    cum = np.zeros(n)
-    for t in range(T):
-        out[t] = regularized_argmin(reg, cum + losses[t], eta)
-        cum += losses[t]
-    return out
+    return regularized_argmin(reg, np.cumsum(losses, axis=0), eta)
 
 
 def forward_regret(trace: Trace, reg: Regularizer, eta: float) -> np.ndarray:
@@ -96,8 +94,7 @@ def step_distances(trace: Trace, p) -> np.ndarray:
     """||f_{t+1} - f_t|| for t = 1..T-1 in the given norm."""
     if trace.horizon < 2:
         raise ValueError("need at least two rounds to measure step distances")
-    diffs = np.diff(trace.strategies, axis=0)
-    return np.array([l_norm(d, p) for d in diffs])
+    return l_norm(np.diff(trace.strategies, axis=0), p)
 
 
 def kl_series(trace_pair: tuple[Trace, Trace], reference: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -110,12 +107,7 @@ def kl_series(trace_pair: tuple[Trace, Trace], reference: tuple[np.ndarray, np.n
     f_star, y_star = reference
     if trace_f.horizon != trace_y.horizon:
         raise ValueError("trace pair has mismatched horizons")
-    out = np.empty(trace_f.horizon)
-    for t in range(trace_f.horizon):
-        out[t] = kl_divergence(f_star, trace_f.strategies[t]) + kl_divergence(
-            y_star, trace_y.strategies[t]
-        )
-    return out
+    return kl_divergence(f_star, trace_f.strategies) + kl_divergence(y_star, trace_y.strategies)
 
 
 def average_loss(trace: Trace) -> np.ndarray:

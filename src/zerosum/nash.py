@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MatrixGame
-from .learners import amwu_step
+from .learners import amwu_step, check_rates
 from .metrics import exploitability
 
 GAP_TOL = 1e-9
@@ -179,8 +179,10 @@ def spectral_radius_at_ne(
     as part of the map) is built by central finite differences with step
     ``fd_step`` per coordinate, then fed to the Gelfand estimate.  Accuracy
     is about 1e-3 relative; a radius below one certifies local last-iterate
-    convergence, above one local divergence.
+    convergence, above one local divergence.  ``eta`` must be positive and
+    ``alpha`` nonnegative, both finite, as for ``learners.Amwu``.
     """
+    check_rates(eta, alpha)
     n, m = game.n, game.m
     x0 = _pack((ne.f_star, ne.y_star, ne.f_star, ne.y_star))
     dim = x0.size

@@ -9,6 +9,12 @@ simplex is exactly zero:
 The constant shifts never affect argmins.  ``regularized_argmin`` solves
 argmin_{f in simplex} <f, L> + R(f)/eta, the computational kernel of the
 leader-style and mirror-descent learners.
+
+The kernels ``floored_softmax``, ``project_to_simplex`` and
+``regularized_argmin`` work over the last axis: one row of shape (n,) is
+one round, as the learners call them, and a block of shape (T, n) is a
+whole run, as ``metrics.forward_comparators`` calls them, with the same
+result row for row.  ``bregman`` and ``Regularizer.value`` take one row.
 """
 from __future__ import annotations
 
@@ -63,42 +69,45 @@ def from_name(name: str) -> Regularizer:
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex.
+    """Euclidean projection of each row (last axis) onto the probability simplex.
 
     Sort-and-threshold algorithm: with u the entries of v in descending
     order, the threshold is theta = (sum_{i<=rho} u_i - 1)/rho for the
     largest rho with u_rho > (sum_{i<=rho} u_i - 1)/rho, and the result is
-    max(v - theta, 0).  Stable argsort keeps ties deterministic.
+    max(v - theta, 0).  Only the sorted values are used, so ties need no order.
     """
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot project a non-finite vector")
-    order = np.argsort(-v, kind="stable")
-    u = v[order]
-    cums = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u * j > cums - 1.0)[0][-1]) + 1
-    theta = (cums[rho - 1] - 1.0) / rho
+    u = np.sort(v, axis=-1)[..., ::-1]
+    cums = np.cumsum(u, axis=-1)
+    n = v.shape[-1]
+    holds = u * np.arange(1, n + 1) > cums - 1.0  # always at rho = 1
+    rho = n - np.argmax(holds[..., ::-1], axis=-1, keepdims=True)  # the last rho that holds
+    theta = (np.take_along_axis(cums, rho - 1, axis=-1) - 1.0) / rho
     return np.maximum(v - theta, 0.0)
 
 
 def floored_softmax(z: np.ndarray, prior: np.ndarray | None = None) -> np.ndarray:
-    """prior * exp(z - max z), floored at ``WEIGHT_FLOOR`` and normalized.
+    """prior * exp(z - max z), floored at ``WEIGHT_FLOOR`` and normalized,
+    over the last axis.
 
     The multiplicative kernel of every entropy update; ``z`` is shifted in
     place, so callers pass a fresh array.  No prior means a uniform one.
     """
-    z -= z.max()
+    z -= z.max(axis=-1, keepdims=True)
     w = np.exp(z) if prior is None else prior * np.exp(z)
     w = np.maximum(w, WEIGHT_FLOOR)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def regularized_argmin(reg: Regularizer, cumulative: np.ndarray, eta: float) -> np.ndarray:
-    """argmin over the simplex of <f, cumulative> + R(f)/eta.
+    """argmin over the simplex of <f, cumulative> + R(f)/eta, for each row
+    (last axis) of ``cumulative``.
 
     Entropy: the floored softmax of -eta * cumulative.
     Squared l2: Euclidean projection of -eta * cumulative onto the simplex.
+    A block of rows is checked once, as a whole.
     """
     cumulative = np.asarray(cumulative, dtype=float)
     if eta <= 0.0:

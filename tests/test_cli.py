@@ -216,6 +216,27 @@ class TestMainCommands:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "missing" in err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["certify", "{matrix}", "--eta", "-0.1", "--alpha", "10"], "--eta"),
+            (["certify", "{matrix}", "--eta", "0", "--alpha", "10"], "--eta"),
+            (["certify", "{matrix}", "--eta", "nan", "--alpha", "10"], "--eta"),
+            (["certify", "{matrix}", "--eta", "0.1", "--alpha", "-5"], "--alpha"),
+            (["certify", "{matrix}", "--eta", "0.1", "--alpha", "inf"], "--alpha"),
+            (["preset", "spectral-certificate", "--out", "{out}", "--seeds", "1,x"], "--seeds"),
+        ],
+    )
+    def test_bad_flag_is_one_error_line(self, tmp_path, capsys, argv, flag):
+        matrix = tmp_path / "mp_unit.csv"
+        matrix.write_text("1,0\n0,1\n")
+        argv = [arg.format(matrix=matrix, out=tmp_path / "out") for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 def _probe(agent=None, adversary=None, **top):
     payload = json.loads(doc(**top))

@@ -83,7 +83,68 @@ class TestKlDivergence:
         assert kl_divergence(p, q) >= 0.0
 
 
+    def test_block_matches_rows(self):
+        # one reference against a (T, n) block, for reference supports of
+        # size 1, part of the actions and all of them
+        rng = np.random.default_rng(44)
+        for n in (2, 5, 20):
+            q = np.maximum(rng.dirichlet(np.ones(n) * 0.3, size=60), 1e-300)
+            vertex = np.eye(n)[n - 1]
+            partial = np.where(np.arange(n) % 2 == 0, rng.uniform(0.1, 1, n), 0.0)
+            for p in (vertex, partial / partial.sum(), rng.dirichlet(np.ones(n))):
+                got = kl_divergence(p, q)
+                assert got.shape == (60,)
+                np.testing.assert_array_equal(got, [kl_divergence(p, row) for row in q])
+                np.testing.assert_array_equal(got, [kl_row_oracle(p, row) for row in q])
+
+    def test_one_row_gives_a_float(self):
+        got = kl_divergence(np.array([0.5, 0.5]), np.array([0.25, 0.75]))
+        assert isinstance(got, np.float64)
+
+    def test_zero_mass_in_any_row_rejected(self):
+        p = np.array([0.5, 0.0, 0.5])
+        q = np.full((30, 3), 1.0 / 3)
+        q[17] = [0.5, 0.5, 0.0]
+        with pytest.raises(ValueError, match="zero mass"):
+            kl_divergence(p, q)
+        q[17] = [0.5, 0.0, 0.5]  # zero only off the support of p
+        assert np.isfinite(kl_divergence(p, q)).all()
+
+    def test_shapes_rejected(self):
+        for p, q in (
+            (np.full(2, 0.5), np.full(3, 1 / 3)),
+            (np.full(2, 0.5), np.full((4, 3), 1 / 3)),
+            (np.full((4, 2), 0.5), np.full((4, 2), 0.5)),  # the reference is one row
+        ):
+            with pytest.raises(ValueError, match="mismatch"):
+                kl_divergence(p, q)
+
+
+def kl_row_oracle(p, q):
+    """The one-row divergence as written before the kernel took blocks."""
+    support = p > 0.0
+    ps = p[support]
+    return float(np.sum(ps * np.log(ps / q[support])))
+
+
 class TestLNorm:
+    def test_block_matches_rows(self):
+        rng = np.random.default_rng(45)
+        oracles = {
+            1: lambda v: float(np.abs(v).sum()),
+            2: lambda v: float(np.sqrt(np.sum(v * v))),
+            np.inf: lambda v: float(np.abs(v).max(initial=0.0)),
+        }
+        for n in (1, 2, 7, 20, 33):
+            block = rng.normal(0, 1, (50, n))
+            for p, oracle in oracles.items():
+                got = l_norm(block, p)
+                assert got.shape == (50,)
+                np.testing.assert_array_equal(got, [l_norm(row, p) for row in block])
+                np.testing.assert_array_equal(got, [oracle(row) for row in block])
+                assert isinstance(l_norm(block[0], p), np.float64)
+        np.testing.assert_array_equal(l_norm(block, "inf"), l_norm(block, np.inf))
+
     def test_pythagorean(self):
         assert l_norm(np.array([3.0, -4.0]), 2) == pytest.approx(5.0)
 

@@ -423,3 +423,55 @@ class TestRoundChecks:
         monkeypatch.setattr(engine.Mwu, "update", drifting)
         with pytest.raises(ValueError, match=r"^replay row player round 4 strategy"):
             record_oblivious_trace(make_random_game(4, 4, seed=1), 0.5, 10)
+
+
+def self_play_config(kind, eta, **agent):
+    return SimulationConfig(
+        game=GameSpec(kind="random", n=6, m=6, seed=3),
+        horizon=20,
+        agent=AgentSpec(kind=kind, eta=eta, **agent),
+        adversary=AdversarySpec(kind="self_play"),
+    )
+
+
+def _off_simplex_self_play_round(monkeypatch, eta, side, k):
+    """Patch ``engine.amwu_step`` so that the run at ``eta`` gives ``side``
+    a strategy off the simplex in round k (its first update plays round 3)."""
+    step = engine.amwu_step
+    calls = 0
+
+    def off_at_k(current, game, opp_now, opp_prev, s, e, alpha):
+        nonlocal calls
+        out = step(current, game, opp_now, opp_prev, s, e, alpha)
+        if e == eta and s == side:
+            calls += 1
+            if calls == k - 2:
+                return out + 1e-8
+        return out
+
+    monkeypatch.setattr(engine, "amwu_step", off_at_k)
+
+
+class TestSelfPlayRoundChecks:
+    @pytest.mark.parametrize("side", ["max", "min"])
+    def test_bad_strategy_names_its_round(self, monkeypatch, side):
+        _off_simplex_self_play_round(monkeypatch, 0.2, side, 7)
+        with pytest.raises(ValueError, match=rf"^{side} side round 7 strategy: entries sum to"):
+            run_self_play(self_play_config("OMWU", 0.2))
+
+    def test_bad_round_fails_only_its_config(self, monkeypatch):
+        configs = [
+            self_play_config("MWU", 0.1),
+            self_play_config("OMWU", 0.2),
+            self_play_config("AMWU", 0.1, alpha=5.0),
+        ]
+        clean = grid_run(configs)
+        for parallelism in (1, 2):
+            with monkeypatch.context() as patch:
+                _off_simplex_self_play_round(patch, 0.2, "max", 11)
+                outcomes = grid_run(configs, parallelism)
+            assert "max side round 11 strategy" in outcomes[1].error
+            for i in (0, 2):
+                assert outcomes[i].error is None
+                for name, series in clean[i].series.items():
+                    np.testing.assert_array_equal(outcomes[i].series[name], series)

@@ -18,7 +18,7 @@ from zerosum.learners import (
     oftrl,
 )
 from zerosum.metrics import external_regret, forward_comparators
-from zerosum.regularizers import ENTROPY, SQUARED_L2
+from zerosum.regularizers import ENTROPY, SQUARED_L2, regularized_argmin
 
 MP = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
@@ -207,6 +207,15 @@ class TestAmwuWrapper:
         with pytest.raises(ValueError, match="alpha"):
             Amwu(MP, "max", eta=0.1, alpha=-1.0)
 
+    @pytest.mark.parametrize("eta,alpha", [(0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+                                           (0.1, np.nan), (0.1, np.inf)])
+    def test_rates_must_be_finite(self, eta, alpha):
+        # the exploit-rate learners share one check
+        for make in (lambda: Amwu(MP, "max", eta, alpha), lambda: Aftrl(3, eta, alpha),
+                     lambda: Amd(3, eta, alpha), lambda: DoublingAftrl(3, eta, alpha)):
+            with pytest.raises(ValueError, match="eta" if alpha == 1.0 else "alpha"):
+                make()
+
 
 class TestCheckedStep:
     """``step`` is ``update`` with the loss vector and the result checked."""
@@ -310,10 +319,65 @@ class TestProdBr:
             assert np.all(gsum <= brsum + 2 * np.log(2) + 1e-9)
 
 
+class DoublingAftrlOracle:
+    """DoublingAftrl as written before it took Aftrl's update: its own
+    copy of the leader step and a restart that copies the observation."""
+
+    def __init__(self, n, eta0, alpha, reg=ENTROPY):
+        self.n, self.eta0, self.alpha, self.reg = n, eta0, alpha, reg
+        self.r_max = reg.max_value(n)
+        self.phase = 0
+        self.eta = eta0
+        self.cumulative = np.zeros(n)
+        self.prev_loss = np.zeros(n)
+        self.accumulator = 0.0
+        self.restarts = []
+        self._round = 0
+
+    def _budget_exceeded(self):
+        if self.alpha == 0.0:
+            return False
+        lhs = (self.eta * self.alpha / self.reg.beta) * self.accumulator
+        return lhs > self.r_max / self.eta
+
+    def update(self, observed):
+        self._round += 1
+        delta_sq = l_norm(observed - self.prev_loss, self.reg.q) ** 2
+        self.accumulator += delta_sq
+        self.cumulative = self.cumulative + observed
+        if self._budget_exceeded():
+            self.phase += 1
+            self.eta = self.eta0 / 2.0 ** self.phase
+            self.cumulative = observed.copy()
+            self.accumulator = delta_sq
+            self.restarts.append(self._round)
+        self.prev_loss = observed
+        return regularized_argmin(self.reg, self.cumulative + self.alpha * observed, self.eta)
+
+
 class TestDoublingAftrl:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
             DoublingAftrl(3, 0.1, -1.0)
+
+    @pytest.mark.parametrize("reg", (ENTROPY, SQUARED_L2), ids=lambda r: r.kind)
+    def test_matches_oracle(self, reg):
+        # uniform, alternating-vertex and slowly drifting streams, alpha 0 to 8
+        rng = np.random.default_rng(12)
+        restarts = 0
+        for n in (2, 3, 7):
+            for alpha in (0.0, 0.5, 2.0, 8.0):
+                vertices = np.eye(n)[np.arange(300) % n]
+                drift = 0.5 + 0.4 * np.sin(np.arange(300)[:, None] / 20.0 + np.arange(n))
+                for xs in (rng.uniform(0, 1, (300, n)), vertices, drift):
+                    agent = DoublingAftrl(n, 1.0, alpha, reg)
+                    oracle = DoublingAftrlOracle(n, 1.0, alpha, reg)
+                    for x in xs:
+                        np.testing.assert_array_equal(agent.update(x), oracle.update(x))
+                    assert agent.restarts == oracle.restarts
+                    assert agent.eta == oracle.eta
+                    restarts += len(agent.restarts)
+        assert restarts > 50
 
     def test_constant_stream_never_restarts(self):
         agent = DoublingAftrl(2, eta0=1.0, alpha=1.0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from zerosum.core import MatrixGame, Trace, kl_divergence
+from zerosum.core import MatrixGame, Trace, kl_divergence, l_norm
+from zerosum.engine import AdversarySpec, AgentSpec, GameSpec, SimulationConfig, run_self_play
 from zerosum.learners import Mwu
 from zerosum.metrics import (
     average_dynamic_regret,
@@ -16,13 +17,96 @@ from zerosum.metrics import (
     kl_series,
     step_distances,
 )
-from zerosum.regularizers import ENTROPY
+from zerosum.regularizers import ENTROPY, SQUARED_L2, regularized_argmin
 
 MP = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def trace_of(strategies, losses):
     return Trace.from_rounds(np.asarray(strategies, float), np.asarray(losses, float))
+
+
+# The per-round loops the metrics ran before their kernels took whole runs.
+def forward_comparators_loop(losses, reg, eta):
+    T, n = losses.shape
+    out = np.empty((T, n))
+    cum = np.zeros(n)
+    for t in range(T):
+        out[t] = regularized_argmin(reg, cum + losses[t], eta)
+        cum += losses[t]
+    return out
+
+
+def step_distances_loop(trace, p):
+    return np.array([l_norm(d, p) for d in np.diff(trace.strategies, axis=0)])
+
+
+def kl_series_loop(trace_pair, reference):
+    (trace_f, trace_y), (f_star, y_star) = trace_pair, reference
+    out = np.empty(trace_f.horizon)
+    for t in range(trace_f.horizon):
+        out[t] = kl_divergence(f_star, trace_f.strategies[t]) + kl_divergence(
+            y_star, trace_y.strategies[t]
+        )
+    return out
+
+
+def self_play_traces(kind, n, horizon, **agent):
+    cfg = SimulationConfig(
+        game=GameSpec(kind="random", n=n, m=n, seed=n),
+        horizon=horizon,
+        agent=AgentSpec(kind=kind, **agent),
+        adversary=AdversarySpec(kind="self_play"),
+        metrics=("exploitability",),
+    )
+    trace_f, trace_y, _, _ = run_self_play(cfg)
+    return trace_f, trace_y
+
+
+class TestWholeRunMatchesLoops:
+    @pytest.mark.parametrize("n", (2, 3, 10, 20))
+    def test_forward_comparators(self, n):
+        rng = np.random.default_rng(n)
+        vertices = np.eye(n)[rng.integers(0, n, 200)]
+        for losses in (rng.uniform(0, 1, (200, n)), vertices, np.round(rng.uniform(0, 1, (200, n)), 1)):
+            for reg in (ENTROPY, SQUARED_L2):
+                for eta in (0.01, 0.3, 5.0):
+                    np.testing.assert_array_equal(
+                        forward_comparators(losses, reg, eta), forward_comparators_loop(losses, reg, eta)
+                    )
+
+    def test_step_distances(self):
+        rng = np.random.default_rng(30)
+        trace_f, _ = self_play_traces("OMWU", 6, 300, eta=0.5)
+        for strategies in (trace_f.strategies, rng.dirichlet(np.ones(9), 300)):
+            trace = trace_of(strategies, np.zeros_like(strategies))
+            for p in (1, 2, np.inf):
+                np.testing.assert_array_equal(step_distances(trace, p), step_distances_loop(trace, p))
+
+    def test_kl_series(self):
+        rng = np.random.default_rng(31)
+        n = 6
+        partial = np.array([0.5, 0.0, 0.25, 0.0, 0.25, 0.0])
+        references = (np.eye(n)[2], partial, rng.dirichlet(np.ones(n)))
+        for kind, agent in (("MWU", {"eta": 0.1}), ("AMWU", {"eta": 0.05, "alpha": 20.0})):
+            pair = self_play_traces(kind, n, 400, **agent)
+            for f_star in references:
+                for y_star in references:
+                    np.testing.assert_array_equal(
+                        kl_series(pair, (f_star, y_star)), kl_series_loop(pair, (f_star, y_star))
+                    )
+
+    def test_bad_rows_still_raise(self):
+        losses = np.random.default_rng(32).uniform(0, 1, (50, 4))
+        losses[33, 1] = np.nan
+        for reg in (ENTROPY, SQUARED_L2):
+            with pytest.raises(ValueError, match="non-finite"):
+                forward_comparators(losses, reg, 0.3)
+        strategies = np.full((50, 3), 1.0 / 3)
+        strategies[41] = [0.5, 0.5, 0.0]
+        tf = trace_of(strategies, np.zeros((50, 3)))
+        with pytest.raises(ValueError, match="zero mass"):
+            kl_series((tf, tf), (np.full(3, 1.0 / 3), np.array([1.0, 0.0, 0.0])))
 
 
 class TestExternalRegret:

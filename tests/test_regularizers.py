@@ -9,6 +9,7 @@ from zerosum.regularizers import (
     SQUARED_L2,
     bregman,
     bregman_prox,
+    floored_softmax,
     from_name,
     project_to_simplex,
     regularized_argmin,
@@ -181,3 +182,68 @@ class TestBregmanProx:
     def test_rejects_nonfinite_grad(self):
         with pytest.raises(ValueError):
             bregman_prox(ENTROPY, np.array([0.5, 0.5]), np.array([np.nan, 0.0]), 0.1)
+
+
+def project_row_oracle(v):
+    """The one-row projection as written before the kernel took blocks:
+    stable argsort, and rho the last index where the condition holds."""
+    order = np.argsort(-v, kind="stable")
+    u = v[order]
+    cums = np.cumsum(u)
+    j = np.arange(1, v.size + 1)
+    rho = int(np.nonzero(u * j > cums - 1.0)[0][-1]) + 1
+    theta = (cums[rho - 1] - 1.0) / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def blocks(seed):
+    """(T, n) blocks of widths 1 to 25 at several scales, some with ties."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3, 10, 20, 25):
+        for scale in (0.01, 1.0, 30.0):
+            block = rng.normal(0, scale, (40, n))
+            yield block
+            yield np.round(block, 1)  # ties, repeated values and zeros
+
+
+class TestLastAxisKernels:
+    """One (T, n) block gives what T one-row calls give, bit for bit."""
+
+    def test_projection_rows_match_oracle(self):
+        for block in blocks(21):
+            got = project_to_simplex(block)
+            np.testing.assert_array_equal(got, [project_to_simplex(row) for row in block])
+            np.testing.assert_array_equal(got, [project_row_oracle(row) for row in block])
+
+    def test_floored_softmax(self):
+        rng = np.random.default_rng(22)
+        for block in blocks(23):
+            prior = rng.dirichlet(np.ones(block.shape[1]), block.shape[0])
+            for p in (None, prior):
+                rows = [floored_softmax(row.copy(), None if p is None else p[t])
+                        for t, row in enumerate(block)]
+                np.testing.assert_array_equal(floored_softmax(block.copy(), p), rows)
+
+    def test_floored_softmax_floor_applies_per_row(self):
+        block = np.array([[0.0, -1000.0], [0.0, 0.0]])
+        got = floored_softmax(block.copy())
+        np.testing.assert_array_equal(got, [floored_softmax(row.copy()) for row in block])
+        assert got[0, 1] > 0.0
+
+    def test_regularized_argmin(self):
+        for block in blocks(24):
+            for reg in REGS:
+                for eta in (0.01, 0.3, 5.0):
+                    rows = [regularized_argmin(reg, row, eta) for row in block]
+                    np.testing.assert_array_equal(regularized_argmin(reg, block, eta), rows)
+
+    def test_nonfinite_in_any_row_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for t in (0, 7, 39):
+                block = np.zeros((40, 4))
+                block[t, 2] = bad
+                for reg in REGS:
+                    with pytest.raises(ValueError, match="non-finite"):
+                        regularized_argmin(reg, block, 0.5)
+                with pytest.raises(ValueError, match="non-finite"):
+                    project_to_simplex(block)
