@@ -13,7 +13,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-from zerosum.cli import PRESETS, run_preset
+from zerosum.cli import PRESETS, parse_seeds, run_preset
 
 
 def main() -> int:
@@ -27,7 +27,11 @@ def main() -> int:
     parser.add_argument("--parallelism", type=int, default=4)
     args = parser.parse_args()
 
-    seeds = [int(tok) for tok in args.seeds.split(",")]
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     failures = 0
     for name in args.presets.split(","):
         out_dir = Path(args.out) / name

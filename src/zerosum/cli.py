@@ -420,12 +420,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_preset(args) -> int:
+def parse_seeds(text: str) -> list[int]:
+    """The seeds of a ``--seeds`` flag, a non-empty comma-separated list."""
     try:
-        seeds = [int(tok) for tok in args.seeds.split(",")] if args.seeds else [1, 2, 3, 4, 5]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
-        raise ConfigError(f"--seeds: must be comma-separated integers, got {args.seeds!r}") from None
-    failures = run_preset(args.name, args.out, seeds, parallelism=args.parallelism)
+        raise ConfigError(f"--seeds: must be comma-separated integers, got {text!r}") from None
+
+
+def _cmd_preset(args) -> int:
+    seeds = parse_seeds(args.seeds)
+    parallelism = _number(args.parallelism, "--parallelism", 1, integer=True)
+    failures = run_preset(args.name, args.out, seeds, parallelism=parallelism)
     return 1 if failures else 0
 
 
@@ -477,7 +483,7 @@ def main(argv=None) -> int:
     p_preset = sub.add_parser("preset", help="run a named experiment preset")
     p_preset.add_argument("name", help=f"one of: {', '.join(PRESETS)}")
     p_preset.add_argument("--out", required=True, help="output directory")
-    p_preset.add_argument("--seeds", default=None, help="comma-separated seed list")
+    p_preset.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seed list")
     p_preset.add_argument("--parallelism", type=int, default=4)
     p_preset.set_defaults(func=_cmd_preset)
 

@@ -31,7 +31,6 @@ from .learners import (
     BestResponseLearner,
     DoublingAftrl,
     Mwu,
-    Omwu,
     ProdBr,
     amwu_step,
 )
@@ -114,6 +113,10 @@ def _leader(n, eta, alpha, reg, horizon):
     return Aftrl(n, eta, alpha=alpha, reg=reg)
 
 
+def _multiplicative(n, eta, alpha, reg, horizon):
+    return Mwu(n, eta, alpha)
+
+
 _FREE = ("eta", "alpha", "b", "regularizer")  # the keys of a kind with a free exploit rate
 
 # The builders look the learner classes up when called, not at import.
@@ -122,8 +125,8 @@ AGENT_KINDS = {
     "OFTRL": AgentKind(_leader, ("eta", "regularizer"), alpha=1.0),
     "AFTRL": AgentKind(_leader, _FREE),
     "AMD": AgentKind(lambda n, eta, a, reg, T: Amd(n, eta, a, reg), _FREE),
-    "MWU": AgentKind(lambda n, eta, *_: Mwu(n, eta), ("eta",), alpha=0.0, self_play=True),
-    "OMWU": AgentKind(lambda n, eta, *_: Omwu(n, eta), ("eta",), alpha=1.0, self_play=True),
+    "MWU": AgentKind(_multiplicative, ("eta",), alpha=0.0, self_play=True),
+    "OMWU": AgentKind(_multiplicative, ("eta",), alpha=1.0, self_play=True),
     # the multiplicative member of the leader family: it reads no
     # regularizer, so build_agent gives it the entropy
     "AMWU": AgentKind(_leader, ("eta", "alpha", "b"), self_play=True),
@@ -253,8 +256,6 @@ def record_oblivious_trace(
     partner's rate defaults to the adversary's.  Both players' rounds are
     checked once the recording ends.
     """
-    if adversary_eta <= 0.0:
-        raise ValueError(f"adversary eta must be positive, got {adversary_eta}")
     unit, _, _ = game.to_unit_range()
     a = unit.payoff
     n, m = unit.n, unit.m

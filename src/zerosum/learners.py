@@ -3,16 +3,17 @@
 Loss-stream learners expose ``start()`` (the strategy played before any
 feedback) and ``step(observed)`` (ingest the last loss vector, emit the
 next strategy).  ``step`` checks the loss vector and the strategy it
-emits; ``update`` is the same step unchecked, for callers that check a
-whole run's rounds at once (the engine does).  The exploit rate
-``alpha`` weights the most recent loss vector as a prediction of the
-next one:
+emits; ``update`` is the same step unchecked, one kernel call (the rates
+are checked at construction), for callers that check a whole run's
+rounds at once (the engine does).  The exploit rate ``alpha`` weights
+the most recent loss vector as a prediction of the next one:
 
 * ``Aftrl``   f_{t+1} = argmin <f, sum_{s<=t} x_s + alpha x_t> + R(f)/eta
               (alpha=0 is plain FTRL, alpha=1 the optimistic variant)
 * ``Amd``     mirror-descent analogue via two Bregman proximal steps
-* ``Mwu``     multiplicative weights, f_{t+1} ∝ f_t exp(-eta x_t)
-* ``Omwu``    optimistic MWU, f_{t+1} ∝ f_t exp(-eta (2 x_t - x_{t-1}))
+* ``Mwu``     multiplicative weights,
+              f_{t+1} ∝ f_t exp(-eta ((1+alpha) x_t - alpha x_{t-1}))
+              (alpha=0 is plain MWU; ``Omwu`` is alpha=1)
 * ``ProdBr``  multiplicative mixture of an internal FTRL and the best
               response to the last loss, with an anchored mixture weight
 * ``DoublingAftrl``  phase-restarted Aftrl with halving learning rate
@@ -32,7 +33,7 @@ import math
 import numpy as np
 
 from .core import MatrixGame, check_loss_vector, check_strategy, l_norm, uniform
-from .regularizers import ENTROPY, Regularizer, bregman_prox, floored_softmax, regularized_argmin
+from .regularizers import ENTROPY, Regularizer, floored_softmax
 
 BR_TIE_ATOL = 1e-12
 
@@ -92,9 +93,7 @@ class Aftrl(LossStreamLearner):
 
     def update(self, observed: np.ndarray) -> np.ndarray:
         self.cumulative = self.cumulative + observed
-        self.current = regularized_argmin(
-            self.reg, self.cumulative + self.alpha * observed, self.eta
-        )
+        self.current = self.reg.leader(-self.eta * (self.cumulative + self.alpha * observed))
         return self.current
 
 
@@ -126,49 +125,39 @@ class Amd(LossStreamLearner):
         self.g_history: list[np.ndarray] = []
 
     def update(self, observed: np.ndarray) -> np.ndarray:
-        self.secondary = bregman_prox(self.reg, self.secondary, observed, self.eta)
+        self.secondary = self.reg.prox(self.secondary, -self.eta * observed)
         self.g_history.append(self.secondary)
         if self.alpha == 0.0:
             self.current = self.secondary
         else:
-            self.current = bregman_prox(
-                self.reg, self.secondary, self.alpha * observed, self.eta
-            )
+            self.current = self.reg.prox(self.secondary, -self.eta * (self.alpha * observed))
         return self.current
 
 
 class Mwu(LossStreamLearner):
-    """Plain multiplicative weights on a loss stream (incremental form)."""
+    """Multiplicative weights on a loss stream, driven by the exploit-weighted
+    loss (1+alpha) x_t - alpha x_{t-1} (the loss-stream form of ``amwu_step``)."""
 
-    def __init__(self, n: int, eta: float):
-        if eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
+    def __init__(self, n: int, eta: float, alpha: float = 0.0):
+        check_rates(eta, alpha)
         self.n = n
         self.eta = eta
-        self.current = uniform(n)
-
-    def update(self, observed: np.ndarray) -> np.ndarray:
-        self.current = bregman_prox(ENTROPY, self.current, observed, self.eta)
-        return self.current
-
-
-class Omwu(LossStreamLearner):
-    """Optimistic multiplicative weights: exponent -eta (2 x_t - x_{t-1})."""
-
-    def __init__(self, n: int, eta: float):
-        if eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
-        self.n = n
-        self.eta = eta
+        self.alpha = alpha
         self.current = uniform(n)
         self.prev_loss = np.zeros(n)
 
     def update(self, observed: np.ndarray) -> np.ndarray:
-        self.current = bregman_prox(
-            ENTROPY, self.current, 2.0 * observed - self.prev_loss, self.eta
-        )
+        drive = (1.0 + self.alpha) * observed - self.alpha * self.prev_loss
+        self.current = floored_softmax(-self.eta * drive, self.current)
         self.prev_loss = observed
         return self.current
+
+
+class Omwu(Mwu):
+    """Optimistic MWU: ``Mwu`` at exploit rate 1, exponent -eta (2 x_t - x_{t-1})."""
+
+    def __init__(self, n: int, eta: float):
+        super().__init__(n, eta, alpha=1.0)
 
 
 def _amwu_drive(game: MatrixGame, opp_now, opp_prev, side: str, alpha: float) -> np.ndarray:
@@ -299,22 +288,18 @@ class ProdBr(LossStreamLearner):
         self.ftrl_current = uniform(n)   # f_1 = argmin R
         self.br_current = uniform(n)     # best response to x_0 = 0
         self.current = self._mix()
-        # the (f, BR) pair mixed into the strategy currently in play
-        self._played_pair = (self.ftrl_current, self.br_current)
 
     def _mix(self) -> np.ndarray:
         total = self.w_r + self.w_br
         return (self.w_r * self.ftrl_current + self.w_br * self.br_current) / total
 
     def update(self, observed: np.ndarray) -> np.ndarray:
-        f_played, br_played = self._played_pair
-        self.w_r = self.w_r * (1.0 + self.eta1 * float((br_played - f_played) @ observed))
+        self.w_r *= 1.0 + self.eta1 * float((self.br_current - self.ftrl_current) @ observed)
         if self.w_r <= 0.0:
             raise ValueError(f"mixture weight became nonpositive: {self.w_r}")
         self.cumulative = self.cumulative + observed
-        self.ftrl_current = regularized_argmin(self.reg, self.cumulative, self.eta)
+        self.ftrl_current = self.reg.leader(-self.eta * self.cumulative)
         self.br_current = best_response(observed)
-        self._played_pair = (self.ftrl_current, self.br_current)
         self.current = self._mix()
         return self.current
 

@@ -6,15 +6,17 @@ simplex is exactly zero:
 * ``entropy``:     R(f) = sum_i f_i log f_i + log n      (1-strongly convex in l1)
 * ``squared_l2``:  R(f) = 0.5 ||f||^2 - 1/(2n)           (1-strongly convex in l2)
 
-The constant shifts never affect argmins.  ``regularized_argmin`` solves
-argmin_{f in simplex} <f, L> + R(f)/eta, the computational kernel of the
-leader-style and mirror-descent learners.
+The constant shifts never affect argmins.  Each regularizer has two
+unchecked kernels, the ones the learners call every round:
+``Regularizer.leader(z)`` is argmin_{f in simplex} R(f) - <f, z> and
+``Regularizer.prox(prior, z)`` is argmin_{f in simplex} D_R(f, prior) - <f, z>.
+``regularized_argmin`` (argmin <f, L> + R(f)/eta) and ``bregman_prox``
+are the same kernels with their inputs checked, for outside callers.
 
-The kernels ``floored_softmax``, ``project_to_simplex`` and
-``regularized_argmin`` work over the last axis: one row of shape (n,) is
-one round, as the learners call them, and a block of shape (T, n) is a
-whole run, as ``metrics.forward_comparators`` calls them, with the same
-result row for row.  ``bregman`` and ``Regularizer.value`` take one row.
+The kernels work over the last axis: one row of shape (n,) is one round,
+as the learners call them, and a block of shape (T, n) is a whole run, as
+``metrics.forward_comparators`` calls them, with the same result row for
+row.  ``bregman`` and ``Regularizer.value`` take one row.
 """
 from __future__ import annotations
 
@@ -52,6 +54,21 @@ class Regularizer:
         if self.kind == "entropy":
             return float(np.log(n))
         return 0.5 - 0.5 / n
+
+    def leader(self, z: np.ndarray) -> np.ndarray:
+        """argmin over the simplex of R(f) - <f, z> per row, unchecked (``z`` may
+        be overwritten): the floored softmax, or the projection, of z."""
+        if self.kind == "entropy":
+            return floored_softmax(z)
+        return project_to_simplex(z)
+
+    def prox(self, prior: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """argmin over the simplex of D_R(f, prior) - <f, z> per row, unchecked
+        (``z`` may be overwritten): prior * exp(z) floored and normalized, or the
+        projection of prior + z."""
+        if self.kind == "entropy":
+            return floored_softmax(z, prior)
+        return project_to_simplex(prior + z)
 
 
 ENTROPY = Regularizer("entropy", beta=1.0, p=1.0, q=np.inf)
@@ -103,20 +120,15 @@ def floored_softmax(z: np.ndarray, prior: np.ndarray | None = None) -> np.ndarra
 
 def regularized_argmin(reg: Regularizer, cumulative: np.ndarray, eta: float) -> np.ndarray:
     """argmin over the simplex of <f, cumulative> + R(f)/eta, for each row
-    (last axis) of ``cumulative``.
-
-    Entropy: the floored softmax of -eta * cumulative.
-    Squared l2: Euclidean projection of -eta * cumulative onto the simplex.
-    A block of rows is checked once, as a whole.
+    (last axis) of ``cumulative``: ``reg.leader(-eta * cumulative)`` with its
+    input checked.  A block of rows is checked once, as a whole.
     """
     cumulative = np.asarray(cumulative, dtype=float)
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     if not np.all(np.isfinite(cumulative)):
         raise ValueError("non-finite cumulative loss")
-    if reg.kind == "entropy":
-        return floored_softmax(-eta * cumulative)
-    return project_to_simplex(-eta * cumulative)
+    return reg.leader(-eta * cumulative)
 
 
 def bregman(reg: Regularizer, a: np.ndarray, b: np.ndarray) -> float:
@@ -128,11 +140,8 @@ def bregman(reg: Regularizer, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def bregman_prox(reg: Regularizer, prior: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
-    """argmin over the simplex of eta <f, grad> + D_R(f, prior).
-
-    Entropy: prior_i exp(-eta grad_i), renormalized.
-    Squared l2: projection of prior - eta * grad.
-    """
+    """argmin over the simplex of eta <f, grad> + D_R(f, prior):
+    ``reg.prox(prior, -eta * grad)`` with its inputs checked."""
     prior = np.asarray(prior, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if prior.shape != grad.shape:
@@ -141,6 +150,4 @@ def bregman_prox(reg: Regularizer, prior: np.ndarray, grad: np.ndarray, eta: flo
         raise ValueError(f"eta must be positive, got {eta}")
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient")
-    if reg.kind == "entropy":
-        return floored_softmax(-eta * grad, prior)
-    return project_to_simplex(prior - eta * grad)
+    return reg.prox(prior, -eta * grad)

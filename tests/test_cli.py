@@ -1,5 +1,8 @@
 import json
 import re
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from zerosum.cli import (
     emit_csv,
     main,
     parse_config,
+    parse_seeds,
     run_preset,
 )
 from zerosum.engine import ADVERSARY_KINDS, AGENT_KINDS, run_config
@@ -225,6 +229,11 @@ class TestMainCommands:
             (["certify", "{matrix}", "--eta", "0.1", "--alpha", "-5"], "--alpha"),
             (["certify", "{matrix}", "--eta", "0.1", "--alpha", "inf"], "--alpha"),
             (["preset", "spectral-certificate", "--out", "{out}", "--seeds", "1,x"], "--seeds"),
+            (["preset", "spectral-certificate", "--out", "{out}", "--seeds", ""], "--seeds"),
+            (["preset", "spectral-certificate", "--out", "{out}", "--seeds", "1,,2"], "--seeds"),
+            (["preset", "spectral-certificate", "--out", "{out}", "--parallelism", "0"],
+             "--parallelism"),
+            (["preset", "oblivious-loss", "--out", "{out}", "--parallelism", "-2"], "--parallelism"),
         ],
     )
     def test_bad_flag_is_one_error_line(self, tmp_path, capsys, argv, flag):
@@ -236,6 +245,27 @@ class TestMainCommands:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag}: ") and captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+class TestSeeds:
+    """``zerosum preset`` and ``scripts/run_presets.py`` share ``parse_seeds``."""
+
+    def test_seeds_and_default(self, tmp_path):
+        assert parse_seeds("3,1,-2") == [3, 1, -2]
+        assert main(["preset", "spectral-certificate", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["seeds"] == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("seeds", ["1,x", ""])
+    def test_script_bad_seeds_is_one_error_line(self, tmp_path, capsys, monkeypatch, seeds):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_presets.py"
+        main_fn = runpy.run_path(str(script))["main"]
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["run_presets.py", "--out", str(out), "--seeds", seeds])
+        assert main_fn() == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --seeds: ") and captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 def _probe(agent=None, adversary=None, **top):

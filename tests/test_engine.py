@@ -1,4 +1,5 @@
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -96,6 +97,16 @@ class TestRecordObliviousTrace:
         ys = record_oblivious_trace(g, 0.3, 100)
         assert ys.min() >= 0.0
         np.testing.assert_allclose(ys.sum(axis=1), np.ones(100), atol=1e-9)
+
+    @pytest.mark.parametrize("eta,recorder_eta", [(np.nan, None), (np.inf, None), (0.0, None),
+                                                  (0.5, np.nan), (0.5, -0.1)])
+    def test_rates_rejected_before_recording(self, eta, recorder_eta):
+        # the recording MWU players check their rates when built, not at round 1
+        g = make_random_game(4, 4, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="eta must be positive and finite"):
+                record_oblivious_trace(g, eta, 10, recorder_eta)
 
 
 class TestRunVsAdversary:

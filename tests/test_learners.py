@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
-from zerosum.core import MatrixGame, Trace, l_norm
+from zerosum.core import MatrixGame, Trace, l_norm, uniform
 from zerosum.learners import (
     Aftrl,
     Amd,
@@ -18,7 +20,7 @@ from zerosum.learners import (
     oftrl,
 )
 from zerosum.metrics import external_regret, forward_comparators
-from zerosum.regularizers import ENTROPY, SQUARED_L2, regularized_argmin
+from zerosum.regularizers import ENTROPY, SQUARED_L2, bregman_prox, regularized_argmin
 
 MP = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
@@ -211,8 +213,12 @@ class TestAmwuWrapper:
                                            (0.1, np.nan), (0.1, np.inf)])
     def test_rates_must_be_finite(self, eta, alpha):
         # the exploit-rate learners share one check
-        for make in (lambda: Amwu(MP, "max", eta, alpha), lambda: Aftrl(3, eta, alpha),
-                     lambda: Amd(3, eta, alpha), lambda: DoublingAftrl(3, eta, alpha)):
+        makers = [lambda: Amwu(MP, "max", eta, alpha), lambda: Aftrl(3, eta, alpha),
+                  lambda: Amd(3, eta, alpha), lambda: DoublingAftrl(3, eta, alpha),
+                  lambda: Mwu(3, eta, alpha)]
+        if alpha == 1.0:
+            makers.append(lambda: Omwu(3, eta))
+        for make in makers:
             with pytest.raises(ValueError, match="eta" if alpha == 1.0 else "alpha"):
                 make()
 
@@ -280,7 +286,7 @@ class TestProdBr:
         agent = ProdBr(2, horizon=100)
         agent.w_r = 0.5
         agent.eta1 = 0.1
-        agent._played_pair = (np.array([1.0, 0.0]), np.array([0.8, 0.2]))
+        agent.ftrl_current, agent.br_current = np.array([1.0, 0.0]), np.array([0.8, 0.2])
         # <BR - f, x> = <(-0.2, 0.2), x>; choose x = (1, 0) so the inner product is -0.2
         agent.step(np.array([1.0, 0.0]))
         assert agent.w_r == pytest.approx(0.49)
@@ -317,6 +323,98 @@ class TestProdBr:
             brsum = np.cumsum(np.einsum("ti,ti->t", br, xs))
             assert np.all(gsum <= fsum + 2 * np.sqrt(T * np.log(T)) + 1e-9)
             assert np.all(gsum <= brsum + 2 * np.log(2) + 1e-9)
+
+
+def edge_streams(seed, n=6, T=150):
+    """Loss streams with -0.0 entries and entries 1e-10 outside [0, 1],
+    which ``check_loss_vector`` accepts, at random places and as whole rows."""
+    rng = np.random.default_rng(seed)
+    edges = np.array([-0.0, 0.0, -1e-10, 1.0 + 1e-10, 1.0])
+    for spread in (0.1, 0.5):
+        xs = rng.uniform(0, 1, (T, n))
+        mask = rng.random((T, n)) < spread
+        xs[mask] = rng.choice(edges, mask.sum())
+        xs[::7] = rng.choice(edges, (len(xs[::7]), 1))
+        yield xs
+
+
+class MwuOracle:
+    """Mwu as written before it took an exploit rate: one checked prox step."""
+
+    def __init__(self, n, eta):
+        self.n, self.eta, self.current = n, eta, uniform(n)
+
+    def update(self, observed):
+        self.current = bregman_prox(ENTROPY, self.current, observed, self.eta)
+        return self.current
+
+
+class OmwuOracle(MwuOracle):
+    """Omwu as written before it became Mwu at exploit rate 1."""
+
+    def __init__(self, n, eta):
+        super().__init__(n, eta)
+        self.prev_loss = np.zeros(n)
+
+    def update(self, observed):
+        self.current = bregman_prox(
+            ENTROPY, self.current, 2.0 * observed - self.prev_loss, self.eta
+        )
+        self.prev_loss = observed
+        return self.current
+
+
+class TestMwu:
+    @pytest.mark.parametrize("eta", [0.01, 0.5, 5.0])
+    def test_matches_oracles(self, eta):
+        for xs in edge_streams(31):
+            n = xs.shape[1]
+            pairs = [(Mwu(n, eta), MwuOracle(n, eta)), (Omwu(n, eta), OmwuOracle(n, eta)),
+                     (Mwu(n, eta, alpha=1.0), OmwuOracle(n, eta))]
+            for learner, oracle in pairs:
+                np.testing.assert_array_equal(learner.start(), oracle.current)
+                for x in xs:
+                    np.testing.assert_array_equal(learner.step(x), oracle.update(x))
+
+    def test_omwu_is_mwu_at_one(self):
+        assert Omwu.update is Mwu.update
+        assert Omwu(3, 0.1).alpha == 1.0 and Mwu(3, 0.1).alpha == 0.0
+
+
+class TestUpdatesMatchCheckedKernels:
+    """Each update equals the same step taken through the public, checked
+    ``regularized_argmin`` and ``bregman_prox``."""
+
+    @staticmethod
+    def expected(before, after, x):
+        if isinstance(after, Aftrl):  # a DoublingAftrl restart sets cumulative and eta first
+            return regularized_argmin(after.reg, after.cumulative + after.alpha * x, after.eta)
+        if isinstance(after, Amd):
+            g = bregman_prox(after.reg, before.secondary, x, after.eta)
+            np.testing.assert_array_equal(after.secondary, g)
+            if after.alpha == 0.0:
+                return g
+            return bregman_prox(after.reg, g, after.alpha * x, after.eta)
+        gain = float((before.br_current - before.ftrl_current) @ x)
+        w_r = before.w_r * (1.0 + before.eta1 * gain)
+        f = regularized_argmin(after.reg, before.cumulative + x, after.eta)
+        return (w_r * f + after.w_br * best_response(x)) / (w_r + after.w_br)
+
+    @pytest.mark.parametrize("reg", [ENTROPY, SQUARED_L2], ids=["entropy", "squared_l2"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 5.0])
+    def test_update_matches(self, reg, alpha):
+        n, T = 6, 150
+        makers = [lambda: Aftrl(n, 0.3, alpha, reg), lambda: Amd(n, 0.3, alpha, reg),
+                  lambda: DoublingAftrl(n, 1.0, alpha, reg)]
+        if alpha == 0.0:  # ProdBr has no exploit rate
+            makers.append(lambda: ProdBr(n, T, reg))
+        for xs in edge_streams(32, n, T):
+            for make in makers:
+                agent = make()
+                for x in xs:
+                    before = copy.deepcopy(agent)
+                    got = agent.update(x)
+                    np.testing.assert_array_equal(got, self.expected(before, agent, x))
 
 
 class DoublingAftrlOracle:

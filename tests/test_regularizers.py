@@ -237,6 +237,35 @@ class TestLastAxisKernels:
                     rows = [regularized_argmin(reg, row, eta) for row in block]
                     np.testing.assert_array_equal(regularized_argmin(reg, block, eta), rows)
 
+    def test_leader_and_prox(self):
+        rng = np.random.default_rng(25)
+        for block in blocks(26):
+            prior = rng.dirichlet(np.ones(block.shape[1]), block.shape[0])
+            for reg in REGS:
+                rows = [reg.leader(row.copy()) for row in block]
+                np.testing.assert_array_equal(reg.leader(block.copy()), rows)
+                rows = [reg.prox(p, row.copy()) for p, row in zip(prior, block)]
+                np.testing.assert_array_equal(reg.prox(prior, block.copy()), rows)
+
+    def test_checked_kernels_keep_their_formulas(self):
+        # the formulas regularized_argmin and bregman_prox had before they
+        # called Regularizer.leader and prox
+        rng = np.random.default_rng(27)
+        for block in blocks(28):
+            prior = rng.dirichlet(np.ones(block.shape[1]), block.shape[0])
+            for eta in (0.01, 0.3, 5.0):
+                for t, row in enumerate(block):
+                    np.testing.assert_array_equal(
+                        regularized_argmin(ENTROPY, row, eta), floored_softmax(-eta * row))
+                    np.testing.assert_array_equal(
+                        regularized_argmin(SQUARED_L2, row, eta), project_to_simplex(-eta * row))
+                    np.testing.assert_array_equal(
+                        bregman_prox(ENTROPY, prior[t], row, eta),
+                        floored_softmax(-eta * row, prior[t]))
+                    np.testing.assert_array_equal(
+                        bregman_prox(SQUARED_L2, prior[t], row, eta),
+                        project_to_simplex(prior[t] - eta * row))
+
     def test_nonfinite_in_any_row_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             for t in (0, 7, 39):
