@@ -13,7 +13,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-from zerosum.cli import PRESETS, parse_seeds, run_preset
+from zerosum.cli import PRESETS, _number, parse_seeds, run_preset
 
 
 def main() -> int:
@@ -27,16 +27,23 @@ def main() -> int:
     parser.add_argument("--parallelism", type=int, default=4)
     args = parser.parse_args()
 
-    try:
+    names = args.presets.split(",")
+    try:  # every flag is checked before any preset runs
         seeds = parse_seeds(args.seeds)
+        parallelism = _number(args.parallelism, "--parallelism", 1, integer=True)
+        for name in names:
+            if name not in PRESETS:
+                raise ValueError(
+                    f"--presets: unknown preset {name!r}; valid presets: {', '.join(PRESETS)}"
+                )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failures = 0
-    for name in args.presets.split(","):
+    for name in names:
         out_dir = Path(args.out) / name
         print(f"running preset {name} -> {out_dir}")
-        failures += run_preset(name, out_dir, seeds, parallelism=args.parallelism)
+        failures += run_preset(name, out_dir, seeds, parallelism=parallelism)
         for path in (out_dir / PRESETS[name].csv, out_dir / "manifest.json"):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}")
     if failures:

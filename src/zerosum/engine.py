@@ -11,7 +11,9 @@ strategies before either observes the other's, and feedback arrives after
 the round.  A non-oblivious adversary reacting to the agent therefore
 sees only f_1 .. f_{t-1} when choosing y_t.
 
-The play loops call the learners' unchecked ``update`` and validate every
+One two-player loop, ``_play``, runs the replay recording, reactive play
+and self-play (two ``Mwu`` learners); an oblivious agent is fed its replayed
+loss block.  Both call the learners' unchecked ``update`` and validate every
 round once the loop ends (``core.check_rounds``), at the same tolerances
 as the per-vector checks.
 """
@@ -19,21 +21,14 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import metrics, nash
-from .core import MatrixGame, Trace, check_rounds, uniform
-from .learners import (
-    Aftrl,
-    Amd,
-    BestResponseLearner,
-    DoublingAftrl,
-    Mwu,
-    ProdBr,
-    amwu_step,
-)
+from .core import MatrixGame, Trace, check_rounds
+from .learners import Aftrl, Amd, BestResponseLearner, DoublingAftrl, Mwu, ProdBr
 from .regularizers import ENTROPY, from_name
 
 _MASK64 = (1 << 64) - 1
@@ -85,6 +80,19 @@ class GameSpec:
         if self.kind == "csv":
             return MatrixGame.from_csv(self.path)
         raise ValueError(f"unknown game kind {self.kind!r}")
+
+
+class _Game:
+    """A game in the unit range, resolved once for all the configs of a
+    group; its equilibrium is solved on first use."""
+
+    def __init__(self, spec: GameSpec):
+        self.unit, _, _ = spec.resolve().to_unit_range()
+
+    @cached_property
+    def equilibrium(self) -> tuple[np.ndarray, np.ndarray]:
+        ne = nash.solve_zero_sum(self.unit)
+        return ne.f_star, ne.y_star
 
 
 def _lookup(table: dict, name: str, what: str):
@@ -173,11 +181,6 @@ class AdversarySpec:
     recorder_eta: float | None = None  # oblivious recording partner; defaults to eta
 
 
-def _kl_to_ne(game: MatrixGame, trace_max: Trace, trace_min: Trace) -> np.ndarray:
-    ne = nash.solve_zero_sum(game)
-    return metrics.kl_series((trace_max, trace_min), (ne.f_star, ne.y_star))
-
-
 # Metric name -> series; the functions are looked up in ``metrics`` when called.
 ADVERSARY_METRICS = {  # (agent's trace, agent)
     "average_loss": lambda trace, agent: metrics.average_loss(trace),
@@ -189,9 +192,11 @@ ADVERSARY_METRICS = {  # (agent's trace, agent)
     ),
     "step_distance_l1": lambda trace, agent: metrics.step_distances(trace, 1),
 }
-SELF_PLAY_METRICS = {  # (unit game, max side's trace, min side's trace)
-    "exploitability": lambda g, f, y: metrics.exploitability_series(g, f.strategies, y.strategies),
-    "kl_to_ne": _kl_to_ne,
+SELF_PLAY_METRICS = {  # (the game, max side's trace, min side's trace)
+    "exploitability": lambda g, f, y: metrics.exploitability_series(
+        g.unit, f.strategies, y.strategies
+    ),
+    "kl_to_ne": lambda g, f, y: metrics.kl_series((f, y), g.equilibrium),
 }
 
 
@@ -246,6 +251,25 @@ def build_agent(spec: AgentSpec, n: int, horizon: int):
     return spec.rule.build(n, spec.eta, spec.resolved_alpha(), reg, horizon)
 
 
+def _play(row, col, T: int, row_loss: Callable, col_loss: Callable):
+    """T simultaneous rounds of two loss-stream learners.
+
+    In round t both commit their strategies f_t and y_t; then the row
+    learner is fed ``row_loss(y_t)`` and the column learner
+    ``col_loss(f_t)``.  Returns the blocks (f, row losses, y, column
+    losses), one row per round.
+    """
+    f, y = row.start(), col.start()
+    fs, xs = np.empty((T, f.size)), np.empty((T, f.size))
+    ys, zs = np.empty((T, y.size)), np.empty((T, y.size))
+    for t in range(T):
+        fs[t], ys[t] = f, y
+        x, z = row_loss(y), col_loss(f)
+        xs[t], zs[t] = x, z
+        f, y = row.update(x), col.update(z)
+    return fs, xs, ys, zs
+
+
 def record_oblivious_trace(
     game: MatrixGame, adversary_eta: float, horizon: int, recorder_eta: float | None = None
 ) -> np.ndarray:
@@ -258,24 +282,12 @@ def record_oblivious_trace(
     """
     unit, _, _ = game.to_unit_range()
     a = unit.payoff
-    n, m = unit.n, unit.m
-    row = Mwu(n, recorder_eta if recorder_eta is not None else adversary_eta)
-    col = Mwu(m, adversary_eta)
-    rs = np.empty((horizon, n))
-    ys = np.empty((horizon, m))
-    row_losses = np.empty((horizon, n))
-    col_losses = np.empty((horizon, m))
-    r = row.start()
-    y = col.start()
-    for t in range(horizon):
-        rs[t] = r
-        ys[t] = y
-        row_loss = a @ y
-        col_loss = 1.0 - a.T @ r  # the column player's loss is the negated gain, kept in [0, 1]
-        row_losses[t] = row_loss
-        col_losses[t] = col_loss
-        r = row.update(row_loss)
-        y = col.update(col_loss)
+    row = Mwu(unit.n, recorder_eta if recorder_eta is not None else adversary_eta)
+    col = Mwu(unit.m, adversary_eta)
+    # the column player's loss is the negated gain, kept in [0, 1]
+    rs, row_losses, ys, col_losses = _play(
+        row, col, horizon, lambda y: a @ y, lambda f: 1.0 - a.T @ f
+    )
     check_rounds(rs, row_losses, context="replay row player round")
     check_rounds(ys, col_losses, context="replay round")
     return ys
@@ -286,90 +298,78 @@ def _record_replay(config: SimulationConfig, unit: MatrixGame) -> np.ndarray:
     return record_oblivious_trace(unit, adv.eta, config.horizon, adv.recorder_eta)
 
 
-def run_vs_adversary(config: SimulationConfig, replay: np.ndarray | None = None):
+def run_vs_adversary(
+    config: SimulationConfig, replay: np.ndarray | None = None, game: _Game | None = None
+):
     """Simulate one agent against a replayed or reactive adversary.
 
     Returns (trace, series, game) where the trace records the agent's
     strategies and the loss stream x_t = A y_t on the unit-normalized game.
     ``replay`` is an oblivious config's recorded adversary, as
     ``record_oblivious_trace`` returns it for this config's game, etas and
-    horizon; it is recorded here when not given.
+    horizon, and ``game`` the config's game; each is made here when not given.
     """
-    game = config.game.resolve()
-    unit, _, _ = game.to_unit_range()
+    game = game or _Game(config.game)
+    unit = game.unit
     a = unit.payoff
-    n, m = unit.n, unit.m
     T = config.horizon
     adv = config.adversary
-
-    col = None
     if adv.kind == "oblivious_mwu":
         if replay is None:
             replay = _record_replay(config, unit)
         if replay.shape[0] < T:
             raise ValueError(f"replay shorter than horizon: {replay.shape[0]} < {T}")
+        agent = build_agent(config.agent, unit.n, T)
+        # stacked products: each row is exactly a @ replay[t]
+        losses = (a @ replay[:T, :, None])[..., 0]
+        strategies = np.empty_like(losses)
+        f = agent.start()
+        for t, x in enumerate(losses):
+            strategies[t] = f
+            f = agent.update(x)
+        check_rounds(strategies, losses)
     elif adv.kind == "nonoblivious_mwu":
         if adv.eta is None or adv.eta <= 0.0:
             raise ValueError("nonoblivious_mwu adversary needs a positive eta")
-        col = Mwu(m, adv.eta)
-        adv_strategies = np.empty((T, m))
-        adv_losses = np.empty((T, m))
+        # reactive: the adversary sees f_t only after the round
+        col = Mwu(unit.m, adv.eta)
+        agent = build_agent(config.agent, unit.n, T)
+        strategies, losses, ys, adv_losses = _play(
+            agent, col, T, lambda y: a @ y, lambda f: 1.0 - a.T @ f
+        )
+        check_rounds(strategies, losses)
+        check_rounds(ys, adv_losses, context="adversary round")
     else:
         raise ValueError(f"run_vs_adversary cannot handle adversary kind {adv.kind!r}")
-    agent = build_agent(config.agent, n, T)
-
-    strategies = np.empty((T, n))
-    losses = np.empty((T, n))
-    f = agent.start()
-    y = col.start() if col is not None else None
-    for t in range(T):
-        y_t = replay[t] if col is None else y
-        x_t = a @ y_t
-        strategies[t] = f
-        losses[t] = x_t
-        if col is not None:
-            # reactive update: the adversary sees f_t only after the round
-            adv_strategies[t] = y
-            adv_losses[t] = 1.0 - a.T @ f
-            y = col.update(adv_losses[t])
-        f = agent.update(x_t)
-    check_rounds(strategies, losses)
-    if col is not None:
-        check_rounds(adv_strategies, adv_losses, context="adversary round")
     trace = Trace.from_rounds(strategies, losses)
     return trace, _series(ADVERSARY_METRICS, config.metrics, trace, agent), unit
 
 
-def run_self_play(config: SimulationConfig):
+def run_self_play(config: SimulationConfig, game: _Game | None = None):
     """Mirror-play both sides of the game with the agent's update rule.
 
     Supports the kinds marked ``self_play`` in ``AGENT_KINDS`` (the
-    multiplicative family).  Both players start uniform and the first two
-    strategies coincide, after which each side updates from the
-    opponent's current and previous strategies.  Both sides' rounds are
-    checked once the loop ends.
-    Returns (trace_max, trace_min, series, game).
+    multiplicative family): each side is an ``Mwu``, the max side fed
+    -A y_t and the min side A^T f_t.  Both start uniform and the first two
+    strategies coincide.  Both sides' rounds, with the losses 1 - A y_t
+    and A^T f_t in [0, 1], are checked once the loop ends.  ``game`` is as
+    for ``run_vs_adversary``.  Returns (trace_max, trace_min, series, game).
     """
     if not config.agent.rule.self_play:
         able = "/".join(kind for kind, rule in AGENT_KINDS.items() if rule.self_play)
         raise ValueError(f"self-play supports {able}, got {config.agent.kind!r}")
-    game = config.game.resolve()
-    unit, _, _ = game.to_unit_range()
+    game = game or _Game(config.game)
+    unit = game.unit
     a = unit.payoff
-    n, m = unit.n, unit.m
-    T = config.horizon
-    eta = config.agent.eta
-    alpha = config.agent.resolved_alpha()
-
-    fs = np.empty((T, n))
-    ys = np.empty((T, m))
-    fs[0] = uniform(n)
-    ys[0] = uniform(m)
-    fs[1] = fs[0]
-    ys[1] = ys[0]
-    for t in range(2, T):
-        fs[t] = amwu_step(fs[t - 1], unit, ys[t - 1], ys[t - 2], "max", eta, alpha)
-        ys[t] = amwu_step(ys[t - 1], unit, fs[t - 1], fs[t - 2], "min", eta, alpha)
+    rates = (config.agent.eta, config.agent.resolved_alpha())
+    row, col = Mwu(unit.n, *rates), Mwu(unit.m, *rates)
+    # round 2 repeats round 1, so each side's first update also takes the
+    # round-1 loss as the previous one
+    row.prev_loss = -(a @ col.start())
+    col.prev_loss = a.T @ row.start()
+    fs, _, ys, _ = _play(row, col, config.horizon - 1, lambda y: -(a @ y), lambda f: a.T @ f)
+    fs = np.concatenate((fs[:1], fs))
+    ys = np.concatenate((ys[:1], ys))
 
     loss_max = 1.0 - ys @ a.T
     loss_min = fs @ a
@@ -377,89 +377,84 @@ def run_self_play(config: SimulationConfig):
     check_rounds(ys, loss_min, context="min side round")
     trace_max = Trace.from_rounds(fs, loss_max)
     trace_min = Trace.from_rounds(ys, loss_min)
-    series = _series(SELF_PLAY_METRICS, config.metrics, unit, trace_max, trace_min)
+    series = _series(SELF_PLAY_METRICS, config.metrics, game, trace_max, trace_min)
     return trace_max, trace_min, series, unit
 
 
-def run_config(config: SimulationConfig, replay: np.ndarray | None = None) -> dict:
+def run_config(
+    config: SimulationConfig, replay: np.ndarray | None = None, game: _Game | None = None
+) -> dict:
     """The metric series of one config, in the run mode of its adversary.
 
-    ``replay`` is as for ``run_vs_adversary``; self-play has none.
+    ``replay`` and ``game`` are as for ``run_vs_adversary``; self-play has none.
     """
     if config.adversary.kind == "self_play":
-        return run_self_play(config)[2]
-    return run_vs_adversary(config, replay)[1]
+        return run_self_play(config, game)[2]
+    return run_vs_adversary(config, replay, game)[1]
 
 
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_one(index: int, config: SimulationConfig, replay: np.ndarray | None) -> RunOutcome:
+def _run_one(index: int, config: SimulationConfig, replay, game: _Game) -> RunOutcome:
     out = RunOutcome(index=index, config=config)
     try:
-        out.series = run_config(config, replay)
+        out.series = run_config(config, replay, game)
     except Exception as exc:  # noqa: BLE001 - reported per config, others unaffected
         out.error = _error(exc)
     return out
 
 
-def _replay_key(config: SimulationConfig):
-    """What an oblivious config's replay depends on; None for other configs."""
+def _group_key(config: SimulationConfig):
+    """The game, and for an oblivious config the rest of what its replay
+    depends on: adversary eta, recorder eta and horizon."""
     adv = config.adversary
     if adv.kind != "oblivious_mwu":
-        return None
+        return (config.game,)
     recorder_eta = adv.eta if adv.recorder_eta is None else adv.recorder_eta
     return (config.game, adv.eta, recorder_eta, config.horizon)
 
 
-def _replay_groups(configs) -> list[list[tuple[int, SimulationConfig]]]:
-    """(index, config) pairs grouped by replay key, in order of first
-    appearance; a config without a replay is a group of its own."""
-    groups = {}
-    for i, config in enumerate(configs):
-        key = _replay_key(config)
-        groups.setdefault(("alone", i) if key is None else key, []).append((i, config))
-    return list(groups.values())
-
-
 def _run_group(group) -> list[RunOutcome]:
-    """Run one replay group, recording its replay (if any) once.
+    """Run one group, resolving its game and recording its replay (if any) once.
 
-    The replay is dropped when the group ends.  If recording fails, every
-    config of the group reports that error.
+    Both are dropped when the group ends.  If either fails, every config
+    of the group reports that error.
     """
     first = group[0][1]
     replay = None
-    if _replay_key(first) is not None:
-        try:
-            unit, _, _ = first.game.resolve().to_unit_range()
-            replay = _record_replay(first, unit)
-        except Exception as exc:  # noqa: BLE001 - reported per config, other groups unaffected
-            return [RunOutcome(index=i, config=c, error=_error(exc)) for i, c in group]
-    return [_run_one(i, c, replay) for i, c in group]
+    try:
+        game = _Game(first.game)
+        if first.adversary.kind == "oblivious_mwu":
+            replay = _record_replay(first, game.unit)
+    except Exception as exc:  # noqa: BLE001 - reported per config, other groups unaffected
+        return [RunOutcome(index=i, config=c, error=_error(exc)) for i, c in group]
+    return [_run_one(i, c, replay, game) for i, c in group]
 
 
 def grid_run(configs, parallelism: int = 1) -> list[RunOutcome]:
     """Execute independent configs, preserving input order in the output.
 
-    Configs that share a replay key (game, adversary eta, recorder eta,
-    horizon) form one group, which records the oblivious replay once and
-    runs its configs against it; a group is one unit of work for the
-    serial loop and for the pool, so at most ``parallelism`` replays are
-    held at once.  Each simulation is internally sequential and a pure
-    function of its config, so results are identical for any parallelism
-    level, grouping or grid order.
+    Configs that share a group key (``_group_key``) form one group, which
+    resolves the game once, solves its equilibrium at most once, records
+    an oblivious replay once and runs its configs against them; a group is
+    one unit of work for the serial loop and for the pool, so at most
+    ``parallelism`` replays are held at once.  Each simulation is
+    internally sequential and a pure function of its config, so results
+    are identical for any parallelism level, grouping or grid order.
     """
     configs = list(configs)
     if parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")
     if not configs:
         return []
-    groups = _replay_groups(configs)
+    groups = {}  # (index, config) pairs by group key, in order of first appearance
+    for i, config in enumerate(configs):
+        groups.setdefault(_group_key(config), []).append((i, config))
     if parallelism == 1:
-        done = [_run_group(g) for g in groups]
+        done = [_run_group(g) for g in groups.values()]
     else:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            done = list(pool.map(_run_group, groups))
+            done = list(pool.map(_run_group, groups.values()))
     return sorted((out for outs in done for out in outs), key=lambda out: out.index)

@@ -18,10 +18,12 @@ the most recent loss vector as a prediction of the next one:
               response to the last loss, with an anchored mixture weight
 * ``DoublingAftrl``  phase-restarted Aftrl with halving learning rate
 
-Game-coupled self-play updates (``amwu_step`` / ``linear_amwu_step`` and
-the ``Amwu`` wrapper) take the opponent's current and previous strategies
-instead of a loss vector; the max side ascends the payoff, the min side
-descends the transposed payoff.
+The game-coupled self-play updates ``amwu_step`` / ``linear_amwu_step``
+and the ``Amwu`` wrapper take the opponent's current and previous
+strategies instead of a loss vector (the max side ascends the payoff, the
+min side descends the transposed payoff).  They are the reference kernels
+for ``nash`` and the tests; the engine's self-play runs two ``Mwu``
+learners fed -A y_t and A^T f_t, which play the same strategies exactly.
 
 The previous-loss convention everywhere: x_0 is the zero vector, so first
 steps are well defined and the initial strategy is argmin R (uniform).

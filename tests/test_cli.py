@@ -255,16 +255,27 @@ class TestSeeds:
         assert main(["preset", "spectral-certificate", "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "manifest.json").read_text())["seeds"] == [1, 2, 3, 4, 5]
 
-    @pytest.mark.parametrize("seeds", ["1,x", ""])
-    def test_script_bad_seeds_is_one_error_line(self, tmp_path, capsys, monkeypatch, seeds):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seeds", "1,x"],
+            ["--seeds", ""],
+            # checked before the valid preset named first runs
+            ["--presets", "spectral-certificate,bogus"],
+            ["--presets", "spectral-certificate", "--parallelism", "0"],
+        ],
+        ids=["1,x", "", "presets", "parallelism"],
+    )
+    def test_script_bad_seeds_is_one_error_line(self, tmp_path, capsys, monkeypatch, flags):
         script = Path(__file__).resolve().parents[1] / "scripts" / "run_presets.py"
         main_fn = runpy.run_path(str(script))["main"]
         out = tmp_path / "out"
-        monkeypatch.setattr(sys, "argv", ["run_presets.py", "--out", str(out), "--seeds", seeds])
+        monkeypatch.setattr(sys, "argv", ["run_presets.py", "--out", str(out), *flags])
         assert main_fn() == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: --seeds: ") and captured.err.count("\n") == 1
+        bad_flag = flags[-2]
+        assert captured.err.startswith(f"error: {bad_flag}: ") and captured.err.count("\n") == 1
         assert not out.exists()
 
 

@@ -5,8 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
-from zerosum import engine
-from zerosum.core import MatrixGame
+from zerosum import engine, nash
+from zerosum.cli import LAST_ROUND_AGENTS, VS_ADVERSARY_AGENTS
+from zerosum.core import MatrixGame, uniform
 from zerosum.engine import (
     ADVERSARY_METRICS,
     AGENT_KINDS,
@@ -21,6 +22,7 @@ from zerosum.engine import (
     run_self_play,
     run_vs_adversary,
 )
+from zerosum.learners import amwu_step
 from zerosum.metrics import dynamic_regret
 
 # First outputs of the published SplitMix64 algorithm, computed with an
@@ -38,6 +40,16 @@ def vs_config(seed=1, horizon=200, agent=None, adversary=None, metrics=()):
         horizon=horizon,
         agent=agent or AgentSpec(kind="MWU", eta=0.1),
         adversary=adversary or AdversarySpec(kind="oblivious_mwu", eta=0.5),
+        metrics=metrics,
+    )
+
+
+def self_play_config(kind, eta, seed=3, metrics=(), **agent):
+    return SimulationConfig(
+        game=GameSpec(kind="random", n=6, m=6, seed=seed),
+        horizon=20,
+        agent=AgentSpec(kind=kind, eta=eta, **agent),
+        adversary=AdversarySpec(kind="self_play"),
         metrics=metrics,
     )
 
@@ -151,6 +163,21 @@ class TestRunVsAdversary:
         np.testing.assert_allclose(ta.losses[1], tb.losses[1], atol=1e-15)
         assert not np.allclose(ta.losses[2], tb.losses[2])
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_oblivious_run_equals_a_per_round_step_loop(self, seed):
+        T = 300
+        for spec in VS_ADVERSARY_AGENTS:
+            trace, _, unit = run_vs_adversary(vs_config(seed=seed, horizon=T, agent=spec))
+            replay = record_oblivious_trace(unit, 0.5, T)
+            agent = engine.build_agent(spec, unit.n, T)
+            strategies, losses = np.empty((T, unit.n)), np.empty((T, unit.n))
+            f = agent.start()
+            for t in range(T):
+                strategies[t], losses[t] = f, unit.payoff @ replay[t]
+                f = agent.step(losses[t])
+            np.testing.assert_array_equal(trace.strategies, strategies, err_msg=spec.name)
+            np.testing.assert_array_equal(trace.losses, losses, err_msg=spec.name)
+
     def test_adversary_without_rate_rejected(self):
         cfg = vs_config(adversary=AdversarySpec(kind="nonoblivious_mwu", eta=None))
         with pytest.raises(ValueError, match="eta"):
@@ -192,6 +219,26 @@ class TestRunSelfPlay:
     def test_b_exponent_resolution(self):
         spec = AgentSpec(kind="AMWU", eta=0.01, b=0.5)
         assert spec.resolved_alpha() == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equals_the_amwu_step_reference(self, seed):
+        # two uniform rounds, then each side's exponential self-play update
+        T = 300
+        for spec in LAST_ROUND_AGENTS:
+            cfg = SimulationConfig(
+                game=GameSpec(kind="random", n=8, m=6, seed=seed), horizon=T, agent=spec,
+                adversary=AdversarySpec(kind="self_play"), metrics=("exploitability",),
+            )
+            tf, ty, _, unit = run_self_play(cfg)
+            eta, alpha = spec.eta, spec.resolved_alpha()
+            fs, ys = np.empty((T, unit.n)), np.empty((T, unit.m))
+            fs[0] = fs[1] = uniform(unit.n)
+            ys[0] = ys[1] = uniform(unit.m)
+            for t in range(2, T):
+                fs[t] = amwu_step(fs[t - 1], unit, ys[t - 1], ys[t - 2], "max", eta, alpha)
+                ys[t] = amwu_step(ys[t - 1], unit, fs[t - 1], fs[t - 2], "min", eta, alpha)
+            np.testing.assert_array_equal(tf.strategies, fs, err_msg=spec.name)
+            np.testing.assert_array_equal(ty.strategies, ys, err_msg=spec.name)
 
     def test_kl_series_requested(self):
         cfg = SimulationConfig(
@@ -330,6 +377,72 @@ class TestReplayGroups:
             assert all(o.error is None for o in outcomes)
             assert len(calls) == len(set(calls)) == 6  # 3 games x 2 adversary etas
 
+    def test_one_resolve_per_group(self, monkeypatch):
+        calls = []
+        lock = threading.Lock()
+        resolve = GameSpec.resolve
+
+        def counting(spec):
+            with lock:
+                calls.append(spec)
+            return resolve(spec)
+
+        monkeypatch.setattr(GameSpec, "resolve", counting)
+        configs = [
+            vs_config(seed=seed, horizon=30, agent=agent, adversary=adv)
+            for agent in (AgentSpec(kind="MWU", eta=0.1), AgentSpec(kind="ProdBR"))
+            for seed in (1, 2, 3)
+            for adv in (
+                AdversarySpec(kind="oblivious_mwu", eta=0.3),
+                AdversarySpec(kind="oblivious_mwu", eta=0.3, recorder_eta=0.3),
+                AdversarySpec(kind="oblivious_mwu", eta=0.2),
+                AdversarySpec(kind="nonoblivious_mwu", eta=0.3),
+            )
+        ] + [self_play_config("OMWU", 0.1, seed=seed) for seed in (1, 2, 3)]
+        for parallelism in (1, 2):
+            calls.clear()
+            outcomes = grid_run(configs, parallelism)
+            assert all(o.error is None for o in outcomes)
+            # per game: one group per oblivious adversary eta, one for the rest
+            assert len(calls) == 9
+            assert {spec.seed for spec in calls} == {1, 2, 3}
+        calls.clear()
+        run_vs_adversary(configs[0])  # a config run alone resolves its own game
+        assert len(calls) == 1
+
+    def test_one_equilibrium_per_self_play_game(self, monkeypatch):
+        calls = []
+        lock = threading.Lock()
+        solve = nash.solve_zero_sum
+
+        def counting(game):
+            with lock:
+                calls.append(game)
+            return solve(game)
+
+        configs = [
+            self_play_config(spec.kind, spec.eta, seed=seed, alpha=spec.alpha, name=spec.name,
+                             metrics=("exploitability", "kl_to_ne"))
+            for seed in (1, 2)
+            for spec in LAST_ROUND_AGENTS
+        ]
+        alone = [run_self_play(c)[2] for c in configs]
+        monkeypatch.setattr(nash, "solve_zero_sum", counting)
+        for parallelism in (1, 2):
+            calls.clear()
+            outcomes = grid_run(configs, parallelism)
+            assert len(calls) == 2
+            for out, expected in zip(outcomes, alone):
+                assert out.error is None, out.error
+                assert set(out.series) == set(expected)
+                for name, values in expected.items():
+                    np.testing.assert_array_equal(out.series[name], values)
+        # solved only for a config that asks for kl_to_ne
+        calls.clear()
+        grid_run([self_play_config(spec.kind, spec.eta, alpha=spec.alpha,
+                                   metrics=("exploitability",)) for spec in LAST_ROUND_AGENTS])
+        assert calls == []
+
     def test_failed_replay_fails_only_its_group(self):
         agents = (AgentSpec(kind="MWU", eta=0.1), AgentSpec(kind="OMWU", eta=0.1),
                   AgentSpec(kind="ProdBR"))
@@ -436,31 +549,24 @@ class TestRoundChecks:
             record_oblivious_trace(make_random_game(4, 4, seed=1), 0.5, 10)
 
 
-def self_play_config(kind, eta, **agent):
-    return SimulationConfig(
-        game=GameSpec(kind="random", n=6, m=6, seed=3),
-        horizon=20,
-        agent=AgentSpec(kind=kind, eta=eta, **agent),
-        adversary=AdversarySpec(kind="self_play"),
-    )
-
-
 def _off_simplex_self_play_round(monkeypatch, eta, side, k):
-    """Patch ``engine.amwu_step`` so that the run at ``eta`` gives ``side``
-    a strategy off the simplex in round k (its first update plays round 3)."""
-    step = engine.amwu_step
+    """Patch ``Mwu.update`` so that the self-play run at ``eta`` gives
+    ``side`` a strategy off the simplex in round k (its first update plays
+    round 3).  Each round updates the max side's learner first."""
+    update = engine.Mwu.update
+    sides = {}  # id of each learner at eta -> its side
     calls = 0
 
-    def off_at_k(current, game, opp_now, opp_prev, s, e, alpha):
+    def off_at_k(self, observed):
         nonlocal calls
-        out = step(current, game, opp_now, opp_prev, s, e, alpha)
-        if e == eta and s == side:
+        out = update(self, observed)
+        if self.eta == eta and sides.setdefault(id(self), "min" if sides else "max") == side:
             calls += 1
             if calls == k - 2:
                 return out + 1e-8
         return out
 
-    monkeypatch.setattr(engine, "amwu_step", off_at_k)
+    monkeypatch.setattr(engine.Mwu, "update", off_at_k)
 
 
 class TestSelfPlayRoundChecks:
