@@ -4,9 +4,14 @@
 Runs MWU, OMWU, and the exploit-weighted update on one seeded random game
 and prints the duality gap of the last iterate at a few checkpoints;
 finishes with the equilibrium of the game and its spectral certificates.
+
+Example:
+    python scripts/convergence_demo.py --seed 12 --size 20 --horizon 20000
 """
 import argparse
+import sys
 
+from zerosum.cli import _number
 from zerosum.engine import (
     AdversarySpec,
     AgentSpec,
@@ -17,14 +22,21 @@ from zerosum.engine import (
 from zerosum.nash import solve_zero_sum, spectral_radius_at_ne
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=12)
     parser.add_argument("--size", type=int, default=20)
     parser.add_argument("--horizon", type=int, default=20_000)
     args = parser.parse_args()
+    try:
+        _number(args.size, "--size", 2, integer=True)
+        _number(args.horizon, "--horizon", 2, integer=True)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    checkpoints = [100, 1000, args.horizon // 2, args.horizon]
+    T = args.horizon
+    checkpoints = sorted({c for c in (100, 1000, T // 2, T) if c <= T})
     agents = [
         ("MWU", AgentSpec(kind="MWU", eta=0.01)),
         ("OMWU", AgentSpec(kind="OMWU", eta=0.01)),
@@ -52,7 +64,8 @@ def main():
     for alpha, label in ((10.0, "exploit rate 10"), (0.0, "plain")):
         rho = spectral_radius_at_ne(unit, ne, 0.1, alpha)
         print(f"spectral radius at the equilibrium, {label}: {rho:.6f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

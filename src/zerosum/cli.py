@@ -2,8 +2,8 @@
 
 Configs are JSON documents; metric series go to CSV with the fixed header
 ``t,learner,metric,value,seed,adversary_eta`` (12 significant digits, rows
-ordered by learner, metric, seed, round); each preset also writes a JSON
-manifest recording the grid, seeds, and library version.
+ordered by learner, metric, seed, adversary eta, round); each preset also
+writes a JSON manifest recording the grid, seeds, and library version.
 """
 from __future__ import annotations
 
@@ -221,28 +221,6 @@ def parse_config(text: str) -> SimulationConfig:
     )
 
 
-def _given(obj, keys) -> dict:
-    return {key: getattr(obj, key) for key in keys if getattr(obj, key) is not None}
-
-
-def config_to_json(config: SimulationConfig) -> str:
-    """Serialize a config back to its JSON document form, with only the
-    keys each kind reads."""
-    if config.game.kind == "random":
-        game = {"random": _given(config.game, ("n", "m", "seed"))}
-    else:
-        game = {"csv": config.game.path}
-    adversary = config.adversary
-    doc = {
-        "game": game,
-        "agent": _given(config.agent, ("kind", "name", *config.agent.rule.keys)),
-        "adversary": _given(adversary, ("kind", *ADVERSARY_KINDS[adversary.kind].keys)),
-        "metrics": list(config.metrics),
-        **_given(config, ("horizon", "output")),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
 @dataclass(frozen=True)
 class SeriesRecord:
     """One named metric series destined for a CSV row block."""
@@ -264,8 +242,9 @@ def _fmt(x) -> str:
 def emit_csv(records, path) -> None:
     """Write metric series rows with the fixed schema.
 
-    Rows are ordered by (learner, metric, seed, t); values carry 12
-    significant digits, so identical inputs produce byte-identical files.
+    Rows are ordered by (learner, metric, seed, adversary_eta, t); values
+    carry 12 significant digits, so identical inputs produce byte-identical
+    files.
     """
     records = sorted(
         records,
@@ -421,11 +400,15 @@ def _cmd_run(args) -> int:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """The seeds of a ``--seeds`` flag, a non-empty comma-separated list."""
+    """The seeds of a ``--seeds`` flag, a non-empty comma-separated list
+    without repeats (a repeated seed's rows could not be told apart)."""
     try:
-        return [int(tok) for tok in text.split(",")]
+        seeds = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ConfigError(f"--seeds: must be comma-separated integers, got {text!r}") from None
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seeds: must not repeat a seed, got {text!r}")
+    return seeds
 
 
 def _cmd_preset(args) -> int:

@@ -12,10 +12,11 @@ the round.  A non-oblivious adversary reacting to the agent therefore
 sees only f_1 .. f_{t-1} when choosing y_t.
 
 One two-player loop, ``_play``, runs the replay recording, reactive play
-and self-play (two ``Mwu`` learners); an oblivious agent is fed its replayed
-loss block.  Both call the learners' unchecked ``update`` and validate every
-round once the loop ends (``core.check_rounds``), at the same tolerances
-as the per-vector checks.
+and self-play (one ``learners.Amwu`` per side, fed its side's loss map);
+an oblivious agent is fed its replayed loss block.  Both call the
+learners' unchecked ``update`` and validate every round once the loop
+ends (``core.check_rounds``), at the same tolerances as the per-vector
+checks.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import metrics, nash
 from .core import MatrixGame, Trace, check_rounds
-from .learners import Aftrl, Amd, BestResponseLearner, DoublingAftrl, Mwu, ProdBr
+from .learners import Aftrl, Amd, Amwu, BestResponseLearner, DoublingAftrl, Mwu, ProdBr
 from .regularizers import ENTROPY, from_name
 
 _MASK64 = (1 << 64) - 1
@@ -349,9 +350,10 @@ def run_self_play(config: SimulationConfig, game: _Game | None = None):
     """Mirror-play both sides of the game with the agent's update rule.
 
     Supports the kinds marked ``self_play`` in ``AGENT_KINDS`` (the
-    multiplicative family): each side is an ``Mwu``, the max side fed
+    multiplicative family): each side is an ``Amwu``, the max side fed
     -A y_t and the min side A^T f_t.  Both start uniform and the first two
-    strategies coincide.  Both sides' rounds, with the losses 1 - A y_t
+    strategies coincide, as ``Amwu``'s first update takes the round-1 loss
+    as the previous one.  Both sides' rounds, with the losses 1 - A y_t
     and A^T f_t in [0, 1], are checked once the loop ends.  ``game`` is as
     for ``run_vs_adversary``.  Returns (trace_max, trace_min, series, game).
     """
@@ -362,12 +364,10 @@ def run_self_play(config: SimulationConfig, game: _Game | None = None):
     unit = game.unit
     a = unit.payoff
     rates = (config.agent.eta, config.agent.resolved_alpha())
-    row, col = Mwu(unit.n, *rates), Mwu(unit.m, *rates)
-    # round 2 repeats round 1, so each side's first update also takes the
-    # round-1 loss as the previous one
-    row.prev_loss = -(a @ col.start())
-    col.prev_loss = a.T @ row.start()
-    fs, _, ys, _ = _play(row, col, config.horizon - 1, lambda y: -(a @ y), lambda f: a.T @ f)
+    row, col = Amwu(unit, "max", *rates), Amwu(unit, "min", *rates)
+    # round 2 repeats round 1 (each side's first update takes its round-1
+    # loss as the previous one too), so the loop plays rounds 2 .. T
+    fs, _, ys, _ = _play(row, col, config.horizon - 1, row.loss, col.loss)
     fs = np.concatenate((fs[:1], fs))
     ys = np.concatenate((ys[:1], ys))
 

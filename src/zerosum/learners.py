@@ -18,14 +18,15 @@ the most recent loss vector as a prediction of the next one:
               response to the last loss, with an anchored mixture weight
 * ``DoublingAftrl``  phase-restarted Aftrl with halving learning rate
 
-The game-coupled self-play updates ``amwu_step`` / ``linear_amwu_step``
-and the ``Amwu`` wrapper take the opponent's current and previous
-strategies instead of a loss vector (the max side ascends the payoff, the
-min side descends the transposed payoff).  They are the reference kernels
-for ``nash`` and the tests; the engine's self-play runs two ``Mwu``
-learners fed -A y_t and A^T f_t, which play the same strategies exactly.
+``Amwu`` is the game-coupled self-play learner: an ``Mwu`` fed its side's
+loss of the opponent's strategy, -A y on the max side (which ascends the
+payoff) and A^T f on the min side, whose first update also takes its
+first loss as the previous one.  ``step`` takes the opponent's strategy.
+``amwu_step`` is the same update as a function of the opponent's current
+and previous strategies (``nash`` differentiates it), and
+``linear_amwu_step`` its linearization on the same drive.
 
-The previous-loss convention everywhere: x_0 is the zero vector, so first
+The previous-loss convention elsewhere: x_0 is the zero vector, so first
 steps are well defined and the initial strategy is argmin R (uniform).
 """
 from __future__ import annotations
@@ -99,14 +100,6 @@ class Aftrl(LossStreamLearner):
         return self.current
 
 
-def ftrl(n: int, eta: float, reg: Regularizer = ENTROPY) -> Aftrl:
-    return Aftrl(n, eta, alpha=0.0, reg=reg)
-
-
-def oftrl(n: int, eta: float, reg: Regularizer = ENTROPY) -> Aftrl:
-    return Aftrl(n, eta, alpha=1.0, reg=reg)
-
-
 class Amd(LossStreamLearner):
     """Mirror-descent learner with an exploit-weighted prediction step.
 
@@ -136,9 +129,14 @@ class Amd(LossStreamLearner):
         return self.current
 
 
+def _drive(x: np.ndarray, x_prev: np.ndarray, alpha: float) -> np.ndarray:
+    """The exploit-weighted loss (1+alpha) x_t - alpha x_{t-1}."""
+    return (1.0 + alpha) * x - alpha * x_prev
+
+
 class Mwu(LossStreamLearner):
     """Multiplicative weights on a loss stream, driven by the exploit-weighted
-    loss (1+alpha) x_t - alpha x_{t-1} (the loss-stream form of ``amwu_step``)."""
+    loss: f_{t+1} ∝ f_t exp(-eta ((1+alpha) x_t - alpha x_{t-1}))."""
 
     def __init__(self, n: int, eta: float, alpha: float = 0.0):
         check_rates(eta, alpha)
@@ -149,7 +147,7 @@ class Mwu(LossStreamLearner):
         self.prev_loss = np.zeros(n)
 
     def update(self, observed: np.ndarray) -> np.ndarray:
-        drive = (1.0 + self.alpha) * observed - self.alpha * self.prev_loss
+        drive = _drive(observed, self.prev_loss, self.alpha)
         self.current = floored_softmax(-self.eta * drive, self.current)
         self.prev_loss = observed
         return self.current
@@ -162,15 +160,38 @@ class Omwu(Mwu):
         super().__init__(n, eta, alpha=1.0)
 
 
-def _amwu_drive(game: MatrixGame, opp_now, opp_prev, side: str, alpha: float) -> np.ndarray:
-    """The per-action drive (alpha+1) A y_t - alpha A y_{t-1} (max side)
-    or its negated transpose analogue (min side)."""
-    a = game.payoff
-    if side == "max":
-        return (alpha + 1.0) * (a @ opp_now) - alpha * (a @ opp_prev)
-    if side == "min":
-        return -((alpha + 1.0) * (a.T @ opp_now) - alpha * (a.T @ opp_prev))
-    raise ValueError(f"side must be 'max' or 'min', got {side!r}")
+class Amwu(Mwu):
+    """``Mwu`` on one side of a game, fed that side's loss of the opponent's
+    strategy: ``loss(y) = -A y`` on the max side, ``loss(f) = A^T f`` on the
+    min side.
+
+    ``step`` takes the opponent's strategy; ``update`` takes the loss, and
+    its first call also takes that loss as the previous one.  ``alpha=0``
+    recovers plain MWU dynamics and ``alpha=1`` the optimistic variant.
+    """
+
+    def __init__(self, game: MatrixGame, side: str, eta: float, alpha: float):
+        self.loss = self.side_loss(game, side)
+        super().__init__(game.n if side == "max" else game.m, eta, alpha)
+        self.prev_loss = None
+
+    @staticmethod
+    def side_loss(game: MatrixGame, side: str):
+        """The map from the opponent's strategy to ``side``'s loss vector."""
+        a = game.payoff
+        if side == "max":
+            return lambda y: -(a @ y)
+        if side == "min":
+            return lambda f: a.T @ f
+        raise ValueError(f"side must be 'max' or 'min', got {side!r}")
+
+    def update(self, observed: np.ndarray) -> np.ndarray:
+        if self.prev_loss is None:
+            self.prev_loss = observed
+        return Mwu.update(self, observed)  # per round: no super() object
+
+    def step(self, opp_now: np.ndarray) -> np.ndarray:
+        return check_strategy(self.update(self.loss(np.asarray(opp_now, dtype=float))))
 
 
 def amwu_step(
@@ -182,15 +203,17 @@ def amwu_step(
     eta: float,
     alpha: float,
 ) -> np.ndarray:
-    """One exponential self-play update.
+    """One exponential self-play update: the ``Mwu`` kernel on ``side``'s
+    losses of the opponent's current and previous strategies.
 
     Max side: f'(i) ∝ f(i) exp(eta ((alpha+1) (A y)_i - alpha (A y_prev)_i)).
     Min side: y'(i) ∝ y(i) exp(-eta ((alpha+1) (A^T f)_i - alpha (A^T f_prev)_i)).
     """
-    drive = _amwu_drive(game, opp_now, opp_prev, side, alpha)
+    loss = Amwu.side_loss(game, side)
+    drive = _drive(loss(opp_now), loss(opp_prev), alpha)
     if current.shape != drive.shape:
         raise ValueError(f"dimension mismatch: {current.shape} vs {drive.shape}")
-    return floored_softmax(eta * drive, current)
+    return floored_softmax(-eta * drive, current)
 
 
 def linear_amwu_step(
@@ -202,54 +225,20 @@ def linear_amwu_step(
     eta: float,
     alpha: float,
 ) -> np.ndarray:
-    """The linearized self-play update with multipliers 1 + eta * drive.
+    """The linearized self-play update with multipliers 1 - eta * drive,
+    on the same loss drive as ``amwu_step``.
 
     Valid only while every multiplier stays positive; raises otherwise
     (eta too large for the payoff scale).
     """
-    drive = _amwu_drive(game, opp_now, opp_prev, side, alpha)
-    mult = 1.0 + eta * drive
+    loss = Amwu.side_loss(game, side)
+    mult = 1.0 - eta * _drive(loss(opp_now), loss(opp_prev), alpha)
     if mult.min() <= 0.0:
         raise ValueError(
             f"nonpositive multiplier {mult.min()}: eta={eta} too large for this payoff scale"
         )
     w = current * mult
     return w / w.sum()
-
-
-class Amwu:
-    """Stateful wrapper for self-play updates on one side of a game.
-
-    Tracks the opponent's previous strategy; on the first step it is taken
-    equal to the current one.  ``alpha=0`` recovers plain MWU dynamics and
-    ``alpha=1`` the optimistic variant.
-    """
-
-    def __init__(self, game: MatrixGame, side: str, eta: float, alpha: float, linear: bool = False):
-        if side not in ("max", "min"):
-            raise ValueError(f"side must be 'max' or 'min', got {side!r}")
-        check_rates(eta, alpha)
-        self.game = game
-        self.side = side
-        self.eta = eta
-        self.alpha = alpha
-        self.linear = linear
-        self.n = game.n if side == "max" else game.m
-        self.current = uniform(self.n)
-        self.opp_prev: np.ndarray | None = None
-
-    def start(self) -> np.ndarray:
-        return self.current
-
-    def step(self, opp_now: np.ndarray) -> np.ndarray:
-        opp_now = np.asarray(opp_now, dtype=float)
-        prev = self.opp_prev if self.opp_prev is not None else opp_now
-        kernel = linear_amwu_step if self.linear else amwu_step
-        self.current = kernel(
-            self.current, self.game, opp_now, prev, self.side, self.eta, self.alpha
-        )
-        self.opp_prev = opp_now
-        return check_strategy(self.current)
 
 
 class BestResponseLearner(LossStreamLearner):

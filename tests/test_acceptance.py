@@ -36,7 +36,6 @@ from zerosum.learners import (
     ProdBr,
     amwu_step,
     linear_amwu_step,
-    oftrl,
 )
 from zerosum.metrics import beta_close, exploitability, external_regret, forward_comparators
 from zerosum.nash import solve_zero_sum, spectral_radius_at_ne
@@ -65,7 +64,7 @@ def test_criterion_01_equivalences():
         # leader with no exploit weight vs incremental multiplicative weights
         a1, m1 = Aftrl(n, 0.05, 0.0, ENTROPY), Mwu(n, 0.05)
         # leader with exploit weight one vs incremental optimistic update
-        a2, o2 = oftrl(n, 0.05), Omwu(n, 0.05)
+        a2, o2 = Aftrl(n, 0.05, alpha=1.0), Omwu(n, 0.05)
         # euclidean leader vs direct projection oracle
         a3 = Aftrl(n, 0.05, 0.0, SQUARED_L2)
         cum = np.zeros(n)

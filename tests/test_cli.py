@@ -14,7 +14,6 @@ from zerosum.cli import (
     ConfigError,
     SeriesRecord,
     centered_random_game,
-    config_to_json,
     emit_csv,
     main,
     parse_config,
@@ -92,17 +91,6 @@ class TestParseConfig:
                 adversary={"kind": "self_play"})
         )
         assert set(cfg.metrics) == {"exploitability", "kl_to_ne"}
-
-    def test_round_trip(self):
-        for document in (
-            doc(),
-            doc(agent={"kind": "AMWU", "eta": 0.01, "b": 0.5}, metrics=["external_regret"]),
-            doc(adversary={"kind": "self_play"},
-                agent={"kind": "OMWU", "eta": 1.0, "name": "OMWU1"}),
-        ):
-            cfg = parse_config(document)
-            again = parse_config(config_to_json(cfg))
-            assert again == cfg
 
 
 class TestEmitCsv:
@@ -234,6 +222,7 @@ class TestMainCommands:
             (["preset", "spectral-certificate", "--out", "{out}", "--parallelism", "0"],
              "--parallelism"),
             (["preset", "oblivious-loss", "--out", "{out}", "--parallelism", "-2"], "--parallelism"),
+            (["preset", "spectral-certificate", "--out", "{out}", "--seeds", "1,1"], "--seeds"),
         ],
     )
     def test_bad_flag_is_one_error_line(self, tmp_path, capsys, argv, flag):
@@ -263,8 +252,9 @@ class TestSeeds:
             # checked before the valid preset named first runs
             ["--presets", "spectral-certificate,bogus"],
             ["--presets", "spectral-certificate", "--parallelism", "0"],
+            ["--presets", "spectral-certificate", "--seeds", "1,1"],
         ],
-        ids=["1,x", "", "presets", "parallelism"],
+        ids=["1,x", "", "presets", "parallelism", "1,1"],
     )
     def test_script_bad_seeds_is_one_error_line(self, tmp_path, capsys, monkeypatch, flags):
         script = Path(__file__).resolve().parents[1] / "scripts" / "run_presets.py"
@@ -277,6 +267,29 @@ class TestSeeds:
         bad_flag = flags[-2]
         assert captured.err.startswith(f"error: {bad_flag}: ") and captured.err.count("\n") == 1
         assert not out.exists()
+
+
+def _demo_main(monkeypatch, *flags):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "convergence_demo.py"
+    monkeypatch.setattr(sys, "argv", ["convergence_demo.py", *flags])
+    return runpy.run_path(str(script))["main"]()
+
+
+class TestConvergenceDemo:
+    def test_short_horizon_keeps_its_checkpoints(self, capsys, monkeypatch):
+        assert _demo_main(monkeypatch, "--size", "3", "--horizon", "50") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["agent", "t=25", "t=50"]
+        assert all(len(line.split()) == 3 for line in lines[2:5])
+
+    @pytest.mark.parametrize(
+        "flags", [["--size", "1"], ["--horizon", "1"], ["--size", "3", "--horizon", "0"]]
+    )
+    def test_bad_flag_is_one_error_line(self, capsys, monkeypatch, flags):
+        assert _demo_main(monkeypatch, *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flags[-2]}: ") and captured.err.count("\n") == 1
 
 
 def _probe(agent=None, adversary=None, **top):
@@ -403,4 +416,3 @@ class TestParseConfigProperty:
         series = run_config(config)
         assert set(series) == set(config.metrics)
         assert all(np.all(np.isfinite(v)) for v in series.values())
-        assert parse_config(config_to_json(config)) == config

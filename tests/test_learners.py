@@ -15,9 +15,7 @@ from zerosum.learners import (
     ProdBr,
     amwu_step,
     best_response,
-    ftrl,
     linear_amwu_step,
-    oftrl,
 )
 from zerosum.metrics import external_regret, forward_comparators
 from zerosum.regularizers import ENTROPY, SQUARED_L2, bregman_prox, regularized_argmin
@@ -36,16 +34,19 @@ def run_recording(agent, xs):
 
 class TestAftrl:
     def test_zero_losses_stay_uniform(self):
-        agent = ftrl(2, eta=1.0)
+        agent = Aftrl(2, eta=1.0, alpha=0.0)
         np.testing.assert_allclose(agent.step(np.zeros(2)), [0.5, 0.5])
 
     def test_alpha_zero_is_ftrl(self):
         rng = np.random.default_rng(0)
         xs = rng.uniform(0, 1, (100, 4))
+        # the entropic leader of the cumulative loss, f ∝ exp(-eta sum x_s)
         a = Aftrl(4, 0.2, alpha=0.0)
-        b = ftrl(4, 0.2)
+        cum = np.zeros(4)
         for x in xs:
-            np.testing.assert_array_equal(a.step(x), b.step(x))
+            cum += x
+            e = np.exp(-0.2 * cum)
+            np.testing.assert_allclose(a.step(x), e / e.sum(), rtol=0, atol=1e-12)
 
     def test_exploit_weighted_first_step(self):
         # cumulative (0,1) + 2*(0,1) = (0,3); softmax(-(0,3))
@@ -204,6 +205,27 @@ class TestAmwuWrapper:
         )
         np.testing.assert_allclose(got, ref, atol=1e-15)
 
+    @pytest.mark.parametrize("side", ["max", "min"])
+    def test_is_mwu_fed_its_side_loss(self, side):
+        # max side: loss -A y; min side: loss A^T f; the first loss primes x_{t-1}
+        rng = np.random.default_rng(3)
+        game = MatrixGame(rng.uniform(-1.0, 1.0, (5, 3)))
+        a = game.payoff
+        k, opp_k = (game.n, game.m) if side == "max" else (game.m, game.n)
+        loss = (lambda y: -(a @ y)) if side == "max" else (lambda f: a.T @ f)
+        opp = rng.dirichlet(np.ones(opp_k), size=60)
+        agent = Amwu(game, side, 0.3, 2.5)
+        ref = Mwu(k, 0.3, 2.5)
+        ref.prev_loss = loss(opp[0])
+        for o in opp:
+            np.testing.assert_array_equal(agent.step(o), ref.update(loss(o)))
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="side must be 'max' or 'min'"):
+            Amwu(MP, "row", eta=0.1, alpha=1.0)
+        with pytest.raises(ValueError, match="side must be 'max' or 'min'"):
+            amwu_step(np.array([0.5, 0.5]), MP, np.array([0.5, 0.5]),
+                      np.array([0.5, 0.5]), "row", 0.1, 1.0)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -621,7 +643,7 @@ class TestEquivalences:
     def test_aftrl_one_matches_omwu(self):
         rng = np.random.default_rng(20)
         xs = rng.uniform(0, 1, (1000, 8))
-        a = oftrl(8, 0.05)
+        a = Aftrl(8, 0.05, alpha=1.0)
         o = Omwu(8, 0.05)
         worst = 0.0
         for x in xs:
