@@ -11,7 +11,7 @@ Example:
 import argparse
 import sys
 
-from zerosum.cli import _number
+from zerosum.cli import parse_number, report_errors
 from zerosum.engine import (
     AdversarySpec,
     AgentSpec,
@@ -22,35 +22,26 @@ from zerosum.engine import (
 from zerosum.nash import solve_zero_sum, spectral_radius_at_ne
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=12)
-    parser.add_argument("--size", type=int, default=20)
-    parser.add_argument("--horizon", type=int, default=20_000)
-    args = parser.parse_args()
-    try:
-        _number(args.size, "--size", 2, integer=True)
-        _number(args.horizon, "--horizon", 2, integer=True)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def run(args) -> int:
+    seed = parse_number(args.seed, "--seed", integer=True)
+    size = parse_number(args.size, "--size", 2, integer=True)
+    T = parse_number(args.horizon, "--horizon", 2, integer=True)
 
-    T = args.horizon
     checkpoints = sorted({c for c in (100, 1000, T // 2, T) if c <= T})
     agents = [
         ("MWU", AgentSpec(kind="MWU", eta=0.01)),
         ("OMWU", AgentSpec(kind="OMWU", eta=0.01)),
         ("AMWU(alpha=100)", AgentSpec(kind="AMWU", eta=0.01, alpha=100.0)),
     ]
-    game_spec = GameSpec(kind="random", n=args.size, m=args.size, seed=args.seed)
+    game_spec = GameSpec(kind="random", n=size, m=size, seed=seed)
 
-    print(f"random {args.size}x{args.size} game, seed {args.seed}, T={args.horizon}")
+    print(f"random {size}x{size} game, seed {seed}, T={T}")
     print(f"{'agent':>18} " + " ".join(f"t={c:<8d}" for c in checkpoints))
     unit = None
     for label, spec in agents:
         cfg = SimulationConfig(
             game=game_spec,
-            horizon=args.horizon,
+            horizon=T,
             agent=spec,
             adversary=AdversarySpec(kind="self_play"),
             metrics=("exploitability",),
@@ -65,6 +56,14 @@ def main() -> int:
         rho = spectral_radius_at_ne(unit, ne, 0.1, alpha)
         print(f"spectral radius at the equilibrium, {label}: {rho:.6f}")
     return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seed", default="12")
+    parser.add_argument("--size", default="20")
+    parser.add_argument("--horizon", default="20000")
+    return report_errors(run, parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -13,32 +13,19 @@ import hashlib
 import sys
 from pathlib import Path
 
-from zerosum.cli import PRESETS, _number, parse_seeds, run_preset
+from zerosum.cli import PRESETS, parse_number, parse_seeds, report_errors, run_preset
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", required=True, help="output root directory")
-    parser.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seeds")
-    parser.add_argument(
-        "--presets", default=",".join(PRESETS),
-        help=f"comma-separated preset names (default: all of {', '.join(PRESETS)})"
-    )
-    parser.add_argument("--parallelism", type=int, default=4)
-    args = parser.parse_args()
-
+def run(args) -> int:
+    # every flag is checked before any preset runs
+    seeds = parse_seeds(args.seeds)
+    parallelism = parse_number(args.parallelism, "--parallelism", 1, integer=True)
     names = args.presets.split(",")
-    try:  # every flag is checked before any preset runs
-        seeds = parse_seeds(args.seeds)
-        parallelism = _number(args.parallelism, "--parallelism", 1, integer=True)
-        for name in names:
-            if name not in PRESETS:
-                raise ValueError(
-                    f"--presets: unknown preset {name!r}; valid presets: {', '.join(PRESETS)}"
-                )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for name in names:
+        if name not in PRESETS:
+            raise ValueError(
+                f"--presets: unknown preset {name!r}; valid presets: {', '.join(PRESETS)}"
+            )
     failures = 0
     for name in names:
         out_dir = Path(args.out) / name
@@ -50,6 +37,18 @@ def main() -> int:
         print(f"{failures} run(s) failed; see the manifests", file=sys.stderr)
         return 1
     return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", required=True, help="output root directory")
+    parser.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seeds")
+    parser.add_argument(
+        "--presets", default=",".join(PRESETS),
+        help=f"comma-separated preset names (default: all of {', '.join(PRESETS)})"
+    )
+    parser.add_argument("--parallelism", default="4")
+    return report_errors(run, parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .engine import (
     AgentSpec,
     GameSpec,
     SimulationConfig,
+    check_self_play,
     grid_run,
     make_random_game,
     run_config,
@@ -132,6 +133,16 @@ def _number(value, key: str, low: float = -math.inf, above: bool = False, intege
     return value if integer else float(value)
 
 
+def parse_number(text: str, key: str, low: float = -math.inf, above=False, integer=False):
+    """The number that a flag's ``text`` spells, checked by ``_number``; ``key``
+    is the flag."""
+    try:
+        value = int(text) if integer else float(text)
+    except ValueError:
+        value = text  # not a number: _number names it
+    return _number(value, key, low, above, integer)
+
+
 # How the value of each config key is checked, whichever object holds it.
 _CHECKS = {
     **dict.fromkeys(("horizon", "n", "m"), lambda v, key: _number(v, key, 2, integer=True)),
@@ -204,9 +215,11 @@ def parse_config(text: str) -> SimulationConfig:
     adv_doc = _object(doc, "adversary")
     adv_kind, adv_rule = _kind(adv_doc, "adversary", ADVERSARY_KINDS)
     adversary = AdversarySpec(kind=adv_kind, **_fields(adv_doc, adv_rule.keys, "adversary."))
-    if adv_kind == "self_play" and not rule.self_play:
-        able = ", ".join(k for k, r in AGENT_KINDS.items() if r.self_play)
-        raise ConfigError(f"agent.kind: self_play needs one of {able}, got {kind!r}")
+    if adv_kind == "self_play":
+        try:
+            check_self_play(agent)
+        except ValueError as exc:
+            raise ConfigError(f"agent.kind: {exc}") from None
 
     names = doc.get("metrics", [])
     if not isinstance(names, list):
@@ -413,43 +426,38 @@ def parse_seeds(text: str) -> list[int]:
 
 def _cmd_preset(args) -> int:
     seeds = parse_seeds(args.seeds)
-    parallelism = _number(args.parallelism, "--parallelism", 1, integer=True)
+    parallelism = parse_number(args.parallelism, "--parallelism", 1, integer=True)
     failures = run_preset(args.name, args.out, seeds, parallelism=parallelism)
     return 1 if failures else 0
 
 
 def _cmd_solve(args) -> int:
-    game = MatrixGame.from_csv(args.matrix)
-    ne = solve_zero_sum(game)
-    print(
-        json.dumps(
-            {
-                "f_star": [float(v) for v in ne.f_star],
-                "y_star": [float(v) for v in ne.y_star],
-                "value": ne.value,
-                "gap": ne.gap,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-    )
+    ne = solve_zero_sum(MatrixGame.from_csv(args.matrix))
+    f, y = ne.f_star.tolist(), ne.y_star.tolist()
+    doc = {"f_star": f, "y_star": y, "value": ne.value, "gap": ne.gap}
+    print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 
 
 def _cmd_certify(args) -> int:
-    _number(args.eta, "--eta", 0, above=True)
-    _number(args.alpha, "--alpha", 0)
+    eta = parse_number(args.eta, "--eta", 0, above=True)
+    alpha = parse_number(args.alpha, "--alpha", 0)
     game = MatrixGame.from_csv(args.matrix)
     ne = solve_zero_sum(game)
-    rho = spectral_radius_at_ne(game, ne, args.eta, args.alpha)
-    print(
-        json.dumps(
-            {"eta": args.eta, "alpha": args.alpha, "spectral_radius": rho},
-            sort_keys=True,
-            indent=2,
-        )
-    )
+    rho = spectral_radius_at_ne(game, ne, eta, alpha)
+    doc = {"eta": eta, "alpha": alpha, "spectral_radius": rho}
+    print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
+
+
+def report_errors(command: Callable, args) -> int:
+    """``command(args)``; a ValueError or OSError ends in one ``error:`` line on
+    stderr and exit code 2.  ``main`` and the scripts report errors so."""
+    try:
+        return command(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:
@@ -467,7 +475,7 @@ def main(argv=None) -> int:
     p_preset.add_argument("name", help=f"one of: {', '.join(PRESETS)}")
     p_preset.add_argument("--out", required=True, help="output directory")
     p_preset.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seed list")
-    p_preset.add_argument("--parallelism", type=int, default=4)
+    p_preset.add_argument("--parallelism", default="4")
     p_preset.set_defaults(func=_cmd_preset)
 
     p_solve = sub.add_parser("solve", help="solve a matrix game from CSV, print the equilibrium")
@@ -476,16 +484,12 @@ def main(argv=None) -> int:
 
     p_cert = sub.add_parser("certify", help="spectral radius of the self-play update at the NE")
     p_cert.add_argument("matrix", help="path to a payoff matrix CSV")
-    p_cert.add_argument("--eta", type=float, required=True)
-    p_cert.add_argument("--alpha", type=float, required=True)
+    p_cert.add_argument("--eta", required=True)
+    p_cert.add_argument("--alpha", required=True)
     p_cert.set_defaults(func=_cmd_certify)
 
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return report_errors(args.func, args)
 
 
 if __name__ == "__main__":

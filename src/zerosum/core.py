@@ -9,9 +9,14 @@ Conventions used throughout the package:
 * a payoff matrix stores the row player's payoff for each pure pair.
 
 All numerics are float64.
+
+The checks of vectors and rates are written once, here: one test per
+vector kind, which ``check_strategy`` and ``check_loss_vector`` run on one
+vector and ``check_rounds`` on a run's blocks, and ``check_rates``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,83 +36,83 @@ def uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
+def check_rates(eta: float, alpha: float = 0.0) -> None:
+    """Reject a learning rate that is not positive and finite, or an
+    exploit rate that is negative or not finite."""
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
+
+
+def _vectors(v: np.ndarray, ndim: int, context: str) -> np.ndarray:
+    """``v`` as C-contiguous floats with ``ndim`` axes: a C-contiguous row
+    sums bit for bit as the same row alone does."""
+    v = np.ascontiguousarray(v, dtype=float)
+    if v.ndim != ndim:
+        want = "a 1-D vector" if ndim == 1 else "a 2-D block of rows"
+        raise ValueError(f"{context}: expected {want}, got shape {v.shape}")
+    return v
+
+
+def _first_fault(v: np.ndarray, kind: str) -> tuple[int, str] | None:
+    """The first row of ``v`` (a 1-D ``v`` is one row) that fails the test of
+    a ``kind`` vector, "strategy" or "loss", and the message of the first part
+    of the test it fails; None if every row passes.  A non-finite entry fails
+    each test: it is out of range, and it makes its row's sum non-finite."""
+    v = np.atleast_2d(v)
+    if kind == "loss":
+        bad = ~((v >= -LOSS_ATOL) & (v <= 1.0 + LOSS_ATOL)).all(axis=-1)
+    else:
+        negative = (v < -SIMPLEX_ATOL).any(axis=-1)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or past the float range
+            total = v.sum(axis=-1)
+        bad = negative | ~(np.abs(total - 1.0) <= SIMPLEX_ATOL)
+    failed = np.flatnonzero(bad)
+    if failed.size == 0:
+        return None
+    t = int(failed[0])
+    row = v[t]
+    if not np.isfinite(row).all():
+        return t, "non-finite entries"
+    if kind == "loss":
+        return t, f"entries outside [0, 1]: min={row.min()}, max={row.max()}"
+    if negative[t]:
+        return t, f"negative entry {row.min()}"
+    return t, f"entries sum to {total[t]}, not 1"
+
+
 def check_strategy(w: np.ndarray, context: str = "strategy") -> np.ndarray:
-    """Validate a strategy vector; returns it unchanged."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise ValueError(f"{context}: expected a 1-D vector, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"{context}: non-finite entries")
-    if w.min(initial=0.0) < -SIMPLEX_ATOL:
-        raise ValueError(f"{context}: negative entry {w.min()}")
-    s = w.sum()
-    if abs(s - 1.0) > SIMPLEX_ATOL:
-        raise ValueError(f"{context}: entries sum to {s}, not 1")
+    """Validate a strategy vector; returns it as C-contiguous floats."""
+    w = _vectors(w, 1, context)
+    if fault := _first_fault(w, "strategy"):
+        raise ValueError(f"{context}: {fault[1]}")
     return w
 
 
 def check_loss_vector(x: np.ndarray, context: str = "loss vector") -> np.ndarray:
-    """Validate a loss vector with entries in [0, 1]; returns it unchanged."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"{context}: expected a 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{context}: non-finite entries")
-    if x.min(initial=0.0) < -LOSS_ATOL or x.max(initial=0.0) > 1.0 + LOSS_ATOL:
-        raise ValueError(f"{context}: entries outside [0, 1]: min={x.min()}, max={x.max()}")
+    """Validate a loss vector with entries in [0, 1]; returns it as C-contiguous floats."""
+    x = _vectors(x, 1, context)
+    if fault := _first_fault(x, "loss"):
+        raise ValueError(f"{context}: {fault[1]}")
     return x
-
-
-def _rows(block: np.ndarray, context: str) -> np.ndarray:
-    block = np.asarray(block, dtype=float)
-    if block.ndim != 2:
-        raise ValueError(f"{context}: expected a 2-D block of rows, got shape {block.shape}")
-    return block
-
-
-def _suspect_strategy_rows(s: np.ndarray) -> np.ndarray:
-    """Rows that may fail ``check_strategy``.
-
-    Min and finiteness tests are exact; a row sum may round differently
-    from the vector's, so the sum test flags rows at half the tolerance
-    and each flagged row is rechecked by ``check_strategy`` itself.
-    """
-    with np.errstate(invalid="ignore"):
-        return (
-            ~np.isfinite(s).all(axis=1)
-            | (s.min(axis=1, initial=0.0) < -SIMPLEX_ATOL)
-            | (np.abs(s.sum(axis=1) - 1.0) > 0.5 * SIMPLEX_ATOL)
-        )
-
-
-def _suspect_loss_rows(x: np.ndarray) -> np.ndarray:
-    """Rows that fail ``check_loss_vector`` (all its tests are exact)."""
-    return (
-        ~np.isfinite(x).all(axis=1)
-        | (x.min(axis=1, initial=0.0) < -LOSS_ATOL)
-        | (x.max(axis=1, initial=0.0) > 1.0 + LOSS_ATOL)
-    )
 
 
 def check_rounds(strategies: np.ndarray, losses: np.ndarray, context: str = "round") -> None:
     """Validate a run's strategy and loss blocks, one row per round, at once.
 
-    Every row meets the test of ``check_strategy`` or ``check_loss_vector``
-    at the same tolerance.  The error is that vector check's own, raised
+    Every row meets the same test as ``check_strategy`` or
+    ``check_loss_vector``, and the error is that vector check's own, raised
     for the first bad round, with the round (1-based) named in its context;
     within a round the strategy comes before the loss.
     """
-    s = _rows(strategies, f"{context} strategies")
-    x = _rows(losses, f"{context} losses")
-    suspects = sorted(
-        [(int(t), 0) for t in np.flatnonzero(_suspect_strategy_rows(s))]
-        + [(int(t), 1) for t in np.flatnonzero(_suspect_loss_rows(x))]
-    )
-    for t, kind in suspects:
-        if kind == 0:
-            check_strategy(s[t], context=f"{context} {t + 1} strategy")
-        else:
-            check_loss_vector(x[t], context=f"{context} {t + 1} loss")
+    s = _vectors(strategies, 2, f"{context} strategies")
+    x = _vectors(losses, 2, f"{context} losses")
+    bad_s, bad_x = _first_fault(s, "strategy"), _first_fault(x, "loss")
+    if bad_s and not (bad_x and bad_x[0] < bad_s[0]):
+        raise ValueError(f"{context} {bad_s[0] + 1} strategy: {bad_s[1]}")
+    if bad_x:
+        raise ValueError(f"{context} {bad_x[0] + 1} loss: {bad_x[1]}")
 
 
 def inner(a: np.ndarray, x: np.ndarray) -> float:

@@ -252,6 +252,13 @@ def build_agent(spec: AgentSpec, n: int, horizon: int):
     return spec.rule.build(n, spec.eta, spec.resolved_alpha(), reg, horizon)
 
 
+def check_self_play(agent: AgentSpec) -> None:
+    """Reject an agent whose kind is not marked ``self_play`` in ``AGENT_KINDS``."""
+    if not agent.rule.self_play:
+        able = ", ".join(kind for kind, rule in AGENT_KINDS.items() if rule.self_play)
+        raise ValueError(f"self_play needs one of {able}, got {agent.kind!r}")
+
+
 def _play(row, col, T: int, row_loss: Callable, col_loss: Callable):
     """T simultaneous rounds of two loss-stream learners.
 
@@ -357,9 +364,7 @@ def run_self_play(config: SimulationConfig, game: _Game | None = None):
     and A^T f_t in [0, 1], are checked once the loop ends.  ``game`` is as
     for ``run_vs_adversary``.  Returns (trace_max, trace_min, series, game).
     """
-    if not config.agent.rule.self_play:
-        able = "/".join(kind for kind, rule in AGENT_KINDS.items() if rule.self_play)
-        raise ValueError(f"self-play supports {able}, got {config.agent.kind!r}")
+    check_self_play(config.agent)
     game = game or _Game(config.game)
     unit = game.unit
     a = unit.payoff

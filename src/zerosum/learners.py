@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .core import MatrixGame, check_loss_vector, check_strategy, l_norm, uniform
+from .core import MatrixGame, check_loss_vector, check_rates, check_strategy, l_norm, uniform
 from .regularizers import ENTROPY, Regularizer, floored_softmax
 
 BR_TIE_ATOL = 1e-12
@@ -53,20 +53,18 @@ def best_response(observed: np.ndarray) -> np.ndarray:
     return mask / mask.sum()
 
 
-def check_rates(eta: float, alpha: float) -> None:
-    """Reject a learning rate that is not positive and finite, or an
-    exploit rate that is negative or not finite."""
-    if not 0.0 < eta < math.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta}")
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
-
-
 class LossStreamLearner:
     """Base of the loss-stream learners: ``start``, checked ``step``, unchecked ``update``."""
 
     n: int
     current: np.ndarray
+
+    def __init__(self, n: int, eta: float, alpha: float):
+        """Check the rates ``eta`` and ``alpha`` and start at the uniform
+        strategy; the learners without rates set their own state."""
+        check_rates(eta, alpha)
+        self.n, self.eta, self.alpha = n, eta, alpha
+        self.current = uniform(n)
 
     def start(self) -> np.ndarray:
         return self.current
@@ -86,13 +84,9 @@ class Aftrl(LossStreamLearner):
     """Leader-style learner with exploit rate ``alpha`` on the latest loss."""
 
     def __init__(self, n: int, eta: float, alpha: float = 0.0, reg: Regularizer = ENTROPY):
-        check_rates(eta, alpha)
-        self.n = n
-        self.eta = eta
-        self.alpha = alpha
+        super().__init__(n, eta, alpha)
         self.reg = reg
         self.cumulative = np.zeros(n)
-        self.current = uniform(n)
 
     def update(self, observed: np.ndarray) -> np.ndarray:
         self.cumulative = self.cumulative + observed
@@ -105,23 +99,16 @@ class Amd(LossStreamLearner):
 
     On observing x_t: g_{t+1} = prox(g_t, x_t), then the played strategy
     f_{t+1} = prox(g_{t+1}, alpha * x_t); the prediction of x_{t+1} is x_t.
-    ``g_history`` records the secondary sequence g_2, g_3, ... for
-    post-hoc inequality checks.
+    ``secondary`` is the latest g.
     """
 
     def __init__(self, n: int, eta: float, alpha: float = 1.0, reg: Regularizer = ENTROPY):
-        check_rates(eta, alpha)
-        self.n = n
-        self.eta = eta
-        self.alpha = alpha
+        super().__init__(n, eta, alpha)
         self.reg = reg
         self.secondary = uniform(n)
-        self.current = uniform(n)
-        self.g_history: list[np.ndarray] = []
 
     def update(self, observed: np.ndarray) -> np.ndarray:
         self.secondary = self.reg.prox(self.secondary, -self.eta * observed)
-        self.g_history.append(self.secondary)
         if self.alpha == 0.0:
             self.current = self.secondary
         else:
@@ -139,11 +126,7 @@ class Mwu(LossStreamLearner):
     loss: f_{t+1} ∝ f_t exp(-eta ((1+alpha) x_t - alpha x_{t-1}))."""
 
     def __init__(self, n: int, eta: float, alpha: float = 0.0):
-        check_rates(eta, alpha)
-        self.n = n
-        self.eta = eta
-        self.alpha = alpha
-        self.current = uniform(n)
+        super().__init__(n, eta, alpha)
         self.prev_loss = np.zeros(n)
 
     def update(self, observed: np.ndarray) -> np.ndarray:
@@ -263,9 +246,7 @@ class ProdBr(LossStreamLearner):
     each round, using the pair that was mixed for the round just scored.
     """
 
-    def __init__(self, n: int, horizon: int | None = None, reg: Regularizer = ENTROPY):
-        if horizon is None:
-            raise ValueError("ProdBr requires the horizon T at construction")
+    def __init__(self, n: int, horizon: int, reg: Regularizer = ENTROPY):
         if horizon < 2:
             raise ValueError(f"horizon must be at least 2, got {horizon}")
         self.n = n

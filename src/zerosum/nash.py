@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MatrixGame
-from .learners import amwu_step, check_rates
+from .core import MatrixGame, check_rates
+from .learners import amwu_step
 from .metrics import exploitability
 
 GAP_TOL = 1e-9
 _PIVOT_TOL = 1e-11
+FD_STEP = 1e-6  # the central-difference step of the Jacobian, per coordinate
+_SQUARINGS = 20  # the Gelfand estimate takes the norm of J^(2^20)
 
 
 @dataclass(frozen=True)
@@ -148,12 +150,12 @@ def _unpack(vec: np.ndarray, n: int, m: int):
     return vec[:n], vec[n : n + m], vec[n + m : 2 * n + m], vec[2 * n + m :]
 
 
-def _gelfand_radius(mat: np.ndarray, squarings: int = 20) -> float:
+def _gelfand_radius(mat: np.ndarray) -> float:
     """Spectral radius estimate ||J^(2^k)||^(1/2^k) with per-step rescaling."""
     m = mat.astype(float)
     log_scale = 0.0
     power = 1.0
-    for _ in range(squarings):
+    for _ in range(_SQUARINGS):
         norm = np.linalg.norm(m)
         if norm == 0.0:
             return 0.0
@@ -166,21 +168,15 @@ def _gelfand_radius(mat: np.ndarray, squarings: int = 20) -> float:
     return float(np.exp((log_scale + np.log(norm)) / power))
 
 
-def spectral_radius_at_ne(
-    game: MatrixGame,
-    ne: NashSolution,
-    eta: float,
-    alpha: float,
-    fd_step: float = 1e-6,
-) -> float:
+def spectral_radius_at_ne(game: MatrixGame, ne: NashSolution, eta: float, alpha: float) -> float:
     """Spectral radius of the self-play update Jacobian at the equilibrium.
 
     The Jacobian of the normalized update map (normalization differentiated
     as part of the map) is built by central finite differences with step
-    ``fd_step`` per coordinate, then fed to the Gelfand estimate.  Accuracy
+    ``FD_STEP`` per coordinate, then fed to the Gelfand estimate.  Accuracy
     is about 1e-3 relative; a radius below one certifies local last-iterate
     convergence, above one local divergence.  ``eta`` must be positive and
-    ``alpha`` nonnegative, both finite, as for ``learners.Amwu``.
+    ``alpha`` nonnegative, both finite (``core.check_rates``).
     """
     check_rates(eta, alpha)
     n, m = game.n, game.m
@@ -189,12 +185,12 @@ def spectral_radius_at_ne(
     jac = np.empty((dim, dim))
     for j in range(dim):
         xp = x0.copy()
-        xp[j] += fd_step
+        xp[j] += FD_STEP
         xm = x0.copy()
-        xm[j] -= fd_step
+        xm[j] -= FD_STEP
         fp = _pack(amwu_update_map(game, _unpack(xp, n, m), eta, alpha))
         fm = _pack(amwu_update_map(game, _unpack(xm, n, m), eta, alpha))
-        jac[:, j] = (fp - fm) / (2.0 * fd_step)
+        jac[:, j] = (fp - fm) / (2.0 * FD_STEP)
     if not np.all(np.isfinite(jac)):
         raise ValueError("non-finite Jacobian entries")
     return _gelfand_radius(jac)

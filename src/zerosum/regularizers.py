@@ -11,7 +11,8 @@ unchecked kernels, the ones the learners call every round:
 ``Regularizer.leader(z)`` is argmin_{f in simplex} R(f) - <f, z> and
 ``Regularizer.prox(prior, z)`` is argmin_{f in simplex} D_R(f, prior) - <f, z>.
 ``regularized_argmin`` (argmin <f, L> + R(f)/eta) and ``bregman_prox``
-are the same kernels with their inputs checked, for outside callers.
+are the same kernels with their inputs checked, for outside callers; the
+rate ``eta`` is checked by ``core.check_rates``, as the learners' rates are.
 
 The kernels work over the last axis: one row of shape (n,) is one round,
 as the learners call them, and a block of shape (T, n) is a whole run, as
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WEIGHT_FLOOR, kl_divergence
+from .core import WEIGHT_FLOOR, check_rates, kl_divergence
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,7 @@ def regularized_argmin(reg: Regularizer, cumulative: np.ndarray, eta: float) -> 
     input checked.  A block of rows is checked once, as a whole.
     """
     cumulative = np.asarray(cumulative, dtype=float)
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    check_rates(eta)
     if not np.all(np.isfinite(cumulative)):
         raise ValueError("non-finite cumulative loss")
     return reg.leader(-eta * cumulative)
@@ -146,8 +146,7 @@ def bregman_prox(reg: Regularizer, prior: np.ndarray, grad: np.ndarray, eta: flo
     grad = np.asarray(grad, dtype=float)
     if prior.shape != grad.shape:
         raise ValueError(f"dimension mismatch: {prior.shape} vs {grad.shape}")
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    check_rates(eta)
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient")
     return reg.prox(prior, -eta * grad)

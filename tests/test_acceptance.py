@@ -113,7 +113,7 @@ def test_criterion_02_lemma_suite():
                 record("ftrl-step", l_norm(cur - prev_f, reg.p) - 2 * eta * n / reg.beta)
                 prev_f = cur
                 amd.step(x)
-                g = amd.g_history[-1]
+                g = amd.secondary
                 record("amd-g-step", l_norm(g - prev_g, reg.p) - eta * n / reg.beta)
                 prev_g = g
 
@@ -153,12 +153,12 @@ def test_criterion_02_lemma_suite():
                 record("leader-regret", float((lhs - rhs).max()))
 
                 amd = Amd(n, eta, alpha, reg)
-                fs = np.empty_like(xs)
+                fs, gout = np.empty_like(xs), np.empty_like(xs)
                 f = amd.start()
                 for t in range(T):
                     fs[t] = f
                     f = amd.step(xs[t])
-                gout = np.array(amd.g_history)
+                    gout[t] = amd.secondary
                 played = np.cumsum(np.einsum("ti,ti->t", fs, xs))
                 gsum_md = np.cumsum(np.einsum("ti,ti->t", gout, xs))
                 lhs = played - best_fixed / alpha - (alpha - 1) / alpha * gsum_md

@@ -223,6 +223,12 @@ class TestMainCommands:
              "--parallelism"),
             (["preset", "oblivious-loss", "--out", "{out}", "--parallelism", "-2"], "--parallelism"),
             (["preset", "spectral-certificate", "--out", "{out}", "--seeds", "1,1"], "--seeds"),
+            (["preset", "spectral-certificate", "--out", "{out}", "--parallelism", "x"],
+             "--parallelism"),
+            (["preset", "spectral-certificate", "--out", "{out}", "--parallelism", "1.5"],
+             "--parallelism"),
+            (["certify", "{matrix}", "--eta", "x", "--alpha", "10"], "--eta"),
+            (["certify", "{matrix}", "--eta", "0.1", "--alpha", "x"], "--alpha"),
         ],
     )
     def test_bad_flag_is_one_error_line(self, tmp_path, capsys, argv, flag):
@@ -253,8 +259,9 @@ class TestSeeds:
             ["--presets", "spectral-certificate,bogus"],
             ["--presets", "spectral-certificate", "--parallelism", "0"],
             ["--presets", "spectral-certificate", "--seeds", "1,1"],
+            ["--presets", "spectral-certificate", "--parallelism", "x"],
         ],
-        ids=["1,x", "", "presets", "parallelism", "1,1"],
+        ids=["1,x", "", "presets", "parallelism", "1,1", "parallelism-x"],
     )
     def test_script_bad_seeds_is_one_error_line(self, tmp_path, capsys, monkeypatch, flags):
         script = Path(__file__).resolve().parents[1] / "scripts" / "run_presets.py"
@@ -283,7 +290,9 @@ class TestConvergenceDemo:
         assert all(len(line.split()) == 3 for line in lines[2:5])
 
     @pytest.mark.parametrize(
-        "flags", [["--size", "1"], ["--horizon", "1"], ["--size", "3", "--horizon", "0"]]
+        "flags",
+        [["--size", "1"], ["--horizon", "1"], ["--size", "3", "--horizon", "0"],
+         ["--size", "x"], ["--seed", "x"]],
     )
     def test_bad_flag_is_one_error_line(self, capsys, monkeypatch, flags):
         assert _demo_main(monkeypatch, *flags) == 2

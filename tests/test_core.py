@@ -257,25 +257,33 @@ class TestCheckRounds:
 
     def test_rows_at_the_tolerance_agree_with_the_vector_checks(self):
         # entries and sums stepped across the tolerance: each row passes
-        # the bulk check exactly when the vector check passes it
-        base = uniform(5)
+        # the bulk check exactly when the vector check passes it, as a
+        # one-row block and in a Fortran-order and a row-strided block
+        def blocks(row):
+            rows = np.tile(row, (3, 1))
+            return rows[:1], np.asfortranarray(rows), np.repeat(rows, 2, axis=0)[::2]
+
         seen = set()
-        for scale in np.linspace(0.5, 1.5, 41):
-            strategy = base.copy()
-            strategy[0] += scale * SIMPLEX_ATOL
-            negative = base.copy()
-            negative[0] = -scale * SIMPLEX_ATOL
-            negative[1] += scale * SIMPLEX_ATOL
-            for row in (strategy, negative):
-                ok = _passes(check_strategy, row)
-                seen.add(ok)
-                assert _passes(lambda r: check_rounds(r[None, :], np.zeros((1, 5))), row) == ok
-            for value in (-scale * LOSS_ATOL, 1.0 + scale * LOSS_ATOL):
-                loss = np.full(5, 0.5)
-                loss[3] = value
-                ok = _passes(check_loss_vector, loss)
-                seen.add(ok)
-                assert _passes(lambda r: check_rounds(base[None, :], r[None, :]), loss) == ok
+        for n in (5, 33):  # at 33 a Fortran-order row sum can round differently
+            base = uniform(n)
+            for scale in np.linspace(0.5, 1.5, 41):
+                strategy = base.copy()
+                strategy[0] += scale * SIMPLEX_ATOL
+                negative = base.copy()
+                negative[0] = -scale * SIMPLEX_ATOL
+                negative[1] += scale * SIMPLEX_ATOL
+                for row in (strategy, negative):
+                    ok = _passes(check_strategy, row)
+                    seen.add(ok)
+                    for b in blocks(row):
+                        assert _passes(lambda s: check_rounds(s, np.zeros(s.shape)), b) == ok
+                for value in (-scale * LOSS_ATOL, 1.0 + scale * LOSS_ATOL):
+                    loss = np.full(n, 0.5)
+                    loss[3] = value
+                    ok = _passes(check_loss_vector, loss)
+                    seen.add(ok)
+                    for b in blocks(loss):
+                        assert _passes(lambda x: check_rounds(np.tile(base, (len(x), 1)), x), b) == ok
         assert seen == {True, False}
 
     def test_rows_exactly_at_the_tolerance_pass(self):

@@ -232,14 +232,18 @@ class TestAmwuWrapper:
             Amwu(MP, "max", eta=0.1, alpha=-1.0)
 
     @pytest.mark.parametrize("eta,alpha", [(0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
-                                           (0.1, np.nan), (0.1, np.inf)])
+                                           (-np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)])
     def test_rates_must_be_finite(self, eta, alpha):
-        # the exploit-rate learners share one check
+        # the exploit-rate learners and the checked kernels share one check
         makers = [lambda: Amwu(MP, "max", eta, alpha), lambda: Aftrl(3, eta, alpha),
                   lambda: Amd(3, eta, alpha), lambda: DoublingAftrl(3, eta, alpha),
                   lambda: Mwu(3, eta, alpha)]
         if alpha == 1.0:
             makers.append(lambda: Omwu(3, eta))
+            for reg in (ENTROPY, SQUARED_L2):  # the kernels take eta alone
+                makers += [lambda reg=reg: regularized_argmin(reg, np.zeros(3), eta),
+                           lambda reg=reg: bregman_prox(reg, uniform(3), np.zeros(3), eta),
+                           lambda reg=reg: forward_comparators(np.zeros((4, 3)), reg, eta)]
         for make in makers:
             with pytest.raises(ValueError, match="eta" if alpha == 1.0 else "alpha"):
                 make()
@@ -294,8 +298,9 @@ class TestBestResponse:
 
 class TestProdBr:
     def test_requires_horizon(self):
-        with pytest.raises(ValueError, match="horizon"):
-            ProdBr(4, horizon=None)
+        for horizon in (1, 0):
+            with pytest.raises(ValueError, match="horizon must be at least 2"):
+                ProdBr(4, horizon=horizon)
 
     def test_parameters(self):
         agent = ProdBr(20, horizon=10_000)
@@ -567,7 +572,7 @@ class TestStepBoundLemmas:
             prev = agent.secondary
             for x in rng.uniform(0, 1, (300, n)):
                 agent.step(x)
-                g = agent.g_history[-1]
+                g = agent.secondary
                 assert l_norm(g - prev, reg.p) <= 0.2 * n / reg.beta + 1e-12
                 prev = g
 
@@ -617,8 +622,12 @@ class TestRegretInequalities:
                 T, n = xs.shape
                 eta = 0.1
                 agent = Amd(n, eta, alpha, reg)
-                fs = run_recording(agent, xs)
-                g = np.array(agent.g_history)
+                fs, g = np.empty_like(xs), np.empty_like(xs)
+                f = agent.start()
+                for t, x in enumerate(xs):
+                    fs[t] = f
+                    f = agent.step(x)
+                    g[t] = agent.secondary
                 played = np.cumsum(np.einsum("ti,ti->t", fs, xs))
                 gsum = np.cumsum(np.einsum("ti,ti->t", g, xs))
                 best_fixed = np.cumsum(xs, axis=0).min(axis=1)
