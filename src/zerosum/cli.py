@@ -1,6 +1,7 @@
 """Config parsing, experiment presets, and CSV/JSON emission.
 
-Configs are JSON documents; metric series go to CSV with the fixed header
+Configs are JSON documents that ``parse_config`` maps onto ``engine``'s specs,
+which check every value.  Metric series go to CSV with the fixed header
 ``t,learner,metric,value,seed,adversary_eta`` (12 significant digits, rows
 ordered by learner, metric, seed, adversary eta, round); each preset also
 writes a JSON manifest recording the grid, seeds, and library version.
@@ -18,21 +19,17 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .core import MatrixGame
+from .core import MatrixGame, check_number
 from .engine import (
-    ADVERSARY_KINDS,
-    AGENT_KINDS,
     AdversarySpec,
     AgentSpec,
     GameSpec,
     SimulationConfig,
-    check_self_play,
     grid_run,
     make_random_game,
     run_config,
 )
 from .nash import solve_zero_sum, spectral_radius_at_ne
-from .regularizers import REGULARIZERS
 
 # Adversary learning-rate grid for the loss/regret presets.
 ADVERSARY_ETA_GRID = tuple(round(0.5 - 0.05 * i, 2) for i in range(10))
@@ -79,159 +76,81 @@ class ConfigError(ValueError):
 
 
 _TOP_KEYS = {"game", "horizon", "agent", "adversary", "metrics", "output"}
-_REQUIRED = {"horizon", "n", "m", "seed", "eta"}  # wherever they are read
 
 
 def _reject_unknown(obj: dict, allowed, where: str):
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         accepted = ", ".join(sorted(allowed))
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r}; accepted: {accepted}")
+        raise ValueError(f"{where}: unknown key {unknown[0]!r}; accepted: {accepted}")
 
 
 def _require(obj: dict, key: str, prefix: str = ""):
     if key not in obj:
-        raise ConfigError(f"{prefix}{key}: missing required key")
+        raise ValueError(f"{prefix}{key}: missing required key")
     return obj[key]
 
 
 def _object(obj: dict, key: str, prefix: str = "") -> dict:
     value = _require(obj, key, prefix)
     if not isinstance(value, dict):
-        raise ConfigError(f"{prefix}{key}: must be a JSON object, got {value!r}")
+        raise ValueError(f"{prefix}{key}: must be a JSON object, got {value!r}")
     return value
 
 
-def _choice(value, key: str, table):
-    if not isinstance(value, str) or value not in table:
-        raise ConfigError(f"{key}: unknown value {value!r}; choose from {', '.join(table)}")
-    return value
+def _reject_null(obj: dict, prefix: str = ""):
+    """Reject a JSON null in ``obj`` or within it: a spec reads None as not given."""
+    for key, value in obj.items():
+        if value is None:
+            raise ValueError(f"{prefix}{key}: must not be null")
+        if isinstance(value, dict):
+            _reject_null(value, f"{prefix}{key}.")
 
 
-def _string(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key}: must be a string, got {value!r}")
-    return value
-
-
-def _number(value, key: str, low: float = -math.inf, above: bool = False, integer: bool = False):
-    """``value`` if it is a number but not a bool, finite (or an integer,
-    if ``integer``), and at least ``low`` (above it, if ``above``)."""
-    try:
-        ok = (
-            isinstance(value, int if integer else (int, float))
-            and not isinstance(value, bool)
-            and (integer or math.isfinite(value))
-            and (value > low if above else value >= low)
-        )
-    except OverflowError:  # an integer too large for a float
-        ok = False
-    if not ok:
-        bound = "" if low == -math.inf else f" {'>' if above else '>='} {low:g}"
-        want = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{key}: must be {want}{bound}, got {value!r}")
-    return value if integer else float(value)
-
-
-def parse_number(text: str, key: str, low: float = -math.inf, above=False, integer=False):
-    """The number that a flag's ``text`` spells, checked by ``_number``; ``key``
-    is the flag."""
-    try:
-        value = int(text) if integer else float(text)
-    except ValueError:
-        value = text  # not a number: _number names it
-    return _number(value, key, low, above, integer)
-
-
-# How the value of each config key is checked, whichever object holds it.
-_CHECKS = {
-    **dict.fromkeys(("horizon", "n", "m"), lambda v, key: _number(v, key, 2, integer=True)),
-    "seed": lambda v, key: _number(v, key, integer=True),
-    **dict.fromkeys(("eta", "recorder_eta"), lambda v, key: _number(v, key, 0, above=True)),
-    "alpha": lambda v, key: _number(v, key, 0),
-    "b": _number,
-    "regularizer": lambda v, key: _choice(v, key, REGULARIZERS),
-    **dict.fromkeys(("name", "output"), _string),
-}
-
-
-def _fields(obj: dict, keys, prefix: str = "") -> dict:
-    """The checked values of the ``keys`` that ``obj`` gives (or must give)."""
-    return {
-        key: _CHECKS[key](_require(obj, key, prefix), prefix + key)
-        for key in keys
-        if key in obj or key in _REQUIRED
-    }
-
-
-def _kind(obj: dict, where: str, table: dict, *common):
-    """The kind named by ``obj`` and its table entry; ``obj`` may hold only
-    the keys that kind reads and the ``common`` ones."""
-    kind = _choice(_require(obj, "kind", f"{where}."), f"{where}.kind", table)
-    _reject_unknown(obj, ("kind", *common, *table[kind].keys), f"{where} (kind {kind!r})")
-    return kind, table[kind]
+def _kind_spec(spec_class, obj: dict, where: str, *common):
+    """The spec ``obj`` gives, which holds only keys its kind reads or ``common`` ones."""
+    _require(obj, "kind", f"{where}.")
+    spec = spec_class(**{k: v for k, v in obj.items() if k in spec_class.__dataclass_fields__})
+    _reject_unknown(obj, ("kind", *common, *spec.rule.keys), f"{where} (kind {spec.kind!r})")
+    return spec
 
 
 def parse_config(text: str) -> SimulationConfig:
-    """Parse and validate a JSON simulation config.
+    """Parse a JSON simulation config into the engine's specs.
 
-    An agent or adversary may give only the keys its kind reads (the
-    ``keys`` of ``engine.AGENT_KINDS`` and ``engine.ADVERSARY_KINDS``), and
-    every error names the offending key.  Defaults: regularizer "entropy";
-    metrics all metrics for the run mode; a kind with a free exploit rate
-    takes ``alpha`` (default 0) or ``b``, which resolves to eta^(b-1).
+    Only JSON's own checks are made here: the document's shape, nulls, and
+    unknown keys (an agent or adversary gives only the keys its kind reads);
+    the specs check every value.  Each error names its key and is raised as
+    a ``ConfigError``.  Defaults: regularizer "entropy", all metrics of the
+    run mode, and a free exploit rate ``alpha`` 0 (or ``b``, for eta^(b-1)).
     """
     try:
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
+        _reject_unknown(doc, _TOP_KEYS, "config")
+        _reject_null(doc)
+        game_doc = _object(doc, "game")
+        _reject_unknown(game_doc, {"random", "csv"}, "game")
+        if len(game_doc) != 1:
+            raise ValueError("game: give one of 'random' or 'csv'")
+        if "csv" in game_doc:
+            game = GameSpec(kind="csv", path=game_doc["csv"])
+        else:
+            rnd = _object(game_doc, "random", "game.")
+            _reject_unknown(rnd, {"n", "m", "seed"}, "game.random")
+            game = GameSpec(kind="random", **rnd)
+        agent = _kind_spec(AgentSpec, _object(doc, "agent"), "agent", "name")
+        adversary = _kind_spec(AdversarySpec, _object(doc, "adversary"), "adversary")
+        names = doc.get("metrics", [])
+        if not isinstance(names, list):
+            raise ValueError(f"metrics: must be a list of metric names, got {names!r}")
+        return SimulationConfig(game, doc.get("horizon"), agent, adversary, tuple(names),
+                                doc.get("output"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "config")
-
-    game_doc = _object(doc, "game")
-    _reject_unknown(game_doc, {"random", "csv"}, "game")
-    if len(game_doc) != 1:
-        raise ConfigError("game: give one of 'random' or 'csv'")
-    if "csv" in game_doc:
-        game = GameSpec(kind="csv", path=_string(game_doc["csv"], "game.csv"))
-    else:
-        rnd = _object(game_doc, "random", "game.")
-        _reject_unknown(rnd, {"n", "m", "seed"}, "game.random")
-        game = GameSpec(kind="random", **_fields(rnd, ("n", "m", "seed"), "game.random."))
-    top = _fields(doc, ("horizon", "output"))
-
-    agent_doc = _object(doc, "agent")
-    kind, rule = _kind(agent_doc, "agent", AGENT_KINDS, "name")
-    fields = _fields(agent_doc, ("name", *rule.keys), "agent.")
-    if "alpha" in fields and "b" in fields:
-        raise ConfigError("agent.alpha: give either 'alpha' or 'b', not both")
-    agent = AgentSpec(kind=kind, **fields)
-    try:
-        agent.resolved_alpha()
-    except OverflowError:
-        raise ConfigError(f"agent.b: eta^(b-1) overflows, b={agent.b!r}") from None
-
-    adv_doc = _object(doc, "adversary")
-    adv_kind, adv_rule = _kind(adv_doc, "adversary", ADVERSARY_KINDS)
-    adversary = AdversarySpec(kind=adv_kind, **_fields(adv_doc, adv_rule.keys, "adversary."))
-    if adv_kind == "self_play":
-        try:
-            check_self_play(agent)
-        except ValueError as exc:
-            raise ConfigError(f"agent.kind: {exc}") from None
-
-    names = doc.get("metrics", [])
-    if not isinstance(names, list):
-        raise ConfigError(f"metrics: must be a list of metric names, got {names!r}")
-    return SimulationConfig(
-        game=game,
-        horizon=top["horizon"],
-        agent=agent,
-        adversary=adversary,
-        metrics=tuple(_choice(name, "metrics", adv_rule.metrics) for name in names),
-        output=top.get("output"),
-    )
+    except ValueError as exc:  # a check here or a spec's
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -410,6 +329,16 @@ def _cmd_run(args) -> int:
         }
         print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
+
+
+def parse_number(text: str, key: str, low: float = -math.inf, above=False, integer=False):
+    """The number that a flag's ``text`` spells, checked by
+    ``core.check_number``; ``key`` is the flag."""
+    try:
+        value = int(text) if integer else float(text)
+    except ValueError:
+        value = text  # not a number: check_number names it
+    return check_number(value, key, low, above, integer)
 
 
 def parse_seeds(text: str) -> list[int]:

@@ -10,13 +10,15 @@ Conventions used throughout the package:
 
 All numerics are float64.
 
-The checks of vectors and rates are written once, here: one test per
-vector kind, which ``check_strategy`` and ``check_loss_vector`` run on one
-vector and ``check_rounds`` on a run's blocks, and ``check_rates``.
+The checks are written once, here: one test per vector kind, which
+``check_strategy`` and ``check_loss_vector`` run on one vector and
+``check_rounds`` on a run's blocks; ``check_rates``; and ``check_number``,
+``check_choice`` and ``check_string`` for config values and flags.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +45,38 @@ def check_rates(eta: float, alpha: float = 0.0) -> None:
         raise ValueError(f"eta must be positive and finite, got {eta}")
     if not 0.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
+
+
+def check_number(value, key: str, low: float = -math.inf, above: bool = False, integer=False):
+    """``value`` if a number, not a bool, finite (an integer if ``integer``), >= ``low``
+    (> if ``above``); it is returned as an int or a float (a numpy scalar too)."""
+    try:
+        ok = (
+            isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool)
+            and (integer or math.isfinite(value))
+            and (value > low if above else value >= low)
+        )
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not ok:
+        bound = "" if low == -math.inf else f" {'>' if above else '>='} {low:g}"
+        want = "an integer" if integer else "a finite number"
+        raise ValueError(f"{key}: must be {want}{bound}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def check_choice(value, key: str, table):
+    """``value`` if it is a string naming an entry of ``table``."""
+    if not isinstance(value, str) or value not in table:
+        raise ValueError(f"{key}: unknown value {value!r}; choose from {', '.join(table)}")
+    return value
+
+
+def check_string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key}: must be a string, got {value!r}")
+    return value
 
 
 def _vectors(v: np.ndarray, ndim: int, context: str) -> np.ndarray:
@@ -191,14 +225,17 @@ class MatrixGame:
                 if not line:
                     continue
                 try:
-                    rows.append([float(tok) for tok in line.split(",")])
+                    row = [float(tok) for tok in line.split(",")]
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad entry ({exc})") from None
+                if bad := [v for v in row if not math.isfinite(v)]:
+                    raise ValueError(f"{path}:{lineno}: non-finite entry {bad[0]}")
+                if rows and len(row) != len(rows[0]):
+                    width = f"{len(row)} entries, the first row has {len(rows[0])}"
+                    raise ValueError(f"{path}:{lineno}: ragged rows: {width}")
+                rows.append(row)
         if not rows:
             raise ValueError(f"{path}: empty matrix")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError(f"{path}: ragged rows")
         return cls(np.array(rows, dtype=float))
 
     def to_unit_range(self) -> tuple["MatrixGame", float, float]:

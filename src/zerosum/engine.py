@@ -17,6 +17,9 @@ an oblivious agent is fed its replayed loss block.  Both call the
 learners' unchecked ``update`` and validate every round once the loop
 ends (``core.check_rounds``), at the same tolerances as the per-vector
 checks.
+
+Each spec checks itself when built, in Python as by ``cli.parse_config``
+(the kind tables and ``_FIELD_CHECK``); its errors name the config key.
 """
 from __future__ import annotations
 
@@ -28,9 +31,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import metrics, nash
-from .core import MatrixGame, Trace, check_rounds
+from .core import MatrixGame, Trace, check_choice, check_number, check_rounds, check_string
 from .learners import Aftrl, Amd, Amwu, BestResponseLearner, DoublingAftrl, Mwu, ProdBr
-from .regularizers import ENTROPY, from_name
+from .regularizers import ENTROPY, REGULARIZERS
 
 _MASK64 = (1 << 64) - 1
 
@@ -65,9 +68,31 @@ def make_random_game(n: int, m: int, seed: int) -> MatrixGame:
     return MatrixGame(np.array(entries).reshape(n, m))
 
 
+# How each spec field is checked, whichever spec holds it; ``key`` is its config key.
+_FIELD_CHECK = {
+    **dict.fromkeys(("horizon", "n", "m"), lambda v, key: check_number(v, key, 2, integer=True)),
+    "seed": lambda v, key: check_number(v, key, integer=True),
+    **dict.fromkeys(("eta", "recorder_eta"), lambda v, key: check_number(v, key, 0, above=True)),
+    "alpha": lambda v, key: check_number(v, key, 0),
+    "b": check_number,
+    "regularizer": lambda v, key: check_choice(v, key, REGULARIZERS),
+    **dict.fromkeys(("name", "output", "path"), check_string),
+}
+_OPTIONAL = {"alpha", "b", "recorder_eta", "name", "output"}  # the others are required where read
+
+
+def _check_field(spec, field_name: str, key: str) -> None:
+    """Check field ``field_name`` of ``spec`` in place; ``key`` names it, None is not given."""
+    value = getattr(spec, field_name)
+    if value is not None:
+        object.__setattr__(spec, field_name, _FIELD_CHECK[field_name](value, key))
+    elif field_name not in _OPTIONAL:
+        raise ValueError(f"{key}: missing required key")
+
+
 @dataclass(frozen=True)
 class GameSpec:
-    """Where the payoff matrix comes from: a seeded draw or a CSV file."""
+    """Where the payoff matrix comes from: a seeded draw or a CSV file (``game.csv``)."""
 
     kind: str  # "random" | "csv"
     n: int | None = None
@@ -75,12 +100,17 @@ class GameSpec:
     seed: int | None = None
     path: str | None = None
 
+    def __post_init__(self):
+        if check_choice(self.kind, "game.kind", ("random", "csv")) == "csv":
+            _check_field(self, "path", "game.csv")
+        else:
+            for key in ("n", "m", "seed"):
+                _check_field(self, key, f"game.random.{key}")
+
     def resolve(self) -> MatrixGame:
-        if self.kind == "random":
-            return make_random_game(self.n, self.m, self.seed)
         if self.kind == "csv":
             return MatrixGame.from_csv(self.path)
-        raise ValueError(f"unknown game kind {self.kind!r}")
+        return make_random_game(self.n, self.m, self.seed)
 
 
 class _Game:
@@ -96,20 +126,12 @@ class _Game:
         return ne.f_star, ne.y_star
 
 
-def _lookup(table: dict, name: str, what: str):
-    """``table[name]``, or a ValueError that names the choices."""
-    if name not in table:
-        raise ValueError(f"unknown {what} {name!r}; choose from {', '.join(table)}")
-    return table[name]
-
-
 class AgentKind(NamedTuple):
     """How one agent kind is built, and the agent config keys it reads.
 
-    The learners are one family indexed by the exploit rate: ``alpha`` is
-    the kind's fixed rate (FTRL/MWU 0, OFTRL/OMWU 1), or None; then a
-    kind with ``alpha`` among its keys reads it from the config, as
-    ``alpha`` or as ``b``, and a kind without uses none.
+    The learners are one family indexed by the exploit rate: ``alpha`` is the
+    kind's fixed rate (FTRL/MWU 0, OFTRL/OMWU 1, 0 for a kind with none), or
+    None for a kind that reads it from the config, as ``alpha`` or ``b``.
     """
 
     build: Callable  # (n, eta, alpha, regularizer, horizon) -> a loss-stream learner
@@ -139,14 +161,16 @@ AGENT_KINDS = {
     # the multiplicative member of the leader family: it reads no
     # regularizer, so build_agent gives it the entropy
     "AMWU": AgentKind(_leader, ("eta", "alpha", "b"), self_play=True),
-    "BestResponse": AgentKind(lambda n, *_: BestResponseLearner(n), ()),
-    "ProdBR": AgentKind(lambda n, eta, a, reg, T: ProdBr(n, T, reg), ("regularizer",)),
+    "BestResponse": AgentKind(lambda n, *_: BestResponseLearner(n), (), alpha=0.0),
+    "ProdBR": AgentKind(lambda n, eta, a, reg, T: ProdBr(n, T, reg), ("regularizer",), alpha=0.0),
     "DoublingAFTRL": AgentKind(lambda n, eta, a, reg, T: DoublingAftrl(n, eta, a, reg), _FREE),
 }
 
 
 @dataclass(frozen=True)
 class AgentSpec:
+    """An agent: its kind, the keys that kind reads (others are ignored) and a name."""
+
     kind: str  # a key of AGENT_KINDS
     eta: float | None = None
     alpha: float | None = None
@@ -154,32 +178,51 @@ class AgentSpec:
     regularizer: str = "entropy"
     name: str | None = None
 
+    def __post_init__(self):
+        rule = AGENT_KINDS[check_choice(self.kind, "agent.kind", AGENT_KINDS)]
+        for key in ("name", *rule.keys):
+            _check_field(self, key, f"agent.{key}")
+        if rule.alpha is None:  # a free exploit rate: alpha, or eta^(b-1)
+            if self.alpha is not None and self.b is not None:
+                raise ValueError("agent.alpha: give either 'alpha' or 'b', not both")
+            try:
+                self.resolved_alpha()
+            except OverflowError:
+                raise ValueError(f"agent.b: eta^(b-1) overflows, b={self.b!r}") from None
+
     @property
     def display_name(self) -> str:
         return self.name if self.name is not None else self.kind
 
     @property
     def rule(self) -> AgentKind:
-        return _lookup(AGENT_KINDS, self.kind, "agent kind")
+        return AGENT_KINDS[self.kind]
 
     def resolved_alpha(self) -> float:
-        """The kind's fixed exploit rate, else alpha, else eta^(b-1), else 0."""
+        """The kind's fixed exploit rate, else eta^(b-1), else alpha (default 0)."""
         if self.rule.alpha is not None:
             return self.rule.alpha
-        if self.alpha is not None:
-            return self.alpha
         if self.b is not None:
-            if self.eta is None:
-                raise ValueError("agent: b given without eta")
             return float(self.eta ** (self.b - 1.0))
-        return 0.0
+        return self.alpha if self.alpha is not None else 0.0
 
 
 @dataclass(frozen=True)
 class AdversarySpec:
+    """An adversary: its kind and the keys that kind reads (the others are ignored)."""
+
     kind: str  # a key of ADVERSARY_KINDS
     eta: float | None = None
     recorder_eta: float | None = None  # oblivious recording partner; defaults to eta
+
+    def __post_init__(self):
+        check_choice(self.kind, "adversary.kind", ADVERSARY_KINDS)
+        for key in self.rule.keys:
+            _check_field(self, key, f"adversary.{key}")
+
+    @property
+    def rule(self) -> AdversaryKind:
+        return ADVERSARY_KINDS[self.kind]
 
 
 # Metric name -> series; the functions are looked up in ``metrics`` when called.
@@ -215,11 +258,13 @@ ADVERSARY_KINDS = {
 
 def _series(table: dict, names, *args) -> dict:
     """Each named metric of ``table`` applied to ``args``."""
-    return {name: _lookup(table, name, "metric")(*args) for name in names}
+    return {name: table[name](*args) for name in names}
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """One run; its ``metrics`` are of its run mode (none named: all of them)."""
+
     game: GameSpec
     horizon: int
     agent: AgentSpec
@@ -228,11 +273,14 @@ class SimulationConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.horizon < 2:
-            raise ValueError(f"horizon must be at least 2, got {self.horizon}")
-        if not self.metrics:
-            rule = _lookup(ADVERSARY_KINDS, self.adversary.kind, "adversary kind")
-            object.__setattr__(self, "metrics", tuple(rule.metrics))
+        _check_field(self, "horizon", "horizon")
+        _check_field(self, "output", "output")
+        if self.adversary.kind == "self_play" and not self.agent.rule.self_play:
+            able = ", ".join(kind for kind, rule in AGENT_KINDS.items() if rule.self_play)
+            raise ValueError(f"agent.kind: self_play needs one of {able}, got {self.agent.kind!r}")
+        table = self.adversary.rule.metrics
+        names = tuple(check_choice(name, "metrics", table) for name in self.metrics)
+        object.__setattr__(self, "metrics", names or tuple(table))
 
 
 @dataclass
@@ -248,15 +296,8 @@ def build_agent(spec: AgentSpec, n: int, horizon: int):
 
     A kind that reads no regularizer gets the entropy.
     """
-    reg = from_name(spec.regularizer) if "regularizer" in spec.rule.keys else ENTROPY
+    reg = REGULARIZERS[spec.regularizer] if "regularizer" in spec.rule.keys else ENTROPY
     return spec.rule.build(n, spec.eta, spec.resolved_alpha(), reg, horizon)
-
-
-def check_self_play(agent: AgentSpec) -> None:
-    """Reject an agent whose kind is not marked ``self_play`` in ``AGENT_KINDS``."""
-    if not agent.rule.self_play:
-        able = ", ".join(kind for kind, rule in AGENT_KINDS.items() if rule.self_play)
-        raise ValueError(f"self_play needs one of {able}, got {agent.kind!r}")
 
 
 def _play(row, col, T: int, row_loss: Callable, col_loss: Callable):
@@ -337,8 +378,6 @@ def run_vs_adversary(
             f = agent.update(x)
         check_rounds(strategies, losses)
     elif adv.kind == "nonoblivious_mwu":
-        if adv.eta is None or adv.eta <= 0.0:
-            raise ValueError("nonoblivious_mwu adversary needs a positive eta")
         # reactive: the adversary sees f_t only after the round
         col = Mwu(unit.m, adv.eta)
         agent = build_agent(config.agent, unit.n, T)
@@ -356,7 +395,7 @@ def run_vs_adversary(
 def run_self_play(config: SimulationConfig, game: _Game | None = None):
     """Mirror-play both sides of the game with the agent's update rule.
 
-    Supports the kinds marked ``self_play`` in ``AGENT_KINDS`` (the
+    The agent's kind is marked ``self_play`` in ``AGENT_KINDS`` (the
     multiplicative family): each side is an ``Amwu``, the max side fed
     -A y_t and the min side A^T f_t.  Both start uniform and the first two
     strategies coincide, as ``Amwu``'s first update takes the round-1 loss
@@ -364,7 +403,8 @@ def run_self_play(config: SimulationConfig, game: _Game | None = None):
     and A^T f_t in [0, 1], are checked once the loop ends.  ``game`` is as
     for ``run_vs_adversary``.  Returns (trace_max, trace_min, series, game).
     """
-    check_self_play(config.agent)
+    if config.adversary.kind != "self_play":
+        raise ValueError(f"run_self_play cannot handle adversary kind {config.adversary.kind!r}")
     game = game or _Game(config.game)
     unit = game.unit
     a = unit.payoff

@@ -78,14 +78,6 @@ SQUARED_L2 = Regularizer("squared_l2", beta=1.0, p=2.0, q=2.0)
 REGULARIZERS = {"entropy": ENTROPY, "squared_l2": SQUARED_L2}
 
 
-def from_name(name: str) -> Regularizer:
-    try:
-        return REGULARIZERS[name]
-    except KeyError:
-        choices = sorted(REGULARIZERS)
-        raise ValueError(f"unknown regularizer {name!r}; choose from {choices}") from None
-
-
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row (last axis) onto the probability simplex.
 

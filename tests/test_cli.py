@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import runpy
@@ -332,6 +333,7 @@ PROBES = [
     (_probe(game={"csv": 3}), "game.csv"),
     (_probe(agent=["MWU"]), "agent"),
     (_probe(game={"random": 5}), "game.random"),
+    (_probe(agent={"kind": "AFTRL", "eta": 0.1, "regularizer": "huber"}), "agent.regularizer"),
 ]
 
 
@@ -405,7 +407,7 @@ def _documents(draw):
         if value is _DELETE:
             obj.pop(leaf, None)
         else:
-            obj[leaf] = value
+            obj[leaf] = copy.deepcopy(value)  # the drawn {} or [...] is shared between draws
         changed.append(path)
     return payload, changed
 

@@ -173,6 +173,23 @@ class TestMatrixGame:
         with pytest.raises(ValueError, match="ragged"):
             MatrixGame.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "body,lineno,message",
+        [
+            ("1,nan\n0,1\n", 1, "non-finite entry nan"),
+            ("1,0\n\n0,-inf\n", 3, "non-finite entry -inf"),
+            ("1,0\n0,1e400\n", 2, "non-finite entry inf"),
+            ("1,0\n0,1\n1,0,1\n0\n", 3, "ragged rows: 3 entries, the first row has 2"),
+        ],
+        ids=["nan", "-inf", "1e400", "ragged"],
+    )
+    def test_csv_error_names_the_line(self, tmp_path, body, lineno, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError) as err:
+            MatrixGame.from_csv(path)
+        assert str(err.value) == f"{path}:{lineno}: {message}"
+
     def test_unit_range_mapping(self):
         game = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         unit, lo, span = game.to_unit_range()

@@ -1,3 +1,4 @@
+import json
 import threading
 import warnings
 import weakref
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from zerosum import engine, nash
-from zerosum.cli import LAST_ROUND_AGENTS, VS_ADVERSARY_AGENTS
+from zerosum.cli import LAST_ROUND_AGENTS, VS_ADVERSARY_AGENTS, ConfigError, parse_config
 from zerosum.core import MatrixGame, uniform
 from zerosum.engine import (
     ADVERSARY_METRICS,
@@ -52,6 +53,64 @@ def self_play_config(kind, eta, seed=3, metrics=(), **agent):
         adversary=AdversarySpec(kind="self_play"),
         metrics=metrics,
     )
+
+
+def vs_document(horizon=200, agent=None, adversary=None, **top):
+    """``vs_config``'s defaults as a JSON config document."""
+    return json.dumps({
+        "game": {"random": {"n": 6, "m": 6, "seed": 1}},
+        "horizon": horizon,
+        "agent": agent or {"kind": "MWU", "eta": 0.1},
+        "adversary": adversary or {"kind": "oblivious_mwu", "eta": 0.5},
+        **top,
+    })
+
+
+class TestSpecChecks:
+    """A spec built in Python raises, when built, the text that
+    ``parse_config`` gives for the same JSON."""
+
+    @pytest.mark.parametrize(
+        "build,document,text",
+        [
+            (lambda: AgentSpec(kind="AFTRL"), vs_document(agent={"kind": "AFTRL"}),
+             "agent.eta: missing required key"),
+            (lambda: AdversarySpec(kind="oblivious_mwu"),
+             vs_document(adversary={"kind": "oblivious_mwu"}),
+             "adversary.eta: missing required key"),
+            (lambda: AgentSpec(kind="AMWU", eta=0.1, alpha=1.0, b=2.0),
+             vs_document(agent={"kind": "AMWU", "eta": 0.1, "alpha": 1.0, "b": 2.0}),
+             "agent.alpha: give either 'alpha' or 'b', not both"),
+        ],
+        ids=["agent-eta", "adversary-eta", "alpha-and-b"],
+    )
+    def test_same_text_as_parse_config(self, build, document, text):
+        with pytest.raises(ValueError) as built:
+            build()
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(document)
+        assert str(built.value) == str(parsed.value) == text
+
+    def test_metric_of_another_run_mode_rejected_before_any_round(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "_play", lambda *args: calls.append("_play"))
+        monkeypatch.setattr(engine, "record_oblivious_trace", lambda *args: calls.append("record"))
+        with pytest.raises(ValueError) as built:
+            grid_run([vs_config(horizon=100_000, metrics=("kl_to_ne",))])
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(vs_document(horizon=100_000, metrics=["kl_to_ne"]))
+        assert str(built.value) == str(parsed.value)
+        assert str(built.value).startswith("metrics: unknown value 'kl_to_ne'; choose from ")
+        assert calls == []
+
+    def test_numpy_scalars_are_numbers(self):
+        game = GameSpec(kind="random", n=np.int64(4), m=np.int32(4), seed=np.uint8(3))
+        agent = AgentSpec(kind="AMWU", eta=np.float32(0.5), alpha=np.int64(3))
+        assert [type(v) for v in (game.n, game.m, game.seed)] == [int, int, int]
+        assert (game.n, game.m, game.seed, agent.eta, agent.alpha) == (4, 4, 3, 0.5, 3.0)
+        assert type(agent.eta) is float and type(agent.alpha) is float
+        with pytest.raises(ValueError, match=r"^agent\.eta: must be a finite number > 0"):
+            AgentSpec(kind="MWU", eta=np.bool_(True))
 
 
 class TestSplitMix64:
@@ -179,12 +238,15 @@ class TestRunVsAdversary:
             np.testing.assert_array_equal(trace.losses, losses, err_msg=spec.name)
 
     def test_adversary_without_rate_rejected(self):
-        cfg = vs_config(adversary=AdversarySpec(kind="nonoblivious_mwu", eta=None))
-        with pytest.raises(ValueError, match="eta"):
-            run_vs_adversary(cfg)
+        with pytest.raises(ValueError, match=r"^adversary\.eta: missing required key$"):
+            AdversarySpec(kind="nonoblivious_mwu", eta=None)
 
 
 class TestRunSelfPlay:
+    def test_other_run_mode_rejected(self):
+        with pytest.raises(ValueError, match="^run_self_play cannot handle adversary kind"):
+            run_self_play(vs_config())
+
     def test_first_two_rounds_uniform(self):
         cfg = SimulationConfig(
             game=GameSpec(kind="random", n=4, m=4, seed=2),
@@ -443,10 +505,18 @@ class TestReplayGroups:
                                    metrics=("exploitability",)) for spec in LAST_ROUND_AGENTS])
         assert calls == []
 
-    def test_failed_replay_fails_only_its_group(self):
+    def test_failed_replay_fails_only_its_group(self, monkeypatch):
+        record = engine.record_oblivious_trace
+
+        def failing_at_04(game, adversary_eta, horizon, recorder_eta=None):
+            if adversary_eta == 0.4:
+                raise ValueError("replay failed")
+            return record(game, adversary_eta, horizon, recorder_eta)
+
+        monkeypatch.setattr(engine, "record_oblivious_trace", failing_at_04)
         agents = (AgentSpec(kind="MWU", eta=0.1), AgentSpec(kind="OMWU", eta=0.1),
                   AgentSpec(kind="ProdBR"))
-        bad_adv = AdversarySpec(kind="oblivious_mwu", eta=0.5, recorder_eta=-0.1)
+        bad_adv = AdversarySpec(kind="oblivious_mwu", eta=0.4)
         bad = [vs_config(horizon=30, agent=a, adversary=bad_adv) for a in agents]
         good = [vs_config(horizon=30, agent=a) for a in agents]
         configs = [c for pair in zip(bad, good) for c in pair]

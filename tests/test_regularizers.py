@@ -10,19 +10,11 @@ from zerosum.regularizers import (
     bregman,
     bregman_prox,
     floored_softmax,
-    from_name,
     project_to_simplex,
     regularized_argmin,
 )
 
 REGS = (ENTROPY, SQUARED_L2)
-
-
-def test_from_name():
-    assert from_name("entropy") is ENTROPY
-    assert from_name("squared_l2") is SQUARED_L2
-    with pytest.raises(ValueError):
-        from_name("huber")
 
 
 def test_normalization_min_zero_max_value():
