@@ -14,18 +14,14 @@ import sys
 from pathlib import Path
 
 from zerosum.cli import PRESETS, parse_number, parse_seeds, report_errors, run_preset
+from zerosum.core import check_choice
 
 
 def run(args) -> int:
     # every flag is checked before any preset runs
     seeds = parse_seeds(args.seeds)
     parallelism = parse_number(args.parallelism, "--parallelism", 1, integer=True)
-    names = args.presets.split(",")
-    for name in names:
-        if name not in PRESETS:
-            raise ValueError(
-                f"--presets: unknown preset {name!r}; valid presets: {', '.join(PRESETS)}"
-            )
+    names = [check_choice(name, "--presets", PRESETS) for name in args.presets.split(",")]
     failures = 0
     for name in names:
         out_dir = Path(args.out) / name

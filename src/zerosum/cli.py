@@ -1,7 +1,7 @@
 """Config parsing, experiment presets, and CSV/JSON emission.
 
 Configs are JSON documents that ``parse_config`` maps onto ``engine``'s specs,
-which check every value.  Metric series go to CSV with the fixed header
+which check every value and key.  Metric series go to CSV with the fixed header
 ``t,learner,metric,value,seed,adversary_eta`` (12 significant digits, rows
 ordered by learner, metric, seed, adversary eta, round); each preset also
 writes a JSON manifest recording the grid, seeds, and library version.
@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .core import MatrixGame, check_number
+from .core import MatrixGame, check_choice, check_keys, check_number
 from .engine import (
     AdversarySpec,
     AgentSpec,
@@ -78,13 +78,6 @@ class ConfigError(ValueError):
 _TOP_KEYS = {"game", "horizon", "agent", "adversary", "metrics", "output"}
 
 
-def _reject_unknown(obj: dict, allowed, where: str):
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        accepted = ", ".join(sorted(allowed))
-        raise ValueError(f"{where}: unknown key {unknown[0]!r}; accepted: {accepted}")
-
-
 def _require(obj: dict, key: str, prefix: str = ""):
     if key not in obj:
         raise ValueError(f"{prefix}{key}: missing required key")
@@ -107,40 +100,39 @@ def _reject_null(obj: dict, prefix: str = ""):
             _reject_null(value, f"{prefix}{key}.")
 
 
-def _kind_spec(spec_class, obj: dict, where: str, *common):
-    """The spec ``obj`` gives, which holds only keys its kind reads or ``common`` ones."""
+def _kind_spec(spec_class, obj: dict, where: str):
+    """The spec ``obj`` gives, whose keys must be fields of ``spec_class``."""
+    check_keys(obj, spec_class.__dataclass_fields__, where)
     _require(obj, "kind", f"{where}.")
-    spec = spec_class(**{k: v for k, v in obj.items() if k in spec_class.__dataclass_fields__})
-    _reject_unknown(obj, ("kind", *common, *spec.rule.keys), f"{where} (kind {spec.kind!r})")
-    return spec
+    return spec_class(**obj)
 
 
 def parse_config(text: str) -> SimulationConfig:
     """Parse a JSON simulation config into the engine's specs.
 
     Only JSON's own checks are made here: the document's shape, nulls, and
-    unknown keys (an agent or adversary gives only the keys its kind reads);
-    the specs check every value.  Each error names its key and is raised as
-    a ``ConfigError``.  Defaults: regularizer "entropy", all metrics of the
-    run mode, and a free exploit rate ``alpha`` 0 (or ``b``, for eta^(b-1)).
+    keys that name no field; the specs check every value, and reject a key
+    the kind does not read.  Each error names its key and is raised as a
+    ``ConfigError``.  Defaults: the entropy, all metrics of the run mode,
+    and a free exploit rate ``alpha`` 0 (or ``b``, for eta^(b-1)).
     """
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
-        _reject_unknown(doc, _TOP_KEYS, "config")
+        check_keys(doc, _TOP_KEYS, "config")
         _reject_null(doc)
         game_doc = _object(doc, "game")
-        _reject_unknown(game_doc, {"random", "csv"}, "game")
+        check_keys(game_doc, {"random", "csv"}, "game")
         if len(game_doc) != 1:
             raise ValueError("game: give one of 'random' or 'csv'")
         if "csv" in game_doc:
             game = GameSpec(kind="csv", path=game_doc["csv"])
         else:
             rnd = _object(game_doc, "random", "game.")
-            _reject_unknown(rnd, {"n", "m", "seed"}, "game.random")
+            check_keys(rnd, {"n", "m", "seed"}, "game.random")
             game = GameSpec(kind="random", **rnd)
-        agent = _kind_spec(AgentSpec, _object(doc, "agent"), "agent", "name")
+        agent = _kind_spec(AgentSpec, _object(doc, "agent"), "agent")
         adversary = _kind_spec(AdversarySpec, _object(doc, "adversary"), "adversary")
         names = doc.get("metrics", [])
         if not isinstance(names, list):
@@ -295,9 +287,7 @@ def run_preset(name: str, output_dir, seeds, parallelism: int = 4) -> int:
 
     Returns the number of failed runs (0 means full success).
     """
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; valid presets: {', '.join(PRESETS)}")
-    preset = PRESETS[name]
+    preset = PRESETS[check_choice(name, "preset", PRESETS)]
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = list(seeds)

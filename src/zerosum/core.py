@@ -12,8 +12,9 @@ All numerics are float64.
 
 The checks are written once, here: one test per vector kind, which
 ``check_strategy`` and ``check_loss_vector`` run on one vector and
-``check_rounds`` on a run's blocks; ``check_rates``; and ``check_number``,
-``check_choice`` and ``check_string`` for config values and flags.
+``check_rounds`` on a run's blocks; ``check_number``, ``check_choice`` and
+``check_string`` for config values and flags, with ``check_rates`` the
+learners' rates and ``check_keys`` the keys of a config object.
 """
 from __future__ import annotations
 
@@ -38,15 +39,6 @@ def uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def check_rates(eta: float, alpha: float = 0.0) -> None:
-    """Reject a learning rate that is not positive and finite, or an
-    exploit rate that is negative or not finite."""
-    if not 0.0 < eta < math.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta}")
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
-
-
 def check_number(value, key: str, low: float = -math.inf, above: bool = False, integer=False):
     """``value`` if a number, not a bool, finite (an integer if ``integer``), >= ``low``
     (> if ``above``); it is returned as an int or a float (a numpy scalar too)."""
@@ -64,6 +56,22 @@ def check_number(value, key: str, low: float = -math.inf, above: bool = False, i
         want = "an integer" if integer else "a finite number"
         raise ValueError(f"{key}: must be {want}{bound}, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def check_rates(eta: float, alpha: float = 0.0) -> None:
+    """Reject a learning rate ``eta`` that is not a finite number > 0, or an
+    exploit rate ``alpha`` that is not a finite number >= 0."""
+    check_number(eta, "eta", 0, above=True)
+    check_number(alpha, "alpha", 0)
+
+
+def check_keys(keys, accepted, where: str) -> None:
+    """Reject a key of ``keys`` that is not ``accepted``, naming the first
+    (in sorted order) and every accepted key; ``where`` names the object."""
+    unknown = sorted(set(keys) - set(accepted))
+    if unknown:
+        names = ", ".join(sorted(accepted))
+        raise ValueError(f"{where}: unknown key {unknown[0]!r}; accepted: {names}")
 
 
 def check_choice(value, key: str, table):

@@ -11,15 +11,16 @@ strategies before either observes the other's, and feedback arrives after
 the round.  A non-oblivious adversary reacting to the agent therefore
 sees only f_1 .. f_{t-1} when choosing y_t.
 
-One two-player loop, ``_play``, runs the replay recording, reactive play
-and self-play (one ``learners.Amwu`` per side, fed its side's loss map);
-an oblivious agent is fed its replayed loss block.  Both call the
-learners' unchecked ``update`` and validate every round once the loop
-ends (``core.check_rounds``), at the same tolerances as the per-vector
-checks.
+One two-player loop, ``_play``, runs the replay recording and reactive play
+(both a row learner against a column MWU, ``_vs_mwu``) and self-play (one
+``learners.Amwu`` per side); an oblivious agent is fed its replayed losses.
+Both call the learners' unchecked ``update`` and validate every round once
+the loop ends (``core.check_rounds``), at the same tolerances as the
+per-vector checks.
 
-Each spec checks itself when built, in Python as by ``cli.parse_config``
-(the kind tables and ``_FIELD_CHECK``); its errors name the config key.
+Each spec checks itself when built, in Python as by ``cli.parse_config``: it
+rejects a set field that the kind tables do not list for its kind, and checks
+the others (``_FIELD_CHECK``); its errors name the config key.
 """
 from __future__ import annotations
 
@@ -31,7 +32,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import metrics, nash
-from .core import MatrixGame, Trace, check_choice, check_number, check_rounds, check_string
+from .core import (
+    MatrixGame, Trace, check_choice, check_keys, check_number, check_rounds, check_string,
+)
 from .learners import Aftrl, Amd, Amwu, BestResponseLearner, DoublingAftrl, Mwu, ProdBr
 from .regularizers import ENTROPY, REGULARIZERS
 
@@ -78,7 +81,8 @@ _FIELD_CHECK = {
     "regularizer": lambda v, key: check_choice(v, key, REGULARIZERS),
     **dict.fromkeys(("name", "output", "path"), check_string),
 }
-_OPTIONAL = {"alpha", "b", "recorder_eta", "name", "output"}  # the others are required where read
+# The fields that may be None; the others are required where read.
+_OPTIONAL = {"alpha", "b", "regularizer", "recorder_eta", "name", "output"}
 
 
 def _check_field(spec, field_name: str, key: str) -> None:
@@ -88,6 +92,15 @@ def _check_field(spec, field_name: str, key: str) -> None:
         object.__setattr__(spec, field_name, _FIELD_CHECK[field_name](value, key))
     elif field_name not in _OPTIONAL:
         raise ValueError(f"{key}: missing required key")
+
+
+def _check_kind_fields(spec, where: str, keys) -> None:
+    """Reject a set field of ``spec`` other than ``kind`` and ``keys``, the fields
+    its kind reads, then check each of ``keys``; ``where`` is the spec's config key."""
+    given = [name for name in spec.__dataclass_fields__ if getattr(spec, name) is not None]
+    check_keys(given, ("kind", *keys), f"{where} (kind {spec.kind!r})")
+    for key in keys:
+        _check_field(spec, key, f"{where}.{key}")
 
 
 @dataclass(frozen=True)
@@ -131,12 +144,12 @@ class AgentKind(NamedTuple):
 
     The learners are one family indexed by the exploit rate: ``alpha`` is the
     kind's fixed rate (FTRL/MWU 0, OFTRL/OMWU 1, 0 for a kind with none), or
-    None for a kind that reads it from the config, as ``alpha`` or ``b``.
+    for a kind that reads ``alpha`` or ``b`` the rate when neither is given.
     """
 
     build: Callable  # (n, eta, alpha, regularizer, horizon) -> a loss-stream learner
-    keys: tuple[str, ...]  # read besides kind and name; eta, when read, is required
-    alpha: float | None = None
+    keys: tuple[str, ...]  # the fields it reads besides kind and name; eta, if read, is required
+    alpha: float = 0.0
     self_play: bool = False
 
 
@@ -156,39 +169,36 @@ AGENT_KINDS = {
     "OFTRL": AgentKind(_leader, ("eta", "regularizer"), alpha=1.0),
     "AFTRL": AgentKind(_leader, _FREE),
     "AMD": AgentKind(lambda n, eta, a, reg, T: Amd(n, eta, a, reg), _FREE),
-    "MWU": AgentKind(_multiplicative, ("eta",), alpha=0.0, self_play=True),
+    "MWU": AgentKind(_multiplicative, ("eta",), self_play=True),
     "OMWU": AgentKind(_multiplicative, ("eta",), alpha=1.0, self_play=True),
-    # the multiplicative member of the leader family: it reads no
-    # regularizer, so build_agent gives it the entropy
+    # the multiplicative member of the leader family: no regularizer but the entropy
     "AMWU": AgentKind(_leader, ("eta", "alpha", "b"), self_play=True),
-    "BestResponse": AgentKind(lambda n, *_: BestResponseLearner(n), (), alpha=0.0),
-    "ProdBR": AgentKind(lambda n, eta, a, reg, T: ProdBr(n, T, reg), ("regularizer",), alpha=0.0),
+    "BestResponse": AgentKind(lambda n, *_: BestResponseLearner(n), ()),
+    "ProdBR": AgentKind(lambda n, eta, a, reg, T: ProdBr(n, T, reg), ("regularizer",)),
     "DoublingAFTRL": AgentKind(lambda n, eta, a, reg, T: DoublingAftrl(n, eta, a, reg), _FREE),
 }
 
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """An agent: its kind, the keys that kind reads (others are ignored) and a name."""
+    """An agent: its kind, the keys that kind reads (None is not given) and a name."""
 
     kind: str  # a key of AGENT_KINDS
     eta: float | None = None
     alpha: float | None = None
     b: float | None = None
-    regularizer: str = "entropy"
+    regularizer: str | None = None  # the entropy if not given
     name: str | None = None
 
     def __post_init__(self):
         rule = AGENT_KINDS[check_choice(self.kind, "agent.kind", AGENT_KINDS)]
-        for key in ("name", *rule.keys):
-            _check_field(self, key, f"agent.{key}")
-        if rule.alpha is None:  # a free exploit rate: alpha, or eta^(b-1)
-            if self.alpha is not None and self.b is not None:
-                raise ValueError("agent.alpha: give either 'alpha' or 'b', not both")
-            try:
-                self.resolved_alpha()
-            except OverflowError:
-                raise ValueError(f"agent.b: eta^(b-1) overflows, b={self.b!r}") from None
+        _check_kind_fields(self, "agent", ("name", *rule.keys))
+        if self.alpha is not None and self.b is not None:
+            raise ValueError("agent.alpha: give either 'alpha' or 'b', not both")
+        try:
+            self.resolved_alpha()
+        except OverflowError:
+            raise ValueError(f"agent.b: eta^(b-1) overflows, b={self.b!r}") from None
 
     @property
     def display_name(self) -> str:
@@ -199,26 +209,23 @@ class AgentSpec:
         return AGENT_KINDS[self.kind]
 
     def resolved_alpha(self) -> float:
-        """The kind's fixed exploit rate, else eta^(b-1), else alpha (default 0)."""
-        if self.rule.alpha is not None:
-            return self.rule.alpha
+        """eta^(b-1) if ``b`` is given, else ``alpha``, else the kind's rate."""
         if self.b is not None:
             return float(self.eta ** (self.b - 1.0))
-        return self.alpha if self.alpha is not None else 0.0
+        return self.alpha if self.alpha is not None else self.rule.alpha
 
 
 @dataclass(frozen=True)
 class AdversarySpec:
-    """An adversary: its kind and the keys that kind reads (the others are ignored)."""
+    """An adversary: its kind and the keys that kind reads (None is not given)."""
 
     kind: str  # a key of ADVERSARY_KINDS
     eta: float | None = None
     recorder_eta: float | None = None  # oblivious recording partner; defaults to eta
 
     def __post_init__(self):
-        check_choice(self.kind, "adversary.kind", ADVERSARY_KINDS)
-        for key in self.rule.keys:
-            _check_field(self, key, f"adversary.{key}")
+        rule = ADVERSARY_KINDS[check_choice(self.kind, "adversary.kind", ADVERSARY_KINDS)]
+        _check_kind_fields(self, "adversary", rule.keys)
 
     @property
     def rule(self) -> AdversaryKind:
@@ -245,7 +252,7 @@ SELF_PLAY_METRICS = {  # (the game, max side's trace, min side's trace)
 
 
 class AdversaryKind(NamedTuple):
-    keys: tuple[str, ...]  # adversary config keys read besides kind; eta, when read, is required
+    keys: tuple[str, ...]  # the fields it reads besides kind; eta, when read, is required
     metrics: dict  # the metrics of its run mode
 
 
@@ -292,11 +299,9 @@ class RunOutcome:
 
 
 def build_agent(spec: AgentSpec, n: int, horizon: int):
-    """Instantiate the loss-stream learner named by an agent spec.
-
-    A kind that reads no regularizer gets the entropy.
-    """
-    reg = REGULARIZERS[spec.regularizer] if "regularizer" in spec.rule.keys else ENTROPY
+    """Instantiate the loss-stream learner named by an agent spec; the
+    regularizer is the entropy where the spec gives none."""
+    reg = REGULARIZERS[spec.regularizer or "entropy"]
     return spec.rule.build(n, spec.eta, spec.resolved_alpha(), reg, horizon)
 
 
@@ -319,6 +324,17 @@ def _play(row, col, T: int, row_loss: Callable, col_loss: Callable):
     return fs, xs, ys, zs
 
 
+def _vs_mwu(row, unit: MatrixGame, eta: float, T: int, contexts: tuple[str, str]):
+    """``_play``'s blocks of ``row``, fed A y_t, against ``Mwu(m, eta)`` fed 1 - A^T f_t
+    (the negated gain, in [0, 1]) on a unit-range game; each side's rounds are
+    then checked, with the context of the same index in ``contexts``."""
+    a = unit.payoff
+    blocks = _play(row, Mwu(unit.m, eta), T, lambda y: a @ y, lambda f: 1.0 - a.T @ f)
+    check_rounds(*blocks[:2], context=contexts[0])
+    check_rounds(*blocks[2:], context=contexts[1])
+    return blocks
+
+
 def record_oblivious_trace(
     game: MatrixGame, adversary_eta: float, horizon: int, recorder_eta: float | None = None
 ) -> np.ndarray:
@@ -330,21 +346,9 @@ def record_oblivious_trace(
     checked once the recording ends.
     """
     unit, _, _ = game.to_unit_range()
-    a = unit.payoff
     row = Mwu(unit.n, recorder_eta if recorder_eta is not None else adversary_eta)
-    col = Mwu(unit.m, adversary_eta)
-    # the column player's loss is the negated gain, kept in [0, 1]
-    rs, row_losses, ys, col_losses = _play(
-        row, col, horizon, lambda y: a @ y, lambda f: 1.0 - a.T @ f
-    )
-    check_rounds(rs, row_losses, context="replay row player round")
-    check_rounds(ys, col_losses, context="replay round")
-    return ys
-
-
-def _record_replay(config: SimulationConfig, unit: MatrixGame) -> np.ndarray:
-    adv = config.adversary
-    return record_oblivious_trace(unit, adv.eta, config.horizon, adv.recorder_eta)
+    contexts = ("replay row player round", "replay round")
+    return _vs_mwu(row, unit, adversary_eta, horizon, contexts)[2]
 
 
 def run_vs_adversary(
@@ -365,7 +369,7 @@ def run_vs_adversary(
     adv = config.adversary
     if adv.kind == "oblivious_mwu":
         if replay is None:
-            replay = _record_replay(config, unit)
+            replay = record_oblivious_trace(unit, adv.eta, T, adv.recorder_eta)
         if replay.shape[0] < T:
             raise ValueError(f"replay shorter than horizon: {replay.shape[0]} < {T}")
         agent = build_agent(config.agent, unit.n, T)
@@ -379,13 +383,8 @@ def run_vs_adversary(
         check_rounds(strategies, losses)
     elif adv.kind == "nonoblivious_mwu":
         # reactive: the adversary sees f_t only after the round
-        col = Mwu(unit.m, adv.eta)
         agent = build_agent(config.agent, unit.n, T)
-        strategies, losses, ys, adv_losses = _play(
-            agent, col, T, lambda y: a @ y, lambda f: 1.0 - a.T @ f
-        )
-        check_rounds(strategies, losses)
-        check_rounds(ys, adv_losses, context="adversary round")
+        strategies, losses, _, _ = _vs_mwu(agent, unit, adv.eta, T, ("round", "adversary round"))
     else:
         raise ValueError(f"run_vs_adversary cannot handle adversary kind {adv.kind!r}")
     trace = Trace.from_rounds(strategies, losses)
@@ -471,8 +470,9 @@ def _run_group(group) -> list[RunOutcome]:
     replay = None
     try:
         game = _Game(first.game)
-        if first.adversary.kind == "oblivious_mwu":
-            replay = _record_replay(first, game.unit)
+        adv = first.adversary
+        if adv.kind == "oblivious_mwu":
+            replay = record_oblivious_trace(game.unit, adv.eta, first.horizon, adv.recorder_eta)
     except Exception as exc:  # noqa: BLE001 - reported per config, other groups unaffected
         return [RunOutcome(index=i, config=c, error=_error(exc)) for i, c in group]
     return [_run_one(i, c, replay, game) for i, c in group]

@@ -21,7 +21,8 @@ from zerosum.cli import (
     parse_seeds,
     run_preset,
 )
-from zerosum.engine import ADVERSARY_KINDS, AGENT_KINDS, run_config
+from zerosum.engine import ADVERSARY_KINDS, AGENT_KINDS, build_agent, run_config
+from zerosum.regularizers import ENTROPY
 
 MINIMAL = {
     "game": {"random": {"n": 4, "m": 4, "seed": 1}},
@@ -40,9 +41,11 @@ def doc(**overrides):
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(doc())
-        assert cfg.agent.regularizer == "entropy"
+        assert cfg.agent.regularizer is None
         assert "average_loss" in cfg.metrics
         assert cfg.output is None
+        ftrl = parse_config(doc(agent={"kind": "FTRL", "eta": 0.1})).agent
+        assert ftrl.regularizer is None and build_agent(ftrl, 4, 100).reg is ENTROPY
 
     def test_unknown_top_key(self):
         with pytest.raises(ConfigError, match="'extra'"):
@@ -137,7 +140,7 @@ class TestEmitCsv:
 
 class TestPresets:
     def test_unknown_preset(self, tmp_path):
-        with pytest.raises(ConfigError, match="valid presets"):
+        with pytest.raises(ValueError, match=r"^preset: unknown value 'bogus'; choose from "):
             run_preset("bogus", tmp_path, [1])
 
     def test_spectral_certificate_preset(self, tmp_path):

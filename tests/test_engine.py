@@ -10,6 +10,7 @@ from zerosum import engine, nash
 from zerosum.cli import LAST_ROUND_AGENTS, VS_ADVERSARY_AGENTS, ConfigError, parse_config
 from zerosum.core import MatrixGame, uniform
 from zerosum.engine import (
+    ADVERSARY_KINDS,
     ADVERSARY_METRICS,
     AGENT_KINDS,
     AdversarySpec,
@@ -66,6 +67,32 @@ def vs_document(horizon=200, agent=None, adversary=None, **top):
     })
 
 
+# The spec classes, their config keys, the fields every kind reads, and their kind tables.
+SPEC_TABLES = [(AgentSpec, "agent", ("name",), AGENT_KINDS),
+               (AdversarySpec, "adversary", (), ADVERSARY_KINDS)]
+FIELD_VALUES = {"eta": 0.1, "alpha": 5.0, "b": 2.0, "regularizer": "entropy", "recorder_eta": 0.2}
+
+
+def unread_field_cases():
+    """For each (kind, field) that the kind tables leave unread: a spec of
+    the kind with the field set, its JSON document, and the error text."""
+    cases = []
+    for spec_class, where, always, kinds in SPEC_TABLES:
+        for kind, rule in kinds.items():
+            read = ("kind", *always, *rule.keys)
+            for name in spec_class.__dataclass_fields__:
+                if name in read:
+                    continue
+                obj = {"kind": kind, **({"eta": 0.1} if "eta" in read else {}),
+                       name: FIELD_VALUES[name]}
+                text = (f"{where} (kind {kind!r}): unknown key {name!r}; "
+                        f"accepted: {', '.join(sorted(read))}")
+                build = lambda spec_class=spec_class, obj=obj: spec_class(**obj)  # noqa: E731
+                cases.append(pytest.param(build, vs_document(**{where: obj}), text,
+                                          id=f"{kind}-{name}"))
+    return cases
+
+
 class TestSpecChecks:
     """A spec built in Python raises, when built, the text that
     ``parse_config`` gives for the same JSON."""
@@ -73,16 +100,16 @@ class TestSpecChecks:
     @pytest.mark.parametrize(
         "build,document,text",
         [
-            (lambda: AgentSpec(kind="AFTRL"), vs_document(agent={"kind": "AFTRL"}),
-             "agent.eta: missing required key"),
-            (lambda: AdversarySpec(kind="oblivious_mwu"),
-             vs_document(adversary={"kind": "oblivious_mwu"}),
-             "adversary.eta: missing required key"),
-            (lambda: AgentSpec(kind="AMWU", eta=0.1, alpha=1.0, b=2.0),
-             vs_document(agent={"kind": "AMWU", "eta": 0.1, "alpha": 1.0, "b": 2.0}),
-             "agent.alpha: give either 'alpha' or 'b', not both"),
+            pytest.param(lambda: AgentSpec(kind="AFTRL"), vs_document(agent={"kind": "AFTRL"}),
+                         "agent.eta: missing required key", id="agent-eta"),
+            pytest.param(lambda: AdversarySpec(kind="oblivious_mwu"),
+                         vs_document(adversary={"kind": "oblivious_mwu"}),
+                         "adversary.eta: missing required key", id="adversary-eta"),
+            pytest.param(lambda: AgentSpec(kind="AMWU", eta=0.1, alpha=1.0, b=2.0),
+                         vs_document(agent={"kind": "AMWU", "eta": 0.1, "alpha": 1.0, "b": 2.0}),
+                         "agent.alpha: give either 'alpha' or 'b', not both", id="alpha-and-b"),
+            *unread_field_cases(),
         ],
-        ids=["agent-eta", "adversary-eta", "alpha-and-b"],
     )
     def test_same_text_as_parse_config(self, build, document, text):
         with pytest.raises(ValueError) as built:
@@ -90,6 +117,12 @@ class TestSpecChecks:
         with pytest.raises(ConfigError) as parsed:
             parse_config(document)
         assert str(built.value) == str(parsed.value) == text
+
+    @pytest.mark.parametrize("spec_class,where,always,kinds", SPEC_TABLES,
+                             ids=["agent", "adversary"])
+    def test_every_field_is_read_by_some_kind(self, spec_class, where, always, kinds):
+        read = {"kind", *always}.union(*(rule.keys for rule in kinds.values()))
+        assert set(spec_class.__dataclass_fields__) == read
 
     def test_metric_of_another_run_mode_rejected_before_any_round(self, monkeypatch):
         calls = []
@@ -170,13 +203,14 @@ class TestRecordObliviousTrace:
         np.testing.assert_allclose(ys.sum(axis=1), np.ones(100), atol=1e-9)
 
     @pytest.mark.parametrize("eta,recorder_eta", [(np.nan, None), (np.inf, None), (0.0, None),
-                                                  (0.5, np.nan), (0.5, -0.1)])
+                                                  (0.5, np.nan), (0.5, -0.1), (True, None),
+                                                  ("0.5", None), (0.5, True)])
     def test_rates_rejected_before_recording(self, eta, recorder_eta):
         # the recording MWU players check their rates when built, not at round 1
         g = make_random_game(4, 4, seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="eta must be positive and finite"):
+            with pytest.raises(ValueError, match="^eta: must be a finite number > 0"):
                 record_oblivious_trace(g, eta, 10, recorder_eta)
 
 

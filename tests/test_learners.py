@@ -232,7 +232,8 @@ class TestAmwuWrapper:
             Amwu(MP, "max", eta=0.1, alpha=-1.0)
 
     @pytest.mark.parametrize("eta,alpha", [(0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
-                                           (-np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)])
+                                           (-np.inf, 1.0), (0.1, np.nan), (0.1, np.inf),
+                                           (True, 1.0), ("0.1", 1.0), (0.1, "1")])
     def test_rates_must_be_finite(self, eta, alpha):
         # the exploit-rate learners and the checked kernels share one check
         makers = [lambda: Amwu(MP, "max", eta, alpha), lambda: Aftrl(3, eta, alpha),

@@ -222,10 +222,11 @@ class TestSpectralRadius:
     @pytest.mark.parametrize(
         "eta,alpha,name",
         [(-0.1, 10.0, "eta"), (0.0, 10.0, "eta"), (np.nan, 10.0, "eta"), (np.inf, 10.0, "eta"),
-         (0.1, -5.0, "alpha"), (0.1, np.nan, "alpha"), (0.1, np.inf, "alpha")],
+         (0.1, -5.0, "alpha"), (0.1, np.nan, "alpha"), (0.1, np.inf, "alpha"),
+         (True, 0.0, "eta"), ("0.1", 10.0, "eta"), (0.1, True, "alpha"), (0.1, "10", "alpha")],
     )
     def test_rejects_meaningless_rates(self, eta, alpha, name):
-        with pytest.raises(ValueError, match=rf"^{name} must be"):
+        with pytest.raises(ValueError, match=rf"^{name}: must be"):
             spectral_radius_at_ne(MP_UNIT, solve_zero_sum(MP_UNIT), eta, alpha)
 
     def test_exploit_rate_contracts_plain_diverges(self):
