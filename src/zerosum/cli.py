@@ -285,7 +285,8 @@ PRESETS = {
 def run_preset(name: str, output_dir, seeds, parallelism: int = 4) -> int:
     """Expand a named preset grid, run it, and write CSV plus manifest.
 
-    Returns the number of failed runs (0 means full success).
+    ``parallelism`` (>= 1) goes to ``engine.grid_run``; the output never
+    depends on it.  Returns the number of failed runs (0 means full success).
     """
     preset = PRESETS[check_choice(name, "preset", PRESETS)]
     out_dir = Path(output_dir)

@@ -32,11 +32,13 @@ LOSS_ATOL = 1e-9
 WEIGHT_FLOOR = 1e-300
 
 
-def uniform(n: int) -> np.ndarray:
-    """The uniform strategy on ``n`` actions (the entropy minimizer)."""
+def uniform(shape) -> np.ndarray:
+    """The uniform strategy (the entropy minimizer) on ``n`` actions, or for
+    ``shape`` (B, n) a block of B of them."""
+    n = shape[-1] if isinstance(shape, tuple) else shape
     if n < 1:
         raise ValueError(f"need at least one action, got n={n}")
-    return np.full(n, 1.0 / n)
+    return np.full(shape, 1.0 / n)
 
 
 def check_number(value, key: str, low: float = -math.inf, above: bool = False, integer=False):

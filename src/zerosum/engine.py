@@ -11,12 +11,16 @@ strategies before either observes the other's, and feedback arrives after
 the round.  A non-oblivious adversary reacting to the agent therefore
 sees only f_1 .. f_{t-1} when choosing y_t.
 
-One two-player loop, ``_play``, runs the replay recording and reactive play
-(both a row learner against a column MWU, ``_vs_mwu``) and self-play (one
-``learners.Amwu`` per side); an oblivious agent is fed its replayed losses.
-Both call the learners' unchecked ``update`` and validate every round once
-the loop ends (``core.check_rounds``), at the same tolerances as the
-per-vector checks.
+Every loop steps a batch of configs, the rows of batch-native learners
+(``learners``) with every product the stacked one, so that each row is bit
+for bit its config run alone.  One two-player loop, ``_play``, runs the
+replay recording and reactive play (a row learner against a column MWU,
+``_vs_mwu``) and self-play (one ``learners.Amwu`` per side); an oblivious
+agent is fed its replayed losses.  The loops call the learners' unchecked
+``update``; once a loop ends, each config's rounds are validated on its own
+slice (``core.check_rounds``), as the per-vector checks would.  A batch steps
+in runs of as many configs as fit ``_BATCH_BYTES``, so memory does not grow
+with the grid.
 
 Each spec checks itself when built, in Python as by ``cli.parse_config``: it
 rejects a set field that the kind tables do not list for its kind, and checks
@@ -24,9 +28,8 @@ the others (``_FIELD_CHECK``); its errors name the config key.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -94,31 +97,41 @@ def _check_field(spec, field_name: str, key: str) -> None:
         raise ValueError(f"{key}: missing required key")
 
 
-def _check_kind_fields(spec, where: str, keys) -> None:
-    """Reject a set field of ``spec`` other than ``kind`` and ``keys``, the fields
-    its kind reads, then check each of ``keys``; ``where`` is the spec's config key."""
+def _check_kind_fields(spec, where: str, keys: dict) -> None:
+    """Reject a set field of ``spec`` other than ``kind`` and the fields its kind
+    reads (the keys of ``keys``), then check each of those under its config key
+    (its value in ``keys``); ``where`` is the spec's config key."""
     given = [name for name in spec.__dataclass_fields__ if getattr(spec, name) is not None]
     check_keys(given, ("kind", *keys), f"{where} (kind {spec.kind!r})")
-    for key in keys:
-        _check_field(spec, key, f"{where}.{key}")
+    for name, key in keys.items():
+        _check_field(spec, name, key)
+
+
+def _config_keys(where: str, names) -> dict:
+    """Each field of ``names`` with its config key, ``where.name``."""
+    return {name: f"{where}.{name}" for name in names}
+
+
+# The fields each game kind reads, with their config keys.
+GAME_KINDS = {
+    "random": _config_keys("game.random", ("n", "m", "seed")),
+    "csv": {"path": "game.csv"},
+}
 
 
 @dataclass(frozen=True)
 class GameSpec:
     """Where the payoff matrix comes from: a seeded draw or a CSV file (``game.csv``)."""
 
-    kind: str  # "random" | "csv"
+    kind: str  # a key of GAME_KINDS
     n: int | None = None
     m: int | None = None
     seed: int | None = None
     path: str | None = None
 
     def __post_init__(self):
-        if check_choice(self.kind, "game.kind", ("random", "csv")) == "csv":
-            _check_field(self, "path", "game.csv")
-        else:
-            for key in ("n", "m", "seed"):
-                _check_field(self, key, f"game.random.{key}")
+        kind = check_choice(self.kind, "game.kind", GAME_KINDS)
+        _check_kind_fields(self, "game", GAME_KINDS[kind])
 
     def resolve(self) -> MatrixGame:
         if self.kind == "csv":
@@ -127,8 +140,8 @@ class GameSpec:
 
 
 class _Game:
-    """A game in the unit range, resolved once for all the configs of a
-    group; its equilibrium is solved on first use."""
+    """A game in the unit range, resolved once for all the configs that
+    play it; its equilibrium is solved on first use."""
 
     def __init__(self, spec: GameSpec):
         self.unit, _, _ = spec.resolve().to_unit_range()
@@ -147,18 +160,18 @@ class AgentKind(NamedTuple):
     for a kind that reads ``alpha`` or ``b`` the rate when neither is given.
     """
 
-    build: Callable  # (n, eta, alpha, regularizer, horizon) -> a loss-stream learner
+    build: Callable  # (shape, eta, alpha, regularizer, horizon) -> a loss-stream learner
     keys: tuple[str, ...]  # the fields it reads besides kind and name; eta, if read, is required
     alpha: float = 0.0
     self_play: bool = False
 
 
-def _leader(n, eta, alpha, reg, horizon):
-    return Aftrl(n, eta, alpha=alpha, reg=reg)
+def _leader(shape, eta, alpha, reg, horizon):
+    return Aftrl(shape, eta, alpha=alpha, reg=reg)
 
 
-def _multiplicative(n, eta, alpha, reg, horizon):
-    return Mwu(n, eta, alpha)
+def _multiplicative(shape, eta, alpha, reg, horizon):
+    return Mwu(shape, eta, alpha)
 
 
 _FREE = ("eta", "alpha", "b", "regularizer")  # the keys of a kind with a free exploit rate
@@ -168,14 +181,16 @@ AGENT_KINDS = {
     "FTRL": AgentKind(_leader, ("eta", "regularizer"), alpha=0.0),
     "OFTRL": AgentKind(_leader, ("eta", "regularizer"), alpha=1.0),
     "AFTRL": AgentKind(_leader, _FREE),
-    "AMD": AgentKind(lambda n, eta, a, reg, T: Amd(n, eta, a, reg), _FREE),
+    "AMD": AgentKind(lambda shape, eta, a, reg, T: Amd(shape, eta, a, reg), _FREE),
     "MWU": AgentKind(_multiplicative, ("eta",), self_play=True),
     "OMWU": AgentKind(_multiplicative, ("eta",), alpha=1.0, self_play=True),
     # the multiplicative member of the leader family: no regularizer but the entropy
     "AMWU": AgentKind(_leader, ("eta", "alpha", "b"), self_play=True),
-    "BestResponse": AgentKind(lambda n, *_: BestResponseLearner(n), ()),
-    "ProdBR": AgentKind(lambda n, eta, a, reg, T: ProdBr(n, T, reg), ("regularizer",)),
-    "DoublingAFTRL": AgentKind(lambda n, eta, a, reg, T: DoublingAftrl(n, eta, a, reg), _FREE),
+    "BestResponse": AgentKind(lambda shape, *_: BestResponseLearner(shape), ()),
+    "ProdBR": AgentKind(lambda shape, eta, a, reg, T: ProdBr(shape, T, reg), ("regularizer",)),
+    "DoublingAFTRL": AgentKind(
+        lambda shape, eta, a, reg, T: DoublingAftrl(shape, eta, a, reg), _FREE
+    ),
 }
 
 
@@ -192,7 +207,7 @@ class AgentSpec:
 
     def __post_init__(self):
         rule = AGENT_KINDS[check_choice(self.kind, "agent.kind", AGENT_KINDS)]
-        _check_kind_fields(self, "agent", ("name", *rule.keys))
+        _check_kind_fields(self, "agent", _config_keys("agent", ("name", *rule.keys)))
         if self.alpha is not None and self.b is not None:
             raise ValueError("agent.alpha: give either 'alpha' or 'b', not both")
         try:
@@ -225,7 +240,7 @@ class AdversarySpec:
 
     def __post_init__(self):
         rule = ADVERSARY_KINDS[check_choice(self.kind, "adversary.kind", ADVERSARY_KINDS)]
-        _check_kind_fields(self, "adversary", rule.keys)
+        _check_kind_fields(self, "adversary", _config_keys("adversary", rule.keys))
 
     @property
     def rule(self) -> AdversaryKind:
@@ -233,15 +248,13 @@ class AdversarySpec:
 
 
 # Metric name -> series; the functions are looked up in ``metrics`` when called.
-ADVERSARY_METRICS = {  # (agent's trace, agent)
-    "average_loss": lambda trace, agent: metrics.average_loss(trace),
-    "external_regret": lambda trace, agent: metrics.external_regret(trace),
-    "dynamic_regret": lambda trace, agent: metrics.dynamic_regret(trace),
-    "average_dynamic_regret": lambda trace, agent: metrics.average_dynamic_regret(trace),
-    "forward_regret": lambda trace, agent: metrics.forward_regret(
-        trace, getattr(agent, "reg", ENTROPY), getattr(agent, "eta", None) or 1.0
-    ),
-    "step_distance_l1": lambda trace, agent: metrics.step_distances(trace, 1),
+ADVERSARY_METRICS = {  # (agent's trace, agent's regularizer, agent's eta)
+    "average_loss": lambda trace, reg, eta: metrics.average_loss(trace),
+    "external_regret": lambda trace, reg, eta: metrics.external_regret(trace),
+    "dynamic_regret": lambda trace, reg, eta: metrics.dynamic_regret(trace),
+    "average_dynamic_regret": lambda trace, reg, eta: metrics.average_dynamic_regret(trace),
+    "forward_regret": lambda trace, reg, eta: metrics.forward_regret(trace, reg, eta),
+    "step_distance_l1": lambda trace, reg, eta: metrics.step_distances(trace, 1),
 }
 SELF_PLAY_METRICS = {  # (the game, max side's trace, min side's trace)
     "exploitability": lambda g, f, y: metrics.exploitability_series(
@@ -298,46 +311,79 @@ class RunOutcome:
     error: str | None = None
 
 
-def build_agent(spec: AgentSpec, n: int, horizon: int):
-    """Instantiate the loss-stream learner named by an agent spec; the
-    regularizer is the entropy where the spec gives none."""
-    reg = REGULARIZERS[spec.regularizer or "entropy"]
-    return spec.rule.build(n, spec.eta, spec.resolved_alpha(), reg, horizon)
+# The most bytes of strategy and loss blocks that one step of a batch holds; a
+# batch of more rows steps as several, as do a game's replays.
+_BATCH_BYTES = 1 << 27
 
 
-def _play(row, col, T: int, row_loss: Callable, col_loss: Callable):
-    """T simultaneous rounds of two loss-stream learners.
+def _chunks(items: list, T: int, k: int) -> list:
+    """``items`` in runs of as many rows of T rounds of k actions as fit ``_BATCH_BYTES``."""
+    size = max(1, _BATCH_BYTES // (8 * T * k))
+    return [items[i:i + size] for i in range(0, len(items), size)]
 
-    In round t both commit their strategies f_t and y_t; then the row
-    learner is fed ``row_loss(y_t)`` and the column learner
-    ``col_loss(f_t)``.  Returns the blocks (f, row losses, y, column
-    losses), one row per round.
-    """
+
+def _column(values) -> np.ndarray:
+    return np.array(values)[:, None]
+
+
+def build_agent(specs, n: int, horizon: int):
+    """One loss-stream learner of shape (B, n), a row for each of the B agent
+    ``specs``; they share a builder and a regularizer (the entropy where they
+    give none)."""
+    rates = (_column([spec.eta for spec in specs]),  # None for a kind that reads no eta
+             _column([spec.resolved_alpha() for spec in specs]))
+    reg = REGULARIZERS[specs[0].regularizer or "entropy"]
+    return specs[0].rule.build((len(specs), n), *rates, reg, horizon)
+
+
+def _play(row, col, fs: np.ndarray, ys: np.ndarray, row_loss: Callable, col_loss: Callable):
+    """Fill the (B, T, k) strategy blocks ``fs`` and ``ys`` with T simultaneous
+    rounds of two batches of loss-stream learners: in round t both commit their
+    B strategies f_t and y_t, then the row learner is fed ``row_loss(y_t)`` and
+    the column learner ``col_loss(f_t)``."""
     f, y = row.start(), col.start()
-    fs, xs = np.empty((T, f.size)), np.empty((T, f.size))
-    ys, zs = np.empty((T, y.size)), np.empty((T, y.size))
-    for t in range(T):
-        fs[t], ys[t] = f, y
-        x, z = row_loss(y), col_loss(f)
-        xs[t], zs[t] = x, z
-        f, y = row.update(x), col.update(z)
-    return fs, xs, ys, zs
+    for t in range(fs.shape[1]):
+        fs[:, t], ys[:, t] = f, y
+        f, y = row.update(row_loss(y)), col.update(col_loss(f))
 
 
-def _vs_mwu(row, unit: MatrixGame, eta: float, T: int, contexts: tuple[str, str]):
-    """``_play``'s blocks of ``row``, fed A y_t, against ``Mwu(m, eta)`` fed 1 - A^T f_t
-    (the negated gain, in [0, 1]) on a unit-range game; each side's rounds are
-    then checked, with the context of the same index in ``contexts``."""
+def _vs_mwu(row, unit: MatrixGame, etas, T: int):
+    """Play the batch ``row``, fed A y_t, against a column MWU at ``etas`` fed
+    1 - A^T f_t (the negated gain, in [0, 1]) on a unit-range game.  Returns a
+    function of a row b and two contexts that checks both sides' rounds of row b,
+    its losses recomputed to the same bits, and gives its (f, x, y) blocks."""
     a = unit.payoff
-    blocks = _play(row, Mwu(unit.m, eta), T, lambda y: a @ y, lambda f: 1.0 - a.T @ f)
-    check_rounds(*blocks[:2], context=contexts[0])
-    check_rounds(*blocks[2:], context=contexts[1])
-    return blocks
+    row_loss = lambda y: (a @ y[..., None])[..., 0]  # noqa: E731
+    col_loss = lambda f: 1.0 - (a.T @ f[..., None])[..., 0]  # noqa: E731
+    fs, ys = np.empty((len(etas), T, unit.n)), np.empty((len(etas), T, unit.m))
+    _play(row, Mwu((len(etas), unit.m), _column(etas)), fs, ys, row_loss, col_loss)
+
+    def checked(b: int, contexts: tuple[str, str]):
+        x = row_loss(ys[b])
+        check_rounds(fs[b], x, context=contexts[0])
+        check_rounds(ys[b], col_loss(fs[b]), context=contexts[1])
+        return fs[b], x, ys[b]
+
+    return checked
 
 
-def record_oblivious_trace(
-    game: MatrixGame, adversary_eta: float, horizon: int, recorder_eta: float | None = None
-) -> np.ndarray:
+def _replay_key(config: SimulationConfig) -> tuple:
+    """(adversary eta, recorder eta, horizon): what an oblivious replay depends on
+    besides the game."""
+    adv = config.adversary
+    return (adv.eta, adv.eta if adv.recorder_eta is None else adv.recorder_eta, config.horizon)
+
+
+def _record(unit: MatrixGame, keys) -> list:
+    """The replays of ``keys`` (``_replay_key``s of one horizon) on a unit-range
+    game, recorded as one batch: per key a function that checks it (once) and gives it."""
+    etas, recorder_etas, horizons = zip(*keys)
+    checked = _vs_mwu(Mwu((len(keys), unit.n), _column(recorder_etas)), unit, etas, horizons[0])
+    return [cache(lambda b=b: checked(b, ("replay row player round", "replay round"))[2])
+            for b in range(len(keys))]
+
+
+def record_oblivious_trace(game: MatrixGame, adversary_eta, horizon: int, recorder_eta=None):
     """Strategy sequence of a column MWU player facing a fixed row MWU.
 
     Both third parties start uniform; the column player's strategies are
@@ -345,161 +391,183 @@ def record_oblivious_trace(
     partner's rate defaults to the adversary's.  Both players' rounds are
     checked once the recording ends.
     """
-    unit, _, _ = game.to_unit_range()
-    row = Mwu(unit.n, recorder_eta if recorder_eta is not None else adversary_eta)
-    contexts = ("replay row player round", "replay round")
-    return _vs_mwu(row, unit, adversary_eta, horizon, contexts)[2]
+    recorder_eta = adversary_eta if recorder_eta is None else recorder_eta
+    return _record(game.to_unit_range()[0], [(adversary_eta, recorder_eta, horizon)])[0]()
 
 
-def run_vs_adversary(
-    config: SimulationConfig, replay: np.ndarray | None = None, game: _Game | None = None
-):
-    """Simulate one agent against a replayed or reactive adversary.
+def _vs_adversary_batch(game: _Game, configs, replays: dict) -> list:
+    """Step configs that share a game, learner builder and regularizer, horizon
+    and adversary kind as one batch; an oblivious agent is fed x_t = A y_t of
+    its replay (the function at its ``_replay_key`` in ``replays``).  Returns per
+    config a function that checks its rounds and gives (trace, series)."""
+    a, T = game.unit.payoff, configs[0].horizon
+    agent = build_agent([c.agent for c in configs], game.unit.n, T)
+    if configs[0].adversary.kind == "oblivious_mwu":
+        keys = list(dict.fromkeys(map(_replay_key, configs)))
+        # each replay's losses once, by stacked products: each row exactly a @ replay[t]
+        blocks = np.stack([(a @ replays[key]()[:, :, None])[..., 0] for key in keys])
+        rows = np.array([keys.index(_replay_key(c)) for c in configs])
+        strategies = np.empty((len(configs), T, game.unit.n))
+        f = agent.start()
+        for t in range(T):
+            strategies[:, t] = f
+            f = agent.update(blocks[rows, t])
+
+        def checked(b):
+            check_rounds(strategies[b], blocks[rows[b]])
+            return strategies[b], blocks[rows[b]]
+    else:  # reactive: the adversary sees f_t only after the round
+        reactive = _vs_mwu(agent, game.unit, [c.adversary.eta for c in configs], T)
+        checked = lambda b: reactive(b, ("round", "adversary round"))[:2]  # noqa: E731
+    reg = getattr(agent, "reg", ENTROPY)
+    etas = np.broadcast_to(getattr(agent, "eta", 1.0), (len(configs), 1))
+
+    def finish(b):
+        trace = Trace.from_rounds(*checked(b))
+        return trace, _series(ADVERSARY_METRICS, configs[b].metrics, trace, reg, etas[b, 0])
+
+    return [partial(finish, b) for b in range(len(configs))]
+
+
+def _self_play_batch(game: _Game, configs, replays=None) -> list:
+    """Step self-play configs that share a game and a horizon as one batch (as
+    ``run_self_play`` describes).  Returns per config a function that checks its
+    rounds and gives (trace_max, trace_min, series)."""
+    a = game.unit.payoff
+    rates = (_column([c.agent.eta for c in configs]),
+             _column([c.agent.resolved_alpha() for c in configs]))
+    row, col = (Amwu(game.unit, side, *rates) for side in ("max", "min"))
+    fs, ys = (np.empty((len(configs), configs[0].horizon, k)) for k in a.shape)
+    # round 2 repeats round 1 (each side's first update takes its round-1
+    # loss as the previous one too), so the loop plays rounds 2 .. T
+    _play(row, col, fs[:, 1:], ys[:, 1:], row.loss, col.loss)
+    fs[:, 0], ys[:, 0] = fs[:, 1], ys[:, 1]
+
+    def finish(b):
+        loss_max, loss_min = 1.0 - ys[b] @ a.T, fs[b] @ a
+        check_rounds(fs[b], loss_max, context="max side round")
+        check_rounds(ys[b], loss_min, context="min side round")
+        traces = Trace.from_rounds(fs[b], loss_max), Trace.from_rounds(ys[b], loss_min)
+        return (*traces, _series(SELF_PLAY_METRICS, configs[b].metrics, game, *traces))
+
+    return [partial(finish, b) for b in range(len(configs))]
+
+
+def run_vs_adversary(config: SimulationConfig):
+    """Simulate one agent against a replayed or reactive adversary, as a batch of one.
 
     Returns (trace, series, game) where the trace records the agent's
     strategies and the loss stream x_t = A y_t on the unit-normalized game.
-    ``replay`` is an oblivious config's recorded adversary, as
-    ``record_oblivious_trace`` returns it for this config's game, etas and
-    horizon, and ``game`` the config's game; each is made here when not given.
     """
-    game = game or _Game(config.game)
-    unit = game.unit
-    a = unit.payoff
-    T = config.horizon
     adv = config.adversary
-    if adv.kind == "oblivious_mwu":
-        if replay is None:
-            replay = record_oblivious_trace(unit, adv.eta, T, adv.recorder_eta)
-        if replay.shape[0] < T:
-            raise ValueError(f"replay shorter than horizon: {replay.shape[0]} < {T}")
-        agent = build_agent(config.agent, unit.n, T)
-        # stacked products: each row is exactly a @ replay[t]
-        losses = (a @ replay[:T, :, None])[..., 0]
-        strategies = np.empty_like(losses)
-        f = agent.start()
-        for t, x in enumerate(losses):
-            strategies[t] = f
-            f = agent.update(x)
-        check_rounds(strategies, losses)
-    elif adv.kind == "nonoblivious_mwu":
-        # reactive: the adversary sees f_t only after the round
-        agent = build_agent(config.agent, unit.n, T)
-        strategies, losses, _, _ = _vs_mwu(agent, unit, adv.eta, T, ("round", "adversary round"))
-    else:
+    if adv.kind not in ("oblivious_mwu", "nonoblivious_mwu"):
         raise ValueError(f"run_vs_adversary cannot handle adversary kind {adv.kind!r}")
-    trace = Trace.from_rounds(strategies, losses)
-    return trace, _series(ADVERSARY_METRICS, config.metrics, trace, agent), unit
+    game, keys = _Game(config.game), [_replay_key(config)] if adv.kind == "oblivious_mwu" else []
+    replays = dict(zip(keys, _record(game.unit, keys) if keys else []))
+    return (*_vs_adversary_batch(game, [config], replays)[0](), game.unit)
 
 
-def run_self_play(config: SimulationConfig, game: _Game | None = None):
-    """Mirror-play both sides of the game with the agent's update rule.
+def run_self_play(config: SimulationConfig):
+    """Mirror-play both sides of the game with the agent's update rule, as a batch of one.
 
-    The agent's kind is marked ``self_play`` in ``AGENT_KINDS`` (the
-    multiplicative family): each side is an ``Amwu``, the max side fed
-    -A y_t and the min side A^T f_t.  Both start uniform and the first two
-    strategies coincide, as ``Amwu``'s first update takes the round-1 loss
-    as the previous one.  Both sides' rounds, with the losses 1 - A y_t
-    and A^T f_t in [0, 1], are checked once the loop ends.  ``game`` is as
-    for ``run_vs_adversary``.  Returns (trace_max, trace_min, series, game).
+    The agent's kind is marked ``self_play`` in ``AGENT_KINDS``: each side is
+    an ``Amwu``, the max side fed -A y_t and the min side A^T f_t; the first
+    two strategies coincide, as ``Amwu``'s first update takes the round-1 loss
+    as the previous one.  Both sides' rounds, with the losses 1 - A y_t and
+    A^T f_t in [0, 1], are checked.  Returns (trace_max, trace_min, series, game).
     """
     if config.adversary.kind != "self_play":
         raise ValueError(f"run_self_play cannot handle adversary kind {config.adversary.kind!r}")
-    game = game or _Game(config.game)
-    unit = game.unit
-    a = unit.payoff
-    rates = (config.agent.eta, config.agent.resolved_alpha())
-    row, col = Amwu(unit, "max", *rates), Amwu(unit, "min", *rates)
-    # round 2 repeats round 1 (each side's first update takes its round-1
-    # loss as the previous one too), so the loop plays rounds 2 .. T
-    fs, _, ys, _ = _play(row, col, config.horizon - 1, row.loss, col.loss)
-    fs = np.concatenate((fs[:1], fs))
-    ys = np.concatenate((ys[:1], ys))
-
-    loss_max = 1.0 - ys @ a.T
-    loss_min = fs @ a
-    check_rounds(fs, loss_max, context="max side round")
-    check_rounds(ys, loss_min, context="min side round")
-    trace_max = Trace.from_rounds(fs, loss_max)
-    trace_min = Trace.from_rounds(ys, loss_min)
-    series = _series(SELF_PLAY_METRICS, config.metrics, game, trace_max, trace_min)
-    return trace_max, trace_min, series, unit
+    game = _Game(config.game)
+    return (*_self_play_batch(game, [config])[0](), game.unit)
 
 
-def run_config(
-    config: SimulationConfig, replay: np.ndarray | None = None, game: _Game | None = None
-) -> dict:
-    """The metric series of one config, in the run mode of its adversary.
-
-    ``replay`` and ``game`` are as for ``run_vs_adversary``; self-play has none.
-    """
+def run_config(config: SimulationConfig) -> dict:
+    """The metric series of one config, in the run mode of its adversary."""
     if config.adversary.kind == "self_play":
-        return run_self_play(config, game)[2]
-    return run_vs_adversary(config, replay, game)[1]
+        return run_self_play(config)[2]
+    return run_vs_adversary(config)[1]
 
 
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_one(index: int, config: SimulationConfig, replay, game: _Game) -> RunOutcome:
-    out = RunOutcome(index=index, config=config)
+def _per_row(run, items) -> list:
+    """``run(items)``: per item a function that gives its result or raises its
+    error.  If ``run`` raises, each item's function runs it alone instead."""
     try:
-        out.series = run_config(config, replay, game)
-    except Exception as exc:  # noqa: BLE001 - reported per config, others unaffected
-        out.error = _error(exc)
-    return out
+        return run(items)
+    except Exception:  # noqa: BLE001 - alone, only the failing items fail
+        return [lambda item=item: run([item])[0]() for item in items]
 
 
-def _group_key(config: SimulationConfig):
-    """The game, and for an oblivious config the rest of what its replay
-    depends on: adversary eta, recorder eta and horizon."""
-    adv = config.adversary
-    if adv.kind != "oblivious_mwu":
-        return (config.game,)
-    recorder_eta = adv.eta if adv.recorder_eta is None else adv.recorder_eta
-    return (config.game, adv.eta, recorder_eta, config.horizon)
+def _run_batch(game: _Game, outcomes: list[RunOutcome], replays: dict) -> None:
+    """Step the configs of ``outcomes``, one batch, then check each config and
+    fill in its series or error on its own; the blocks are dropped on return."""
+    run = _self_play_batch if outcomes[0].config.adversary.kind == "self_play" else _vs_adversary_batch
+    rows = _per_row(lambda configs: run(game, configs, replays), [out.config for out in outcomes])
+    for out, row in zip(outcomes, rows):
+        try:
+            out.series = row()[-1]
+        except Exception as exc:  # noqa: BLE001 - this config's error
+            out.error = _error(exc)
 
 
-def _run_group(group) -> list[RunOutcome]:
-    """Run one group, resolving its game and recording its replay (if any) once.
-
-    Both are dropped when the group ends.  If either fails, every config
-    of the group reports that error.
-    """
-    first = group[0][1]
-    replay = None
+def _run_game(spec: GameSpec, batches) -> None:
+    """Resolve one game, then step its batches of outcomes one after another,
+    each in runs of as many rows as fit ``_BATCH_BYTES``.  The oblivious ones
+    step against a run of replays at a time, as many as fit, each recorded
+    once as one batch and dropped after its configs have stepped.  If the game
+    fails, each config reports that error."""
     try:
-        game = _Game(first.game)
-        adv = first.adversary
-        if adv.kind == "oblivious_mwu":
-            replay = record_oblivious_trace(game.unit, adv.eta, first.horizon, adv.recorder_eta)
-    except Exception as exc:  # noqa: BLE001 - reported per config, other groups unaffected
-        return [RunOutcome(index=i, config=c, error=_error(exc)) for i, c in group]
-    return [_run_one(i, c, replay, game) for i, c in group]
+        game = _Game(spec)
+    except Exception as exc:  # noqa: BLE001 - reported per config, other games unaffected
+        for out in (out for batch in batches for out in batch):
+            out.error = _error(exc)
+        return
+    n, m = game.unit.payoff.shape
+    oblivious = [b for b in batches if b[0].config.adversary.kind == "oblivious_mwu"]
+
+    def step(batch, replays):
+        for rows in _chunks(batch, batch[0].config.horizon, n + m):
+            _run_batch(game, rows, replays)
+
+    def step_replays(keys):  # its replays are dropped on return
+        replays = dict(zip(keys, _per_row(partial(_record, game.unit), keys)))
+        for batch in oblivious:
+            if part := [out for out in batch if _replay_key(out.config) in replays]:
+                step(part, replays)
+
+    for batch in (b for b in batches if b[0].config.adversary.kind != "oblivious_mwu"):
+        step(batch, {})
+    keys = list(dict.fromkeys(_replay_key(out.config) for b in oblivious for out in b))
+    for T in dict.fromkeys(key[2] for key in keys):
+        for run in _chunks([key for key in keys if key[2] == T], T, n + m):
+            step_replays(run)
 
 
 def grid_run(configs, parallelism: int = 1) -> list[RunOutcome]:
     """Execute independent configs, preserving input order in the output.
 
-    Configs that share a group key (``_group_key``) form one group, which
-    resolves the game once, solves its equilibrium at most once, records
-    an oblivious replay once and runs its configs against them; a group is
-    one unit of work for the serial loop and for the pool, so at most
-    ``parallelism`` replays are held at once.  Each simulation is
-    internally sequential and a pure function of its config, so results
-    are identical for any parallelism level, grouping or grid order.
+    The configs of one game share one resolve, one equilibrium solve and one
+    recording of each oblivious replay; those that also share a run mode, a
+    horizon and (against an adversary) a learner builder and regularizer step
+    together as one batch, one batch after another, in runs of as many configs
+    as fit a fixed memory budget.  A config's series is bit for bit the config
+    run alone, so results never depend on batching, grid order or
+    ``parallelism`` (>= 1, otherwise unused).  A failing config fails alone:
+    checks and metrics run per config after its batch's loop, and a batch
+    whose loop raises reruns per config.
     """
-    configs = list(configs)
     if parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")
-    if not configs:
-        return []
-    groups = {}  # (index, config) pairs by group key, in order of first appearance
-    for i, config in enumerate(configs):
-        groups.setdefault(_group_key(config), []).append((i, config))
-    if parallelism == 1:
-        done = [_run_group(g) for g in groups.values()]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            done = list(pool.map(_run_group, groups.values()))
-    return sorted((out for outs in done for out in outs), key=lambda out: out.index)
+    outcomes = [RunOutcome(index=i, config=config) for i, config in enumerate(configs)]
+    games = {}  # game spec -> batch key -> outcomes, in order of first appearance
+    for out in outcomes:
+        agent, mode, T = out.config.agent, out.config.adversary.kind, out.config.horizon
+        learner = () if mode == "self_play" else (agent.rule.build, agent.regularizer or "entropy")
+        games.setdefault(out.config.game, {}).setdefault((mode, T, *learner), []).append(out)
+    for spec, batches in games.items():
+        _run_game(spec, list(batches.values()))
+    return outcomes

@@ -5,15 +5,19 @@ feedback) and ``step(observed)`` (ingest the last loss vector, emit the
 next strategy).  ``step`` checks the loss vector and the strategy it
 emits; ``update`` is the same step unchecked, one kernel call (the rates
 are checked at construction), for callers that check a whole run's
-rounds at once (the engine does).  The exploit rate ``alpha`` weights
-the most recent loss vector as a prediction of the next one:
+rounds at once (the engine does).
+
+Every learner is batch-native: built with shape (B, n) and rates as (B, 1)
+columns, it updates B rows at once, each bit for bit the learner of shape n
+at that row's rates.  The exploit rate ``alpha`` weights the most recent
+loss vector as a prediction of the next one:
 
 * ``Aftrl``   f_{t+1} = argmin <f, sum_{s<=t} x_s + alpha x_t> + R(f)/eta
               (alpha=0 is plain FTRL, alpha=1 the optimistic variant)
 * ``Amd``     mirror-descent analogue via two Bregman proximal steps
 * ``Mwu``     multiplicative weights,
               f_{t+1} ∝ f_t exp(-eta ((1+alpha) x_t - alpha x_{t-1}))
-              (alpha=0 is plain MWU; ``Omwu`` is alpha=1)
+              (alpha=0 is plain MWU, alpha=1 optimistic MWU)
 * ``ProdBr``  multiplicative mixture of an internal FTRL and the best
               response to the last loss, with an anchored mixture weight
 * ``DoublingAftrl``  phase-restarted Aftrl with halving learning rate
@@ -42,29 +46,34 @@ BR_TIE_ATOL = 1e-12
 
 
 def best_response(observed: np.ndarray) -> np.ndarray:
-    """Uniform distribution over the minimizers of the loss vector.
+    """Uniform distribution over the minimizers of each loss row (last axis).
 
     Ties within ``BR_TIE_ATOL`` of the minimum share the mass equally; the
     all-zero vector (the x_0 convention) yields the uniform strategy.
     """
     observed = np.asarray(observed, dtype=float)
-    lo = observed.min()
-    mask = observed <= lo + BR_TIE_ATOL
-    return mask / mask.sum()
+    mask = observed <= np.minimum.reduce(observed, axis=-1, keepdims=True) + BR_TIE_ATOL
+    return mask / np.add.reduce(mask, axis=-1, keepdims=True)
 
 
 class LossStreamLearner:
-    """Base of the loss-stream learners: ``start``, checked ``step``, unchecked ``update``."""
+    """Base of the loss-stream learners: ``start``, checked ``step``, unchecked ``update``.
+
+    ``shape`` is ``n``, one strategy of n actions, or ``(B, n)``, a batch of
+    B rows; each rate is a number or a (B, 1) column.
+    """
 
     n: int
     current: np.ndarray
 
-    def __init__(self, n: int, eta: float, alpha: float):
-        """Check the rates ``eta`` and ``alpha`` and start at the uniform
-        strategy; the learners without rates set their own state."""
-        check_rates(eta, alpha)
-        self.n, self.eta, self.alpha = n, eta, alpha
-        self.current = uniform(n)
+    def __init__(self, shape, eta, alpha):
+        """Check the rates ``eta`` and ``alpha``, each row's, and start at the
+        uniform strategy; the learners without rates set their own state."""
+        for row_eta, row_alpha in np.broadcast(eta, alpha):
+            check_rates(row_eta.item(), row_alpha.item())
+        self.eta, self.alpha = eta, alpha
+        self.current = uniform(shape)
+        self.n = self.current.shape[-1]
 
     def start(self) -> np.ndarray:
         return self.current
@@ -83,10 +92,10 @@ class LossStreamLearner:
 class Aftrl(LossStreamLearner):
     """Leader-style learner with exploit rate ``alpha`` on the latest loss."""
 
-    def __init__(self, n: int, eta: float, alpha: float = 0.0, reg: Regularizer = ENTROPY):
-        super().__init__(n, eta, alpha)
+    def __init__(self, shape, eta, alpha=0.0, reg: Regularizer = ENTROPY):
+        super().__init__(shape, eta, alpha)
         self.reg = reg
-        self.cumulative = np.zeros(n)
+        self.cumulative = np.zeros_like(self.current)
 
     def update(self, observed: np.ndarray) -> np.ndarray:
         self.cumulative = self.cumulative + observed
@@ -98,21 +107,20 @@ class Amd(LossStreamLearner):
     """Mirror-descent learner with an exploit-weighted prediction step.
 
     On observing x_t: g_{t+1} = prox(g_t, x_t), then the played strategy
-    f_{t+1} = prox(g_{t+1}, alpha * x_t); the prediction of x_{t+1} is x_t.
-    ``secondary`` is the latest g.
+    f_{t+1} = prox(g_{t+1}, alpha * x_t); the prediction of x_{t+1} is x_t
+    (a row at alpha = 0 plays g_{t+1}).  ``secondary`` is the latest g.
     """
 
-    def __init__(self, n: int, eta: float, alpha: float = 1.0, reg: Regularizer = ENTROPY):
-        super().__init__(n, eta, alpha)
+    def __init__(self, shape, eta, alpha=1.0, reg: Regularizer = ENTROPY):
+        super().__init__(shape, eta, alpha)
         self.reg = reg
-        self.secondary = uniform(n)
+        self.secondary = uniform(shape)
 
     def update(self, observed: np.ndarray) -> np.ndarray:
-        self.secondary = self.reg.prox(self.secondary, -self.eta * observed)
-        if self.alpha == 0.0:
-            self.current = self.secondary
-        else:
-            self.current = self.reg.prox(self.secondary, -self.eta * (self.alpha * observed))
+        self.secondary = self.current = self.reg.prox(self.secondary, -self.eta * observed)
+        if np.any(self.alpha != 0.0):
+            predicted = self.reg.prox(self.secondary, -self.eta * (self.alpha * observed))
+            self.current = np.where(self.alpha == 0.0, self.secondary, predicted)
         return self.current
 
 
@@ -125,22 +133,15 @@ class Mwu(LossStreamLearner):
     """Multiplicative weights on a loss stream, driven by the exploit-weighted
     loss: f_{t+1} ∝ f_t exp(-eta ((1+alpha) x_t - alpha x_{t-1}))."""
 
-    def __init__(self, n: int, eta: float, alpha: float = 0.0):
-        super().__init__(n, eta, alpha)
-        self.prev_loss = np.zeros(n)
+    def __init__(self, shape, eta, alpha=0.0):
+        super().__init__(shape, eta, alpha)
+        self.prev_loss = np.zeros_like(self.current)
 
     def update(self, observed: np.ndarray) -> np.ndarray:
         drive = _drive(observed, self.prev_loss, self.alpha)
         self.current = floored_softmax(-self.eta * drive, self.current)
         self.prev_loss = observed
         return self.current
-
-
-class Omwu(Mwu):
-    """Optimistic MWU: ``Mwu`` at exploit rate 1, exponent -eta (2 x_t - x_{t-1})."""
-
-    def __init__(self, n: int, eta: float):
-        super().__init__(n, eta, alpha=1.0)
 
 
 class Amwu(Mwu):
@@ -151,21 +152,25 @@ class Amwu(Mwu):
     ``step`` takes the opponent's strategy; ``update`` takes the loss, and
     its first call also takes that loss as the previous one.  ``alpha=0``
     recovers plain MWU dynamics and ``alpha=1`` the optimistic variant.
+    Rates given as (B, 1) columns make it a batch of B rows.
     """
 
-    def __init__(self, game: MatrixGame, side: str, eta: float, alpha: float):
+    def __init__(self, game: MatrixGame, side: str, eta, alpha):
         self.loss = self.side_loss(game, side)
-        super().__init__(game.n if side == "max" else game.m, eta, alpha)
+        actions = game.n if side == "max" else game.m
+        super().__init__(np.shape(eta)[:-1] + (actions,), eta, alpha)
         self.prev_loss = None
 
     @staticmethod
     def side_loss(game: MatrixGame, side: str):
-        """The map from the opponent's strategy to ``side``'s loss vector."""
+        """The map from the opponent's strategy, or a (B, k) block of them, to
+        ``side``'s loss rows; each row is the stacked product, exactly the
+        1-D ``a @ y``."""
         a = game.payoff
         if side == "max":
-            return lambda y: -(a @ y)
+            return lambda y: -(a @ y[..., None])[..., 0]
         if side == "min":
-            return lambda f: a.T @ f
+            return lambda f: (a.T @ f[..., None])[..., 0]
         raise ValueError(f"side must be 'max' or 'min', got {side!r}")
 
     def update(self, observed: np.ndarray) -> np.ndarray:
@@ -227,9 +232,9 @@ def linear_amwu_step(
 class BestResponseLearner(LossStreamLearner):
     """Plays the best response to the last observed loss vector."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.current = uniform(n)
+    def __init__(self, shape):
+        self.current = uniform(shape)
+        self.n = self.current.shape[-1]
 
     def update(self, observed: np.ndarray) -> np.ndarray:
         self.current = best_response(observed)
@@ -242,23 +247,25 @@ class ProdBr(LossStreamLearner):
     The horizon must be known up front; the parameters are
     eta = n / sqrt(2 T), eta1 = 0.5 sqrt(log T / T), and the anchored
     best-response weight w_br = 1 - eta1 stays fixed while the FTRL weight
-    w_r (initially eta1) is scaled by 1 + eta1 <BR_t - f_t, x_t> after
-    each round, using the pair that was mixed for the round just scored.
+    w_r (initially eta1; a column, one entry per row) is scaled by
+    1 + eta1 <BR_t - f_t, x_t> after each round, using the pair that was
+    mixed for the round just scored.  For a loss vector in [0, 1] the inner
+    product lies in [-1, 1] and eta1 < 1/3, so w_r stays positive.
     """
 
-    def __init__(self, n: int, horizon: int, reg: Regularizer = ENTROPY):
+    def __init__(self, shape, horizon: int, reg: Regularizer = ENTROPY):
         if horizon < 2:
             raise ValueError(f"horizon must be at least 2, got {horizon}")
-        self.n = n
         self.horizon = horizon
         self.reg = reg
-        self.eta = n / math.sqrt(2.0 * horizon)
+        self.ftrl_current = uniform(shape)   # f_1 = argmin R
+        self.br_current = uniform(shape)     # best response to x_0 = 0
+        self.cumulative = np.zeros_like(self.ftrl_current)
+        self.n = self.cumulative.shape[-1]
+        self.eta = self.n / math.sqrt(2.0 * horizon)
         self.eta1 = 0.5 * math.sqrt(math.log(horizon) / horizon)
-        self.w_r = self.eta1
+        self.w_r = np.full(self.cumulative.shape[:-1] + (1,), self.eta1)
         self.w_br = 1.0 - self.eta1
-        self.cumulative = np.zeros(n)
-        self.ftrl_current = uniform(n)   # f_1 = argmin R
-        self.br_current = uniform(n)     # best response to x_0 = 0
         self.current = self._mix()
 
     def _mix(self) -> np.ndarray:
@@ -266,9 +273,9 @@ class ProdBr(LossStreamLearner):
         return (self.w_r * self.ftrl_current + self.w_br * self.br_current) / total
 
     def update(self, observed: np.ndarray) -> np.ndarray:
-        self.w_r *= 1.0 + self.eta1 * float((self.br_current - self.ftrl_current) @ observed)
-        if self.w_r <= 0.0:
-            raise ValueError(f"mixture weight became nonpositive: {self.w_r}")
+        # <BR_t - f_t, x_t> per row: the stacked product, each row exactly the 1-D one
+        gain = ((self.br_current - self.ftrl_current)[..., None, :] @ observed[..., None])[..., 0]
+        self.w_r = self.w_r * (1.0 + self.eta1 * gain)
         self.cumulative = self.cumulative + observed
         self.ftrl_current = self.reg.leader(-self.eta * self.cumulative)
         self.br_current = best_response(observed)
@@ -286,28 +293,33 @@ class DoublingAftrl(Aftrl):
     observation, and the crossing term opens the new phase's accumulator.
     The previous-loss pointer is kept across restarts (the adversary's
     stream is continuous).  Each round then takes ``Aftrl``'s update.
+    Each row has its own phase, eta and accumulator (in a batch, (B, 1)
+    columns); ``restarts`` lists the rounds in which some row restarted.
     """
 
-    def __init__(self, n: int, eta0: float, alpha: float, reg: Regularizer = ENTROPY):
-        super().__init__(n, eta0, alpha, reg)
+    def __init__(self, shape, eta0, alpha, reg: Regularizer = ENTROPY):
+        super().__init__(shape, eta0, alpha, reg)
         self.eta0 = eta0
-        self.r_max = reg.max_value(n)
-        self.phase = 0
-        self.prev_loss = np.zeros(n)
-        self.accumulator = 0.0
+        self.r_max = reg.max_value(self.n)
+        rows = self.current.shape[:-1]
+        self.phase = np.zeros(rows + (1,) if rows else (), dtype=int)
+        self.prev_loss = np.zeros_like(self.current)
+        self.accumulator = np.zeros(self.phase.shape)
         self.restarts: list[int] = []
         self._round = 0
 
     def update(self, observed: np.ndarray) -> np.ndarray:
         self._round += 1
-        delta_sq = l_norm(observed - self.prev_loss, self.reg.q) ** 2
+        delta_sq = np.reshape(l_norm(observed - self.prev_loss, self.reg.q) ** 2, self.phase.shape)
         self.prev_loss = observed
-        self.accumulator += delta_sq
-        # the budget test (never true at alpha = 0)
-        if (self.eta * self.alpha / self.reg.beta) * self.accumulator > self.r_max / self.eta:
-            self.phase += 1
-            self.eta = self.eta0 / 2.0 ** self.phase
-            self.cumulative = np.zeros(self.n)
-            self.accumulator = delta_sq
+        self.accumulator = self.accumulator + delta_sq
+        # the budget test, per row (never true at alpha = 0)
+        restart = (self.eta * self.alpha / self.reg.beta) * self.accumulator > self.r_max / self.eta
+        if restart.any():
+            self.phase = self.phase + restart
+            # [()] turns the 0-d result of an unbatched learner into a number
+            self.eta = np.where(restart, self.eta0 / 2.0 ** self.phase, self.eta)[()]
+            self.cumulative = np.where(restart, 0.0, self.cumulative)
+            self.accumulator = np.where(restart, delta_sq, self.accumulator)
             self.restarts.append(self._round)
         return super().update(observed)

@@ -102,13 +102,14 @@ def floored_softmax(z: np.ndarray, prior: np.ndarray | None = None) -> np.ndarra
     """prior * exp(z - max z), floored at ``WEIGHT_FLOOR`` and normalized,
     over the last axis.
 
-    The multiplicative kernel of every entropy update; ``z`` is shifted in
-    place, so callers pass a fresh array.  No prior means a uniform one.
+    The multiplicative kernel of every entropy update; it works in the
+    array ``z``, so callers pass a fresh one.  No prior means a uniform one.
+    The reductions are the ufuncs' own, as ``max`` and ``sum`` call them.
     """
-    z -= z.max(axis=-1, keepdims=True)
-    w = np.exp(z) if prior is None else prior * np.exp(z)
-    w = np.maximum(w, WEIGHT_FLOOR)
-    return w / w.sum(axis=-1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    w = np.exp(z, out=z) if prior is None else np.multiply(prior, np.exp(z, out=z), out=z)
+    w = np.maximum(w, WEIGHT_FLOOR, out=w)
+    return np.divide(w, np.add.reduce(w, axis=-1, keepdims=True), out=w)
 
 
 def regularized_argmin(reg: Regularizer, cumulative: np.ndarray, eta: float) -> np.ndarray:

@@ -32,7 +32,6 @@ from zerosum.learners import (
     Amwu,
     DoublingAftrl,
     Mwu,
-    Omwu,
     ProdBr,
     amwu_step,
     linear_amwu_step,
@@ -64,7 +63,7 @@ def test_criterion_01_equivalences():
         # leader with no exploit weight vs incremental multiplicative weights
         a1, m1 = Aftrl(n, 0.05, 0.0, ENTROPY), Mwu(n, 0.05)
         # leader with exploit weight one vs incremental optimistic update
-        a2, o2 = Aftrl(n, 0.05, alpha=1.0), Omwu(n, 0.05)
+        a2, o2 = Aftrl(n, 0.05, alpha=1.0), Mwu(n, 0.05, 1.0)
         # euclidean leader vs direct projection oracle
         a3 = Aftrl(n, 0.05, 0.0, SQUARED_L2)
         cum = np.zeros(n)

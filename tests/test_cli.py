@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import re
 import runpy
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from zerosum.cli import (
     CSV_HEADER,
+    PRESETS,
     ConfigError,
     SeriesRecord,
     centered_random_game,
@@ -45,7 +47,7 @@ class TestParseConfig:
         assert "average_loss" in cfg.metrics
         assert cfg.output is None
         ftrl = parse_config(doc(agent={"kind": "FTRL", "eta": 0.1})).agent
-        assert ftrl.regularizer is None and build_agent(ftrl, 4, 100).reg is ENTROPY
+        assert ftrl.regularizer is None and build_agent([ftrl], 4, 100).reg is ENTROPY
 
     def test_unknown_top_key(self):
         with pytest.raises(ConfigError, match="'extra'"):
@@ -138,7 +140,28 @@ class TestEmitCsv:
         assert lines[51].split(",")[1] == "B"
 
 
+# The reference output: the sha256 of each preset's CSV and manifest at --seeds 1.
+REFERENCE_SHA256 = {
+    "oblivious-loss": ("73c06a69f6db75073f55624e5f9fd401ed5521b0af5c5f207be3ad97507ba081",
+                       "837c41d09743eef577216bbdf20bad2b77a73e6b60b27a4e95ce750689309534"),
+    "nonoblivious-regret": ("9f6a274ea309c7d1c702b46b0277e0af2ce9b2f83a5f1a61bef042597649040c",
+                            "ffb97f1bb950d59d9ad2a05ac9cf481ac9f53d832bd01b494178ea49c2fa7e69"),
+    "last-round": ("59ccc609b51844fca59d088591f6099a088612f16ce8e724935d01eebea1c52d",
+                   "87e1ee6be02eba9faa46c04e4789dfb1b798bf03b10afb6dbfd1d67480175827"),
+    "spectral-certificate": ("4e2563960af047539b47a57d1ca8149fa5c16b1b2ab40488e0549babdb1616f8",
+                             "b4f99583df847e9e32d02437ac02f0e9cb2388fb4791199fda039ca0dac470be"),
+}
+
+
 class TestPresets:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", list(REFERENCE_SHA256))
+    def test_reference_output(self, tmp_path, name):
+        assert run_preset(name, tmp_path, [1], parallelism=1) == 0
+        written = (tmp_path / PRESETS[name].csv, tmp_path / "manifest.json")
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in written)
+        assert digests == REFERENCE_SHA256[name]
+
     def test_unknown_preset(self, tmp_path):
         with pytest.raises(ValueError, match=r"^preset: unknown value 'bogus'; choose from "):
             run_preset("bogus", tmp_path, [1])

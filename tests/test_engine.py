@@ -1,5 +1,5 @@
 import json
-import threading
+import tracemalloc
 import warnings
 import weakref
 
@@ -25,7 +25,7 @@ from zerosum.engine import (
     run_vs_adversary,
 )
 from zerosum.learners import amwu_step
-from zerosum.metrics import dynamic_regret
+from zerosum.regularizers import ENTROPY
 
 # First outputs of the published SplitMix64 algorithm, computed with an
 # independent C implementation of the reference code.
@@ -135,6 +135,17 @@ class TestSpecChecks:
         assert str(built.value) == str(parsed.value)
         assert str(built.value).startswith("metrics: unknown value 'kl_to_ne'; choose from ")
         assert calls == []
+
+    @pytest.mark.parametrize("fields,text", [
+        ({"kind": "random", "n": 3, "m": 3, "seed": 1, "path": "nowhere.csv"},
+         "game (kind 'random'): unknown key 'path'; accepted: kind, m, n, seed"),
+        ({"kind": "csv", "path": "x.csv", "n": 5},
+         "game (kind 'csv'): unknown key 'n'; accepted: kind, path"),
+    ], ids=["random-path", "csv-n"])
+    def test_game_field_its_kind_does_not_read(self, fields, text):
+        with pytest.raises(ValueError) as built:
+            GameSpec(**fields)
+        assert str(built.value) == text
 
     def test_numpy_scalars_are_numbers(self):
         game = GameSpec(kind="random", n=np.int64(4), m=np.int32(4), seed=np.uint8(3))
@@ -262,7 +273,8 @@ class TestRunVsAdversary:
         for spec in VS_ADVERSARY_AGENTS:
             trace, _, unit = run_vs_adversary(vs_config(seed=seed, horizon=T, agent=spec))
             replay = record_oblivious_trace(unit, 0.5, T)
-            agent = engine.build_agent(spec, unit.n, T)
+            # the learner unbatched: one vector of n actions and its rates as numbers
+            agent = spec.rule.build(unit.n, spec.eta, spec.resolved_alpha(), ENTROPY, T)
             strategies, losses = np.empty((T, unit.n)), np.empty((T, unit.n))
             f = agent.start()
             for t in range(T):
@@ -409,11 +421,6 @@ ALL_AGENTS = tuple(AgentSpec(kind=k, **p) for k, p in sorted(AGENT_PARAMS.items(
 )
 
 
-def _replay_key(game, adversary_eta, horizon, recorder_eta=None):
-    recorder = adversary_eta if recorder_eta is None else recorder_eta
-    return (game.payoff.tobytes(), adversary_eta, recorder, horizon)
-
-
 class TestReplayGroups:
     def test_agent_table_covers_every_kind(self):
         assert set(AGENT_PARAMS) == set(AGENT_KINDS)
@@ -444,16 +451,15 @@ class TestReplayGroups:
                         np.testing.assert_array_equal(out.series[name], values)
 
     def test_one_recording_per_replay_key(self, monkeypatch):
+        # each game's replays are recorded as one batch, each replay key once
         calls = []
-        lock = threading.Lock()
-        record = engine.record_oblivious_trace
+        record = engine._record
 
-        def counting(game, adversary_eta, horizon, recorder_eta=None):
-            with lock:
-                calls.append(_replay_key(game, adversary_eta, horizon, recorder_eta))
-            return record(game, adversary_eta, horizon, recorder_eta)
+        def counting(unit, keys):
+            calls.append([(unit.payoff.tobytes(), *key) for key in keys])
+            return record(unit, keys)
 
-        monkeypatch.setattr(engine, "record_oblivious_trace", counting)
+        monkeypatch.setattr(engine, "_record", counting)
         agents = (AgentSpec(kind="MWU", eta=0.1), AgentSpec(kind="ProdBR"))
         configs = [
             vs_config(seed=seed, horizon=30, agent=agent, adversary=adv)
@@ -471,16 +477,16 @@ class TestReplayGroups:
             calls.clear()
             outcomes = grid_run(configs, parallelism)
             assert all(o.error is None for o in outcomes)
-            assert len(calls) == len(set(calls)) == 6  # 3 games x 2 adversary etas
+            keys = [key for call in calls for key in call]
+            assert len(calls) == 3  # one recording per game
+            assert len(keys) == len(set(keys)) == 6  # 3 games x 2 adversary etas
 
     def test_one_resolve_per_group(self, monkeypatch):
         calls = []
-        lock = threading.Lock()
         resolve = GameSpec.resolve
 
         def counting(spec):
-            with lock:
-                calls.append(spec)
+            calls.append(spec)
             return resolve(spec)
 
         monkeypatch.setattr(GameSpec, "resolve", counting)
@@ -499,8 +505,8 @@ class TestReplayGroups:
             calls.clear()
             outcomes = grid_run(configs, parallelism)
             assert all(o.error is None for o in outcomes)
-            # per game: one group per oblivious adversary eta, one for the rest
-            assert len(calls) == 9
+            # one resolve per game, shared by all its configs
+            assert len(calls) == 3
             assert {spec.seed for spec in calls} == {1, 2, 3}
         calls.clear()
         run_vs_adversary(configs[0])  # a config run alone resolves its own game
@@ -508,12 +514,10 @@ class TestReplayGroups:
 
     def test_one_equilibrium_per_self_play_game(self, monkeypatch):
         calls = []
-        lock = threading.Lock()
         solve = nash.solve_zero_sum
 
         def counting(game):
-            with lock:
-                calls.append(game)
+            calls.append(game)
             return solve(game)
 
         configs = [
@@ -540,14 +544,15 @@ class TestReplayGroups:
         assert calls == []
 
     def test_failed_replay_fails_only_its_group(self, monkeypatch):
-        record = engine.record_oblivious_trace
+        # a recording batch that fails is recorded again one replay at a time
+        record = engine._record
 
-        def failing_at_04(game, adversary_eta, horizon, recorder_eta=None):
-            if adversary_eta == 0.4:
+        def failing_at_04(unit, keys):
+            if any(eta == 0.4 for eta, _, _ in keys):
                 raise ValueError("replay failed")
-            return record(game, adversary_eta, horizon, recorder_eta)
+            return record(unit, keys)
 
-        monkeypatch.setattr(engine, "record_oblivious_trace", failing_at_04)
+        monkeypatch.setattr(engine, "_record", failing_at_04)
         agents = (AgentSpec(kind="MWU", eta=0.1), AgentSpec(kind="OMWU", eta=0.1),
                   AgentSpec(kind="ProdBR"))
         bad_adv = AdversarySpec(kind="oblivious_mwu", eta=0.4)
@@ -569,36 +574,136 @@ class TestReplayGroups:
                 assert set(out.series) == set(ADVERSARY_METRICS)
 
     def test_replays_held_at_most_one_per_worker(self, monkeypatch):
+        # batches run one after another: only one game's replays are held at once
         live = peak = 0
-        lock = threading.Lock()
-        record = engine.record_oblivious_trace
+        record = engine._record
 
         def release():
             nonlocal live
-            with lock:
-                live -= 1
+            live -= 1
 
-        def tracked(*args):
+        def tracked(unit, keys):
             nonlocal live, peak
-            ys = record(*args)
-            with lock:
+            replays = record(unit, keys)  # one function per key, holding the recording
+            for replay in replays:
                 live += 1
-                peak = max(peak, live)
-            weakref.finalize(ys, release)
-            return ys
+                weakref.finalize(replay, release)
+            peak = max(peak, live)
+            return replays
 
-        monkeypatch.setattr(engine, "record_oblivious_trace", tracked)
+        monkeypatch.setattr(engine, "_record", tracked)
         configs = [
-            vs_config(seed=seed, horizon=60, agent=AgentSpec(kind="MWU", eta=eta))
+            vs_config(seed=seed, horizon=60, agent=AgentSpec(kind="MWU", eta=eta),
+                      adversary=AdversarySpec(kind="oblivious_mwu", eta=adversary_eta))
             for seed in range(6)
             for eta in (0.05, 0.2)
+            for adversary_eta in (0.5, 0.3)
         ]
         for parallelism in (1, 2):
             peak = 0
             outcomes = grid_run(configs, parallelism)
             assert all(o.error is None for o in outcomes)
             assert live == 0
-            assert 1 <= peak <= parallelism
+            assert peak == 2  # the two replays of one game
+
+
+def _mixed_grid():
+    """Two games; MWU, OMWU, OMWU1, AMWU and ProdBR against oblivious MWUs at
+    three replay keys and reactive MWUs at two etas, and the self-play agents;
+    in a shuffled order."""
+    adversaries = (
+        AdversarySpec(kind="oblivious_mwu", eta=0.5),
+        AdversarySpec(kind="oblivious_mwu", eta=0.3),
+        AdversarySpec(kind="oblivious_mwu", eta=0.3, recorder_eta=0.2),
+        AdversarySpec(kind="nonoblivious_mwu", eta=0.4),
+        AdversarySpec(kind="nonoblivious_mwu", eta=0.2),
+    )
+    configs = [
+        vs_config(seed=seed, horizon=40, agent=agent, adversary=adv)
+        for seed in (1, 2) for adv in adversaries for agent in VS_ADVERSARY_AGENTS
+    ] + [
+        self_play_config(spec.kind, spec.eta, seed=seed, alpha=spec.alpha, name=spec.name,
+                         metrics=("exploitability", "kl_to_ne"))
+        for seed in (1, 2) for spec in LAST_ROUND_AGENTS
+    ]
+    order = np.random.default_rng(7).permutation(len(configs))
+    return [configs[i] for i in order]
+
+
+def _assert_same_series(got: dict, expected: dict):
+    assert set(got) == set(expected)
+    for name, values in expected.items():
+        np.testing.assert_array_equal(got[name], values, err_msg=name)
+
+
+class TestBatches:
+    def test_batched_series_equal_each_config_run_alone(self, monkeypatch):
+        configs = _mixed_grid()
+        rows = []  # the size of each batch built against an adversary
+        build = engine.build_agent
+        monkeypatch.setattr(engine, "build_agent",
+                            lambda specs, n, T: rows.append(len(specs)) or build(specs, n, T))
+        outcomes = grid_run(configs)
+        # per game: 3 Mwu and one Aftrl and ProdBr batch per adversary kind
+        assert sorted(rows) == sorted([3 * 3, 3, 3, 2 * 3, 2, 2] * 2)
+        for out, config in zip(outcomes, configs):
+            assert out.config is config and out.error is None, out.error
+            _assert_same_series(out.series, engine.run_config(config))
+
+    @pytest.mark.parametrize("fault", ["nan", "raise"])
+    def test_failing_row_fails_only_its_config(self, monkeypatch, fault):
+        # the rows at eta 0.2 go NaN (caught by the checks on each config's slice
+        # after the loop) or raise (the batch is run again one config at a time)
+        configs = [
+            vs_config(horizon=30, agent=AgentSpec(kind="MWU", eta=eta), adversary=adv)
+            for adv in (AdversarySpec(kind="oblivious_mwu", eta=0.5),
+                        AdversarySpec(kind="nonoblivious_mwu", eta=0.5))
+            for eta in (0.1, 0.2, 0.3)
+        ]
+        clean = grid_run(configs)
+        update = engine.Mwu.update
+
+        def faulty(self, observed):
+            at_eta = np.asarray(self.eta) == 0.2
+            if at_eta.any() and fault == "raise":
+                raise FloatingPointError("row at eta 0.2")
+            return np.where(at_eta, np.nan, update(self, observed))
+
+        monkeypatch.setattr(engine.Mwu, "update", faulty)
+        outcomes = grid_run(configs)
+        expected_error = {"nan": "ValueError: round 2 strategy: non-finite entries",
+                          "raise": "FloatingPointError: row at eta 0.2"}[fault]
+        for out, before in zip(outcomes, clean):
+            if out.config.agent.eta == 0.2:
+                assert out.error == expected_error and out.series == {}
+            else:
+                assert out.error is None, out.error
+                _assert_same_series(out.series, before.series)
+
+
+    @pytest.mark.parametrize("mode", ["oblivious_mwu", "nonoblivious_mwu", "self_play"])
+    def test_memory_does_not_grow_with_batch_size(self, monkeypatch, mode):
+        # a budget of 3 rows: 18 configs of one game (each with its own replay
+        # when oblivious) step 3 at a time, so the traced peak stays that of 3
+        T = 1000
+        monkeypatch.setattr(engine, "_BATCH_BYTES", 3 * 8 * T * (10 + 10))
+
+        def peak(count):
+            configs = [SimulationConfig(
+                game=GameSpec(kind="random", n=10, m=10, seed=1), horizon=T,
+                agent=AgentSpec(kind="MWU", eta=0.01 * (1 + i)),
+                adversary=AdversarySpec(kind=mode, **({} if mode == "self_play" else
+                                                      {"eta": 0.1 + 0.02 * i})),
+                metrics=("exploitability",) if mode == "self_play" else ("average_loss",),
+            ) for i in range(count)]
+            tracemalloc.start()
+            try:
+                assert all(out.error is None for out in grid_run(configs))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(18) < 1.5 * peak(3)
 
 
 class _OffSimplexAt:
@@ -628,14 +733,15 @@ class TestRoundChecks:
             run_vs_adversary(cfg)
 
     def test_bad_loss_names_its_round(self, monkeypatch):
-        record = engine.record_oblivious_trace
+        record = engine._record
 
-        def corrupted(*args):
-            ys = record(*args)
-            ys[5] = 1.0  # every column at full weight: row sums exceed 1
-            return ys
+        def corrupted(unit, keys):
+            replays = [replay() for replay in record(unit, keys)]
+            for ys in replays:
+                ys[5] = 1.0  # every column at full weight: row sums exceed 1
+            return [lambda ys=ys: ys for ys in replays]
 
-        monkeypatch.setattr(engine, "record_oblivious_trace", corrupted)
+        monkeypatch.setattr(engine, "_record", corrupted)
         with pytest.raises(ValueError, match=r"^round 6 loss: entries outside \[0, 1\]"):
             run_vs_adversary(vs_config(horizon=20))
 
@@ -656,18 +762,20 @@ class TestRoundChecks:
 def _off_simplex_self_play_round(monkeypatch, eta, side, k):
     """Patch ``Mwu.update`` so that the self-play run at ``eta`` gives
     ``side`` a strategy off the simplex in round k (its first update plays
-    round 3).  Each round updates the max side's learner first."""
+    round 3), in the batch rows at ``eta`` only.  Each round updates the
+    max side's learner first."""
     update = engine.Mwu.update
-    sides = {}  # id of each learner at eta -> its side
+    sides = {}  # id of each learner with rows at eta -> its side
     calls = 0
 
     def off_at_k(self, observed):
         nonlocal calls
         out = update(self, observed)
-        if self.eta == eta and sides.setdefault(id(self), "min" if sides else "max") == side:
+        at_eta = self.eta == eta  # a (B, 1) column
+        if at_eta.any() and sides.setdefault(id(self), "min" if sides else "max") == side:
             calls += 1
             if calls == k - 2:
-                return out + 1e-8
+                return out + 1e-8 * at_eta
         return out
 
     monkeypatch.setattr(engine.Mwu, "update", off_at_k)

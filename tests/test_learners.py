@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zerosum.core import MatrixGame, Trace, l_norm, uniform
+from zerosum.engine import AgentSpec, build_agent
 from zerosum.learners import (
     Aftrl,
     Amd,
@@ -11,7 +12,6 @@ from zerosum.learners import (
     BestResponseLearner,
     DoublingAftrl,
     Mwu,
-    Omwu,
     ProdBr,
     amwu_step,
     best_response,
@@ -240,7 +240,6 @@ class TestAmwuWrapper:
                   lambda: Amd(3, eta, alpha), lambda: DoublingAftrl(3, eta, alpha),
                   lambda: Mwu(3, eta, alpha)]
         if alpha == 1.0:
-            makers.append(lambda: Omwu(3, eta))
             for reg in (ENTROPY, SQUARED_L2):  # the kernels take eta alone
                 makers += [lambda reg=reg: regularized_argmin(reg, np.zeros(3), eta),
                            lambda reg=reg: bregman_prox(reg, uniform(3), np.zeros(3), eta),
@@ -259,7 +258,7 @@ class TestCheckedStep:
             lambda: Aftrl(n, 0.2, alpha=1.0, reg=SQUARED_L2),
             lambda: Amd(n, 0.2, alpha=2.0),
             lambda: Mwu(n, 0.2),
-            lambda: Omwu(n, 0.2),
+            lambda: Mwu(n, 0.2, 1.0),
             lambda: BestResponseLearner(n),
             lambda: ProdBr(n, horizon=horizon),
             lambda: DoublingAftrl(n, 1.0, alpha=2.0),
@@ -280,6 +279,38 @@ class TestCheckedStep:
                 learner.step(np.array([0.2, 1.5, 0.0, 0.0]))
             with pytest.raises(ValueError, match="dimension mismatch"):
                 learner.step(np.array([0.2, 0.5]))
+
+
+class TestBatchRows:
+    """A batch of B rows steps each row bit for bit as the unbatched learner
+    at that row's rates, fed that row's losses."""
+
+    @pytest.mark.parametrize("reg", [ENTROPY, SQUARED_L2], ids=["entropy", "squared_l2"])
+    def test_rows_equal_unbatched_learners(self, reg):
+        rng = np.random.default_rng(21)
+        B, n, T = 4, 5, 300
+        etas, alphas = np.array([[0.5], [1.0], [2.0], [1.0]]), np.array([[0.0], [1.0], [8.0], [3.0]])
+        xs = rng.uniform(0, 1, (B, T, n))
+        xs[:, ::3] = np.eye(n)[rng.integers(n, size=B)][:, None]  # vertex rounds: restarts fire
+        makers = [
+            lambda shape, eta, alpha: Aftrl(shape, eta, alpha, reg),
+            lambda shape, eta, alpha: Amd(shape, eta, alpha, reg),
+            lambda shape, eta, alpha: DoublingAftrl(shape, eta, alpha, reg),
+            lambda shape, eta, alpha: Mwu(shape, eta, alpha),
+            lambda shape, eta, alpha: ProdBr(shape, T, reg),
+            lambda shape, eta, alpha: BestResponseLearner(shape),
+        ]
+        for make in makers:
+            batch = make((B, n), etas, alphas)
+            singles = [make(n, float(etas[b, 0]), float(alphas[b, 0])) for b in range(B)]
+            np.testing.assert_array_equal(batch.start(), [single.start() for single in singles])
+            for t in range(T):
+                got = batch.update(xs[:, t])
+                for b, single in enumerate(singles):
+                    np.testing.assert_array_equal(got[b], single.update(xs[b, t]))
+            if isinstance(batch, DoublingAftrl):
+                assert batch.phase.ravel().tolist() == [single.phase for single in singles]
+                assert batch.phase.sum() > 0
 
 
 class TestBestResponse:
@@ -397,16 +428,17 @@ class TestMwu:
     def test_matches_oracles(self, eta):
         for xs in edge_streams(31):
             n = xs.shape[1]
-            pairs = [(Mwu(n, eta), MwuOracle(n, eta)), (Omwu(n, eta), OmwuOracle(n, eta)),
-                     (Mwu(n, eta, alpha=1.0), OmwuOracle(n, eta))]
+            pairs = [(Mwu(n, eta), MwuOracle(n, eta)), (Mwu(n, eta, alpha=1.0), OmwuOracle(n, eta))]
             for learner, oracle in pairs:
                 np.testing.assert_array_equal(learner.start(), oracle.current)
                 for x in xs:
                     np.testing.assert_array_equal(learner.step(x), oracle.update(x))
 
     def test_omwu_is_mwu_at_one(self):
-        assert Omwu.update is Mwu.update
-        assert Omwu(3, 0.1).alpha == 1.0 and Mwu(3, 0.1).alpha == 0.0
+        # the OMWU kind builds Mwu at exploit rate 1, the MWU kind at 0
+        omwu, mwu = (build_agent([AgentSpec(kind=k, eta=0.1)], 3, 10) for k in ("OMWU", "MWU"))
+        assert type(omwu) is type(mwu) is Mwu
+        assert omwu.alpha == 1.0 and mwu.alpha == 0.0
 
 
 class TestUpdatesMatchCheckedKernels:
@@ -654,7 +686,7 @@ class TestEquivalences:
         rng = np.random.default_rng(20)
         xs = rng.uniform(0, 1, (1000, 8))
         a = Aftrl(8, 0.05, alpha=1.0)
-        o = Omwu(8, 0.05)
+        o = Mwu(8, 0.05, 1.0)
         worst = 0.0
         for x in xs:
             worst = max(worst, np.abs(a.step(x) - o.step(x)).max())
