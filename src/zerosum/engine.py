@@ -15,12 +15,13 @@ Every loop steps a batch of configs, the rows of batch-native learners
 (``learners``) with every product the stacked one, so that each row is bit
 for bit its config run alone.  One two-player loop, ``_play``, runs the
 replay recording and reactive play (a row learner against a column MWU,
-``_vs_mwu``) and self-play (one ``learners.Amwu`` per side); an oblivious
-agent is fed its replayed losses.  The loops call the learners' unchecked
-``update``; once a loop ends, each config's rounds are validated on its own
-slice (``core.check_rounds``), as the per-vector checks would.  A batch steps
-in runs of as many configs as fit ``_BATCH_BYTES``, so memory does not grow
-with the grid.
+``_vs_mwu``) and self-play (one ``learners.Amwu`` per side).  An oblivious
+agent reads its replay: MWU(eta) recorded against MWU(eta) once per game and
+(eta, horizon) (``_record``), kept as the (T, n) loss block x_t = A y_t.  The
+loops call the learners' unchecked ``update``; once a loop ends, each config's
+rounds are validated on its own slice (``core.check_rounds``), as the
+per-vector checks would.  A batch steps in runs of as many configs as fit
+``_BATCH_BYTES``, so memory does not grow with the grid.
 
 Each spec checks itself when built, in Python as by ``cli.parse_config``: it
 rejects a set field that the kind tables do not list for its kind, and checks
@@ -78,14 +79,14 @@ def make_random_game(n: int, m: int, seed: int) -> MatrixGame:
 _FIELD_CHECK = {
     **dict.fromkeys(("horizon", "n", "m"), lambda v, key: check_number(v, key, 2, integer=True)),
     "seed": lambda v, key: check_number(v, key, integer=True),
-    **dict.fromkeys(("eta", "recorder_eta"), lambda v, key: check_number(v, key, 0, above=True)),
+    "eta": lambda v, key: check_number(v, key, 0, above=True),
     "alpha": lambda v, key: check_number(v, key, 0),
     "b": check_number,
     "regularizer": lambda v, key: check_choice(v, key, REGULARIZERS),
     **dict.fromkeys(("name", "output", "path"), check_string),
 }
 # The fields that may be None; the others are required where read.
-_OPTIONAL = {"alpha", "b", "regularizer", "recorder_eta", "name", "output"}
+_OPTIONAL = {"alpha", "b", "regularizer", "name", "output"}
 
 
 def _check_field(spec, field_name: str, key: str) -> None:
@@ -236,7 +237,6 @@ class AdversarySpec:
 
     kind: str  # a key of ADVERSARY_KINDS
     eta: float | None = None
-    recorder_eta: float | None = None  # oblivious recording partner; defaults to eta
 
     def __post_init__(self):
         rule = ADVERSARY_KINDS[check_choice(self.kind, "adversary.kind", ADVERSARY_KINDS)]
@@ -270,7 +270,7 @@ class AdversaryKind(NamedTuple):
 
 
 ADVERSARY_KINDS = {
-    "oblivious_mwu": AdversaryKind(("eta", "recorder_eta"), ADVERSARY_METRICS),
+    "oblivious_mwu": AdversaryKind(("eta",), ADVERSARY_METRICS),
     "nonoblivious_mwu": AdversaryKind(("eta",), ADVERSARY_METRICS),
     "self_play": AdversaryKind((), SELF_PLAY_METRICS),
 }
@@ -368,44 +368,29 @@ def _vs_mwu(row, unit: MatrixGame, etas, T: int):
 
 
 def _replay_key(config: SimulationConfig) -> tuple:
-    """(adversary eta, recorder eta, horizon): what an oblivious replay depends on
-    besides the game."""
-    adv = config.adversary
-    return (adv.eta, adv.eta if adv.recorder_eta is None else adv.recorder_eta, config.horizon)
+    """(eta, horizon): what an oblivious replay depends on besides the game."""
+    return config.adversary.eta, config.horizon
 
 
 def _record(unit: MatrixGame, keys) -> list:
-    """The replays of ``keys`` (``_replay_key``s of one horizon) on a unit-range
-    game, recorded as one batch: per key a function that checks it (once) and gives it."""
-    etas, recorder_etas, horizons = zip(*keys)
-    checked = _vs_mwu(Mwu((len(keys), unit.n), _column(recorder_etas)), unit, etas, horizons[0])
-    return [cache(lambda b=b: checked(b, ("replay row player round", "replay round"))[2])
+    """The replays of ``keys`` (``_replay_key``s of one horizon) on a unit-range game,
+    recorded as one batch: per key a function that checks it (once) and gives x_t = A y_t."""
+    etas, horizons = zip(*keys)
+    checked = _vs_mwu(Mwu((len(keys), unit.n), _column(etas)), unit, etas, horizons[0])
+    return [cache(lambda b=b: checked(b, ("replay row player round", "replay round"))[1])
             for b in range(len(keys))]
-
-
-def record_oblivious_trace(game: MatrixGame, adversary_eta, horizon: int, recorder_eta=None):
-    """Strategy sequence of a column MWU player facing a fixed row MWU.
-
-    Both third parties start uniform; the column player's strategies are
-    recorded for later replay as an oblivious loss source.  The recording
-    partner's rate defaults to the adversary's.  Both players' rounds are
-    checked once the recording ends.
-    """
-    recorder_eta = adversary_eta if recorder_eta is None else recorder_eta
-    return _record(game.to_unit_range()[0], [(adversary_eta, recorder_eta, horizon)])[0]()
 
 
 def _vs_adversary_batch(game: _Game, configs, replays: dict) -> list:
     """Step configs that share a game, learner builder and regularizer, horizon
-    and adversary kind as one batch; an oblivious agent is fed x_t = A y_t of
-    its replay (the function at its ``_replay_key`` in ``replays``).  Returns per
+    and adversary kind as one batch; an oblivious agent is fed its replay's loss
+    block (the function at its ``_replay_key`` in ``replays``).  Returns per
     config a function that checks its rounds and gives (trace, series)."""
-    a, T = game.unit.payoff, configs[0].horizon
+    T = configs[0].horizon
     agent = build_agent([c.agent for c in configs], game.unit.n, T)
     if configs[0].adversary.kind == "oblivious_mwu":
         keys = list(dict.fromkeys(map(_replay_key, configs)))
-        # each replay's losses once, by stacked products: each row exactly a @ replay[t]
-        blocks = np.stack([(a @ replays[key]()[:, :, None])[..., 0] for key in keys])
+        blocks = np.stack([replays[key]() for key in keys])
         rows = np.array([keys.index(_replay_key(c)) for c in configs])
         strategies = np.empty((len(configs), T, game.unit.n))
         f = agent.start()
@@ -429,7 +414,7 @@ def _vs_adversary_batch(game: _Game, configs, replays: dict) -> list:
     return [partial(finish, b) for b in range(len(configs))]
 
 
-def _self_play_batch(game: _Game, configs, replays=None) -> list:
+def _self_play_batch(game: _Game, configs) -> list:
     """Step self-play configs that share a game and a horizon as one batch (as
     ``run_self_play`` describes).  Returns per config a function that checks its
     rounds and gives (trace_max, trace_min, series)."""
@@ -505,8 +490,9 @@ def _per_row(run, items) -> list:
 def _run_batch(game: _Game, outcomes: list[RunOutcome], replays: dict) -> None:
     """Step the configs of ``outcomes``, one batch, then check each config and
     fill in its series or error on its own; the blocks are dropped on return."""
-    run = _self_play_batch if outcomes[0].config.adversary.kind == "self_play" else _vs_adversary_batch
-    rows = _per_row(lambda configs: run(game, configs, replays), [out.config for out in outcomes])
+    run = (partial(_self_play_batch, game) if outcomes[0].config.adversary.kind == "self_play"
+           else partial(_vs_adversary_batch, game, replays=replays))
+    rows = _per_row(run, [out.config for out in outcomes])
     for out, row in zip(outcomes, rows):
         try:
             out.series = row()[-1]
@@ -542,8 +528,8 @@ def _run_game(spec: GameSpec, batches) -> None:
     for batch in (b for b in batches if b[0].config.adversary.kind != "oblivious_mwu"):
         step(batch, {})
     keys = list(dict.fromkeys(_replay_key(out.config) for b in oblivious for out in b))
-    for T in dict.fromkeys(key[2] for key in keys):
-        for run in _chunks([key for key in keys if key[2] == T], T, n + m):
+    for T in dict.fromkeys(key[1] for key in keys):
+        for run in _chunks([key for key in keys if key[1] == T], T, n + m):
             step_replays(run)
 
 

@@ -8,9 +8,9 @@ are checked at construction), for callers that check a whole run's
 rounds at once (the engine does).
 
 Every learner is batch-native: built with shape (B, n) and rates as (B, 1)
-columns, it updates B rows at once, each bit for bit the learner of shape n
-at that row's rates.  The exploit rate ``alpha`` weights the most recent
-loss vector as a prediction of the next one:
+columns, it updates B rows at once (``step`` refuses a batch), each bit for
+bit the learner of shape n at that row's rates.  The exploit rate ``alpha``
+weights the most recent loss vector as a prediction of the next one:
 
 * ``Aftrl``   f_{t+1} = argmin <f, sum_{s<=t} x_s + alpha x_t> + R(f)/eta
               (alpha=0 is plain FTRL, alpha=1 the optimistic variant)
@@ -79,6 +79,7 @@ class LossStreamLearner:
         return self.current
 
     def step(self, observed: np.ndarray) -> np.ndarray:
+        self._check_unbatched()
         observed = check_loss_vector(observed)
         if observed.shape != (self.n,):
             raise ValueError(f"dimension mismatch: expected {self.n}, got {observed.shape}")
@@ -87,6 +88,10 @@ class LossStreamLearner:
     def update(self, observed: np.ndarray) -> np.ndarray:
         """Ingest a valid loss vector of length n; return the next strategy."""
         raise NotImplementedError
+
+    def _check_unbatched(self) -> None:  # before step moves a batch
+        if self.current.ndim != 1:
+            raise ValueError(f"step: a batch of shape {self.current.shape} steps by update")
 
 
 class Aftrl(LossStreamLearner):
@@ -179,6 +184,7 @@ class Amwu(Mwu):
         return Mwu.update(self, observed)  # per round: no super() object
 
     def step(self, opp_now: np.ndarray) -> np.ndarray:
+        self._check_unbatched()
         return check_strategy(self.update(self.loss(np.asarray(opp_now, dtype=float))))
 
 

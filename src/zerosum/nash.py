@@ -130,7 +130,8 @@ def amwu_update_map(
     eta: float,
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One application of the self-play dynamics on (f, y, z, w).
+    """One application of the self-play dynamics on (f, y, z, w), one point
+    or a block of points (each block's rows, the points' last axis).
 
     z and w hold the previous strategies of the two players; the new state
     is (step(f; y, w), step(y; f, z), f, y).  An equilibrium duplicated
@@ -143,16 +144,16 @@ def amwu_update_map(
 
 
 def _pack(point) -> np.ndarray:
-    return np.concatenate([np.asarray(b, dtype=float) for b in point])
+    return np.concatenate([np.asarray(b, dtype=float) for b in point], axis=-1)
 
 
 def _unpack(vec: np.ndarray, n: int, m: int):
-    return vec[:n], vec[n : n + m], vec[n + m : 2 * n + m], vec[2 * n + m :]
+    return vec[..., :n], vec[..., n : n + m], vec[..., n + m : 2 * n + m], vec[..., 2 * n + m :]
 
 
 def _gelfand_radius(mat: np.ndarray) -> float:
     """Spectral radius estimate ||J^(2^k)||^(1/2^k) with per-step rescaling."""
-    m = mat.astype(float)
+    m = mat.astype(float, order="C")  # C order: the same sums whatever the layout of mat
     log_scale = 0.0
     power = 1.0
     for _ in range(_SQUARINGS):
@@ -173,24 +174,18 @@ def spectral_radius_at_ne(game: MatrixGame, ne: NashSolution, eta: float, alpha:
 
     The Jacobian of the normalized update map (normalization differentiated
     as part of the map) is built by central finite differences with step
-    ``FD_STEP`` per coordinate, then fed to the Gelfand estimate.  Accuracy
-    is about 1e-3 relative; a radius below one certifies local last-iterate
-    convergence, above one local divergence.  ``eta`` must be positive and
-    ``alpha`` nonnegative, both finite (``core.check_rates``).
+    ``FD_STEP`` per coordinate, from two calls of the map on all the stepped
+    points, then fed to the Gelfand estimate.  Accuracy is about 1e-3
+    relative; a radius below one certifies local last-iterate convergence,
+    above one local divergence.  ``eta`` must be positive and ``alpha``
+    nonnegative, both finite (``core.check_rates``).
     """
     check_rates(eta, alpha)
-    n, m = game.n, game.m
     x0 = _pack((ne.f_star, ne.y_star, ne.f_star, ne.y_star))
-    dim = x0.size
-    jac = np.empty((dim, dim))
-    for j in range(dim):
-        xp = x0.copy()
-        xp[j] += FD_STEP
-        xm = x0.copy()
-        xm[j] -= FD_STEP
-        fp = _pack(amwu_update_map(game, _unpack(xp, n, m), eta, alpha))
-        fm = _pack(amwu_update_map(game, _unpack(xm, n, m), eta, alpha))
-        jac[:, j] = (fp - fm) / (2.0 * FD_STEP)
+    step = FD_STEP * np.eye(x0.size)  # row j steps coordinate j
+    fp, fm = (_pack(amwu_update_map(game, _unpack(x, game.n, game.m), eta, alpha))
+              for x in (x0 + step, x0 - step))
+    jac = ((fp - fm) / (2.0 * FD_STEP)).T
     if not np.all(np.isfinite(jac)):
         raise ValueError("non-finite Jacobian entries")
     return _gelfand_radius(jac)

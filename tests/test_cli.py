@@ -344,7 +344,7 @@ PROBES = [
     (_probe(agent={"kind": "AMWU", "eta": 0.1, "b": -400}), "agent.b"),
     (_probe(agent={"kind": "MWU", "eta": True}), "agent.eta"),
     (_probe(agent={"kind": "MWU", "eta": "1e400"}), "agent.eta"),  # the JSON number 1e400
-    (_probe(adversary={"kind": "oblivious_mwu", "eta": 0.5, "recorder_eta": -0.1}), "recorder_eta"),
+    (_probe(adversary={"kind": "oblivious_mwu", "eta": 0.5, "recorder_eta": 0.2}), "recorder_eta"),
     (_probe(agent={"kind": "FTRL", "eta": 0.1}, adversary={"kind": "self_play"}), "agent.kind"),
     *[
         (_probe(agent={"kind": k, "eta": 0.1, "alpha": 5}), "alpha")
@@ -380,12 +380,21 @@ class TestBadConfigs:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert re.search(rf"\b{re.escape(key)}\b", captured.err)
 
+    def test_recorder_rate_is_an_unknown_key(self, tmp_path, capsys):
+        # the oblivious replay is MWU(eta) recorded against MWU(eta): one rate
+        path = tmp_path / "recorder.json"
+        path.write_text(doc(adversary={"kind": "oblivious_mwu", "eta": 0.5, "recorder_eta": 0.5}))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: adversary: unknown key 'recorder_eta'; accepted: eta, kind\n"
+
 
 _AGENT_KEYS = sorted({key for rule in AGENT_KINDS.values() for key in rule.keys} | {"name"})
 _PATHS = (
     ["agent", "agent.kind", "agent.learningrate", "adversary.kind", "horizon", "metrics", "output"]
     + [f"agent.{key}" for key in _AGENT_KEYS]
-    + ["adversary.eta", "adversary.recorder_eta"]
+    + ["adversary.eta", "adversary.recorder_eta"]  # recorder_eta: a key no kind reads
     + ["game.random", "game.random.n", "game.random.seed"]
 )
 # Valid and invalid values alike; "1e400" stands for that JSON number.
@@ -411,9 +420,8 @@ def _documents(draw):
         del agent["b"]
     adv_kinds = sorted(k for k in ADVERSARY_KINDS if rule.self_play or k != "self_play")
     adversary = {"kind": draw(st.sampled_from(adv_kinds))}
-    for key, value in (("eta", 0.3), ("recorder_eta", 0.2)):
-        if key in ADVERSARY_KINDS[adversary["kind"]].keys and (key == "eta" or draw(st.booleans())):
-            adversary[key] = value
+    if "eta" in ADVERSARY_KINDS[adversary["kind"]].keys:
+        adversary["eta"] = 0.3
     payload = {
         "game": {"random": {"n": 3, "m": 3, "seed": draw(st.integers(0, 50))}},
         "horizon": 2,

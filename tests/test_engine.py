@@ -20,11 +20,10 @@ from zerosum.engine import (
     SplitMix64,
     grid_run,
     make_random_game,
-    record_oblivious_trace,
     run_self_play,
     run_vs_adversary,
 )
-from zerosum.learners import amwu_step
+from zerosum.learners import Mwu, amwu_step
 from zerosum.regularizers import ENTROPY
 
 # First outputs of the published SplitMix64 algorithm, computed with an
@@ -70,7 +69,7 @@ def vs_document(horizon=200, agent=None, adversary=None, **top):
 # The spec classes, their config keys, the fields every kind reads, and their kind tables.
 SPEC_TABLES = [(AgentSpec, "agent", ("name",), AGENT_KINDS),
                (AdversarySpec, "adversary", (), ADVERSARY_KINDS)]
-FIELD_VALUES = {"eta": 0.1, "alpha": 5.0, "b": 2.0, "regularizer": "entropy", "recorder_eta": 0.2}
+FIELD_VALUES = {"eta": 0.1, "alpha": 5.0, "b": 2.0, "regularizer": "entropy"}
 
 
 def unread_field_cases():
@@ -127,7 +126,6 @@ class TestSpecChecks:
     def test_metric_of_another_run_mode_rejected_before_any_round(self, monkeypatch):
         calls = []
         monkeypatch.setattr(engine, "_play", lambda *args: calls.append("_play"))
-        monkeypatch.setattr(engine, "record_oblivious_trace", lambda *args: calls.append("record"))
         with pytest.raises(ValueError) as built:
             grid_run([vs_config(horizon=100_000, metrics=("kl_to_ne",))])
         with pytest.raises(ConfigError) as parsed:
@@ -135,6 +133,15 @@ class TestSpecChecks:
         assert str(built.value) == str(parsed.value)
         assert str(built.value).startswith("metrics: unknown value 'kl_to_ne'; choose from ")
         assert calls == []
+
+    def test_recorder_rate_is_an_unknown_key(self):
+        # the replay is MWU(eta) recorded against MWU(eta): there is no second rate
+        adversary = {"kind": "oblivious_mwu", "eta": 0.5, "recorder_eta": 0.2}
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(vs_document(adversary=adversary))
+        assert str(parsed.value) == "adversary: unknown key 'recorder_eta'; accepted: eta, kind"
+        with pytest.raises(TypeError, match="recorder_eta"):
+            AdversarySpec(**adversary)
 
     @pytest.mark.parametrize("fields,text", [
         ({"kind": "random", "n": 3, "m": 3, "seed": 1, "path": "nowhere.csv"},
@@ -189,40 +196,53 @@ class TestMakeRandomGame:
             make_random_game(1, 5, seed=0)
 
 
+def replay(game, eta, horizon):
+    """The loss block of the oblivious replay at (eta, horizon) on ``game``'s unit range."""
+    return engine._record(game.to_unit_range()[0], [(eta, horizon)])[0]()
+
+
 class TestRecordObliviousTrace:
     def test_deterministic(self):
         g = make_random_game(4, 4, seed=5)
-        a = record_oblivious_trace(g, 0.5, 50)
-        b = record_oblivious_trace(g, 0.5, 50)
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(replay(g, 0.5, 50), replay(g, 0.5, 50))
 
-    def test_zero_matrix_stays_uniform(self):
-        g = MatrixGame(np.zeros((3, 3)))
-        ys = record_oblivious_trace(g, 0.5, 20)
-        np.testing.assert_allclose(ys, np.full((20, 3), 1 / 3), atol=1e-12)
+    def test_zero_matrix_stays_uniform(self, tmp_path):
+        # zero losses, so an agent fed the replay stays uniform
+        path = tmp_path / "zero.csv"
+        path.write_text("0,0,0\n0,0,0\n0,0,0\n")
+        np.testing.assert_array_equal(replay(MatrixGame.from_csv(path), 0.5, 20), np.zeros((20, 3)))
+        cfg = SimulationConfig(game=GameSpec(kind="csv", path=str(path)), horizon=20,
+                               agent=AgentSpec(kind="MWU", eta=0.1),
+                               adversary=AdversarySpec(kind="oblivious_mwu", eta=0.5))
+        trace, _, _ = run_vs_adversary(cfg)
+        np.testing.assert_array_equal(trace.losses, np.zeros((20, 3)))
+        np.testing.assert_allclose(trace.strategies, np.full((20, 3), 1 / 3), atol=1e-12)
 
     def test_symmetric_fixed_point(self):
-        # constant row sums keep both players uniform
+        # constant row sums keep both players uniform: every loss is 0.5
         g = MatrixGame(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        ys = record_oblivious_trace(g, 0.4, 30)
-        np.testing.assert_allclose(ys, np.full((30, 2), 0.5), atol=1e-12)
+        np.testing.assert_allclose(replay(g, 0.4, 30), np.full((30, 2), 0.5), atol=1e-12)
 
     def test_strategies_valid(self):
+        # each round's loss A y_t, y_t on the simplex, lies between the row's extremes
         g = make_random_game(5, 5, seed=6)
-        ys = record_oblivious_trace(g, 0.3, 100)
-        assert ys.min() >= 0.0
-        np.testing.assert_allclose(ys.sum(axis=1), np.ones(100), atol=1e-9)
+        xs = replay(g, 0.3, 100)
+        assert xs.shape == (100, 5)
+        assert np.all(xs >= g.payoff.min(axis=1) - 1e-12)
+        assert np.all(xs <= g.payoff.max(axis=1) + 1e-12)
 
-    @pytest.mark.parametrize("eta,recorder_eta", [(np.nan, None), (np.inf, None), (0.0, None),
-                                                  (0.5, np.nan), (0.5, -0.1), (True, None),
-                                                  ("0.5", None), (0.5, True)])
-    def test_rates_rejected_before_recording(self, eta, recorder_eta):
-        # the recording MWU players check their rates when built, not at round 1
-        g = make_random_game(4, 4, seed=5)
+    # ``other_eta``: a second replay recorded in the same batch (None: recorded alone)
+    @pytest.mark.parametrize("eta,other_eta", [(np.nan, None), (np.inf, None), (0.0, None),
+                                               (0.5, np.nan), (0.5, -0.1), (True, None),
+                                               ("0.5", None)])
+    def test_rates_rejected_before_recording(self, eta, other_eta):
+        # the recording MWU players check each row's rate when built, not at round 1
+        unit = make_random_game(4, 4, seed=5)
+        keys = [(eta, 10)] + ([] if other_eta is None else [(other_eta, 10)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^eta: must be a finite number > 0"):
-                record_oblivious_trace(g, eta, 10, recorder_eta)
+                engine._record(unit, keys)
 
 
 class TestRunVsAdversary:
@@ -272,14 +292,18 @@ class TestRunVsAdversary:
         T = 300
         for spec in VS_ADVERSARY_AGENTS:
             trace, _, unit = run_vs_adversary(vs_config(seed=seed, horizon=T, agent=spec))
-            replay = record_oblivious_trace(unit, 0.5, T)
+            a = unit.payoff
+            # the replay: an MWU row player fed A y_t against an MWU column
+            # player fed 1 - A^T f_t, both at the adversary's eta, unbatched
+            row, col = Mwu(unit.n, 0.5), Mwu(unit.m, 0.5)
             # the learner unbatched: one vector of n actions and its rates as numbers
             agent = spec.rule.build(unit.n, spec.eta, spec.resolved_alpha(), ENTROPY, T)
             strategies, losses = np.empty((T, unit.n)), np.empty((T, unit.n))
-            f = agent.start()
+            f, r, y = agent.start(), row.start(), col.start()
             for t in range(T):
-                strategies[t], losses[t] = f, unit.payoff @ replay[t]
+                strategies[t], losses[t] = f, a @ y
                 f = agent.step(losses[t])
+                r, y = row.step(a @ y), col.step(1.0 - a.T @ r)
             np.testing.assert_array_equal(trace.strategies, strategies, err_msg=spec.name)
             np.testing.assert_array_equal(trace.losses, losses, err_msg=spec.name)
 
@@ -428,7 +452,7 @@ class TestReplayGroups:
     def test_grid_series_equal_each_config_run_alone(self):
         adversaries = (
             AdversarySpec(kind="oblivious_mwu", eta=0.4),
-            AdversarySpec(kind="oblivious_mwu", eta=0.4, recorder_eta=0.2),
+            AdversarySpec(kind="oblivious_mwu", eta=0.2),
             AdversarySpec(kind="nonoblivious_mwu", eta=0.4),
         )
         configs = [
@@ -467,8 +491,6 @@ class TestReplayGroups:
             for seed in (1, 2, 3)
             for adv in (
                 AdversarySpec(kind="oblivious_mwu", eta=0.3),
-                # the recorder's rate defaults to the adversary's: same key
-                AdversarySpec(kind="oblivious_mwu", eta=0.3, recorder_eta=0.3),
                 AdversarySpec(kind="oblivious_mwu", eta=0.2),
                 AdversarySpec(kind="nonoblivious_mwu", eta=0.3),
             )
@@ -496,7 +518,6 @@ class TestReplayGroups:
             for seed in (1, 2, 3)
             for adv in (
                 AdversarySpec(kind="oblivious_mwu", eta=0.3),
-                AdversarySpec(kind="oblivious_mwu", eta=0.3, recorder_eta=0.3),
                 AdversarySpec(kind="oblivious_mwu", eta=0.2),
                 AdversarySpec(kind="nonoblivious_mwu", eta=0.3),
             )
@@ -548,7 +569,7 @@ class TestReplayGroups:
         record = engine._record
 
         def failing_at_04(unit, keys):
-            if any(eta == 0.4 for eta, _, _ in keys):
+            if any(eta == 0.4 for eta, _ in keys):
                 raise ValueError("replay failed")
             return record(unit, keys)
 
@@ -614,7 +635,7 @@ def _mixed_grid():
     adversaries = (
         AdversarySpec(kind="oblivious_mwu", eta=0.5),
         AdversarySpec(kind="oblivious_mwu", eta=0.3),
-        AdversarySpec(kind="oblivious_mwu", eta=0.3, recorder_eta=0.2),
+        AdversarySpec(kind="oblivious_mwu", eta=0.2),
         AdversarySpec(kind="nonoblivious_mwu", eta=0.4),
         AdversarySpec(kind="nonoblivious_mwu", eta=0.2),
     )
@@ -736,10 +757,10 @@ class TestRoundChecks:
         record = engine._record
 
         def corrupted(unit, keys):
-            replays = [replay() for replay in record(unit, keys)]
-            for ys in replays:
-                ys[5] = 1.0  # every column at full weight: row sums exceed 1
-            return [lambda ys=ys: ys for ys in replays]
+            blocks = [replay() for replay in record(unit, keys)]
+            for xs in blocks:
+                xs[5, 0] = 1.5  # above any loss of a unit-range game
+            return [lambda xs=xs: xs for xs in blocks]
 
         monkeypatch.setattr(engine, "_record", corrupted)
         with pytest.raises(ValueError, match=r"^round 6 loss: entries outside \[0, 1\]"):
@@ -756,7 +777,7 @@ class TestRoundChecks:
 
         monkeypatch.setattr(engine.Mwu, "update", drifting)
         with pytest.raises(ValueError, match=r"^replay row player round 4 strategy"):
-            record_oblivious_trace(make_random_game(4, 4, seed=1), 0.5, 10)
+            replay(make_random_game(4, 4, seed=1), 0.5, 10)
 
 
 def _off_simplex_self_play_round(monkeypatch, eta, side, k):

@@ -313,6 +313,19 @@ class TestBatchRows:
                 assert batch.phase.sum() > 0
 
 
+    def test_step_refuses_a_batch_before_moving_it(self):
+        # ``step`` checks one vector: a batch of rows steps by ``update``
+        etas, alphas = np.array([[0.1], [0.2]]), np.array([[1.0], [0.0]])
+        batches = [Mwu((2, 3), etas), Mwu((2, 3), etas, alphas), Aftrl((2, 3), etas),
+                   ProdBr((2, 3), 50), Amwu(MatrixGame(np.eye(3)), "max", etas, alphas)]
+        for batch in batches:
+            current, prev_loss = batch.current.copy(), getattr(batch, "prev_loss", None)
+            with pytest.raises(ValueError, match=r"^step: a batch of shape \(2, 3\) steps by update$"):
+                batch.step(np.array([1.0, 0.0, 0.0]))
+            np.testing.assert_array_equal(batch.current, current)
+            assert getattr(batch, "prev_loss", None) is prev_loss
+
+
 class TestBestResponse:
     def test_unique_minimizer(self):
         np.testing.assert_allclose(best_response(np.array([0.2, 0.7, 0.1])), [0, 0, 1])

@@ -187,6 +187,22 @@ class TestAmwuUpdateMap:
         assert dist(state) < 0.2 * d0
 
 
+def per_column_jacobian(game, ne, eta, alpha, h=1e-6):
+    """The central-difference Jacobian of the update map at the equilibrium,
+    one column, two calls of the map on one point each, at a time."""
+    x0 = np.concatenate((ne.f_star, ne.y_star, ne.f_star, ne.y_star))
+    n, m, dim = game.n, game.m, x0.size
+    jac = np.empty((dim, dim))
+    for j in range(dim):
+        xp = x0.copy(); xp[j] += h
+        xm = x0.copy(); xm[j] -= h
+        fp, fm = (np.concatenate(amwu_update_map(
+            game, (x[:n], x[n:n + m], x[n + m:2 * n + m], x[2 * n + m:]), eta, alpha))
+            for x in (xp, xm))
+        jac[:, j] = (fp - fm) / (2 * h)
+    return jac
+
+
 class TestSpectralRadius:
     def test_identity_at_eta_zero(self):
         ne = solve_zero_sum(MP_UNIT)
@@ -196,28 +212,25 @@ class TestSpectralRadius:
     def test_matches_eigvals_oracle(self):
         # Gelfand estimate against a direct eigenvalue computation of the
         # same finite-difference Jacobian
-        from zerosum.nash import _pack, _unpack
-
         for game, eta, alpha in (
             (MP_UNIT, 0.1, 10.0),
             (MP_UNIT, 0.1, 0.0),
             (MatrixGame((RPS.payoff + 1) / 2), 0.1, 3.0),
         ):
             ne = solve_zero_sum(game)
-            n, m = game.n, game.m
-            x0 = _pack((ne.f_star, ne.y_star, ne.f_star, ne.y_star))
-            h = 1e-6
-            dim = x0.size
-            jac = np.empty((dim, dim))
-            for j in range(dim):
-                xp = x0.copy(); xp[j] += h
-                xm = x0.copy(); xm[j] -= h
-                fp = _pack(amwu_update_map(game, _unpack(xp, n, m), eta, alpha))
-                fm = _pack(amwu_update_map(game, _unpack(xm, n, m), eta, alpha))
-                jac[:, j] = (fp - fm) / (2 * h)
-            oracle = float(np.abs(np.linalg.eigvals(jac)).max())
+            oracle = float(np.abs(np.linalg.eigvals(per_column_jacobian(game, ne, eta, alpha))).max())
             got = spectral_radius_at_ne(game, ne, eta, alpha)
             assert got == pytest.approx(oracle, rel=1e-3)
+
+    @pytest.mark.parametrize("n,seed", [(20, 1), (3, 19)], ids=["20x20", "3x3"])
+    @pytest.mark.parametrize("eta,alpha", [(0.1, 10.0), (0.1, 0.0)])
+    def test_equals_the_per_column_jacobian(self, n, seed, eta, alpha):
+        # the certificate maps all the stepped points in one call each way,
+        # and its radius is that of the reference Jacobian to the bit
+        game = make_random_game(n, n, seed=seed)
+        ne = solve_zero_sum(game)
+        jac = per_column_jacobian(game, ne, eta, alpha)
+        assert spectral_radius_at_ne(game, ne, eta, alpha) == nash._gelfand_radius(jac)
 
     @pytest.mark.parametrize(
         "eta,alpha,name",
