@@ -15,13 +15,13 @@ Every loop steps a batch of configs, the rows of batch-native learners
 (``learners``) with every product the stacked one, so that each row is bit
 for bit its config run alone.  One two-player loop, ``_play``, runs the
 replay recording and reactive play (a row learner against a column MWU,
-``_vs_mwu``) and self-play (one ``learners.Amwu`` per side).  An oblivious
-agent reads its replay: MWU(eta) recorded against MWU(eta) once per game and
-(eta, horizon) (``_record``), kept as the (T, n) loss block x_t = A y_t.  The
-loops call the learners' unchecked ``update``; once a loop ends, each config's
-rounds are validated on its own slice (``core.check_rounds``), as the
-per-vector checks would.  A batch steps in runs of as many configs as fit
-``_BATCH_BYTES``, so memory does not grow with the grid.
+``_vs_mwu``) and self-play (one ``learners.Amwu`` per side), calling the
+learners' unchecked ``update``.  An oblivious agent plays its replay whole
+(``play``): MWU(eta) recorded against MWU(eta) once per game and (eta, horizon)
+(``_record``), kept as the (T, n) loss block x_t = A y_t.  Once a batch has
+stepped, each config's rounds are validated on its own slice
+(``core.check_rounds``), as the per-vector checks would.  A batch steps in runs
+of as many configs as fit ``_BATCH_BYTES``, so memory does not grow with the grid.
 
 Each spec checks itself when built, in Python as by ``cli.parse_config``: it
 rejects a set field that the kind tables do not list for its kind, and checks
@@ -39,7 +39,7 @@ from . import metrics, nash
 from .core import (
     MatrixGame, Trace, check_choice, check_keys, check_number, check_rounds, check_string,
 )
-from .learners import Aftrl, Amd, Amwu, BestResponseLearner, DoublingAftrl, Mwu, ProdBr
+from .learners import PLAY_BLOCKS, Aftrl, Amd, Amwu, BestResponseLearner, DoublingAftrl, Mwu, ProdBr
 from .regularizers import ENTROPY, REGULARIZERS
 
 _MASK64 = (1 << 64) - 1
@@ -311,8 +311,8 @@ class RunOutcome:
     error: str | None = None
 
 
-# The most bytes of strategy and loss blocks that one step of a batch holds; a
-# batch of more rows steps as several, as do a game's replays.
+# The most bytes of blocks that one step of a batch holds, its strategy and loss blocks or its
+# learner's ``play``'s; a batch of more rows steps as several, as do a game's replays.
 _BATCH_BYTES = 1 << 27
 
 
@@ -383,24 +383,18 @@ def _record(unit: MatrixGame, keys) -> list:
 
 def _vs_adversary_batch(game: _Game, configs, replays: dict) -> list:
     """Step configs that share a game, learner builder and regularizer, horizon
-    and adversary kind as one batch; an oblivious agent is fed its replay's loss
-    block (the function at its ``_replay_key`` in ``replays``).  Returns per
+    and adversary kind as one batch; an oblivious agent plays its replay's loss
+    block whole (the function at its ``_replay_key`` in ``replays``).  Returns per
     config a function that checks its rounds and gives (trace, series)."""
     T = configs[0].horizon
     agent = build_agent([c.agent for c in configs], game.unit.n, T)
     if configs[0].adversary.kind == "oblivious_mwu":
-        keys = list(dict.fromkeys(map(_replay_key, configs)))
-        blocks = np.stack([replays[key]() for key in keys])
-        rows = np.array([keys.index(_replay_key(c)) for c in configs])
-        strategies = np.empty((len(configs), T, game.unit.n))
-        f = agent.start()
-        for t in range(T):
-            strategies[:, t] = f
-            f = agent.update(blocks[rows, t])
+        losses = [replays[_replay_key(c)]() for c in configs]
+        strategies = agent.play(np.stack(losses))
 
         def checked(b):
-            check_rounds(strategies[b], blocks[rows[b]])
-            return strategies[b], blocks[rows[b]]
+            check_rounds(strategies[b], losses[b])
+            return strategies[b], losses[b]
     else:  # reactive: the adversary sees f_t only after the round
         reactive = _vs_mwu(agent, game.unit, [c.adversary.eta for c in configs], T)
         checked = lambda b: reactive(b, ("round", "adversary round"))[:2]  # noqa: E731
@@ -502,10 +496,10 @@ def _run_batch(game: _Game, outcomes: list[RunOutcome], replays: dict) -> None:
 
 def _run_game(spec: GameSpec, batches) -> None:
     """Resolve one game, then step its batches of outcomes one after another,
-    each in runs of as many rows as fit ``_BATCH_BYTES``.  The oblivious ones
-    step against a run of replays at a time, as many as fit, each recorded
-    once as one batch and dropped after its configs have stepped.  If the game
-    fails, each config reports that error."""
+    each in runs of as many rows as fit ``_BATCH_BYTES`` (an oblivious row's play
+    holds ``PLAY_BLOCKS`` blocks of n actions); the oblivious ones against a run of
+    replays at a time, as many as fit, each recorded once as one batch and dropped
+    after its configs have stepped.  If the game fails, each config reports that error."""
     try:
         game = _Game(spec)
     except Exception as exc:  # noqa: BLE001 - reported per config, other games unaffected
@@ -515,15 +509,15 @@ def _run_game(spec: GameSpec, batches) -> None:
     n, m = game.unit.payoff.shape
     oblivious = [b for b in batches if b[0].config.adversary.kind == "oblivious_mwu"]
 
-    def step(batch, replays):
-        for rows in _chunks(batch, batch[0].config.horizon, n + m):
+    def step(batch, replays, k=n + m):
+        for rows in _chunks(batch, batch[0].config.horizon, k):
             _run_batch(game, rows, replays)
 
     def step_replays(keys):  # its replays are dropped on return
         replays = dict(zip(keys, _per_row(partial(_record, game.unit), keys)))
         for batch in oblivious:
             if part := [out for out in batch if _replay_key(out.config) in replays]:
-                step(part, replays)
+                step(part, replays, PLAY_BLOCKS * n)
 
     for batch in (b for b in batches if b[0].config.adversary.kind != "oblivious_mwu"):
         step(batch, {})

@@ -5,7 +5,11 @@ feedback) and ``step(observed)`` (ingest the last loss vector, emit the
 next strategy).  ``step`` checks the loss vector and the strategy it
 emits; ``update`` is the same step unchecked, one kernel call (the rates
 are checked at construction), for callers that check a whole run's
-rounds at once (the engine does).
+rounds at once (the engine does).  ``play(losses)`` gives a fresh learner's
+strategies f_1 .. f_T for a (B, T, n) loss block (perhaps written over it),
+bit for bit ``start`` and an ``update`` a round, holding ``PLAY_BLOCKS`` such
+blocks at most: ``Aftrl``, ``Mwu``, ``ProdBr`` and ``BestResponseLearner``,
+whose strategies depend on the losses alone, compute it in block operations.
 
 Every learner is batch-native: built with shape (B, n) and rates as (B, 1)
 columns, it updates B rows at once (``step`` refuses a batch), each bit for
@@ -43,6 +47,7 @@ from .core import MatrixGame, check_loss_vector, check_rates, check_strategy, l_
 from .regularizers import ENTROPY, Regularizer, floored_softmax
 
 BR_TIE_ATOL = 1e-12
+PLAY_BLOCKS = 4  # ProdBr's: losses, leaders, best responses and their difference
 
 
 def best_response(observed: np.ndarray) -> np.ndarray:
@@ -89,6 +94,14 @@ class LossStreamLearner:
         """Ingest a valid loss vector of length n; return the next strategy."""
         raise NotImplementedError
 
+    def play(self, losses: np.ndarray) -> np.ndarray:
+        """``start``, then an ``update`` a round: the loop the closed forms replace."""
+        strategies = np.empty_like(losses)
+        strategies[:, 0] = self.start()
+        for t in range(1, losses.shape[1]):
+            strategies[:, t] = self.update(losses[:, t - 1])
+        return strategies
+
     def _check_unbatched(self) -> None:  # before step moves a batch
         if self.current.ndim != 1:
             raise ValueError(f"step: a batch of shape {self.current.shape} steps by update")
@@ -106,6 +119,13 @@ class Aftrl(LossStreamLearner):
         self.cumulative = self.cumulative + observed
         self.current = self.reg.leader(-self.eta * (self.cumulative + self.alpha * observed))
         return self.current
+
+    def play(self, losses: np.ndarray) -> np.ndarray:
+        x = losses.transpose(1, 0, 2)  # (T, B, n): a rate column broadcasts over rounds
+        z = np.cumsum(x[:-1], axis=0)
+        z += np.multiply(x[:-1], self.alpha, out=x[:-1])
+        x[1:], x[0] = self.reg.leader(np.multiply(z, -self.eta, out=z)), self.start()
+        return losses
 
 
 class Amd(LossStreamLearner):
@@ -141,12 +161,23 @@ class Mwu(LossStreamLearner):
     def __init__(self, shape, eta, alpha=0.0):
         super().__init__(shape, eta, alpha)
         self.prev_loss = np.zeros_like(self.current)
+        self._now, self._rate = 1.0 + alpha, -eta  # _drive's weight on x_t, and -eta
 
     def update(self, observed: np.ndarray) -> np.ndarray:
-        drive = _drive(observed, self.prev_loss, self.alpha)
-        self.current = floored_softmax(-self.eta * drive, self.current)
+        drive = self._now * observed - self.alpha * self.prev_loss
+        self.current = floored_softmax(self._rate * drive, self.current)
         self.prev_loss = observed
         return self.current
+
+    def play(self, losses: np.ndarray) -> np.ndarray:
+        x = losses.transpose(1, 0, 2)[:-1]  # the losses x_1 .. x_{T-1} that drive f_2 .. f_T
+        z = np.multiply(x, self._now, out=np.empty(x.shape))  # (T-1, B, n): each z[t] contiguous
+        z[1:] -= np.multiply(x[:-1], self.alpha, out=x[:-1])  # x_0 = 0 drops out
+        z *= self._rate
+        f = losses[:, 0] = self.start()
+        for t, z_t in enumerate(z, start=1):
+            f = losses[:, t] = floored_softmax(z_t, f)
+        return losses
 
 
 class Amwu(Mwu):
@@ -165,6 +196,8 @@ class Amwu(Mwu):
         actions = game.n if side == "max" else game.m
         super().__init__(np.shape(eta)[:-1] + (actions,), eta, alpha)
         self.prev_loss = None
+
+    play = LossStreamLearner.play  # the first update reads its own loss as the previous one
 
     @staticmethod
     def side_loss(game: MatrixGame, side: str):
@@ -246,6 +279,10 @@ class BestResponseLearner(LossStreamLearner):
         self.current = best_response(observed)
         return self.current
 
+    def play(self, losses: np.ndarray) -> np.ndarray:
+        losses[:, 1:], losses[:, 0] = best_response(losses[:, :-1]), self.start()
+        return losses
+
 
 class ProdBr(LossStreamLearner):
     """Anchored multiplicative mixture of an internal FTRL and best response.
@@ -288,6 +325,19 @@ class ProdBr(LossStreamLearner):
         self.current = self._mix()
         return self.current
 
+    def play(self, losses: np.ndarray) -> np.ndarray:
+        x = losses.transpose(1, 0, 2)  # (T, B, n): the weight column broadcasts over rounds
+        ftrl, br = np.zeros(x.shape), np.empty(x.shape)
+        np.cumsum(x[:-1], axis=0, out=ftrl[1:])
+        ftrl = self.reg.leader(np.multiply(ftrl, -self.eta, out=ftrl))
+        ftrl[0], br[0], br[1:] = self.ftrl_current, self.br_current, best_response(x[:-1])
+        gain = ((br[:-1] - ftrl[:-1])[..., None, :] @ x[:-1, ..., None])[..., 0]
+        w_r = np.multiply.accumulate(np.concatenate((self.w_r[None], 1.0 + self.eta1 * gain)))
+        ftrl *= w_r
+        ftrl += np.multiply(br, self.w_br, out=br)
+        np.divide(ftrl, w_r + self.w_br, out=x)
+        return losses
+
 
 class DoublingAftrl(Aftrl):
     """Aftrl with phase restarts driven by accumulated loss variation.
@@ -313,6 +363,8 @@ class DoublingAftrl(Aftrl):
         self.accumulator = np.zeros(self.phase.shape)
         self.restarts: list[int] = []
         self._round = 0
+
+    play = LossStreamLearner.play  # the restarts read each round's loss
 
     def update(self, observed: np.ndarray) -> np.ndarray:
         self._round += 1

@@ -92,10 +92,11 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     u = np.sort(v, axis=-1)[..., ::-1]
     cums = np.cumsum(u, axis=-1)
     n = v.shape[-1]
-    holds = u * np.arange(1, n + 1) > cums - 1.0  # always at rho = 1
+    cums -= 1.0  # in place, as below: a block of rows holds two more blocks at most
+    holds = np.multiply(u, np.arange(1, n + 1), out=u) > cums  # always at rho = 1
     rho = n - np.argmax(holds[..., ::-1], axis=-1, keepdims=True)  # the last rho that holds
-    theta = (np.take_along_axis(cums, rho - 1, axis=-1) - 1.0) / rho
-    return np.maximum(v - theta, 0.0)
+    theta = np.take_along_axis(cums, rho - 1, axis=-1) / rho
+    return np.maximum(np.subtract(v, theta, out=cums), 0.0, out=cums)
 
 
 def floored_softmax(z: np.ndarray, prior: np.ndarray | None = None) -> np.ndarray:

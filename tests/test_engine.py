@@ -23,7 +23,7 @@ from zerosum.engine import (
     run_self_play,
     run_vs_adversary,
 )
-from zerosum.learners import Mwu, amwu_step
+from zerosum.learners import LossStreamLearner, Mwu, amwu_step
 from zerosum.regularizers import ENTROPY
 
 # First outputs of the published SplitMix64 algorithm, computed with an
@@ -474,6 +474,26 @@ class TestReplayGroups:
                     for name, values in expected.items():
                         np.testing.assert_array_equal(out.series[name], values)
 
+    def test_played_config_alone_equals_it_in_a_mixed_grid(self):
+        # each learner plays its replay whole, bit for bit whatever rows share
+        # its batch (-0.0 and 0.0 differ), with 3 VS_ADVERSARY rows on each replay
+        agents = ALL_AGENTS + VS_ADVERSARY_AGENTS + (
+            AgentSpec(kind="ProdBR", regularizer="squared_l2", name="ProdBR-l2"),
+            AgentSpec(kind="AFTRL", eta=0.1, b=0.5, name="AFTRL-b"),
+        )
+        configs = [
+            vs_config(seed=seed, horizon=300, agent=agent,
+                      adversary=AdversarySpec(kind="oblivious_mwu", eta=eta))
+            for seed in (1, 2) for eta in (0.5, 0.2) for agent in agents
+        ]
+        for out, config in zip(grid_run(configs), configs):
+            assert out.error is None, out.error
+            alone = run_vs_adversary(config)[1]
+            assert set(out.series) == set(alone)
+            for name, values in alone.items():
+                np.testing.assert_array_equal(out.series[name].view(np.int64),
+                                              values.view(np.int64), err_msg=name)
+
     def test_one_recording_per_replay_key(self, monkeypatch):
         # each game's replays are recorded as one batch, each replay key once
         calls = []
@@ -682,15 +702,24 @@ class TestBatches:
             for eta in (0.1, 0.2, 0.3)
         ]
         clean = grid_run(configs)
-        update = engine.Mwu.update
+        update, play = engine.Mwu.update, engine.Mwu.play
 
-        def faulty(self, observed):
+        def rows_at_02(self):
             at_eta = np.asarray(self.eta) == 0.2
             if at_eta.any() and fault == "raise":
                 raise FloatingPointError("row at eta 0.2")
-            return np.where(at_eta, np.nan, update(self, observed))
+            return at_eta
 
-        monkeypatch.setattr(engine.Mwu, "update", faulty)
+        def faulty_update(self, observed):  # reactive play, round by round
+            return np.where(rows_at_02(self), np.nan, update(self, observed))
+
+        def faulty_play(self, losses):  # oblivious play, all rounds at once
+            rows, strategies = rows_at_02(self)[:, 0], play(self, losses)
+            strategies[rows, 1:] = np.nan
+            return strategies
+
+        monkeypatch.setattr(engine.Mwu, "update", faulty_update)
+        monkeypatch.setattr(engine.Mwu, "play", faulty_play)
         outcomes = grid_run(configs)
         expected_error = {"nan": "ValueError: round 2 strategy: non-finite entries",
                           "raise": "FloatingPointError: row at eta 0.2"}[fault]
@@ -729,6 +758,8 @@ class TestBatches:
 
 class _OffSimplexAt:
     """A learner whose strategy for round k is scaled off the simplex."""
+
+    play = LossStreamLearner.play  # start, then update round by round
 
     def __init__(self, inner, k):
         self.inner, self.k, self.round = inner, k, 1

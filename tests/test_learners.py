@@ -326,6 +326,58 @@ class TestBatchRows:
             assert getattr(batch, "prev_loss", None) is prev_loss
 
 
+def play_block(seed=5, B=3, T=300, n=7):
+    """A (B, T, n) loss block with exact ties, zeros and -0.0 (whole leading
+    rounds too), and vertex rounds, so that DoublingAftrl restarts."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0, 1, (B, T, n))
+    xs[:, 1::4] = np.round(4.0 * xs[:, 1::4]) / 4.0
+    xs[:, ::3] = np.eye(n)[rng.integers(n, size=B)][:, None]
+    xs[rng.random(xs.shape) < 0.05] = -0.0
+    xs[0, :2] = -0.0
+    return xs
+
+
+class TestPlay:
+    """``play`` on a fresh learner is bit for bit ``start`` and one ``update``
+    per round, fed each round's losses as contiguous rows; -0.0 and 0.0 differ."""
+
+    ETAS, ALPHAS = np.array([[0.5], [0.05], [2.0]]), np.array([[0.0], [1.0], [31.6]])
+
+    @staticmethod
+    def looped(learner, xs):
+        strategies, f = np.empty_like(xs), learner.start()
+        for t in range(xs.shape[1]):
+            strategies[:, t] = f
+            f = learner.update(xs[:, t].copy())
+        return strategies
+
+    def assert_plays_the_loop(self, make, xs):
+        got = make().play(xs.copy())
+        np.testing.assert_array_equal(got.view(np.int64), self.looped(make(), xs).view(np.int64))
+
+    @pytest.mark.parametrize("reg", [ENTROPY, SQUARED_L2], ids=["entropy", "squared_l2"])
+    def test_block_learners(self, reg):
+        xs, shape = play_block(), (3, 7)
+        self.assert_plays_the_loop(lambda: Aftrl(shape, self.ETAS, self.ALPHAS, reg), xs)
+        self.assert_plays_the_loop(lambda: ProdBr(shape, 300, reg), xs)
+
+    def test_mwu_and_best_response(self):
+        xs, shape = play_block(), (3, 7)
+        alphas = np.array([[0.0], [1.0], [100.0]])
+        self.assert_plays_the_loop(lambda: Mwu(shape, self.ETAS, alphas), xs)
+        self.assert_plays_the_loop(lambda: BestResponseLearner(shape), xs)
+
+    @pytest.mark.parametrize("reg", [ENTROPY, SQUARED_L2], ids=["entropy", "squared_l2"])
+    def test_looping_learners(self, reg):
+        xs, shape = play_block(), (3, 7)
+        self.assert_plays_the_loop(lambda: Amd(shape, self.ETAS, self.ALPHAS, reg), xs)
+        self.assert_plays_the_loop(lambda: DoublingAftrl(shape, self.ETAS, self.ALPHAS, reg), xs)
+        doubling = DoublingAftrl(shape, self.ETAS, self.ALPHAS, reg)
+        doubling.play(xs.copy())
+        assert doubling.restarts and doubling.phase[2, 0] > 0
+
+
 class TestBestResponse:
     def test_unique_minimizer(self):
         np.testing.assert_allclose(best_response(np.array([0.2, 0.7, 0.1])), [0, 0, 1])
