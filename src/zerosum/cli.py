@@ -4,11 +4,13 @@ Configs are JSON documents that ``parse_config`` maps onto ``engine``'s specs,
 which check every value and key.  Metric series go to CSV with the fixed header
 ``t,learner,metric,value,seed,adversary_eta`` (12 significant digits, rows
 ordered by learner, metric, seed, adversary eta, round); each preset also
-writes a JSON manifest recording the grid, seeds, and library version.
+writes a JSON manifest recording the grid, seeds, and library version, and
+``zerosum preset`` prints a ``<sha256>  <path>`` line for each of its two files.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -21,6 +23,7 @@ import numpy as np
 from . import __version__
 from .core import MatrixGame, check_choice, check_keys, check_number
 from .engine import (
+    GAME_KINDS,
     AdversarySpec,
     AgentSpec,
     GameSpec,
@@ -75,9 +78,6 @@ class ConfigError(ValueError):
     pass
 
 
-_TOP_KEYS = {"game", "horizon", "agent", "adversary", "metrics", "output"}
-
-
 def _require(obj: dict, key: str, prefix: str = ""):
     if key not in obj:
         raise ValueError(f"{prefix}{key}: missing required key")
@@ -120,17 +120,17 @@ def parse_config(text: str) -> SimulationConfig:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
-        check_keys(doc, _TOP_KEYS, "config")
+        check_keys(doc, SimulationConfig.__dataclass_fields__, "config")
         _reject_null(doc)
         game_doc = _object(doc, "game")
-        check_keys(game_doc, {"random", "csv"}, "game")
+        check_keys(game_doc, GAME_KINDS, "game")
         if len(game_doc) != 1:
             raise ValueError("game: give one of 'random' or 'csv'")
         if "csv" in game_doc:
             game = GameSpec(kind="csv", path=game_doc["csv"])
         else:
             rnd = _object(game_doc, "random", "game.")
-            check_keys(rnd, {"n", "m", "seed"}, "game.random")
+            check_keys(rnd, GAME_KINDS["random"], "game.random")
             game = GameSpec(kind="random", **rnd)
         agent = _kind_spec(AgentSpec, _object(doc, "agent"), "agent")
         adversary = _kind_spec(AdversarySpec, _object(doc, "adversary"), "adversary")
@@ -174,14 +174,13 @@ def emit_csv(records, path) -> None:
         r.learner, r.metric, -1 if r.seed is None else r.seed,
         -1.0 if r.adversary_eta is None else r.adversary_eta,
     ))
-    lines = [CSV_HEADER]
-    for rec in records:  # Python floats format as numpy's do, and faster
-        prefix = f"{rec.learner},{rec.metric},"
-        suffix = f",{'' if rec.seed is None else rec.seed},{_fmt(rec.adversary_eta)}"
-        lines += [f"{t},{prefix}{v:.12g}{suffix}" for t, v in enumerate(rec.values.tolist(), 1)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(CSV_HEADER + "\n")
+        for rec in records:  # Python floats format as numpy's do, and faster
+            prefix = f"{rec.learner},{rec.metric},"
+            suffix = f",{'' if rec.seed is None else rec.seed},{_fmt(rec.adversary_eta)}\n"
+            fh.write("".join([f"{t},{prefix}{v:.12g}{suffix}"
+                              for t, v in enumerate(rec.values.tolist(), 1)]))
 
 
 def _records(config: SimulationConfig, series: dict) -> list[SeriesRecord]:
@@ -341,6 +340,9 @@ def _cmd_preset(args) -> int:
     seeds = parse_seeds(args.seeds)
     parallelism = parse_number(args.parallelism, "--parallelism", 1, integer=True)
     failures = run_preset(args.name, args.out, seeds, parallelism=parallelism)
+    out_dir = Path(args.out)
+    for path in (out_dir / PRESETS[args.name].csv, out_dir / "manifest.json"):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}")
     return 1 if failures else 0
 
 
@@ -365,7 +367,7 @@ def _cmd_certify(args) -> int:
 
 def report_errors(command: Callable, args) -> int:
     """``command(args)``; a ValueError or OSError ends in one ``error:`` line on
-    stderr and exit code 2.  ``main`` and the scripts report errors so."""
+    stderr and exit code 2.  ``main`` and the demo script report errors so."""
     try:
         return command(args)
     except (ValueError, OSError) as exc:

@@ -30,7 +30,7 @@ the others (``_FIELD_CHECK``); its errors name the config key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -372,13 +372,29 @@ def _replay_key(config: SimulationConfig) -> tuple:
     return config.adversary.eta, config.horizon
 
 
+def _settled(result: Callable) -> Callable:
+    """``result()``, called now: a function that gives its value or raises its error."""
+    try:
+        value = result()
+    except Exception as exc:  # noqa: BLE001 - raised to each caller
+        error = exc.with_traceback(None)  # its frames would hold what ``result`` read
+
+        def fail():
+            raise error
+
+        return fail
+    return lambda: value
+
+
 def _record(unit: MatrixGame, keys) -> list:
     """The replays of ``keys`` (``_replay_key``s of one horizon) on a unit-range game,
-    recorded as one batch: per key a function that checks it (once) and gives x_t = A y_t."""
+    recorded as one batch and each checked at once: per key a function that gives
+    its (T, n) loss block x_t = A y_t or raises its check's error.  Only the loss
+    blocks outlive the call."""
     etas, horizons = zip(*keys)
     checked = _vs_mwu(Mwu((len(keys), unit.n), _column(etas)), unit, etas, horizons[0])
-    return [cache(lambda b=b: checked(b, ("replay row player round", "replay round"))[1])
-            for b in range(len(keys))]
+    contexts = ("replay row player round", "replay round")
+    return [_settled(lambda b=b: checked(b, contexts)[1]) for b in range(len(keys))]
 
 
 def _vs_adversary_batch(game: _Game, configs, replays: dict) -> list:

@@ -4,6 +4,7 @@ import json
 import re
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,21 @@ class TestEmitCsv:
         assert lines[1].split(",")[1] == "A"
         assert lines[51].split(",")[1] == "B"
 
+    def test_peak_memory_is_one_record_not_the_file(self, tmp_path):
+        # rows are written as each record is formatted, not gathered for the whole file
+        rng = np.random.default_rng(1)
+        records = [SeriesRecord(f"L{i % 5}", "loss", rng.uniform(0, 1, 1000), seed=i // 5,
+                                adversary_eta=0.05) for i in range(100)]
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            emit_csv(records, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text().count("\n") == 100_001
+        assert peak < path.stat().st_size / 4
+
 
 # The reference output: the sha256 of each preset's CSV and manifest at --seeds 1.
 REFERENCE_SHA256 = {
@@ -161,6 +177,14 @@ class TestPresets:
         written = (tmp_path / PRESETS[name].csv, tmp_path / "manifest.json")
         digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in written)
         assert digests == REFERENCE_SHA256[name]
+
+    def test_preset_command_prints_the_digests(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        assert main(["preset", "spectral-certificate", "--out", str(out), "--seeds", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        written = [out / PRESETS["spectral-certificate"].csv, out / "manifest.json"]
+        assert lines == [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}"
+                         for path in written]
 
     def test_unknown_preset(self, tmp_path):
         with pytest.raises(ValueError, match=r"^preset: unknown value 'bogus'; choose from "):
@@ -270,37 +294,13 @@ class TestMainCommands:
 
 
 class TestSeeds:
-    """``zerosum preset`` and ``scripts/run_presets.py`` share ``parse_seeds``."""
+    """``zerosum preset`` reads ``--seeds`` with ``parse_seeds``; its bad values are
+    cases of ``TestMainCommands.test_bad_flag_is_one_error_line``."""
 
     def test_seeds_and_default(self, tmp_path):
         assert parse_seeds("3,1,-2") == [3, 1, -2]
         assert main(["preset", "spectral-certificate", "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "manifest.json").read_text())["seeds"] == [1, 2, 3, 4, 5]
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--seeds", "1,x"],
-            ["--seeds", ""],
-            # checked before the valid preset named first runs
-            ["--presets", "spectral-certificate,bogus"],
-            ["--presets", "spectral-certificate", "--parallelism", "0"],
-            ["--presets", "spectral-certificate", "--seeds", "1,1"],
-            ["--presets", "spectral-certificate", "--parallelism", "x"],
-        ],
-        ids=["1,x", "", "presets", "parallelism", "1,1", "parallelism-x"],
-    )
-    def test_script_bad_seeds_is_one_error_line(self, tmp_path, capsys, monkeypatch, flags):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_presets.py"
-        main_fn = runpy.run_path(str(script))["main"]
-        out = tmp_path / "out"
-        monkeypatch.setattr(sys, "argv", ["run_presets.py", "--out", str(out), *flags])
-        assert main_fn() == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        bad_flag = flags[-2]
-        assert captured.err.startswith(f"error: {bad_flag}: ") and captured.err.count("\n") == 1
-        assert not out.exists()
 
 
 def _demo_main(monkeypatch, *flags):

@@ -231,6 +231,19 @@ class TestRecordObliviousTrace:
         assert np.all(xs >= g.payoff.min(axis=1) - 1e-12)
         assert np.all(xs <= g.payoff.max(axis=1) + 1e-12)
 
+    def test_recording_keeps_only_the_loss_blocks(self):
+        # each replay is checked as it is recorded; its strategy blocks are dropped
+        unit = make_random_game(20, 20, seed=3).to_unit_range()[0]
+        K, T = 10, 2000
+        tracemalloc.start()
+        try:
+            replays = engine._record(unit, [(0.05 * (k + 1), T) for k in range(K)])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert K * T * unit.n * 8 <= held < 1.25 * K * T * unit.n * 8
+        assert all(replay().shape == (T, unit.n) for replay in replays)
+
     # ``other_eta``: a second replay recorded in the same batch (None: recorded alone)
     @pytest.mark.parametrize("eta,other_eta", [(np.nan, None), (np.inf, None), (0.0, None),
                                                (0.5, np.nan), (0.5, -0.1), (True, None),
