@@ -227,9 +227,10 @@ class MatrixGame:
 
     @classmethod
     def from_csv(cls, path) -> "MatrixGame":
-        """Load a matrix from CSV: one row per line, comma-separated decimals, no header."""
+        """Load a matrix from CSV: one row per line, comma-separated decimals, no header
+        (a leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped)."""
         rows = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:

@@ -372,40 +372,34 @@ def _replay_key(config: SimulationConfig) -> tuple:
     return config.adversary.eta, config.horizon
 
 
-def _settled(result: Callable) -> Callable:
-    """``result()``, called now: a function that gives its value or raises its error."""
-    try:
-        value = result()
-    except Exception as exc:  # noqa: BLE001 - raised to each caller
-        error = exc.with_traceback(None)  # its frames would hold what ``result`` read
-
-        def fail():
-            raise error
-
-        return fail
-    return lambda: value
-
-
-def _record(unit: MatrixGame, keys) -> list:
+def _record(unit: MatrixGame, keys) -> dict:
     """The replays of ``keys`` (``_replay_key``s of one horizon) on a unit-range game,
-    recorded as one batch and each checked at once: per key a function that gives
-    its (T, n) loss block x_t = A y_t or raises its check's error.  Only the loss
-    blocks outlive the call."""
+    recorded as one batch and each checked at once: per key its (T, n) loss block
+    x_t = A y_t, or the error its check raised.  Only the loss blocks outlive the call."""
     etas, horizons = zip(*keys)
     checked = _vs_mwu(Mwu((len(keys), unit.n), _column(etas)), unit, etas, horizons[0])
     contexts = ("replay row player round", "replay round")
-    return [_settled(lambda b=b: checked(b, contexts)[1]) for b in range(len(keys))]
+    replays = {}
+    for b, key in enumerate(keys):
+        try:
+            replays[key] = checked(b, contexts)[1]
+        except Exception as exc:  # noqa: BLE001 - the error of the configs that replay it
+            replays[key] = exc.with_traceback(None)  # its frames would hold the recording
+    return replays
 
 
-def _vs_adversary_batch(game: _Game, configs, replays: dict) -> list:
+def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
     """Step configs that share a game, learner builder and regularizer, horizon
     and adversary kind as one batch; an oblivious agent plays its replay's loss
-    block whole (the function at its ``_replay_key`` in ``replays``).  Returns per
-    config a function that checks its rounds and gives (trace, series)."""
+    block whole (at its ``_replay_key`` in ``replays``), and a batch that reads a
+    failed replay raises its error.  Returns a function of a row b that checks
+    config b's rounds and gives its (trace, series)."""
     T = configs[0].horizon
     agent = build_agent([c.agent for c in configs], game.unit.n, T)
     if configs[0].adversary.kind == "oblivious_mwu":
-        losses = [replays[_replay_key(c)]() for c in configs]
+        losses = [replays[_replay_key(c)] for c in configs]
+        if failed := [xs for xs in losses if isinstance(xs, Exception)]:
+            raise failed[0]
         strategies = agent.play(np.stack(losses))
 
         def checked(b):
@@ -421,13 +415,13 @@ def _vs_adversary_batch(game: _Game, configs, replays: dict) -> list:
         trace = Trace.from_rounds(*checked(b))
         return trace, _series(ADVERSARY_METRICS, configs[b].metrics, trace, reg, etas[b, 0])
 
-    return [partial(finish, b) for b in range(len(configs))]
+    return finish
 
 
-def _self_play_batch(game: _Game, configs) -> list:
+def _self_play_batch(game: _Game, configs) -> Callable:
     """Step self-play configs that share a game and a horizon as one batch (as
-    ``run_self_play`` describes).  Returns per config a function that checks its
-    rounds and gives (trace_max, trace_min, series)."""
+    ``run_self_play`` describes).  Returns a function of a row b that checks
+    config b's rounds and gives its (trace_max, trace_min, series)."""
     a = game.unit.payoff
     rates = (_column([c.agent.eta for c in configs]),
              _column([c.agent.resolved_alpha() for c in configs]))
@@ -445,7 +439,7 @@ def _self_play_batch(game: _Game, configs) -> list:
         traces = Trace.from_rounds(fs[b], loss_max), Trace.from_rounds(ys[b], loss_min)
         return (*traces, _series(SELF_PLAY_METRICS, configs[b].metrics, game, *traces))
 
-    return [partial(finish, b) for b in range(len(configs))]
+    return finish
 
 
 def run_vs_adversary(config: SimulationConfig):
@@ -457,9 +451,9 @@ def run_vs_adversary(config: SimulationConfig):
     adv = config.adversary
     if adv.kind not in ("oblivious_mwu", "nonoblivious_mwu"):
         raise ValueError(f"run_vs_adversary cannot handle adversary kind {adv.kind!r}")
-    game, keys = _Game(config.game), [_replay_key(config)] if adv.kind == "oblivious_mwu" else []
-    replays = dict(zip(keys, _record(game.unit, keys) if keys else []))
-    return (*_vs_adversary_batch(game, [config], replays)[0](), game.unit)
+    game = _Game(config.game)
+    replays = _record(game.unit, [_replay_key(config)]) if adv.kind == "oblivious_mwu" else {}
+    return (*_vs_adversary_batch(game, [config], replays)(0), game.unit)
 
 
 def run_self_play(config: SimulationConfig):
@@ -474,7 +468,7 @@ def run_self_play(config: SimulationConfig):
     if config.adversary.kind != "self_play":
         raise ValueError(f"run_self_play cannot handle adversary kind {config.adversary.kind!r}")
     game = _Game(config.game)
-    return (*_self_play_batch(game, [config])[0](), game.unit)
+    return (*_self_play_batch(game, [config])(0), game.unit)
 
 
 def run_config(config: SimulationConfig) -> dict:
@@ -488,24 +482,20 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _per_row(run, items) -> list:
-    """``run(items)``: per item a function that gives its result or raises its
-    error.  If ``run`` raises, each item's function runs it alone instead."""
-    try:
-        return run(items)
-    except Exception:  # noqa: BLE001 - alone, only the failing items fail
-        return [lambda item=item: run([item])[0]() for item in items]
-
-
 def _run_batch(game: _Game, outcomes: list[RunOutcome], replays: dict) -> None:
     """Step the configs of ``outcomes``, one batch, then check each config and
-    fill in its series or error on its own; the blocks are dropped on return."""
+    fill in its series or error on its own; if the batch raises, each config
+    steps alone instead.  The blocks are dropped on return."""
     run = (partial(_self_play_batch, game) if outcomes[0].config.adversary.kind == "self_play"
            else partial(_vs_adversary_batch, game, replays=replays))
-    rows = _per_row(run, [out.config for out in outcomes])
-    for out, row in zip(outcomes, rows):
+    configs = [out.config for out in outcomes]
+    try:
+        finish = run(configs)
+    except Exception:  # noqa: BLE001 - alone, only the failing configs fail
+        finish = lambda b: run(configs[b:b + 1])(0)  # noqa: E731
+    for b, out in enumerate(outcomes):
         try:
-            out.series = row()[-1]
+            out.series = finish(b)[-1]
         except Exception as exc:  # noqa: BLE001 - this config's error
             out.error = _error(exc)
 
@@ -514,8 +504,9 @@ def _run_game(spec: GameSpec, batches) -> None:
     """Resolve one game, then step its batches of outcomes one after another,
     each in runs of as many rows as fit ``_BATCH_BYTES`` (an oblivious row's play
     holds ``PLAY_BLOCKS`` blocks of n actions); the oblivious ones against a run of
-    replays at a time, as many as fit, each recorded once as one batch and dropped
-    after its configs have stepped.  If the game fails, each config reports that error."""
+    replays at a time, as many as fit, recorded as one batch (one key at a time if
+    that raises) and dropped after its configs have stepped.  If the game fails,
+    each config reports that error."""
     try:
         game = _Game(spec)
     except Exception as exc:  # noqa: BLE001 - reported per config, other games unaffected
@@ -529,8 +520,16 @@ def _run_game(spec: GameSpec, batches) -> None:
         for rows in _chunks(batch, batch[0].config.horizon, k):
             _run_batch(game, rows, replays)
 
+    def record(keys) -> dict:  # per key its loss block or error
+        try:
+            return _record(game.unit, keys)
+        except Exception as exc:  # noqa: BLE001 - alone, only the failing keys fail
+            if len(keys) == 1:
+                return {keys[0]: exc.with_traceback(None)}
+            return {key: record([key])[key] for key in keys}
+
     def step_replays(keys):  # its replays are dropped on return
-        replays = dict(zip(keys, _per_row(partial(_record, game.unit), keys)))
+        replays = record(keys)
         for batch in oblivious:
             if part := [out for out in batch if _replay_key(out.config) in replays]:
                 step(part, replays, PLAY_BLOCKS * n)
@@ -546,7 +545,7 @@ def _run_game(spec: GameSpec, batches) -> None:
 def grid_run(configs, parallelism: int = 1) -> list[RunOutcome]:
     """Execute independent configs, preserving input order in the output.
 
-    The configs of one game share one resolve, one equilibrium solve and one
+    The configs of one game share one resolve, one equilibrium solve and the
     recording of each oblivious replay; those that also share a run mode, a
     horizon and (against an adversary) a learner builder and regularizer step
     together as one batch, one batch after another, in runs of as many configs

@@ -299,7 +299,6 @@ class ProdBr(LossStreamLearner):
     def __init__(self, shape, horizon: int, reg: Regularizer = ENTROPY):
         if horizon < 2:
             raise ValueError(f"horizon must be at least 2, got {horizon}")
-        self.horizon = horizon
         self.reg = reg
         self.ftrl_current = uniform(shape)   # f_1 = argmin R
         self.br_current = uniform(shape)     # best response to x_0 = 0

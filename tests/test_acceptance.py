@@ -253,6 +253,7 @@ def _self_play_exploitability(seed, kind, eta, alpha=None):
     return float(e[99]), float(e[-1])
 
 
+@pytest.mark.slow
 def test_criterion_04_last_round_convergence():
     """Exploit-weighted self-play collapses the duality gap; plain MWU does not."""
     amwu_ok = 0

@@ -167,6 +167,13 @@ class TestMatrixGame:
         assert game.n == 2 and game.m == 2
         np.testing.assert_allclose(game.payoff, [[1, -1], [-1, 1]])
 
+    def test_csv_byte_order_mark(self, tmp_path):
+        # spreadsheet exports start the file with a UTF-8 byte-order mark
+        path = tmp_path / "game.csv"
+        path.write_bytes("1,-1\n-1,1\n".encode("utf-8-sig"))
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        np.testing.assert_array_equal(MatrixGame.from_csv(path).payoff, [[1, -1], [-1, 1]])
+
     def test_csv_ragged(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3\n")

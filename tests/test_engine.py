@@ -197,8 +197,12 @@ class TestMakeRandomGame:
 
 
 def replay(game, eta, horizon):
-    """The loss block of the oblivious replay at (eta, horizon) on ``game``'s unit range."""
-    return engine._record(game.to_unit_range()[0], [(eta, horizon)])[0]()
+    """The loss block of the oblivious replay at (eta, horizon) on ``game``'s unit
+    range; raises the error of its recording's check."""
+    xs = engine._record(game.to_unit_range()[0], [(eta, horizon)])[eta, horizon]
+    if isinstance(xs, Exception):
+        raise xs
+    return xs
 
 
 class TestRecordObliviousTrace:
@@ -237,12 +241,14 @@ class TestRecordObliviousTrace:
         K, T = 10, 2000
         tracemalloc.start()
         try:
-            replays = engine._record(unit, [(0.05 * (k + 1), T) for k in range(K)])
+            keys = [(0.05 * (k + 1), T) for k in range(K)]
+            replays = engine._record(unit, keys)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert K * T * unit.n * 8 <= held < 1.25 * K * T * unit.n * 8
-        assert all(replay().shape == (T, unit.n) for replay in replays)
+        assert list(replays) == keys
+        assert all(xs.shape == (T, unit.n) for xs in replays.values())
 
     # ``other_eta``: a second replay recorded in the same batch (None: recorded alone)
     @pytest.mark.parametrize("eta,other_eta", [(np.nan, None), (np.inf, None), (0.0, None),
@@ -627,8 +633,8 @@ class TestReplayGroups:
                 assert out.error is None
                 assert set(out.series) == set(ADVERSARY_METRICS)
 
-    def test_replays_held_at_most_one_per_worker(self, monkeypatch):
-        # batches run one after another: only one game's replays are held at once
+    def test_replays_held_one_game_at_a_time(self, monkeypatch):
+        # games run one after another: only one game's loss blocks are held at once
         live = peak = 0
         record = engine._record
 
@@ -638,10 +644,10 @@ class TestReplayGroups:
 
         def tracked(unit, keys):
             nonlocal live, peak
-            replays = record(unit, keys)  # one function per key, holding the recording
-            for replay in replays:
+            replays = record(unit, keys)
+            for xs in replays.values():  # each replay's loss block
                 live += 1
-                weakref.finalize(replay, release)
+                weakref.finalize(xs, release)
             peak = max(peak, live)
             return replays
 
@@ -659,6 +665,68 @@ class TestReplayGroups:
             assert all(o.error is None for o in outcomes)
             assert live == 0
             assert peak == 2  # the two replays of one game
+
+    def test_failed_recording_batch_records_each_key_alone_once(self, monkeypatch):
+        # a recording batch that raises is recorded again one key at a time, once;
+        # every batch that reads the failed replay gets its error
+        calls = []
+        record = engine._record
+
+        def failing_at_04(unit, keys):
+            calls.append([eta for eta, _ in keys])
+            if any(eta == 0.4 for eta, _ in keys):
+                raise ValueError("replay failed")
+            return record(unit, keys)
+
+        agents = (AgentSpec(kind="MWU", eta=0.1), AgentSpec(kind="OMWU", eta=0.1),
+                  AgentSpec(kind="ProdBR"))
+        configs = [vs_config(horizon=30, agent=agent,
+                             adversary=AdversarySpec(kind="oblivious_mwu", eta=eta))
+                   for eta in (0.4, 0.5) for agent in agents]
+        clean = grid_run(configs[len(agents):])
+        monkeypatch.setattr(engine, "_record", failing_at_04)
+        outcomes = grid_run(configs)
+        assert calls == [[0.4, 0.5], [0.4], [0.5]]
+        assert [o.error for o in outcomes[:len(agents)]] == ["ValueError: replay failed"] * 3
+        for out, expected in zip(outcomes[len(agents):], clean):
+            assert out.error is None, out.error
+            assert set(out.series) == set(expected.series)
+            for name, values in expected.series.items():
+                np.testing.assert_array_equal(out.series[name], values, err_msg=name)
+
+    def test_failed_replay_check_is_not_recorded_again(self, monkeypatch):
+        # a replay whose check fails in a recording batch that returns keeps its
+        # error: its configs report it and the batch is not recorded again
+        calls = []
+        record, vs_mwu = engine._record, engine._vs_mwu
+
+        def counting(unit, keys):
+            calls.append([eta for eta, _ in keys])
+            return record(unit, keys)
+
+        def failing_at_04(row, unit, etas, T):
+            checked = vs_mwu(row, unit, etas, T)
+
+            def check(b, contexts):
+                if etas[b] == 0.4:
+                    raise ValueError("replay check failed")
+                return checked(b, contexts)
+            return check
+
+        agents = (AgentSpec(kind="MWU", eta=0.1), AgentSpec(kind="ProdBR"))
+        configs = [vs_config(horizon=30, agent=agent,
+                             adversary=AdversarySpec(kind="oblivious_mwu", eta=eta))
+                   for eta in (0.4, 0.5) for agent in agents]
+        clean = grid_run(configs[len(agents):])
+        monkeypatch.setattr(engine, "_record", counting)
+        monkeypatch.setattr(engine, "_vs_mwu", failing_at_04)
+        outcomes = grid_run(configs)
+        assert calls == [[0.4, 0.5]]
+        assert [o.error for o in outcomes[:len(agents)]] == ["ValueError: replay check failed"] * 2
+        for out, expected in zip(outcomes[len(agents):], clean):
+            assert out.error is None, out.error
+            for name, values in expected.series.items():
+                np.testing.assert_array_equal(out.series[name], values, err_msg=name)
 
 
 def _mixed_grid():
@@ -801,10 +869,10 @@ class TestRoundChecks:
         record = engine._record
 
         def corrupted(unit, keys):
-            blocks = [replay() for replay in record(unit, keys)]
-            for xs in blocks:
+            replays = record(unit, keys)
+            for xs in replays.values():
                 xs[5, 0] = 1.5  # above any loss of a unit-range game
-            return [lambda xs=xs: xs for xs in blocks]
+            return replays
 
         monkeypatch.setattr(engine, "_record", corrupted)
         with pytest.raises(ValueError, match=r"^round 6 loss: entries outside \[0, 1\]"):
