@@ -3,7 +3,7 @@ equilibrium solving, and deterministic experiment harnesses."""
 
 __version__ = "0.1.0"
 
-from .core import MatrixGame, Trace, inner, kl_divergence, l_norm, uniform
+from .core import MatrixGame, Trace, kl_divergence, l_norm, uniform
 from .regularizers import (
     ENTROPY,
     SQUARED_L2,
@@ -18,7 +18,6 @@ from .nash import NashSolution, amwu_update_map, solve_zero_sum, spectral_radius
 __all__ = [
     "MatrixGame",
     "Trace",
-    "inner",
     "kl_divergence",
     "l_norm",
     "uniform",

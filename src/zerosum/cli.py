@@ -193,14 +193,14 @@ class Preset:
     """A named experiment: its CSV file, what makes its records, its manifest grid."""
 
     csv: str
-    records: Callable  # (seeds, parallelism) -> (records, failure lines)
+    records: Callable  # seeds -> (records, failure lines)
     grid: dict
 
 
 def _grid_preset(csv, agents, horizon, adversary, metric_names, etas=(None,)) -> Preset:
     """Each agent against ``adversary`` at each eta, on each seed's random 20x20 game."""
 
-    def records(seeds, parallelism):
+    def records(seeds):
         configs = [
             SimulationConfig(
                 game=GameSpec(kind="random", n=20, m=20, seed=seed),
@@ -214,7 +214,7 @@ def _grid_preset(csv, agents, horizon, adversary, metric_names, etas=(None,)) ->
             for agent in agents
         ]
         out, failures = [], []
-        for outcome in grid_run(configs, parallelism):
+        for outcome in grid_run(configs):
             if outcome.error is not None:
                 failures.append(f"config {outcome.index}: {outcome.error}")
             else:
@@ -233,7 +233,7 @@ _CERTIFICATE_GAMES = [("matching_pennies", None, MATCHING_PENNIES_UNIT)] + [
 ]
 
 
-def _certificate_records(seeds, parallelism):
+def _certificate_records(seeds):
     """Spectral radii of both update rules at each certificate game's equilibrium."""
     records, failures = [], []
     for label, seed, game in _CERTIFICATE_GAMES:
@@ -274,17 +274,16 @@ PRESETS = {
 }
 
 
-def run_preset(name: str, output_dir, seeds, parallelism: int = 4) -> int:
+def run_preset(name: str, output_dir, seeds) -> int:
     """Expand a named preset grid, run it, and write CSV plus manifest.
 
-    ``parallelism`` (>= 1) goes to ``engine.grid_run``; the output never
-    depends on it.  Returns the number of failed runs (0 means full success).
+    Returns the number of failed runs (0 means full success).
     """
     preset = PRESETS[check_choice(name, "preset", PRESETS)]
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = list(seeds)
-    records, failures = preset.records(seeds, parallelism)
+    records, failures = preset.records(seeds)
     emit_csv(records, out_dir / preset.csv)
     manifest = {
         "preset": name,
@@ -337,9 +336,7 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def _cmd_preset(args) -> int:
-    seeds = parse_seeds(args.seeds)
-    parallelism = parse_number(args.parallelism, "--parallelism", 1, integer=True)
-    failures = run_preset(args.name, args.out, seeds, parallelism=parallelism)
+    failures = run_preset(args.name, args.out, parse_seeds(args.seeds))
     out_dir = Path(args.out)
     for path in (out_dir / PRESETS[args.name].csv, out_dir / "manifest.json"):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}")
@@ -390,7 +387,6 @@ def main(argv=None) -> int:
     p_preset.add_argument("name", help=f"one of: {', '.join(PRESETS)}")
     p_preset.add_argument("--out", required=True, help="output directory")
     p_preset.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seed list")
-    p_preset.add_argument("--parallelism", default="4")
     p_preset.set_defaults(func=_cmd_preset)
 
     p_solve = sub.add_parser("solve", help="solve a matrix game from CSV, print the equilibrium")

@@ -159,15 +159,6 @@ def check_rounds(strategies: np.ndarray, losses: np.ndarray, context: str = "rou
         raise ValueError(f"{context} {bad_x[0] + 1} loss: {bad_x[1]}")
 
 
-def inner(a: np.ndarray, x: np.ndarray) -> float:
-    """<a, x>, the realized loss of strategy ``a`` under loss vector ``x``."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if a.shape != x.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {x.shape}")
-    return float(a @ x)
-
-
 def kl_divergence(p: np.ndarray, q: np.ndarray):
     """Relative entropy sum_i p_i log(p_i / q_i), natural log, over the last axis.
 
@@ -198,7 +189,7 @@ def l_norm(v: np.ndarray, p):
         return np.abs(v).sum(axis=-1)
     if p == 2:
         return np.sqrt(np.sum(v * v, axis=-1))
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return np.abs(v).max(axis=-1, initial=0.0)
     raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")
 
@@ -249,21 +240,18 @@ class MatrixGame:
             raise ValueError(f"{path}: empty matrix")
         return cls(np.array(rows, dtype=float))
 
-    def to_unit_range(self) -> tuple["MatrixGame", float, float]:
-        """Affinely map payoffs into [0, 1].
-
-        Returns (game, lo, span) with ``unit = (payoff - lo) / span``; a
-        constant matrix is shifted only (span 1).  Positive affine maps
-        preserve best responses and equilibria.
+    def to_unit_range(self) -> "MatrixGame":
+        """The game with payoffs mapped onto [0, 1] by ``(payoff - min) / (max - min)``:
+        the game itself if they lie in [0, 1] already, all zeros if constant.
+        Positive affine maps preserve best responses and equilibria.
         """
         lo = float(self.payoff.min())
         hi = float(self.payoff.max())
         if lo >= 0.0 and hi <= 1.0:
-            return self, 0.0, 1.0
-        span = hi - lo
-        if span == 0.0:
-            return MatrixGame(np.zeros_like(self.payoff)), lo, 1.0
-        return MatrixGame((self.payoff - lo) / span), lo, span
+            return self
+        if hi == lo:
+            return MatrixGame(np.zeros_like(self.payoff))
+        return MatrixGame((self.payoff - lo) / (hi - lo))
 
 
 @dataclass(frozen=True)

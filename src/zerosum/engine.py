@@ -75,6 +75,13 @@ def make_random_game(n: int, m: int, seed: int) -> MatrixGame:
     return MatrixGame(np.array(entries).reshape(n, m))
 
 
+def _check_name(value, key: str) -> str:
+    """A learner name: a string that fits one CSV field (no comma, no line break)."""
+    if any(c in check_string(value, key) for c in ",\r\n"):
+        raise ValueError(f"{key}: must not contain a comma or a line break, got {value!r}")
+    return value
+
+
 # How each spec field is checked, whichever spec holds it; ``key`` is its config key.
 _FIELD_CHECK = {
     **dict.fromkeys(("horizon", "n", "m"), lambda v, key: check_number(v, key, 2, integer=True)),
@@ -83,7 +90,8 @@ _FIELD_CHECK = {
     "alpha": lambda v, key: check_number(v, key, 0),
     "b": check_number,
     "regularizer": lambda v, key: check_choice(v, key, REGULARIZERS),
-    **dict.fromkeys(("name", "output", "path"), check_string),
+    "name": _check_name,
+    **dict.fromkeys(("output", "path"), check_string),
 }
 # The fields that may be None; the others are required where read.
 _OPTIONAL = {"alpha", "b", "regularizer", "name", "output"}
@@ -145,7 +153,7 @@ class _Game:
     play it; its equilibrium is solved on first use."""
 
     def __init__(self, spec: GameSpec):
-        self.unit, _, _ = spec.resolve().to_unit_range()
+        self.unit = spec.resolve().to_unit_range()
 
     @cached_property
     def equilibrium(self) -> tuple[np.ndarray, np.ndarray]:
@@ -396,6 +404,9 @@ def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
     config b's rounds and gives its (trace, series)."""
     T = configs[0].horizon
     agent = build_agent([c.agent for c in configs], game.unit.n, T)
+    # the rate the learner was built with (DoublingAftrl lowers its eta in play)
+    reg = getattr(agent, "reg", ENTROPY)
+    etas = np.broadcast_to(getattr(agent, "eta", 1.0), (len(configs), 1))
     if configs[0].adversary.kind == "oblivious_mwu":
         losses = [replays[_replay_key(c)] for c in configs]
         if failed := [xs for xs in losses if isinstance(xs, Exception)]:
@@ -408,8 +419,6 @@ def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
     else:  # reactive: the adversary sees f_t only after the round
         reactive = _vs_mwu(agent, game.unit, [c.adversary.eta for c in configs], T)
         checked = lambda b: reactive(b, ("round", "adversary round"))[:2]  # noqa: E731
-    reg = getattr(agent, "reg", ENTROPY)
-    etas = np.broadcast_to(getattr(agent, "eta", 1.0), (len(configs), 1))
 
     def finish(b):
         trace = Trace.from_rounds(*checked(b))
@@ -550,10 +559,11 @@ def grid_run(configs, parallelism: int = 1) -> list[RunOutcome]:
     horizon and (against an adversary) a learner builder and regularizer step
     together as one batch, one batch after another, in runs of as many configs
     as fit a fixed memory budget.  A config's series is bit for bit the config
-    run alone, so results never depend on batching, grid order or
-    ``parallelism`` (>= 1, otherwise unused).  A failing config fails alone:
-    checks and metrics run per config after its batch's loop, and a batch
-    whose loop raises reruns per config.
+    run alone, so results never depend on batching or grid order.  A failing
+    config fails alone: checks and metrics run per config after its batch's
+    loop, and a batch whose loop raises reruns per config.  ``parallelism``
+    (>= 1) changes nothing; it is kept only because the benchmark harness
+    (``perfbench/workloads.py``) still passes it.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")

@@ -173,7 +173,7 @@ class TestPresets:
     @pytest.mark.slow
     @pytest.mark.parametrize("name", list(REFERENCE_SHA256))
     def test_reference_output(self, tmp_path, name):
-        assert run_preset(name, tmp_path, [1], parallelism=1) == 0
+        assert run_preset(name, tmp_path, [1]) == 0
         written = (tmp_path / PRESETS[name].csv, tmp_path / "manifest.json")
         digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in written)
         assert digests == REFERENCE_SHA256[name]
@@ -270,14 +270,11 @@ class TestMainCommands:
             (["preset", "spectral-certificate", "--out", "{out}", "--seeds", "1,x"], "--seeds"),
             (["preset", "spectral-certificate", "--out", "{out}", "--seeds", ""], "--seeds"),
             (["preset", "spectral-certificate", "--out", "{out}", "--seeds", "1,,2"], "--seeds"),
-            (["preset", "spectral-certificate", "--out", "{out}", "--parallelism", "0"],
-             "--parallelism"),
-            (["preset", "oblivious-loss", "--out", "{out}", "--parallelism", "-2"], "--parallelism"),
+            (["preset", "oblivious-loss", "--out", "{out}", "--seeds", "1,2,"], "--seeds"),
+            (["preset", "last-round", "--out", "{out}", "--seeds", "1.5"], "--seeds"),
             (["preset", "spectral-certificate", "--out", "{out}", "--seeds", "1,1"], "--seeds"),
-            (["preset", "spectral-certificate", "--out", "{out}", "--parallelism", "x"],
-             "--parallelism"),
-            (["preset", "spectral-certificate", "--out", "{out}", "--parallelism", "1.5"],
-             "--parallelism"),
+            (["certify", "{matrix}", "--eta", "1e-400", "--alpha", "10"], "--eta"),  # reads as 0
+            (["certify", "{matrix}", "--eta", "0.1", "--alpha", "1e400"], "--alpha"),  # reads as inf
             (["certify", "{matrix}", "--eta", "x", "--alpha", "10"], "--eta"),
             (["certify", "{matrix}", "--eta", "0.1", "--alpha", "x"], "--alpha"),
         ],
@@ -290,6 +287,15 @@ class TestMainCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag}: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_parallelism_is_an_unknown_flag(self, tmp_path, capsys):
+        # batches run one after another, so there is nothing to set
+        with pytest.raises(SystemExit) as exit_:
+            main(["preset", "spectral-certificate", "--out", str(tmp_path / "out"),
+                  "--parallelism", "4"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --parallelism 4" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -360,6 +366,7 @@ PROBES = [
     (_probe(agent=["MWU"]), "agent"),
     (_probe(game={"random": 5}), "game.random"),
     (_probe(agent={"kind": "AFTRL", "eta": 0.1, "regularizer": "huber"}), "agent.regularizer"),
+    (_probe(agent={"kind": "MWU", "eta": 0.1, "name": "MWU,fast\nx"}), "agent.name"),  # one CSV field
 ]
 
 

@@ -107,6 +107,10 @@ class TestSpecChecks:
             pytest.param(lambda: AgentSpec(kind="AMWU", eta=0.1, alpha=1.0, b=2.0),
                          vs_document(agent={"kind": "AMWU", "eta": 0.1, "alpha": 1.0, "b": 2.0}),
                          "agent.alpha: give either 'alpha' or 'b', not both", id="alpha-and-b"),
+            pytest.param(lambda: AgentSpec(kind="MWU", eta=0.1, name="MWU,fast\nx"),
+                         vs_document(agent={"kind": "MWU", "eta": 0.1, "name": "MWU,fast\nx"}),
+                         "agent.name: must not contain a comma or a line break, got 'MWU,fast\\nx'",
+                         id="name-not-one-csv-field"),
             *unread_field_cases(),
         ],
     )
@@ -199,7 +203,7 @@ class TestMakeRandomGame:
 def replay(game, eta, horizon):
     """The loss block of the oblivious replay at (eta, horizon) on ``game``'s unit
     range; raises the error of its recording's check."""
-    xs = engine._record(game.to_unit_range()[0], [(eta, horizon)])[eta, horizon]
+    xs = engine._record(game.to_unit_range(), [(eta, horizon)])[eta, horizon]
     if isinstance(xs, Exception):
         raise xs
     return xs
@@ -237,7 +241,7 @@ class TestRecordObliviousTrace:
 
     def test_recording_keeps_only_the_loss_blocks(self):
         # each replay is checked as it is recorded; its strategy blocks are dropped
-        unit = make_random_game(20, 20, seed=3).to_unit_range()[0]
+        unit = make_random_game(20, 20, seed=3).to_unit_range()
         K, T = 10, 2000
         tracemalloc.start()
         try:
@@ -325,6 +329,23 @@ class TestRunVsAdversary:
                 r, y = row.step(a @ y), col.step(1.0 - a.T @ r)
             np.testing.assert_array_equal(trace.strategies, strategies, err_msg=spec.name)
             np.testing.assert_array_equal(trace.losses, losses, err_msg=spec.name)
+
+    @pytest.mark.parametrize("kind", ["AFTRL", "DoublingAFTRL"])
+    @pytest.mark.parametrize("adversary", ["oblivious_mwu", "nonoblivious_mwu"])
+    def test_series_entry_t_depends_on_rounds_up_to_t(self, kind, adversary):
+        # DoublingAFTRL lowers its eta as it restarts; forward_regret keeps the
+        # rate it was built with, so a longer run only appends entries
+        def series(horizon):
+            config = SimulationConfig(
+                game=GameSpec(kind="random", n=4, m=4, seed=3), horizon=horizon,
+                agent=AgentSpec(kind=kind, eta=1.0, alpha=100.0),
+                adversary=AdversarySpec(kind=adversary, eta=0.5))
+            return run_vs_adversary(config)[1]
+
+        short, long = series(100), series(2000)
+        assert set(short) == set(ADVERSARY_METRICS)
+        for name, values in short.items():
+            np.testing.assert_array_equal(values, long[name][:len(values)], err_msg=name)
 
     def test_adversary_without_rate_rejected(self):
         with pytest.raises(ValueError, match=r"^adversary\.eta: missing required key$"):
