@@ -8,10 +8,9 @@ finishes with the equilibrium of the game and its spectral certificates.
 Example:
     python scripts/convergence_demo.py --seed 12 --size 20 --horizon 20000
 """
-import argparse
 import sys
 
-from zerosum.cli import parse_number, report_errors
+from zerosum.cli import ArgumentParser, parse_number, report_errors
 from zerosum.engine import (
     AdversarySpec,
     AgentSpec,
@@ -59,11 +58,12 @@ def run(args) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("--seed", default="12")
     parser.add_argument("--size", default="20")
     parser.add_argument("--horizon", default="20000")
-    return report_errors(run, parser.parse_args())
+    parser.set_defaults(func=run)
+    return report_errors(parser)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from .engine import (
     SimulationConfig,
     grid_run,
     make_random_game,
-    run_config,
 )
 from .nash import solve_zero_sum, spectral_radius_at_ne
 
@@ -301,13 +300,15 @@ def run_preset(name: str, output_dir, seeds) -> int:
 
 def _cmd_run(args) -> int:
     config = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    series = run_config(config)
+    (outcome,) = grid_run([config])
+    if outcome.error is not None:
+        raise ValueError(outcome.error)
     if config.output is not None:
-        emit_csv(_records(config, series), config.output)
+        emit_csv(_records(config, outcome.series), config.output)
     else:
         summary = {
             metric: {"final": float(v[-1]), "mean": float(np.mean(v)), "std": float(np.std(v))}
-            for metric, v in series.items()
+            for metric, v in outcome.series.items()
         }
         print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
@@ -362,18 +363,27 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def report_errors(command: Callable, args) -> int:
-    """``command(args)``; a ValueError or OSError ends in one ``error:`` line on
-    stderr and exit code 2.  ``main`` and the demo script report errors so."""
+class ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser (and subparsers) whose bad-flag errors raise ValueError."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def report_errors(parser: ArgumentParser, argv=None) -> int:
+    """Parse ``argv`` and run the parser's ``func`` default on it; a bad flag, or a
+    ValueError or OSError from the command, ends in one ``error:`` line on stderr
+    and exit code 2.  ``main`` and the demo script report errors so."""
     try:
-        return command(args)
+        args = parser.parse_args(argv)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="zerosum",
         description="Online learners and last-iterate convergence in zero-sum matrix games",
     )
@@ -399,8 +409,7 @@ def main(argv=None) -> int:
     p_cert.add_argument("--alpha", required=True)
     p_cert.set_defaults(func=_cmd_certify)
 
-    args = parser.parse_args(argv)
-    return report_errors(args.func, args)
+    return report_errors(parser, argv)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Deterministic simulation loops: seeded games, adversaries, and grids.
 
-All randomness flows from a SplitMix64 sequence generator so that a given
+All randomness flows from the SplitMix64 sequence (``splitmix64``) so that a given
 (config, seed) pair reproduces bit-identical runs.  Games are affinely
 normalized into [0, 1] before play so every loss vector delivered to a
 learner is a valid loss vector; the normalization never changes best
@@ -22,6 +22,7 @@ learners' unchecked ``update``.  An oblivious agent plays its replay whole
 stepped, each config's rounds are validated on its own slice
 (``core.check_rounds``), as the per-vector checks would.  A batch steps in runs
 of as many configs as fit ``_BATCH_BYTES``, so memory does not grow with the grid.
+``zerosum run`` runs its config as a grid of one (``grid_run``).
 
 Each spec checks itself when built, in Python as by ``cli.parse_config``: it
 rejects a set field that the kind tables do not list for its kind, and checks
@@ -45,40 +46,30 @@ from .regularizers import ENTROPY, REGULARIZERS
 _MASK64 = (1 << 64) - 1
 
 
-class SplitMix64:
-    """The SplitMix64 sequence generator (published mixing constants).
-
-    Uniform doubles are drawn from the top 53 bits, so identical seeds
-    yield identical streams in any implementation of the same algorithm.
-    """
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_double(self) -> float:
-        return (self.next_u64() >> 11) * 2.0 ** -53
+def splitmix64(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs of the SplitMix64 generator (published mixing
+    constants) from ``seed``, as uint64, which wraps mod 2^64 as the algorithm does:
+    identical seeds yield identical streams in any implementation of it."""
+    z = np.uint64(seed & _MASK64) + np.uint64(0x9E3779B97F4A7C15) * np.arange(
+        1, count + 1, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def make_random_game(n: int, m: int, seed: int) -> MatrixGame:
-    """A game with i.i.d. uniform [0, 1] entries, filled row-major."""
+    """A game with i.i.d. uniform [0, 1) entries, filled row-major: the top 53
+    bits of each ``splitmix64`` output times 2^-53."""
     if n < 2 or m < 2:
         raise ValueError(f"need at least 2 actions per side, got {n}x{m}")
-    rng = SplitMix64(seed)
-    entries = [rng.next_double() for _ in range(n * m)]
-    return MatrixGame(np.array(entries).reshape(n, m))
+    return MatrixGame(((splitmix64(seed, n * m) >> np.uint64(11)) * 2.0 ** -53).reshape(n, m))
 
 
 def _check_name(value, key: str) -> str:
-    """A learner name: a string that fits one CSV field (no comma, no line break)."""
-    if any(c in check_string(value, key) for c in ",\r\n"):
-        raise ValueError(f"{key}: must not contain a comma or a line break, got {value!r}")
+    """A learner name: a string that fits one unquoted CSV field."""
+    if any(c in check_string(value, key) for c in ',"\r\n'):
+        raise ValueError(
+            f"{key}: must not contain a comma, a double quote or a line break, got {value!r}")
     return value
 
 
@@ -383,16 +374,22 @@ def _replay_key(config: SimulationConfig) -> tuple:
 def _record(unit: MatrixGame, keys) -> dict:
     """The replays of ``keys`` (``_replay_key``s of one horizon) on a unit-range game,
     recorded as one batch and each checked at once: per key its (T, n) loss block
-    x_t = A y_t, or the error its check raised.  Only the loss blocks outlive the call."""
+    x_t = A y_t, or the error its recording raised.  If the batch raises, each key
+    is recorded alone, once.  Only the loss blocks outlive the call."""
     etas, horizons = zip(*keys)
-    checked = _vs_mwu(Mwu((len(keys), unit.n), _column(etas)), unit, etas, horizons[0])
+    try:
+        checked = _vs_mwu(Mwu((len(keys), unit.n), _column(etas)), unit, etas, horizons[0])
+    except Exception as exc:  # noqa: BLE001 - alone, only the failing keys fail
+        if len(keys) == 1:
+            return {keys[0]: exc.with_traceback(None)}  # its frames would hold the recording
+        return {key: _record(unit, [key])[key] for key in keys}
     contexts = ("replay row player round", "replay round")
     replays = {}
     for b, key in enumerate(keys):
         try:
             replays[key] = checked(b, contexts)[1]
         except Exception as exc:  # noqa: BLE001 - the error of the configs that replay it
-            replays[key] = exc.with_traceback(None)  # its frames would hold the recording
+            replays[key] = exc.with_traceback(None)
     return replays
 
 
@@ -480,13 +477,6 @@ def run_self_play(config: SimulationConfig):
     return (*_self_play_batch(game, [config])(0), game.unit)
 
 
-def run_config(config: SimulationConfig) -> dict:
-    """The metric series of one config, in the run mode of its adversary."""
-    if config.adversary.kind == "self_play":
-        return run_self_play(config)[2]
-    return run_vs_adversary(config)[1]
-
-
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -513,9 +503,9 @@ def _run_game(spec: GameSpec, batches) -> None:
     """Resolve one game, then step its batches of outcomes one after another,
     each in runs of as many rows as fit ``_BATCH_BYTES`` (an oblivious row's play
     holds ``PLAY_BLOCKS`` blocks of n actions); the oblivious ones against a run of
-    replays at a time, as many as fit, recorded as one batch (one key at a time if
-    that raises) and dropped after its configs have stepped.  If the game fails,
-    each config reports that error."""
+    replays at a time, as many as fit, recorded as one batch (``_record``) and
+    dropped after its configs have stepped.  If the game fails, each config
+    reports that error."""
     try:
         game = _Game(spec)
     except Exception as exc:  # noqa: BLE001 - reported per config, other games unaffected
@@ -529,16 +519,8 @@ def _run_game(spec: GameSpec, batches) -> None:
         for rows in _chunks(batch, batch[0].config.horizon, k):
             _run_batch(game, rows, replays)
 
-    def record(keys) -> dict:  # per key its loss block or error
-        try:
-            return _record(game.unit, keys)
-        except Exception as exc:  # noqa: BLE001 - alone, only the failing keys fail
-            if len(keys) == 1:
-                return {keys[0]: exc.with_traceback(None)}
-            return {key: record([key])[key] for key in keys}
-
     def step_replays(keys):  # its replays are dropped on return
-        replays = record(keys)
+        replays = _record(game.unit, keys)
         for batch in oblivious:
             if part := [out for out in batch if _replay_key(out.config) in replays]:
                 step(part, replays, PLAY_BLOCKS * n)

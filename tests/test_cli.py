@@ -24,7 +24,8 @@ from zerosum.cli import (
     parse_seeds,
     run_preset,
 )
-from zerosum.engine import ADVERSARY_KINDS, AGENT_KINDS, build_agent, run_config
+from zerosum import engine
+from zerosum.engine import ADVERSARY_KINDS, AGENT_KINDS, build_agent, grid_run
 from zerosum.regularizers import ENTROPY
 
 MINIMAL = {
@@ -244,6 +245,21 @@ class TestMainCommands:
         assert main(["run", str(config_path)]) == 2
         assert "game" in capsys.readouterr().err
 
+    def test_failed_run_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a run that raises anything, not only a ValueError, ends in one line naming its type
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("cannot allocate the blocks")
+
+        monkeypatch.setattr(engine, "_vs_adversary_batch", out_of_memory)
+        out_csv = tmp_path / "series.csv"
+        for payload in (doc(), doc(output=str(out_csv))):
+            (tmp_path / "cfg.json").write_text(payload)
+            assert main(["run", str(tmp_path / "cfg.json")]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: MemoryError: cannot allocate the blocks\n"
+        assert not out_csv.exists()
+
     def test_missing_files_are_reported(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
         payload = json.loads(doc())
@@ -291,12 +307,26 @@ class TestMainCommands:
 
     def test_parallelism_is_an_unknown_flag(self, tmp_path, capsys):
         # batches run one after another, so there is nothing to set
-        with pytest.raises(SystemExit) as exit_:
-            main(["preset", "spectral-certificate", "--out", str(tmp_path / "out"),
-                  "--parallelism", "4"])
-        assert exit_.value.code == 2
-        assert "unrecognized arguments: --parallelism 4" in capsys.readouterr().err
+        assert main(["preset", "spectral-certificate", "--out", str(tmp_path / "out"),
+                     "--parallelism", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unrecognized arguments: --parallelism 4\n"
         assert not (tmp_path / "out").exists()
+
+    def test_missing_flag_is_one_error_line(self, tmp_path, capsys):
+        matrix = tmp_path / "mp_unit.csv"
+        matrix.write_text("1,0\n0,1\n")
+        assert main(["certify", str(matrix), "--alpha", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the following arguments are required: --eta\n"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["certify", "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: zerosum certify")
 
 
 class TestSeeds:
@@ -325,13 +355,14 @@ class TestConvergenceDemo:
     @pytest.mark.parametrize(
         "flags",
         [["--size", "1"], ["--horizon", "1"], ["--size", "3", "--horizon", "0"],
-         ["--size", "x"], ["--seed", "x"]],
+         ["--size", "x"], ["--seed", "x"], ["--bogus"]],
     )
     def test_bad_flag_is_one_error_line(self, capsys, monkeypatch, flags):
         assert _demo_main(monkeypatch, *flags) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {flags[-2]}: ") and captured.err.count("\n") == 1
+        named = "unrecognized arguments: --bogus" if flags == ["--bogus"] else f"{flags[-2]}: "
+        assert captured.err.startswith(f"error: {named}") and captured.err.count("\n") == 1
 
 
 def _probe(agent=None, adversary=None, **top):
@@ -367,6 +398,7 @@ PROBES = [
     (_probe(game={"random": 5}), "game.random"),
     (_probe(agent={"kind": "AFTRL", "eta": 0.1, "regularizer": "huber"}), "agent.regularizer"),
     (_probe(agent={"kind": "MWU", "eta": 0.1, "name": "MWU,fast\nx"}), "agent.name"),  # one CSV field
+    (_probe(agent={"kind": "MWU", "eta": 0.1, "name": '"MWU'}), "agent.name"),  # written unquoted
 ]
 
 
@@ -465,6 +497,8 @@ class TestParseConfigProperty:
             leaves = [path.split(".")[-1] for path in changed]
             assert any(re.search(rf"\b{leaf}\b", str(exc)) for leaf in leaves), (str(exc), changed)
             return
-        series = run_config(config)
+        (outcome,) = grid_run([config])
+        assert outcome.error is None, outcome.error
+        series = outcome.series
         assert set(series) == set(config.metrics)
         assert all(np.all(np.isfinite(v)) for v in series.values())

@@ -17,11 +17,11 @@ from zerosum.engine import (
     AgentSpec,
     GameSpec,
     SimulationConfig,
-    SplitMix64,
     grid_run,
     make_random_game,
     run_self_play,
     run_vs_adversary,
+    splitmix64,
 )
 from zerosum.learners import LossStreamLearner, Mwu, amwu_step
 from zerosum.regularizers import ENTROPY
@@ -109,7 +109,8 @@ class TestSpecChecks:
                          "agent.alpha: give either 'alpha' or 'b', not both", id="alpha-and-b"),
             pytest.param(lambda: AgentSpec(kind="MWU", eta=0.1, name="MWU,fast\nx"),
                          vs_document(agent={"kind": "MWU", "eta": 0.1, "name": "MWU,fast\nx"}),
-                         "agent.name: must not contain a comma or a line break, got 'MWU,fast\\nx'",
+                         "agent.name: must not contain a comma, a double quote or a line break,"
+                         " got 'MWU,fast\\nx'",
                          id="name-not-one-csv-field"),
             *unread_field_cases(),
         ],
@@ -171,13 +172,11 @@ class TestSpecChecks:
 class TestSplitMix64:
     def test_reference_stream(self):
         for seed, expected in SPLITMIX_REFERENCE.items():
-            rng = SplitMix64(seed)
-            assert [rng.next_u64() for _ in range(4)] == expected
+            assert splitmix64(seed, 4).tolist() == expected
 
     def test_doubles_in_unit_interval(self):
-        rng = SplitMix64(99)
-        xs = [rng.next_double() for _ in range(1000)]
-        assert min(xs) >= 0.0 and max(xs) < 1.0
+        xs = make_random_game(40, 25, seed=99).payoff
+        assert xs.min() >= 0.0 and xs.max() < 1.0
 
 
 class TestMakeRandomGame:
@@ -259,13 +258,17 @@ class TestRecordObliviousTrace:
                                                (0.5, np.nan), (0.5, -0.1), (True, None),
                                                ("0.5", None)])
     def test_rates_rejected_before_recording(self, eta, other_eta):
-        # the recording MWU players check each row's rate when built, not at round 1
+        # the recording MWU players check each row's rate when built, not at round 1;
+        # the batch raises, so each key is recorded alone and only the bad one fails
         unit = make_random_game(4, 4, seed=5)
         keys = [(eta, 10)] + ([] if other_eta is None else [(other_eta, 10)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^eta: must be a finite number > 0"):
-                engine._record(unit, keys)
+            replays = engine._record(unit, keys)
+        bad = keys[0] if other_eta is None else keys[1]
+        assert isinstance(replays[bad], ValueError)
+        assert str(replays[bad]).startswith("eta: must be a finite number > 0")
+        assert all(xs.shape == (10, 4) for key, xs in replays.items() if key is not bad)
 
 
 class TestRunVsAdversary:
@@ -626,14 +629,14 @@ class TestReplayGroups:
 
     def test_failed_replay_fails_only_its_group(self, monkeypatch):
         # a recording batch that fails is recorded again one replay at a time
-        record = engine._record
+        vs_mwu = engine._vs_mwu
 
-        def failing_at_04(unit, keys):
-            if any(eta == 0.4 for eta, _ in keys):
+        def failing_at_04(row, unit, etas, T):
+            if 0.4 in etas:
                 raise ValueError("replay failed")
-            return record(unit, keys)
+            return vs_mwu(row, unit, etas, T)
 
-        monkeypatch.setattr(engine, "_record", failing_at_04)
+        monkeypatch.setattr(engine, "_vs_mwu", failing_at_04)
         agents = (AgentSpec(kind="MWU", eta=0.1), AgentSpec(kind="OMWU", eta=0.1),
                   AgentSpec(kind="ProdBR"))
         bad_adv = AdversarySpec(kind="oblivious_mwu", eta=0.4)
@@ -691,13 +694,13 @@ class TestReplayGroups:
         # a recording batch that raises is recorded again one key at a time, once;
         # every batch that reads the failed replay gets its error
         calls = []
-        record = engine._record
+        vs_mwu = engine._vs_mwu
 
-        def failing_at_04(unit, keys):
-            calls.append([eta for eta, _ in keys])
-            if any(eta == 0.4 for eta, _ in keys):
+        def failing_at_04(row, unit, etas, T):
+            calls.append(list(etas))
+            if 0.4 in etas:
                 raise ValueError("replay failed")
-            return record(unit, keys)
+            return vs_mwu(row, unit, etas, T)
 
         agents = (AgentSpec(kind="MWU", eta=0.1), AgentSpec(kind="OMWU", eta=0.1),
                   AgentSpec(kind="ProdBR"))
@@ -705,7 +708,7 @@ class TestReplayGroups:
                              adversary=AdversarySpec(kind="oblivious_mwu", eta=eta))
                    for eta in (0.4, 0.5) for agent in agents]
         clean = grid_run(configs[len(agents):])
-        monkeypatch.setattr(engine, "_record", failing_at_04)
+        monkeypatch.setattr(engine, "_vs_mwu", failing_at_04)
         outcomes = grid_run(configs)
         assert calls == [[0.4, 0.5], [0.4], [0.5]]
         assert [o.error for o in outcomes[:len(agents)]] == ["ValueError: replay failed"] * 3
@@ -791,7 +794,9 @@ class TestBatches:
         assert sorted(rows) == sorted([3 * 3, 3, 3, 2 * 3, 2, 2] * 2)
         for out, config in zip(outcomes, configs):
             assert out.config is config and out.error is None, out.error
-            _assert_same_series(out.series, engine.run_config(config))
+            (alone,) = grid_run([config])
+            assert alone.error is None, alone.error
+            _assert_same_series(out.series, alone.series)
 
     @pytest.mark.parametrize("fault", ["nan", "raise"])
     def test_failing_row_fails_only_its_config(self, monkeypatch, fault):
