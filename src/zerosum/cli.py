@@ -4,7 +4,7 @@ Configs are JSON documents that ``parse_config`` maps onto ``engine``'s specs,
 which check every value and key.  Metric series go to CSV with the fixed header
 ``t,learner,metric,value,seed,adversary_eta`` (12 significant digits, rows
 ordered by learner, metric, seed, adversary eta, round); each preset also
-writes a JSON manifest recording the grid, seeds, and library version, and
+writes a JSON manifest recording the grid, the seeds it reads and the library version, and
 ``zerosum preset`` prints a ``<sha256>  <path>`` line for each of its two files.
 """
 from __future__ import annotations
@@ -194,6 +194,7 @@ class Preset:
     csv: str
     records: Callable  # seeds -> (records, failure lines)
     grid: dict
+    seeded: bool = True  # do the records read the seeds? if not, the manifest lists none
 
 
 def _grid_preset(csv, agents, horizon, adversary, metric_names, etas=(None,)) -> Preset:
@@ -233,7 +234,8 @@ _CERTIFICATE_GAMES = [("matching_pennies", None, MATCHING_PENNIES_UNIT)] + [
 
 
 def _certificate_records(seeds):
-    """Spectral radii of both update rules at each certificate game's equilibrium."""
+    """Spectral radii of both update rules at each certificate game's equilibrium
+    (fixed games: ``seeds`` is not read)."""
     records, failures = [], []
     for label, seed, game in _CERTIFICATE_GAMES:
         try:
@@ -269,6 +271,7 @@ PRESETS = {
             "alphas": dict(CERTIFICATE_ALPHAS),
             "games": [label for label, _, _ in _CERTIFICATE_GAMES],
         },
+        seeded=False,
     ),
 }
 
@@ -286,7 +289,7 @@ def run_preset(name: str, output_dir, seeds) -> int:
     emit_csv(records, out_dir / preset.csv)
     manifest = {
         "preset": name,
-        "seeds": seeds,
+        "seeds": seeds if preset.seeded else [],
         "version": __version__,
         "outputs": [preset.csv],
         "failures": failures,
@@ -374,9 +377,11 @@ def report_errors(parser: ArgumentParser, argv=None) -> int:
     """Parse ``argv`` and run the parser's ``func`` default on it; a bad flag, or a
     ValueError or OSError from the command, ends in one ``error:`` line on stderr
     and exit code 2.  ``main`` and the demo script report errors so."""
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+    try:  # numpy's warnings are silenced, as every result is checked before it is reported
+        # (a finite payoff, a certified gap, a finite Jacobian, core.check_rounds)
+        with np.errstate(all="ignore"):
+            args = parser.parse_args(argv)
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -243,6 +243,7 @@ class MatrixGame:
     def to_unit_range(self) -> "MatrixGame":
         """The game with payoffs mapped onto [0, 1] by ``(payoff - min) / (max - min)``:
         the game itself if they lie in [0, 1] already, all zeros if constant.
+        A range that overflows is mapped by halves: ``(payoff/2 - min/2) / (max/2 - min/2)``.
         Positive affine maps preserve best responses and equilibria.
         """
         lo = float(self.payoff.min())
@@ -251,6 +252,8 @@ class MatrixGame:
             return self
         if hi == lo:
             return MatrixGame(np.zeros_like(self.payoff))
+        if not math.isfinite(hi - lo):
+            return MatrixGame((self.payoff / 2 - lo / 2) / (hi / 2 - lo / 2))
         return MatrixGame((self.payoff - lo) / (hi - lo))
 
 

@@ -483,14 +483,17 @@ def _error(exc: Exception) -> str:
 
 def _run_batch(game: _Game, outcomes: list[RunOutcome], replays: dict) -> None:
     """Step the configs of ``outcomes``, one batch, then check each config and
-    fill in its series or error on its own; if the batch raises, each config
-    steps alone instead.  The blocks are dropped on return."""
+    fill in its series or error on its own; if the batch raises, each config steps
+    alone instead (a lone config takes the error).  The blocks are dropped on return."""
     run = (partial(_self_play_batch, game) if outcomes[0].config.adversary.kind == "self_play"
            else partial(_vs_adversary_batch, game, replays=replays))
     configs = [out.config for out in outcomes]
     try:
         finish = run(configs)
-    except Exception:  # noqa: BLE001 - alone, only the failing configs fail
+    except Exception as exc:  # noqa: BLE001 - alone, only the failing configs fail
+        if len(configs) == 1:
+            outcomes[0].error = _error(exc)
+            return
         finish = lambda b: run(configs[b:b + 1])(0)  # noqa: E731
     for b, out in enumerate(outcomes):
         try:

@@ -5,6 +5,7 @@ import re
 import runpy
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from zerosum.cli import (
     parse_seeds,
     run_preset,
 )
-from zerosum import engine
+from zerosum import cli, engine
 from zerosum.engine import ADVERSARY_KINDS, AGENT_KINDS, build_agent, grid_run
 from zerosum.regularizers import ENTROPY
 
@@ -88,6 +89,10 @@ class TestParseConfig:
     def test_unknown_metric(self):
         with pytest.raises(ConfigError, match="spectral"):
             parse_config(doc(metrics=["spectral"]))
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ConfigError, match=r"^config must be a JSON object$"):
+            parse_config("[]")
 
     def test_metrics_must_be_a_list(self):
         with pytest.raises(ConfigError, match="metrics: must be a list"):
@@ -165,8 +170,8 @@ REFERENCE_SHA256 = {
                             "ffb97f1bb950d59d9ad2a05ac9cf481ac9f53d832bd01b494178ea49c2fa7e69"),
     "last-round": ("59ccc609b51844fca59d088591f6099a088612f16ce8e724935d01eebea1c52d",
                    "87e1ee6be02eba9faa46c04e4789dfb1b798bf03b10afb6dbfd1d67480175827"),
-    "spectral-certificate": ("4e2563960af047539b47a57d1ca8149fa5c16b1b2ab40488e0549babdb1616f8",
-                             "b4f99583df847e9e32d02437ac02f0e9cb2388fb4791199fda039ca0dac470be"),
+    "spectral-certificate": ("5393b1342094f9594c331ff5445ec723f195071bf2d5503e1bdc3100f5807327",
+                             "2f2b345a8990f06e7d26496ae32ed6479aa90458dacf4c245b2e935537ead3e7"),
 }
 
 
@@ -238,6 +243,46 @@ class TestMainCommands:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 51
+
+    def test_run_command_prints_the_summary(self, tmp_path, capsys):
+        payload = json.loads(doc())
+        payload["horizon"] = 50
+        (tmp_path / "cfg.json").write_text(json.dumps(payload))
+        assert main(["run", str(tmp_path / "cfg.json")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        (outcome,) = grid_run([parse_config(json.dumps(payload))])
+        assert set(summary) == set(outcome.series)
+        for metric, values in outcome.series.items():
+            assert summary[metric] == {"final": values[-1], "mean": np.mean(values),
+                                       "std": np.std(values)}
+
+    def test_overflowing_payoff_range_runs(self, tmp_path, capsys):
+        # finite entries whose max - min overflows still map onto [0, 1]
+        (tmp_path / "m.csv").write_text("1e308,-1e308\n-1e308,1e308\n")
+        payload = json.loads(doc(game={"csv": str(tmp_path / "m.csv")}, horizon=20,
+                                 adversary={"kind": "self_play"}, agent={"kind": "MWU", "eta": 0.1}))
+        (tmp_path / "cfg.json").write_text(json.dumps(payload))
+        assert main(["run", str(tmp_path / "cfg.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "matrix,argv,message",
+        [("1e308,-1e308\n-1e308,1e308\n", ["solve"], "simplex returned a degenerate scaling"),
+         ("1,0\n0,1\n", ["certify", "--eta", "1e300", "--alpha", "1e300"],
+          "non-finite Jacobian entries")],
+        ids=["solve-extreme-matrix", "certify-extreme-rates"],
+    )
+    def test_overflow_is_one_error_line(self, tmp_path, capsys, matrix, argv, message):
+        # no traceback and no numpy warning ahead of the one error line
+        path = tmp_path / "m.csv"
+        path.write_text(matrix)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_bad_config_is_reported(self, tmp_path, capsys):
         config_path = tmp_path / "bad.json"
@@ -333,10 +378,24 @@ class TestSeeds:
     """``zerosum preset`` reads ``--seeds`` with ``parse_seeds``; its bad values are
     cases of ``TestMainCommands.test_bad_flag_is_one_error_line``."""
 
-    def test_seeds_and_default(self, tmp_path):
+    def test_seeds_and_default(self, tmp_path, monkeypatch):
         assert parse_seeds("3,1,-2") == [3, 1, -2]
+        seen, run = [], cli.run_preset
+        monkeypatch.setattr(cli, "run_preset",
+                            lambda name, out, seeds: seen.append(seeds) or run(name, out, seeds))
         assert main(["preset", "spectral-certificate", "--out", str(tmp_path)]) == 0
-        assert json.loads((tmp_path / "manifest.json").read_text())["seeds"] == [1, 2, 3, 4, 5]
+        assert seen == [[1, 2, 3, 4, 5]]
+
+    def test_unseeded_preset_files_do_not_depend_on_the_seeds(self, tmp_path):
+        # the certificate games are fixed, so its manifest lists no seeds
+        files = []
+        for seeds in ("1", "1,2,3,4,5"):
+            out = tmp_path / seeds
+            assert main(["preset", "spectral-certificate", "--out", str(out), "--seeds", seeds]) == 0
+            files.append([(out / name).read_bytes()
+                          for name in (PRESETS["spectral-certificate"].csv, "manifest.json")])
+        assert files[0] == files[1]
+        assert json.loads(files[0][1])["seeds"] == []
 
 
 def _demo_main(monkeypatch, *flags):

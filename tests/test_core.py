@@ -187,6 +187,11 @@ class TestMatrixGame:
         constant = MatrixGame(np.full((2, 3), 4.0)).to_unit_range()
         np.testing.assert_array_equal(constant.payoff, np.zeros((2, 3)))
 
+    def test_overflowing_range_maps_by_halves(self):
+        # every entry is finite, but max - min is not
+        game = MatrixGame(np.array([[1e308, -1e308], [-1e308, 1e308]]))
+        np.testing.assert_array_equal(game.to_unit_range().payoff, [[1.0, 0.0], [0.0, 1.0]])
+
 
 class TestTrace:
     def test_shape_mismatch_rejected(self):

@@ -837,6 +837,22 @@ class TestBatches:
                 assert out.error is None, out.error
                 _assert_same_series(out.series, before.series)
 
+    @pytest.mark.parametrize("count,steps", [(1, [1]), (2, [2, 1, 1])])
+    def test_raising_batch_steps_each_config_once_alone(self, monkeypatch, count, steps):
+        # a batch of several configs that raises steps each again alone; a lone
+        # config is not stepped again, and takes the error it raised
+        sizes = []
+
+        def failing(game, configs, replays):
+            sizes.append(len(configs))
+            raise FloatingPointError("batch failed")
+
+        monkeypatch.setattr(engine, "_vs_adversary_batch", failing)
+        configs = [vs_config(horizon=30, agent=AgentSpec(kind="MWU", eta=0.1 * (1 + i)))
+                   for i in range(count)]
+        outcomes = grid_run(configs)
+        assert sizes == steps
+        assert [o.error for o in outcomes] == ["FloatingPointError: batch failed"] * count
 
     @pytest.mark.parametrize("mode", ["oblivious_mwu", "nonoblivious_mwu", "self_play"])
     def test_memory_does_not_grow_with_batch_size(self, monkeypatch, mode):

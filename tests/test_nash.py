@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerosum import nash
 from zerosum.core import MatrixGame, l_norm
 from zerosum.engine import make_random_game
 from zerosum.metrics import exploitability
 from zerosum.nash import (
+    GAP_TOL,
     DegenerateGameError,
     amwu_update_map,
     solve_zero_sum,
@@ -86,6 +89,69 @@ class TestSolveZeroSum:
         ne = solve_zero_sum(game)
         assert ne.value == pytest.approx(2.0, abs=1e-9)
         np.testing.assert_allclose(ne.f_star, [1.0, 0.0], atol=1e-9)
+
+
+@st.composite
+def degenerate_games(draw):
+    """Games with repeated, constant or dominated rows and columns, sides 1 to 24."""
+    n, m = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    family = draw(st.sampled_from(
+        ["duplicate rows", "duplicate columns", "constant", "dominated", "integer", "binary"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = rng.integers(0, max(1, n // 2), n), rng.integers(0, max(1, m // 2), m)
+    if family == "duplicate rows":
+        return rng.random((n, m))[rows]
+    if family == "duplicate columns":
+        return rng.random((n, m))[:, cols]
+    if family == "constant":
+        return np.full((n, m), rng.uniform(-2.0, 2.0))
+    if family == "dominated":  # a row no better and a column no better than any other
+        a = rng.random((n, m))
+        a[-1], a[:, -1] = a.min(axis=0), a.max(axis=1)
+        return a
+    entries = rng.integers(-3, 4, (n, m)) if family == "integer" else rng.integers(0, 2, (n, m))
+    return entries[rows][:, cols].astype(float)
+
+
+class TestDegenerateGames:
+    @given(degenerate_games())
+    @settings(max_examples=150, deadline=None)
+    def test_certified_on_degenerate_families(self, a):
+        game = MatrixGame(a)
+        ne = solve_zero_sum(game)
+        assert ne.gap <= GAP_TOL
+        assert ne.gap == exploitability(game, ne.f_star, ne.y_star)
+
+    @staticmethod
+    def _pure_first(calls, fail_every_solve):
+        solve = nash._solve_shifted
+
+        def solve_shifted(a):  # the first solve, or every one, leaves a pure profile
+            calls.append(a)
+            f, y, value = solve(a)
+            if fail_every_solve or len(calls) == 1:
+                f, y = np.eye(a.shape[0])[0], np.eye(a.shape[1])[0]
+            return f, y, value
+        return solve_shifted
+
+    def test_uncertified_solve_is_resolved_perturbed(self, monkeypatch):
+        # a profile whose gap is above tolerance is solved again on a jittered
+        # matrix; the gap and the value are those of the original matrix
+        game, calls = make_random_game(5, 4, seed=3), []
+        assert exploitability(game, np.eye(5)[0], np.eye(4)[0]) > GAP_TOL
+        monkeypatch.setattr(nash, "_solve_shifted", self._pure_first(calls, False))
+        ne = solve_zero_sum(game)
+        assert len(calls) == 2 and not np.array_equal(calls[1], game.payoff)
+        assert ne.gap <= GAP_TOL
+        assert ne.gap == exploitability(game, ne.f_star, ne.y_star)
+        assert ne.value == ne.f_star @ game.payoff @ ne.y_star
+
+    def test_second_uncertified_solve_raises(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nash, "_solve_shifted", self._pure_first(calls, True))
+        with pytest.raises(ValueError, match="after perturbed resolve") as raised:
+            solve_zero_sum(make_random_game(5, 4, seed=3))
+        assert raised.type is DegenerateGameError and len(calls) == 2
 
 
 def simplex_max_row_loop(b):
@@ -210,8 +276,8 @@ class TestSpectralRadius:
         assert rho == pytest.approx(1.0, abs=1e-3)
 
     def test_matches_eigvals_oracle(self):
-        # Gelfand estimate against a direct eigenvalue computation of the
-        # same finite-difference Jacobian
+        # the certificate against a direct eigenvalue computation of the
+        # per-column finite-difference Jacobian
         for game, eta, alpha in (
             (MP_UNIT, 0.1, 10.0),
             (MP_UNIT, 0.1, 0.0),
@@ -230,7 +296,7 @@ class TestSpectralRadius:
         game = make_random_game(n, n, seed=seed)
         ne = solve_zero_sum(game)
         jac = per_column_jacobian(game, ne, eta, alpha)
-        assert spectral_radius_at_ne(game, ne, eta, alpha) == nash._gelfand_radius(jac)
+        assert spectral_radius_at_ne(game, ne, eta, alpha) == np.abs(np.linalg.eigvals(jac)).max()
 
     @pytest.mark.parametrize(
         "eta,alpha,name",
