@@ -164,8 +164,9 @@ def kl_divergence(p: np.ndarray, q: np.ndarray):
 
     ``p`` is one distribution of shape (n,); ``q`` is one of shape (n,),
     giving a float, or a block of rows of shape (T, n), giving one value
-    per row.  Terms with p_i = 0 contribute zero.  Raises if any row of q
-    puts zero mass where p does not (the divergence would be infinite).
+    per row.  Terms with p_i = 0 contribute zero, and a sum rounded below zero
+    reads 0.0.  Raises if any row of q puts zero mass where p does not (the
+    divergence would be infinite).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -178,7 +179,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray):
     if np.any(qs <= 0.0):
         raise ValueError("kl_divergence undefined: q has zero mass on the support of p")
     ps = p[support]
-    return np.sum(ps * np.log(ps / qs), axis=-1)
+    return np.maximum(np.sum(ps * np.log(ps / qs), axis=-1), 0.0)
 
 
 def l_norm(v: np.ndarray, p):

@@ -396,9 +396,8 @@ def _record(unit: MatrixGame, keys) -> dict:
 def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
     """Step configs that share a game, learner builder and regularizer, horizon
     and adversary kind as one batch; an oblivious agent plays its replay's loss
-    block whole (at its ``_replay_key`` in ``replays``), and a batch that reads a
-    failed replay raises its error.  Returns a function of a row b that checks
-    config b's rounds and gives its (trace, series)."""
+    block whole (at its ``_replay_key`` in ``replays``, never a failed one).  Returns
+    a function of a row b that checks config b's rounds and gives its (trace, series)."""
     T = configs[0].horizon
     agent = build_agent([c.agent for c in configs], game.unit.n, T)
     # the rate the learner was built with (DoublingAftrl lowers its eta in play)
@@ -406,8 +405,6 @@ def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
     etas = np.broadcast_to(getattr(agent, "eta", 1.0), (len(configs), 1))
     if configs[0].adversary.kind == "oblivious_mwu":
         losses = [replays[_replay_key(c)] for c in configs]
-        if failed := [xs for xs in losses if isinstance(xs, Exception)]:
-            raise failed[0]
         strategies = agent.play(np.stack(losses))
 
         def checked(b):
@@ -459,6 +456,8 @@ def run_vs_adversary(config: SimulationConfig):
         raise ValueError(f"run_vs_adversary cannot handle adversary kind {adv.kind!r}")
     game = _Game(config.game)
     replays = _record(game.unit, [_replay_key(config)]) if adv.kind == "oblivious_mwu" else {}
+    if isinstance(failed := replays.get(_replay_key(config)), Exception):
+        raise failed
     return (*_vs_adversary_batch(game, [config], replays)(0), game.unit)
 
 
@@ -507,8 +506,8 @@ def _run_game(spec: GameSpec, batches) -> None:
     each in runs of as many rows as fit ``_BATCH_BYTES`` (an oblivious row's play
     holds ``PLAY_BLOCKS`` blocks of n actions); the oblivious ones against a run of
     replays at a time, as many as fit, recorded as one batch (``_record``) and
-    dropped after its configs have stepped.  If the game fails, each config
-    reports that error."""
+    dropped after its configs have stepped; a failed replay's configs take its
+    error and do not step.  If the game fails, each config reports that error."""
     try:
         game = _Game(spec)
     except Exception as exc:  # noqa: BLE001 - reported per config, other games unaffected
@@ -525,7 +524,11 @@ def _run_game(spec: GameSpec, batches) -> None:
     def step_replays(keys):  # its replays are dropped on return
         replays = _record(game.unit, keys)
         for batch in oblivious:
-            if part := [out for out in batch if _replay_key(out.config) in replays]:
+            part = [out for out in batch if _replay_key(out.config) in replays]
+            for out in part:
+                if isinstance(failed := replays[_replay_key(out.config)], Exception):
+                    out.error = _error(failed)
+            if part := [out for out in part if out.error is None]:
                 step(part, replays, PLAY_BLOCKS * n)
 
     for batch in (b for b in batches if b[0].config.adversary.kind != "oblivious_mwu"):

@@ -1,10 +1,10 @@
 """Exact equilibria of zero-sum matrix games and a local-convergence certificate.
 
 ``solve_zero_sum`` uses the classical LP transformation: shift the payoff
-matrix positive, solve max 1'w s.t. Bw <= 1, w >= 0 with a dense tableau
-simplex under Bland's anti-cycling rule, and read the row player's
-strategy off the dual values.  The duality gap of the returned profile is
-certified directly on the original matrix.
+matrix positive (halved first if the shift overflows), solve max 1'w s.t.
+Bw <= 1, w >= 0 with a dense tableau simplex under Bland's anti-cycling
+rule, and read the row player's strategy off the dual values.  The duality
+gap of the returned profile is certified directly on the original matrix.
 
 ``spectral_radius_at_ne`` measures the local stability of the self-play
 update map around an equilibrium: the largest eigenvalue modulus of a
@@ -85,8 +85,12 @@ def _simplex_max(b: np.ndarray):
 
 
 def _solve_shifted(a: np.ndarray):
-    """Solve the game for a payoff matrix, returning (f, y, value)."""
-    shift = 1.0 - a.min()
+    """Solve the game for a payoff matrix, returning (f, y, value); one whose shift
+    overflows is solved halved (the same equilibria), its value ``f @ a @ y``."""
+    shift = 1.0 - float(a.min())  # Python floats: an overflow is inf, with no warning
+    if not np.isfinite(float(a.max()) + shift):
+        f, y, _ = _solve_shifted(a / 2)
+        return f, y, float(f @ a @ y)
     b = a + shift
     w, duals, total = _simplex_max(b)
     w_sum = w.sum()
@@ -112,13 +116,13 @@ def solve_zero_sum(game: MatrixGame) -> NashSolution:
     a = game.payoff
     f, y, value = _solve_shifted(a)
     gap = exploitability(game, f, y)
-    if gap > GAP_TOL:
+    if not gap <= GAP_TOL:  # a NaN gap is not certified either
         n, m = a.shape
         jitter = 1e-12 * (np.arange(n)[:, None] + 2.0 * np.arange(m)[None, :] + 1.0)
         f, y, value = _solve_shifted(a + jitter)
         value = float(f @ a @ y)
         gap = exploitability(game, f, y)
-        if gap > GAP_TOL:
+        if not gap <= GAP_TOL:
             raise DegenerateGameError(f"duality gap {gap} above tolerance after perturbed resolve")
     return NashSolution(f_star=f, y_star=y, value=value, gap=gap)
 

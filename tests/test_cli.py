@@ -1,8 +1,10 @@
 import copy
 import hashlib
 import json
+import os
 import re
 import runpy
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -208,6 +210,42 @@ class TestPresets:
         assert body.count("AMWU") == 6
         assert body.count("MWU") == 12  # "AMWU" rows contain "MWU" as a substring
 
+    def test_failed_config_is_one_failure_line(self, tmp_path, monkeypatch):
+        # a grid preset writes the configs that ran, and lists each failed one by index
+        vs_mwu = engine._vs_mwu
+
+        def failing_at_04(row, unit, etas, T):
+            if 0.4 in etas:
+                raise ValueError("replay failed")
+            return vs_mwu(row, unit, etas, T)
+
+        agents = (engine.AgentSpec(kind="MWU", eta=0.1, name="MWU"),
+                  engine.AgentSpec(kind="ProdBR", name="ProdBR"))
+        preset = cli._grid_preset("grid.csv", agents, 20, "oblivious_mwu", ("average_loss",),
+                                  (0.4, 0.5))
+        monkeypatch.setitem(PRESETS, "grid", preset)
+        monkeypatch.setattr(engine, "_vs_mwu", failing_at_04)
+        assert run_preset("grid", tmp_path, [1]) == 2
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failures"] == [f"config {i}: ValueError: replay failed" for i in (0, 1)]
+        rows = (tmp_path / "grid.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 20 and all(row.endswith(",1,0.5") for row in rows)
+
+    def test_failed_certificate_game_is_one_failure_line(self, tmp_path, monkeypatch):
+        radius = cli.spectral_radius_at_ne
+
+        def failing_on_pennies(game, ne, eta, alpha):
+            if game.n == 2:
+                raise FloatingPointError("radius failed")
+            return radius(game, ne, eta, alpha)
+
+        monkeypatch.setattr(cli, "spectral_radius_at_ne", failing_on_pennies)
+        assert run_preset("spectral-certificate", tmp_path, [1]) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failures"] == ["matching_pennies: FloatingPointError: radius failed"]
+        body = (tmp_path / "spectral_certificate.csv").read_text()
+        assert "matching_pennies" not in body and body.count("\n") == 1 + 10
+
     def test_centered_game_range(self):
         g = centered_random_game(3, 3, 5)
         assert g.payoff.min() >= -1.0 and g.payoff.max() <= 1.0
@@ -267,10 +305,9 @@ class TestMainCommands:
 
     @pytest.mark.parametrize(
         "matrix,argv,message",
-        [("1e308,-1e308\n-1e308,1e308\n", ["solve"], "simplex returned a degenerate scaling"),
-         ("1,0\n0,1\n", ["certify", "--eta", "1e300", "--alpha", "1e300"],
+        [("1,0\n0,1\n", ["certify", "--eta", "1e300", "--alpha", "1e300"],
           "non-finite Jacobian entries")],
-        ids=["solve-extreme-matrix", "certify-extreme-rates"],
+        ids=["certify-extreme-rates"],
     )
     def test_overflow_is_one_error_line(self, tmp_path, capsys, matrix, argv, message):
         # no traceback and no numpy warning ahead of the one error line
@@ -283,6 +320,31 @@ class TestMainCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_extreme_matrix_solves(self, tmp_path, capsys):
+        # 1 - min(a) + a overflows: the game is solved halved, certified on the matrix
+        path = tmp_path / "m.csv"
+        path.write_text("1e308,-1e308\n-1e308,1e308\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", str(path)]) == 0
+        assert caught == []
+        captured = capsys.readouterr()
+        expected = {"f_star": [0.5, 0.5], "y_star": [0.5, 0.5], "value": 0.0, "gap": 0.0}
+        assert captured.out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        assert captured.err == ""
+
+    def test_kl_to_ne_never_reads_below_zero(self, tmp_path, capsys):
+        # the iterates of this run lie within rounding of the equilibrium, where
+        # the divergence's sum rounded to -1.1e-16
+        (tmp_path / "m.csv").write_text("1e308,-1e308\n-1e308,1e308\n")
+        payload = json.loads(doc(game={"csv": str(tmp_path / "m.csv")}, horizon=20,
+                                 adversary={"kind": "self_play"}, agent={"kind": "MWU", "eta": 0.1},
+                                 metrics=["kl_to_ne"]))
+        (tmp_path / "cfg.json").write_text(json.dumps(payload))
+        assert main(["run", str(tmp_path / "cfg.json")]) == 0
+        summary = json.loads(capsys.readouterr().out)["kl_to_ne"]
+        assert summary["final"] == summary["mean"] == 0.0
 
     def test_bad_config_is_reported(self, tmp_path, capsys):
         config_path = tmp_path / "bad.json"
@@ -458,6 +520,8 @@ PROBES = [
     (_probe(agent={"kind": "AFTRL", "eta": 0.1, "regularizer": "huber"}), "agent.regularizer"),
     (_probe(agent={"kind": "MWU", "eta": 0.1, "name": "MWU,fast\nx"}), "agent.name"),  # one CSV field
     (_probe(agent={"kind": "MWU", "eta": 0.1, "name": '"MWU'}), "agent.name"),  # written unquoted
+    (_probe(game={**MINIMAL["game"], "csv": "m.csv"}), "game"),  # two sources
+    (_probe(agent={"kind": "MWU", "eta": 10**400}), "agent.eta"),  # an integer past the floats
 ]
 
 
@@ -561,3 +625,32 @@ class TestParseConfigProperty:
         series = outcome.series
         assert set(series) == set(config.metrics)
         assert all(np.all(np.isfinite(v)) for v in series.values())
+
+
+class TestModules:
+    """The package holds only ``__version__``: each name is imported from its module."""
+
+    MODULES = ("core", "regularizers", "learners", "metrics", "nash", "engine", "cli")
+
+    @staticmethod
+    def _python(*args):
+        src = str(Path(cli.__file__).resolve().parents[1])  # the directory holding zerosum
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_each_module_imports_alone(self, module):
+        run = self._python("-c", f"import zerosum.{module}")
+        assert run.returncode == 0, run.stderr
+
+    def test_package_has_no_public_name(self):
+        run = self._python("-c", "import json, zerosum; print(json.dumps(sorted(vars(zerosum))))")
+        assert run.returncode == 0, run.stderr
+        names = json.loads(run.stdout)
+        assert "__version__" in names
+        assert [name for name in names if not name.startswith("_")] == []
+
+    def test_cli_module_runs(self):
+        run = self._python("-m", "zerosum.cli", "--help")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("usage: zerosum")

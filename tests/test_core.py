@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,16 @@ class TestKlDivergence:
         q = rng.dirichlet(np.ones(n))
         assert kl_divergence(p, q) >= 0.0
 
+    @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_nonnegative_at_and_near_p(self, n, seed):
+        # q = p, and q within rounding of p, where the sum can round below zero
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(n))
+        near = p * (1.0 + 1e-15 * rng.standard_normal(n))
+        for q in (p, near / near.sum()):
+            assert kl_divergence(p, q) >= 0.0
+            assert kl_divergence(p, np.stack([q, p])).min() >= 0.0
 
     def test_block_matches_rows(self):
         # one reference against a (T, n) block, for reference supports of
@@ -169,8 +181,9 @@ class TestMatrixGame:
             ("1,0\n\n0,-inf\n", 3, "non-finite entry -inf"),
             ("1,0\n0,1e400\n", 2, "non-finite entry inf"),
             ("1,0\n0,1\n1,0,1\n0\n", 3, "ragged rows: 3 entries, the first row has 2"),
+            ("1,x\n0,1\n", 1, "bad entry (could not convert string to float: 'x')"),
         ],
-        ids=["nan", "-inf", "1e400", "ragged"],
+        ids=["nan", "-inf", "1e400", "ragged", "bad-token"],
     )
     def test_csv_error_names_the_line(self, tmp_path, body, lineno, message):
         path = tmp_path / "bad.csv"
@@ -178,6 +191,24 @@ class TestMatrixGame:
         with pytest.raises(ValueError) as err:
             MatrixGame.from_csv(path)
         assert str(err.value) == f"{path}:{lineno}: {message}"
+
+    def test_csv_without_rows(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n \n")
+        with pytest.raises(ValueError) as err:
+            MatrixGame.from_csv(path)
+        assert str(err.value) == f"{path}: empty matrix"
+
+    @pytest.mark.parametrize(
+        "payoff,message",
+        [(np.ones(3), "nonempty 2-D matrix, got shape (3,)"),
+         (np.ones((0, 2)), "nonempty 2-D matrix, got shape (0, 2)"),
+         (np.array([[1.0, np.inf]]), "non-finite entries")],
+        ids=["1-D", "empty", "inf"],
+    )
+    def test_rejects_bad_matrices(self, payoff, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MatrixGame(payoff)
 
     def test_unit_range_mapping(self):
         game = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -202,6 +233,10 @@ class TestTrace:
             with pytest.raises(ValueError, match="inconsistent trace shapes"):
                 Trace.from_rounds(s, x)
 
+    def test_zero_rounds_rejected(self):
+        with pytest.raises(ValueError, match="^empty trace$"):
+            Trace(np.empty((0, 3)), np.empty((0, 3)))
+
     def test_from_rounds(self):
         rng = np.random.default_rng(1)
         s = rng.dirichlet(np.ones(4), size=10)
@@ -215,6 +250,11 @@ class TestTrace:
             u = uniform(n)
             assert u.sum() == pytest.approx(1.0, abs=1e-9)
             assert u.min() >= 0.0
+
+    def test_uniform_needs_an_action(self):
+        for shape in (0, (4, 0)):
+            with pytest.raises(ValueError, match="^need at least one action, got n=0$"):
+                uniform(shape)
 
 
 def _passes(check, row):

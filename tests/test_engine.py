@@ -350,6 +350,10 @@ class TestRunVsAdversary:
         for name, values in short.items():
             np.testing.assert_array_equal(values, long[name][:len(values)], err_msg=name)
 
+    def test_other_run_mode_rejected(self):
+        with pytest.raises(ValueError, match="^run_vs_adversary cannot handle adversary kind"):
+            run_vs_adversary(self_play_config("MWU", 0.1))
+
     def test_adversary_without_rate_rejected(self):
         with pytest.raises(ValueError, match=r"^adversary\.eta: missing required key$"):
             AdversarySpec(kind="nonoblivious_mwu", eta=None)
@@ -748,6 +752,39 @@ class TestReplayGroups:
         assert calls == [[0.4, 0.5]]
         assert [o.error for o in outcomes[:len(agents)]] == ["ValueError: replay check failed"] * 2
         for out, expected in zip(outcomes[len(agents):], clean):
+            assert out.error is None, out.error
+            for name, values in expected.series.items():
+                np.testing.assert_array_equal(out.series[name], values, err_msg=name)
+
+    def test_failed_replay_configs_do_not_step(self, monkeypatch):
+        # a failed replay's configs take its error without stepping, and the
+        # configs of their batch that read good replays step once, as one batch
+        sizes = []
+        vs_adversary_batch, vs_mwu = engine._vs_adversary_batch, engine._vs_mwu
+
+        def counting(game, configs, replays):
+            sizes.append(len(configs))
+            return vs_adversary_batch(game, configs, replays)
+
+        def failing_at_04(row, unit, etas, T):
+            checked = vs_mwu(row, unit, etas, T)
+
+            def check(b, contexts):
+                if etas[b] == 0.4:
+                    raise ValueError("replay check failed")
+                return checked(b, contexts)
+            return check
+
+        configs = [vs_config(horizon=30, agent=AgentSpec(kind=kind, eta=0.1),
+                             adversary=AdversarySpec(kind="oblivious_mwu", eta=eta))
+                   for eta in (0.4, 0.5) for kind in ("MWU", "OMWU")]
+        clean = grid_run(configs[2:])
+        monkeypatch.setattr(engine, "_vs_adversary_batch", counting)
+        monkeypatch.setattr(engine, "_vs_mwu", failing_at_04)
+        outcomes = grid_run(configs)
+        assert sizes == [2]
+        assert [o.error for o in outcomes[:2]] == ["ValueError: replay check failed"] * 2
+        for out, expected in zip(outcomes[2:], clean):
             assert out.error is None, out.error
             for name, values in expected.series.items():
                 np.testing.assert_array_equal(out.series[name], values, err_msg=name)

@@ -131,6 +131,11 @@ class TestAmwuStep:
         dist_at[10_000] = l_norm(f - ne, 1) + l_norm(y - ne, 1)
         assert dist_at[10_000] > dist_at[10]
 
+    def test_current_of_the_wrong_length_rejected(self):
+        u = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match=r"^dimension mismatch: \(3,\) vs \(2,\)$"):
+            amwu_step(np.full(3, 1.0 / 3), MP, u, u, "max", 0.1, 1.0)
+
     def test_min_side_descends_transpose(self):
         rng = np.random.default_rng(3)
         game = MatrixGame(rng.uniform(0, 1, (3, 4)))

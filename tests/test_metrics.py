@@ -193,6 +193,12 @@ class TestExploitability:
         u = np.array([0.5, 0.5])
         assert exploitability(MP, u, u) == pytest.approx(0.0, abs=1e-12)
 
+    def test_dimensions_must_match_the_game(self):
+        game = MatrixGame(np.ones((2, 3)))
+        message = r"^dimension mismatch: game is 2x3, got f \(2,\), y \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            exploitability(game, np.full(2, 0.5), np.full(2, 0.5))
+
     def test_pure_vs_pure(self):
         pure = np.array([1.0, 0.0])
         assert exploitability(MP, pure, pure) == pytest.approx(2.0)
@@ -294,6 +300,12 @@ class TestKlSeries:
         tf = trace_of(np.tile(ref_f, (4, 1)), np.zeros((4, 2)))
         ty = trace_of(np.tile(ref_y, (4, 1)), np.zeros((4, 2)))
         np.testing.assert_allclose(kl_series((tf, ty), (ref_f, ref_y)), np.zeros(4), atol=1e-15)
+
+    def test_horizons_must_match(self):
+        u = np.array([0.5, 0.5])
+        tf, ty = trace_of([u, u], np.zeros((2, 2))), trace_of([u], np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="^trace pair has mismatched horizons$"):
+            kl_series((tf, ty), (u, u))
 
     def test_uniform_start_value(self):
         # kl((0.25,0.75), (0.5,0.5)) + kl((0.5,0.5), (0.5,0.5)) = 0.130812...

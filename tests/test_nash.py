@@ -154,6 +154,29 @@ class TestDegenerateGames:
         assert raised.type is DegenerateGameError and len(calls) == 2
 
 
+class TestExtremePayoffs:
+    @pytest.mark.parametrize(
+        "a,f,y,value",
+        [([[1e308, 1e308], [1e308, -1e308]], [1.0, 0.0], [1.0, 0.0], 1e308),
+         ([[1e308, -1e308], [-1e308, 1e308]], [0.5, 0.5], [0.5, 0.5], 0.0),
+         ([[1.7e308, 0.0], [0.0, -1.7e308]], [1.0, 0.0], [0.0, 1.0], 0.0)],
+        ids=["pure-row", "pennies", "saddle"],
+    )
+    def test_overflowing_shift_is_solved_halved(self, a, f, y, value):
+        # a + (1 - min a) overflows: the halved game has the same equilibria,
+        # and the value and the gap are those of the matrix itself
+        ne = solve_zero_sum(MatrixGame(np.array(a)))
+        np.testing.assert_array_equal(ne.f_star, f)
+        np.testing.assert_array_equal(ne.y_star, y)
+        assert ne.value == value and ne.gap == 0.0
+
+    def test_nan_gap_is_not_certified(self):
+        # the tableau of this finite game overflows, and its profile is NaN
+        game = MatrixGame(5e307 * np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]))
+        with np.errstate(all="ignore"), pytest.raises(DegenerateGameError, match="duality gap nan"):
+            solve_zero_sum(game)
+
+
 def simplex_max_row_loop(b):
     """The tableau simplex with its elimination written as a loop over
     rows, as an oracle for the rank-one update in ``nash._simplex_max``."""

@@ -171,6 +171,10 @@ class TestBregmanProx:
         got = bregman_prox(SQUARED_L2, np.array([0.5, 0.5]), np.array([1.0, 0.0]), 0.2)
         np.testing.assert_allclose(got, [0.4, 0.6], atol=1e-13)
 
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: \(2,\) vs \(3,\)$"):
+            bregman_prox(ENTROPY, np.array([0.5, 0.5]), np.zeros(3), 0.1)
+
     def test_rejects_nonfinite_grad(self):
         with pytest.raises(ValueError):
             bregman_prox(ENTROPY, np.array([0.5, 0.5]), np.array([np.nan, 0.0]), 0.1)
