@@ -2,9 +2,10 @@
 
 ``solve_zero_sum`` uses the classical LP transformation: shift the payoff
 matrix positive (halved first if the shift overflows), solve max 1'w s.t.
-Bw <= 1, w >= 0 with a dense tableau simplex under Bland's anti-cycling
-rule, and read the row player's strategy off the dual values.  The duality
-gap of the returned profile is certified directly on the original matrix.
+Bw <= 1, w >= 0 with a dense tableau simplex (Dantzig's entering rule, Bland's
+after a run of degenerate pivots), and read the row player's strategy off the
+dual values.  The duality gap of the returned profile is certified directly on
+the original matrix.
 
 ``spectral_radius_at_ne`` measures the local stability of the self-play
 update map around an equilibrium: the largest eigenvalue modulus of a
@@ -23,6 +24,7 @@ from .metrics import exploitability
 
 GAP_TOL = 1e-9
 _PIVOT_TOL = 1e-11
+_DEGENERATE_PIVOTS = 50  # degenerate pivots in a row before Bland's entering rule
 FD_STEP = 1e-6  # the central-difference step of the Jacobian, per coordinate
 
 
@@ -43,9 +45,12 @@ class DegenerateGameError(ValueError):
 def _simplex_max(b: np.ndarray):
     """Tableau simplex for max 1'w s.t. Bw <= 1, w >= 0 with B > 0.
 
-    Returns (w, duals, objective).  Entering variable: smallest index with
-    a negative reduced cost; leaving: smallest basis index among the ratio
-    ties (Bland's rule, no cycling).
+    Returns (w, duals, objective).  Entering variable: the most negative
+    reduced cost, the first among equal minima (Dantzig's rule); leaving: the
+    smallest basis index among the ratio ties.  After ``_DEGENERATE_PIVOTS``
+    pivots in a row of minimum ratio at most ``_PIVOT_TOL``, the smallest index
+    with a negative reduced cost enters (Bland's rule, which cannot cycle)
+    until a pivot raises the objective, as every non-degenerate one does.
     """
     n, m = b.shape
     tab = np.zeros((n + 1, m + n + 1))
@@ -54,19 +59,22 @@ def _simplex_max(b: np.ndarray):
     tab[:n, -1] = 1.0
     tab[n, :m] = -1.0
     basis = list(range(m, m + n))
+    degenerate = 0  # degenerate pivots in a row
 
     while True:
         reduced = tab[n, : m + n]
         candidates = np.nonzero(reduced < -_PIVOT_TOL)[0]
         if candidates.size == 0:
             break
-        col = int(candidates[0])
+        bland = degenerate >= _DEGENERATE_PIVOTS
+        col = int(candidates[0] if bland else candidates[np.argmin(reduced[candidates])])
         column = tab[:n, col]
         rows = np.nonzero(column > _PIVOT_TOL)[0]
         if rows.size == 0:
             raise DegenerateGameError("simplex detected an unbounded direction")
         ratios = tab[rows, -1] / column[rows]
         best = ratios.min()
+        degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
         ties = rows[np.nonzero(ratios <= best + _PIVOT_TOL)[0]]
         row = int(min(ties, key=lambda r: basis[r]))
         tab[row] /= tab[row, col]

@@ -170,7 +170,7 @@ REFERENCE_SHA256 = {
                        "837c41d09743eef577216bbdf20bad2b77a73e6b60b27a4e95ce750689309534"),
     "nonoblivious-regret": ("9f6a274ea309c7d1c702b46b0277e0af2ce9b2f83a5f1a61bef042597649040c",
                             "ffb97f1bb950d59d9ad2a05ac9cf481ac9f53d832bd01b494178ea49c2fa7e69"),
-    "last-round": ("59ccc609b51844fca59d088591f6099a088612f16ce8e724935d01eebea1c52d",
+    "last-round": ("95a33d34e9de260ff7862c7fae591d123390329786dda42155540e1a7825780b",
                    "87e1ee6be02eba9faa46c04e4789dfb1b798bf03b10afb6dbfd1d67480175827"),
     "spectral-certificate": ("5393b1342094f9594c331ff5445ec723f195071bf2d5503e1bdc3100f5807327",
                              "2f2b345a8990f06e7d26496ae32ed6479aa90458dacf4c245b2e935537ead3e7"),

@@ -122,6 +122,15 @@ class TestDegenerateGames:
         assert ne.gap <= GAP_TOL
         assert ne.gap == exploitability(game, ne.f_star, ne.y_star)
 
+    @given(degenerate_games())
+    @settings(max_examples=150, deadline=None)
+    def test_certified_with_the_fallback_forced(self, a):
+        # Bland's rule after every degenerate pivot, Dantzig's after the
+        # next one that moves the objective (both fire on integer and binary games)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(nash, "_DEGENERATE_PIVOTS", 1)
+            self.test_certified_on_degenerate_families.hypothesis.inner_test(self, a)
+
     @staticmethod
     def _pure_first(calls, fail_every_solve):
         solve = nash._solve_shifted
@@ -177,9 +186,15 @@ class TestExtremePayoffs:
             solve_zero_sum(game)
 
 
-def simplex_max_row_loop(b):
+def simplex_max_row_loop(b, degenerate_pivots=None):
     """The tableau simplex with its elimination written as a loop over
-    rows, as an oracle for the rank-one update in ``nash._simplex_max``."""
+    rows, as an oracle for the rank-one update in ``nash._simplex_max``.
+    Its entering rule and fallback are the solver's, after
+    ``degenerate_pivots`` (default ``nash._DEGENERATE_PIVOTS``) degenerate
+    pivots in a row; at 0 it is the pure Bland loop the solver ran before
+    Dantzig's rule, kept as that rule's reference."""
+    if degenerate_pivots is None:
+        degenerate_pivots = nash._DEGENERATE_PIVOTS
     n, m = b.shape
     tab = np.zeros((n + 1, m + n + 1))
     tab[:n, :m] = b
@@ -187,16 +202,22 @@ def simplex_max_row_loop(b):
     tab[:n, -1] = 1.0
     tab[n, :m] = -1.0
     basis = list(range(m, m + n))
+    degenerate = 0
     while True:
         candidates = np.nonzero(tab[n, : m + n] < -nash._PIVOT_TOL)[0]
         if candidates.size == 0:
             break
-        col = int(candidates[0])
+        if degenerate >= degenerate_pivots:
+            col = int(candidates[0])
+        else:  # the most negative reduced cost, the first among equal ones
+            costs = [tab[n, c] for c in candidates]
+            col = int(candidates[costs.index(min(costs))])
         column = tab[:n, col]
         rows = np.nonzero(column > nash._PIVOT_TOL)[0]
         if rows.size == 0:
             raise DegenerateGameError("simplex detected an unbounded direction")
         ratios = tab[rows, -1] / column[rows]
+        degenerate = degenerate + 1 if ratios.min() <= nash._PIVOT_TOL else 0
         ties = rows[np.nonzero(ratios <= ratios.min() + nash._PIVOT_TOL)[0]]
         row = int(min(ties, key=lambda r: basis[r]))
         tab[row] /= tab[row, col]
@@ -223,14 +244,52 @@ def oracle_games():
         yield rng.random((n, m))
 
 
+def degenerate_run_game():
+    """A 60x60 binary game whose simplex makes a run of 86 degenerate pivots,
+    so Bland's rule enters at the default ``_DEGENERATE_PIVOTS`` and leaves."""
+    return np.random.default_rng(8).integers(0, 2, (60, 60)).astype(float)
+
+
+def assert_same_simplex(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
 class TestRankOnePivot:
     def test_simplex_matches_row_loop(self):
-        for a in oracle_games():
+        for a in (*oracle_games(), degenerate_run_game()):
             b = a + 1.0 - a.min()
-            got, want = nash._simplex_max(b), simplex_max_row_loop(b)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
-            assert got[2] == want[2]
+            assert_same_simplex(nash._simplex_max(b), simplex_max_row_loop(b))
+
+    def test_fallback_matches_row_loop(self, monkeypatch):
+        # every degenerate pivot hands the next one to Bland's rule
+        monkeypatch.setattr(nash, "_DEGENERATE_PIVOTS", 1)
+        self.test_simplex_matches_row_loop()
+
+    def test_pure_bland_matches_bland_row_loop(self, monkeypatch):
+        # with no Dantzig pivots the solver is the Bland simplex it replaced
+        monkeypatch.setattr(nash, "_DEGENERATE_PIVOTS", 0)
+        for a in (*oracle_games(), degenerate_run_game()):
+            b = a + 1.0 - a.min()
+            assert_same_simplex(nash._simplex_max(b), simplex_max_row_loop(b, 0))
+
+    def test_long_degenerate_run_falls_back(self, monkeypatch):
+        # the fallback changes the pivots that Dantzig's rule alone would take
+        b = degenerate_run_game() + 1.0
+        fallback = nash._simplex_max(b)
+        monkeypatch.setattr(nash, "_DEGENERATE_PIVOTS", 10**9)
+        assert not np.array_equal(fallback[0], nash._simplex_max(b)[0])
+
+    def test_random_equilibria_match_bland(self, monkeypatch):
+        # the random games have unique equilibria, which both rules find
+        for a in list(oracle_games())[3:]:
+            got = solve_zero_sum(MatrixGame(a))
+            with monkeypatch.context() as m:
+                m.setattr(nash, "_DEGENERATE_PIVOTS", 0)
+                want = solve_zero_sum(MatrixGame(a))
+            np.testing.assert_allclose(got.f_star, want.f_star, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.y_star, want.y_star, rtol=0, atol=1e-12)
 
     def test_solutions_match_row_loop(self, monkeypatch):
         for a in oracle_games():
