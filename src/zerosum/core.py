@@ -195,6 +195,12 @@ def l_norm(v: np.ndarray, p):
     raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")
 
 
+def binary_exponent(a: np.ndarray) -> int:
+    """The e with max|a| * 2**-e in (0.5, 1], 0 for a zero matrix (max|a| = 1 gives 0)."""
+    mantissa, e = math.frexp(float(np.abs(a).max()))
+    return e - (mantissa == 0.5)
+
+
 @dataclass(frozen=True)
 class MatrixGame:
     """A zero-sum matrix game; ``payoff[i, j]`` is the row player's payoff."""
@@ -242,20 +248,18 @@ class MatrixGame:
         return cls(np.array(rows, dtype=float))
 
     def to_unit_range(self) -> "MatrixGame":
-        """The game with payoffs mapped onto [0, 1] by ``(payoff - min) / (max - min)``:
-        the game itself if they lie in [0, 1] already, all zeros if constant.
-        A range that overflows is mapped by halves: ``(payoff/2 - min/2) / (max/2 - min/2)``.
-        Positive affine maps preserve best responses and equilibria.
-        """
+        """The game with payoffs mapped onto [0, 1] by ``(a - a.min()) / (a.max() - a.min())``,
+        ``a = payoff * 2**-binary_exponent(payoff)`` (exact, and no range overflows): the game
+        itself if in [0, 1] already, all zeros if constant.  Positive affine maps preserve
+        best responses and equilibria."""
         lo = float(self.payoff.min())
         hi = float(self.payoff.max())
         if lo >= 0.0 and hi <= 1.0:
             return self
         if hi == lo:
             return MatrixGame(np.zeros_like(self.payoff))
-        if not math.isfinite(hi - lo):
-            return MatrixGame((self.payoff / 2 - lo / 2) / (hi / 2 - lo / 2))
-        return MatrixGame((self.payoff - lo) / (hi - lo))
+        a = np.ldexp(self.payoff, -binary_exponent(self.payoff))
+        return MatrixGame((a - a.min()) / (a.max() - a.min()))
 
 
 @dataclass(frozen=True)

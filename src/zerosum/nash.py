@@ -1,11 +1,11 @@
 """Exact equilibria of zero-sum matrix games and a local-convergence certificate.
 
-``solve_zero_sum`` uses the classical LP transformation: shift the payoff
-matrix positive (halved first if the shift overflows), solve max 1'w s.t.
-Bw <= 1, w >= 0 with a dense tableau simplex (Dantzig's entering rule, Bland's
-after a run of degenerate pivots), and read the row player's strategy off the
-dual values.  The duality gap of the returned profile is certified directly on
-the original matrix.
+``solve_zero_sum`` uses the classical LP transformation: scale the payoff
+matrix by a power of two to max|A| in (0.5, 1], shift it positive, solve
+max 1'w s.t. Bw <= 1, w >= 0 with a dense tableau simplex (Dantzig's entering
+rule, Bland's after a run of degenerate pivots), and read the row player's
+strategy off the dual values.  The duality gap of the returned profile is
+certified directly on the original matrix, relative to max|A|.
 
 ``spectral_radius_at_ne`` measures the local stability of the self-play
 update map around an equilibrium: the largest eigenvalue modulus of a
@@ -14,11 +14,12 @@ strategy pairs).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MatrixGame, check_rates
+from .core import MatrixGame, binary_exponent, check_rates
 from .learners import amwu_step
 from .metrics import exploitability
 
@@ -93,14 +94,8 @@ def _simplex_max(b: np.ndarray):
 
 
 def _solve_shifted(a: np.ndarray):
-    """Solve the game for a payoff matrix, returning (f, y, value); one whose shift
-    overflows is solved halved (the same equilibria), its value ``f @ a @ y``."""
-    shift = 1.0 - float(a.min())  # Python floats: an overflow is inf, with no warning
-    if not np.isfinite(float(a.max()) + shift):
-        f, y, _ = _solve_shifted(a / 2)
-        return f, y, float(f @ a @ y)
-    b = a + shift
-    w, duals, total = _simplex_max(b)
+    """Solve the game for a payoff matrix, returning the profile (f, y)."""
+    w, duals, total = _simplex_max(a + (1.0 - float(a.min())))
     w_sum = w.sum()
     u_sum = duals.sum()
     if w_sum <= 0.0 or u_sum <= 0.0:
@@ -109,30 +104,31 @@ def _solve_shifted(a: np.ndarray):
     f = np.maximum(duals, 0.0) / u_sum
     y /= y.sum()
     f /= f.sum()
-    value = 1.0 / w_sum - shift
-    return f, y, value
+    return f, y
 
 
 def solve_zero_sum(game: MatrixGame) -> NashSolution:
-    """Equilibrium strategies and value with a certified duality gap.
+    """Equilibrium strategies, value ``f* @ A @ y*`` and a duality gap certified on A
+    to ``GAP_TOL`` * 2**e, solving A * 2**-e for e = ``core.binary_exponent(A)``.
 
-    If the first solve leaves a gap above ``GAP_TOL`` the matrix is
-    re-solved under a tiny deterministic perturbation that breaks pivot
-    ties; the gap is always certified on the original matrix.  A gap still
-    above tolerance raises ``DegenerateGameError``.
+    If the first solve leaves a gap above tolerance the scaled matrix is
+    re-solved under a tiny deterministic perturbation that breaks pivot ties.
+    A gap still above tolerance raises ``DegenerateGameError``.
     """
     a = game.payoff
-    f, y, value = _solve_shifted(a)
+    e = binary_exponent(a)
+    scaled = np.ldexp(a, -e)
+    tol = math.ldexp(GAP_TOL, e)
+    f, y = _solve_shifted(scaled)
     gap = exploitability(game, f, y)
-    if not gap <= GAP_TOL:  # a NaN gap is not certified either
+    if not gap <= tol:  # a NaN gap is not certified either
         n, m = a.shape
         jitter = 1e-12 * (np.arange(n)[:, None] + 2.0 * np.arange(m)[None, :] + 1.0)
-        f, y, value = _solve_shifted(a + jitter)
-        value = float(f @ a @ y)
+        f, y = _solve_shifted(scaled + jitter)
         gap = exploitability(game, f, y)
-        if not gap <= GAP_TOL:
+        if not gap <= tol:
             raise DegenerateGameError(f"duality gap {gap} above tolerance after perturbed resolve")
-    return NashSolution(f_star=f, y_star=y, value=value, gap=gap)
+    return NashSolution(f_star=f, y_star=y, value=float(f @ a @ y), gap=gap)
 
 
 def amwu_update_map(

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import runpy
@@ -28,7 +29,9 @@ from zerosum.cli import (
     run_preset,
 )
 from zerosum import cli, engine
+from zerosum.core import MatrixGame, binary_exponent
 from zerosum.engine import ADVERSARY_KINDS, AGENT_KINDS, build_agent, grid_run
+from zerosum.nash import GAP_TOL, solve_zero_sum
 from zerosum.regularizers import ENTROPY
 
 MINIMAL = {
@@ -321,17 +324,25 @@ class TestMainCommands:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    def test_extreme_matrix_solves(self, tmp_path, capsys):
-        # 1 - min(a) + a overflows: the game is solved halved, certified on the matrix
+    @pytest.mark.parametrize("stake", ["1e308", "5000000"])
+    def test_extreme_matrix_solves(self, tmp_path, capsys, stake):
+        # pennies at any stake is solved scaled by 2**-e to max|a| in (0.5, 1]: the
+        # profile is the prescaled game's, and the value and the gap, taken on the
+        # matrix itself, are its own times 2**e, within GAP_TOL * 2**e
         path = tmp_path / "m.csv"
-        path.write_text("1e308,-1e308\n-1e308,1e308\n")
+        path.write_text(f"{stake},-{stake}\n-{stake},{stake}\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["solve", str(path)]) == 0
         assert caught == []
         captured = capsys.readouterr()
-        expected = {"f_star": [0.5, 0.5], "y_star": [0.5, 0.5], "value": 0.0, "gap": 0.0}
+        a = MatrixGame.from_csv(path).payoff
+        e = binary_exponent(a)
+        ne = solve_zero_sum(MatrixGame(np.ldexp(a, -e)))
+        expected = {"f_star": ne.f_star.tolist(), "y_star": ne.y_star.tolist(),
+                    "value": math.ldexp(ne.value, e), "gap": math.ldexp(ne.gap, e)}
         assert captured.out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        assert expected["gap"] <= math.ldexp(GAP_TOL, e)
         assert captured.err == ""
 
     def test_kl_to_ne_never_reads_below_zero(self, tmp_path, capsys):

@@ -217,9 +217,14 @@ class TestMatrixGame:
         assert unit.to_unit_range() is unit
         constant = MatrixGame(np.full((2, 3), 4.0)).to_unit_range()
         np.testing.assert_array_equal(constant.payoff, np.zeros((2, 3)))
+        a = np.random.default_rng(0).uniform(-1, 1, (6, 6))
+        for k in (-1000, -40, 33, 1023):  # scaling by 2**k is exact, and no range overflows
+            np.testing.assert_array_equal(MatrixGame(np.ldexp(a, k)).to_unit_range().payoff,
+                                          MatrixGame(a).to_unit_range().payoff)
 
     def test_overflowing_range_maps_by_halves(self):
-        # every entry is finite, but max - min is not
+        # every entry is finite, but max - min is not: the range is taken on the
+        # payoff scaled by a power of two to max|a| in (0.5, 1]
         game = MatrixGame(np.array([[1e308, -1e308], [-1e308, 1e308]]))
         np.testing.assert_array_equal(game.to_unit_range().payoff, [[1.0, 0.0], [0.0, 1.0]])
 

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerosum import nash
-from zerosum.core import MatrixGame, l_norm
+from zerosum.core import MatrixGame, binary_exponent, l_norm
 from zerosum.engine import make_random_game
 from zerosum.metrics import exploitability
 from zerosum.nash import (
@@ -91,13 +93,17 @@ class TestSolveZeroSum:
         np.testing.assert_allclose(ne.f_star, [1.0, 0.0], atol=1e-9)
 
 
-@st.composite
-def degenerate_games(draw):
-    """Games with repeated, constant or dominated rows and columns, sides 1 to 24."""
-    n, m = draw(st.integers(1, 24)), draw(st.integers(1, 24))
-    family = draw(st.sampled_from(
-        ["duplicate rows", "duplicate columns", "constant", "dominated", "integer", "binary"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+DEGENERATE_FAMILIES = ("duplicate rows", "duplicate columns", "constant", "dominated",
+                       "integer", "binary", "rank-one")
+
+
+def degenerate_game(family, n, m, seed):
+    """An n x m game of one of ``DEGENERATE_FAMILIES``: repeated, constant or
+    dominated rows and columns, or identity plus a binary rank-one term.  Only
+    the integer, binary and rank-one families make degenerate pivots (ratio
+    ties at zero), which ``test_families_make_degenerate_pivots`` checks; the
+    others tie rows or columns without degenerate vertices."""
+    rng = np.random.default_rng(seed)
     rows, cols = rng.integers(0, max(1, n // 2), n), rng.integers(0, max(1, m // 2), m)
     if family == "duplicate rows":
         return rng.random((n, m))[rows]
@@ -109,8 +115,18 @@ def degenerate_games(draw):
         a = rng.random((n, m))
         a[-1], a[:, -1] = a.min(axis=0), a.max(axis=1)
         return a
+    if family == "rank-one":
+        return np.eye(n, m) + np.outer(rng.integers(0, 2, n), rng.integers(0, 2, m))
     entries = rng.integers(-3, 4, (n, m)) if family == "integer" else rng.integers(0, 2, (n, m))
     return entries[rows][:, cols].astype(float)
+
+
+@st.composite
+def degenerate_games(draw):
+    """``degenerate_game`` of any family, sides 1 to 24."""
+    n, m = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    family = draw(st.sampled_from(DEGENERATE_FAMILIES))
+    return degenerate_game(family, n, m, draw(st.integers(0, 2**32 - 1)))
 
 
 class TestDegenerateGames:
@@ -125,11 +141,24 @@ class TestDegenerateGames:
     @given(degenerate_games())
     @settings(max_examples=150, deadline=None)
     def test_certified_with_the_fallback_forced(self, a):
-        # Bland's rule after every degenerate pivot, Dantzig's after the
-        # next one that moves the objective (both fire on integer and binary games)
+        # Bland's rule after every degenerate pivot, Dantzig's after the next one
+        # that moves the objective (both fire on the integer, binary and rank-one games)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(nash, "_DEGENERATE_PIVOTS", 1)
             self.test_certified_on_degenerate_families.hypothesis.inner_test(self, a)
+
+    @pytest.mark.parametrize("family", ["integer", "binary", "rank-one"])
+    def test_families_make_degenerate_pivots(self, monkeypatch, family):
+        tally = []
+        monkeypatch.setattr(nash, "_simplex_max", lambda b: simplex_max_row_loop(b, tally=tally))
+        for seed in range(10):
+            solve_zero_sum(MatrixGame(degenerate_game(family, 12, 12, seed)))
+        assert sum(tally) >= 1
+
+    @given(degenerate_games())
+    @settings(max_examples=50, deadline=None)
+    def test_scale_free_on_degenerate_families(self, a):
+        assert_scale_free(a, SCALES)
 
     @staticmethod
     def _pure_first(calls, fail_every_solve):
@@ -137,10 +166,10 @@ class TestDegenerateGames:
 
         def solve_shifted(a):  # the first solve, or every one, leaves a pure profile
             calls.append(a)
-            f, y, value = solve(a)
+            f, y = solve(a)
             if fail_every_solve or len(calls) == 1:
                 f, y = np.eye(a.shape[0])[0], np.eye(a.shape[1])[0]
-            return f, y, value
+            return f, y
         return solve_shifted
 
     def test_uncertified_solve_is_resolved_perturbed(self, monkeypatch):
@@ -163,36 +192,77 @@ class TestDegenerateGames:
         assert raised.type is DegenerateGameError and len(calls) == 2
 
 
+SCALES = (-40, -12, 12, 33, 40)  # powers of two that keep every test game's entries normal
+
+
+def assert_scale_free(a, scales):
+    """``solve_zero_sum`` on ``a`` * 2**k, for each k of ``scales``, gives the same
+    f* and y* bit for bit as on ``a``, its value and gap times 2**k, and a gap
+    within the tolerance ``GAP_TOL`` * 2**(e + k) relative to max|a| = 2**e."""
+    ne = solve_zero_sum(MatrixGame(a))
+    for k in scales:
+        scaled = solve_zero_sum(MatrixGame(np.ldexp(a, k)))
+        np.testing.assert_array_equal(scaled.f_star, ne.f_star)
+        np.testing.assert_array_equal(scaled.y_star, ne.y_star)
+        assert scaled.value == math.ldexp(ne.value, k) and scaled.gap == math.ldexp(ne.gap, k)
+        assert scaled.gap <= math.ldexp(GAP_TOL, binary_exponent(a) + k)
+
+
+class TestScaleFree:
+    def test_oracle_games(self):
+        for a in oracle_games():
+            assert_scale_free(a, SCALES)
+
+    @pytest.mark.parametrize("a", [np.random.default_rng(0).uniform(-1, 1, (6, 6)), RPS.payoff],
+                             ids=["random-6x6", "rps"])
+    def test_whole_float_range(self, a):
+        # an absolute gap tolerance fails the 6x6 game at 2**33 and certifies a
+        # wrong value at 2**-40
+        assert_scale_free(a, (-40, -12, 20, 33, 40, 100, 900))
+
+
 class TestExtremePayoffs:
     @pytest.mark.parametrize(
         "a,f,y,value",
         [([[1e308, 1e308], [1e308, -1e308]], [1.0, 0.0], [1.0, 0.0], 1e308),
-         ([[1e308, -1e308], [-1e308, 1e308]], [0.5, 0.5], [0.5, 0.5], 0.0),
          ([[1.7e308, 0.0], [0.0, -1.7e308]], [1.0, 0.0], [0.0, 1.0], 0.0)],
-        ids=["pure-row", "pennies", "saddle"],
+        ids=["pure-row", "saddle"],
     )
     def test_overflowing_shift_is_solved_halved(self, a, f, y, value):
-        # a + (1 - min a) overflows: the halved game has the same equilibria,
+        # a + (1 - min a) would overflow: the prescaled game has the same equilibria,
         # and the value and the gap are those of the matrix itself
         ne = solve_zero_sum(MatrixGame(np.array(a)))
         np.testing.assert_array_equal(ne.f_star, f)
         np.testing.assert_array_equal(ne.y_star, y)
         assert ne.value == value and ne.gap == 0.0
 
-    def test_nan_gap_is_not_certified(self):
-        # the tableau of this finite game overflows, and its profile is NaN
-        game = MatrixGame(5e307 * np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]))
-        with np.errstate(all="ignore"), pytest.raises(DegenerateGameError, match="duality gap nan"):
-            solve_zero_sum(game)
+    def test_overflowing_pennies_is_its_prescale(self):
+        # the profile is that of the game scaled to max|a| in (0.5, 1], and the
+        # gap on the matrix itself is within the tolerance relative to max|a|
+        a = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        e = binary_exponent(a)
+        ne, prescaled = solve_zero_sum(MatrixGame(a)), solve_zero_sum(MatrixGame(np.ldexp(a, -e)))
+        np.testing.assert_array_equal(ne.f_star, prescaled.f_star)
+        np.testing.assert_array_equal(ne.y_star, prescaled.y_star)
+        assert ne.gap <= math.ldexp(GAP_TOL, e)
+
+    def test_nan_gap_is_not_certified(self, monkeypatch):
+        # no finite matrix leaves a NaN tableau after the prescale; a NaN profile
+        # stands in for one, and its NaN gap is refused after the re-solve too
+        monkeypatch.setattr(nash, "_solve_shifted",
+                            lambda a: (np.full(a.shape[0], np.nan), np.full(a.shape[1], np.nan)))
+        with pytest.raises(DegenerateGameError, match="duality gap nan"):
+            solve_zero_sum(RPS)
 
 
-def simplex_max_row_loop(b, degenerate_pivots=None):
+def simplex_max_row_loop(b, degenerate_pivots=None, tally=None):
     """The tableau simplex with its elimination written as a loop over
     rows, as an oracle for the rank-one update in ``nash._simplex_max``.
     Its entering rule and fallback are the solver's, after
     ``degenerate_pivots`` (default ``nash._DEGENERATE_PIVOTS``) degenerate
     pivots in a row; at 0 it is the pure Bland loop the solver ran before
-    Dantzig's rule, kept as that rule's reference."""
+    Dantzig's rule, kept as that rule's reference.  A ``tally`` list gets the
+    run's number of degenerate pivots appended."""
     if degenerate_pivots is None:
         degenerate_pivots = nash._DEGENERATE_PIVOTS
     n, m = b.shape
@@ -202,7 +272,7 @@ def simplex_max_row_loop(b, degenerate_pivots=None):
     tab[:n, -1] = 1.0
     tab[n, :m] = -1.0
     basis = list(range(m, m + n))
-    degenerate = 0
+    degenerate = total = 0
     while True:
         candidates = np.nonzero(tab[n, : m + n] < -nash._PIVOT_TOL)[0]
         if candidates.size == 0:
@@ -218,6 +288,7 @@ def simplex_max_row_loop(b, degenerate_pivots=None):
             raise DegenerateGameError("simplex detected an unbounded direction")
         ratios = tab[rows, -1] / column[rows]
         degenerate = degenerate + 1 if ratios.min() <= nash._PIVOT_TOL else 0
+        total += degenerate > 0
         ties = rows[np.nonzero(ratios <= ratios.min() + nash._PIVOT_TOL)[0]]
         row = int(min(ties, key=lambda r: basis[r]))
         tab[row] /= tab[row, col]
@@ -229,6 +300,8 @@ def simplex_max_row_loop(b, degenerate_pivots=None):
     for r, var in enumerate(basis):
         if var < m:
             w[var] = tab[r, -1]
+    if tally is not None:
+        tally.append(total)
     return w, tab[n, m : m + n].copy(), float(tab[n, -1])
 
 
