@@ -2,8 +2,9 @@
 
 ``solve_zero_sum`` uses the classical LP transformation: scale the payoff
 matrix by a power of two to max|A| in (0.5, 1], shift it positive, solve
-max 1'w s.t. Bw <= 1, w >= 0 with a dense tableau simplex (Dantzig's entering
-rule, Bland's after a run of degenerate pivots), and read the row player's
+max 1'w s.t. Bw <= 1, w >= 0 with a condensed tableau simplex (only the
+nonbasic columns are stored; Dantzig's entering rule, Bland's after a run of
+degenerate pivots, ties broken by variable index), and read the row player's
 strategy off the dual values.  The duality gap of the returned profile is
 certified directly on the original matrix, relative to max|A|.
 
@@ -44,58 +45,74 @@ class DegenerateGameError(ValueError):
 
 
 def _simplex_max(b: np.ndarray):
-    """Tableau simplex for max 1'w s.t. Bw <= 1, w >= 0 with B > 0.
+    """Condensed tableau simplex for max 1'w s.t. Bw <= 1, w >= 0 with B > 0.
 
-    Returns (w, duals, objective).  Entering variable: the most negative
-    reduced cost, the first among equal minima (Dantzig's rule); leaving: the
-    smallest basis index among the ratio ties.  After ``_DEGENERATE_PIVOTS``
-    pivots in a row of minimum ratio at most ``_PIVOT_TOL``, the smallest index
-    with a negative reduced cost enters (Bland's rule, which cannot cycle)
-    until a pivot raises the objective, as every non-degenerate one does.
+    The tableau holds only the m nonbasic columns and the right-hand side:
+    ``var`` names each column's variable (w_0..w_{m-1}, then the slacks) and
+    ``basis`` each row's.  A pivot swaps the two, and the leaving variable's
+    column is filled exactly as its unit column would be in the full tableau,
+    so every entry is the full tableau's bit for bit.  Returns (w, duals).
+
+    Entering variable: the most negative reduced cost, the smallest variable
+    among equal minima (Dantzig's rule); leaving: the smallest basic variable
+    among the ratio ties.  After ``_DEGENERATE_PIVOTS`` pivots in a row of
+    minimum ratio at most ``_PIVOT_TOL``, the smallest variable with a negative
+    reduced cost enters (Bland's rule, which cannot cycle) until a pivot
+    raises the objective, as every non-degenerate one does.
     """
     n, m = b.shape
-    tab = np.zeros((n + 1, m + n + 1))
+    tab = np.zeros((n + 1, m + 1))
     tab[:n, :m] = b
-    tab[:n, m : m + n] = np.eye(n)
     tab[:n, -1] = 1.0
     tab[n, :m] = -1.0
-    basis = list(range(m, m + n))
+    var = np.arange(m)  # the variable of each column
+    basis = np.arange(m, m + n)  # the variable of each row
+    ratios = np.empty(n)
     degenerate = 0  # degenerate pivots in a row
 
     while True:
-        reduced = tab[n, : m + n]
-        candidates = np.nonzero(reduced < -_PIVOT_TOL)[0]
-        if candidates.size == 0:
-            break
-        bland = degenerate >= _DEGENERATE_PIVOTS
-        col = int(candidates[0] if bland else candidates[np.argmin(reduced[candidates])])
+        reduced = tab[n, :m]
+        if degenerate >= _DEGENERATE_PIVOTS:
+            candidates = (reduced < -_PIVOT_TOL).nonzero()[0]
+            if candidates.size == 0:
+                break
+            col = candidates[var[candidates].argmin()]
+        else:
+            col = reduced.argmin()
+            if not reduced[col] < -_PIVOT_TOL:
+                break
+            ties = (reduced == reduced[col]).nonzero()[0]
+            col = ties[var[ties].argmin()]
         column = tab[:n, col]
-        rows = np.nonzero(column > _PIVOT_TOL)[0]
-        if rows.size == 0:
-            raise DegenerateGameError("simplex detected an unbounded direction")
-        ratios = tab[rows, -1] / column[rows]
+        ratios.fill(np.inf)
+        np.divide(tab[:n, -1], column, out=ratios, where=column > _PIVOT_TOL)
         best = ratios.min()
+        if best == np.inf:  # no entry above _PIVOT_TOL, whose ratio would be finite
+            raise DegenerateGameError("simplex detected an unbounded direction")
         degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
-        ties = rows[np.nonzero(ratios <= best + _PIVOT_TOL)[0]]
-        row = int(min(ties, key=lambda r: basis[r]))
-        tab[row] /= tab[row, col]
-        # rank-one elimination of the pivot column from every other row
+        ties = (ratios <= best + _PIVOT_TOL).nonzero()[0]
+        row = ties[basis[ties].argmin()]
+        pivot = tab[row, col]
+        # rank-one elimination of the pivot column from every other row; the
+        # column then holds the leaving variable's, 0 - factor * (1 / pivot)
         factors = tab[:, col].copy()
         factors[row] = 0.0
+        tab[row] /= pivot
+        tab[:, col] = 0.0
+        tab[row, col] = 1.0 / pivot
         tab -= np.outer(factors, tab[row])
-        basis[row] = col
+        var[col], basis[row] = basis[row], var[col]
 
-    w = np.zeros(m)
-    for r, var in enumerate(basis):
-        if var < m:
-            w[var] = tab[r, -1]
-    duals = tab[n, m : m + n].copy()
-    return w, duals, float(tab[n, -1])
+    w, duals = np.zeros(m), np.zeros(n)
+    structural, slack = basis < m, var >= m
+    w[basis[structural]] = tab[:n, -1][structural]
+    duals[var[slack] - m] = tab[n, :m][slack]
+    return w, duals
 
 
 def _solve_shifted(a: np.ndarray):
     """Solve the game for a payoff matrix, returning the profile (f, y)."""
-    w, duals, total = _simplex_max(a + (1.0 - float(a.min())))
+    w, duals = _simplex_max(a + (1.0 - float(a.min())))
     w_sum = w.sum()
     u_sum = duals.sum()
     if w_sum <= 0.0 or u_sum <= 0.0:

@@ -256,8 +256,9 @@ class TestExtremePayoffs:
 
 
 def simplex_max_row_loop(b, degenerate_pivots=None, tally=None):
-    """The tableau simplex with its elimination written as a loop over
-    rows, as an oracle for the rank-one update in ``nash._simplex_max``.
+    """The full tableau simplex, slack columns included, with its elimination
+    written as a loop over rows, as an oracle for the condensed tableau and
+    rank-one update in ``nash._simplex_max``.
     Its entering rule and fallback are the solver's, after
     ``degenerate_pivots`` (default ``nash._DEGENERATE_PIVOTS``) degenerate
     pivots in a row; at 0 it is the pure Bland loop the solver ran before
@@ -302,7 +303,7 @@ def simplex_max_row_loop(b, degenerate_pivots=None, tally=None):
             w[var] = tab[r, -1]
     if tally is not None:
         tally.append(total)
-    return w, tab[n, m : m + n].copy(), float(tab[n, -1])
+    return w, tab[n, m : m + n].copy()
 
 
 def oracle_games():
@@ -323,15 +324,23 @@ def degenerate_run_game():
     return np.random.default_rng(8).integers(0, 2, (60, 60)).astype(float)
 
 
+def tie_games():
+    """The integer, binary and rank-one 12x12 games of seeds 0 to 9, whose
+    pivots tie: the condensed tableau must break ties by variable, not by
+    column position, to take the full tableau's pivots."""
+    for family in ("integer", "binary", "rank-one"):
+        for seed in range(10):
+            yield degenerate_game(family, 12, 12, seed)
+
+
 def assert_same_simplex(got, want):
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
-    assert got[2] == want[2]
 
 
 class TestRankOnePivot:
     def test_simplex_matches_row_loop(self):
-        for a in (*oracle_games(), degenerate_run_game()):
+        for a in (*oracle_games(), degenerate_run_game(), *tie_games()):
             b = a + 1.0 - a.min()
             assert_same_simplex(nash._simplex_max(b), simplex_max_row_loop(b))
 
@@ -343,9 +352,15 @@ class TestRankOnePivot:
     def test_pure_bland_matches_bland_row_loop(self, monkeypatch):
         # with no Dantzig pivots the solver is the Bland simplex it replaced
         monkeypatch.setattr(nash, "_DEGENERATE_PIVOTS", 0)
-        for a in (*oracle_games(), degenerate_run_game()):
+        for a in (*oracle_games(), degenerate_run_game(), *tie_games()):
             b = a + 1.0 - a.min()
             assert_same_simplex(nash._simplex_max(b), simplex_max_row_loop(b, 0))
+
+    def test_column_without_positive_entry_is_unbounded(self):
+        b = np.array([[-1.0, 1.0]])
+        for simplex in (nash._simplex_max, simplex_max_row_loop):
+            with pytest.raises(DegenerateGameError, match="unbounded direction"):
+                simplex(b)
 
     def test_long_degenerate_run_falls_back(self, monkeypatch):
         # the fallback changes the pivots that Dantzig's rule alone would take
