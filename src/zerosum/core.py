@@ -291,5 +291,9 @@ class Trace:
         return self.strategies.shape[0]
 
     @classmethod
-    def from_rounds(cls, strategies, losses) -> "Trace":
-        return cls(strategies, losses)
+    def from_rounds(cls, strategies, losses, context: str = "round") -> "Trace":
+        """The trace of a run's rounds, checked as ``check_rounds`` checks them under
+        ``context`` once the shapes are; ``Trace(...)`` itself takes any numbers."""
+        trace = cls(strategies, losses)
+        check_rounds(trace.strategies, trace.losses, context)
+        return trace

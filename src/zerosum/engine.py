@@ -18,11 +18,11 @@ replay recording and reactive play (a row learner against a column MWU,
 ``_vs_mwu``) and self-play (one ``learners.Amwu`` per side), calling the
 learners' unchecked ``update``.  An oblivious agent plays its replay whole
 (``play``): MWU(eta) recorded against MWU(eta) once per game and (eta, horizon)
-(``_record``), kept as the (T, n) loss block x_t = A y_t.  Once a batch has
-stepped, each config's rounds are validated on its own slice
-(``core.check_rounds``), as the per-vector checks would.  A batch steps in runs
-of as many configs as fit ``_BATCH_BYTES``, so memory does not grow with the grid.
-``zerosum run`` runs its config as a grid of one (``grid_run``).
+(``_record``), kept as the (T, n) loss block x_t = A y_t.  One runner, ``_each``, steps
+replays and configs as one batch, or each alone if it raises, and records each row's
+trace checked on its own slice (``core.Trace.from_rounds``), as the per-vector checks
+would.  A batch steps in runs of as many configs as fit ``_BATCH_BYTES``, so memory
+does not grow with the grid.  ``zerosum run`` runs its config as a grid of one (``grid_run``).
 
 Each spec checks itself when built, in Python as by ``cli.parse_config``: it
 rejects a set field that the kind tables do not list for its kind, and checks
@@ -350,18 +350,17 @@ def _vs_mwu(row, unit: MatrixGame, etas, T: int):
     """Play the batch ``row``, fed A y_t, against a column MWU at ``etas`` fed
     1 - A^T f_t (the negated gain, in [0, 1]) on a unit-range game.  Returns a
     function of a row b and two contexts that checks both sides' rounds of row b,
-    its losses recomputed to the same bits, and gives its (f, x, y) blocks."""
+    its losses recomputed to the same bits, and gives the row side's trace."""
     a = unit.payoff
     row_loss = lambda y: (a @ y[..., None])[..., 0]  # noqa: E731
     col_loss = lambda f: 1.0 - (a.T @ f[..., None])[..., 0]  # noqa: E731
     fs, ys = np.empty((len(etas), T, unit.n)), np.empty((len(etas), T, unit.m))
     _play(row, Mwu((len(etas), unit.m), _column(etas)), fs, ys, row_loss, col_loss)
 
-    def checked(b: int, contexts: tuple[str, str]):
-        x = row_loss(ys[b])
-        check_rounds(fs[b], x, context=contexts[0])
+    def checked(b: int, contexts: tuple[str, str]) -> Trace:
+        trace = Trace.from_rounds(fs[b], row_loss(ys[b]), context=contexts[0])
         check_rounds(ys[b], col_loss(fs[b]), context=contexts[1])
-        return fs[b], x, ys[b]
+        return trace
 
     return checked
 
@@ -371,26 +370,35 @@ def _replay_key(config: SimulationConfig) -> tuple:
     return config.adversary.eta, config.horizon
 
 
-def _record(unit: MatrixGame, keys) -> dict:
-    """The replays of ``keys`` (``_replay_key``s of one horizon) on a unit-range game,
-    recorded as one batch and each checked at once: per key its (T, n) loss block
-    x_t = A y_t, or the error its recording raised.  If the batch raises, each key
-    is recorded alone, once.  Only the loss blocks outlive the call."""
-    etas, horizons = zip(*keys)
+def _each(run: Callable, items: list):
+    """Step ``items`` as one batch, ``run(items)``, a function of a row b, or each item alone
+    if that raises (a lone item takes the error); then yield each row's result or exception
+    in turn, so that no finished row is kept while the next finishes.  An exception comes
+    without its traceback, whose frames would hold the batch's blocks."""
     try:
-        checked = _vs_mwu(Mwu((len(keys), unit.n), _column(etas)), unit, etas, horizons[0])
-    except Exception as exc:  # noqa: BLE001 - alone, only the failing keys fail
-        if len(keys) == 1:
-            return {keys[0]: exc.with_traceback(None)}  # its frames would hold the recording
-        return {key: _record(unit, [key])[key] for key in keys}
-    contexts = ("replay row player round", "replay round")
-    replays = {}
-    for b, key in enumerate(keys):
+        finish = run(items)
+    except Exception as exc:  # noqa: BLE001 - alone, only the failing items fail
+        if len(items) == 1:
+            yield exc.with_traceback(None)
+            return
+        finish = lambda b: run(items[b:b + 1])(0)  # noqa: E731
+    for b in range(len(items)):
         try:
-            replays[key] = checked(b, contexts)[1]
-        except Exception as exc:  # noqa: BLE001 - the error of the configs that replay it
-            replays[key] = exc.with_traceback(None)
-    return replays
+            yield finish(b)
+        except Exception as exc:  # noqa: BLE001 - this item's error
+            yield exc.with_traceback(None)
+
+
+def _record(unit: MatrixGame, keys) -> dict:
+    """The replays of ``keys`` (``_replay_key``s of one horizon) on a unit-range game, each
+    recorded (``_each``) and checked: per key its (T, n) loss block x_t = A y_t, or the
+    error its recording raised.  Only the loss blocks outlive the call."""
+    def run(part):
+        etas, horizons = zip(*part)
+        checked = _vs_mwu(Mwu((len(part), unit.n), _column(etas)), unit, etas, horizons[0])
+        return lambda b: checked(b, ("replay row player round", "replay round")).losses
+
+    return dict(zip(keys, _each(run, keys)))
 
 
 def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
@@ -406,16 +414,13 @@ def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
     if configs[0].adversary.kind == "oblivious_mwu":
         losses = [replays[_replay_key(c)] for c in configs]
         strategies = agent.play(np.stack(losses))
-
-        def checked(b):
-            check_rounds(strategies[b], losses[b])
-            return strategies[b], losses[b]
+        checked = lambda b: Trace.from_rounds(strategies[b], losses[b])  # noqa: E731
     else:  # reactive: the adversary sees f_t only after the round
         reactive = _vs_mwu(agent, game.unit, [c.adversary.eta for c in configs], T)
-        checked = lambda b: reactive(b, ("round", "adversary round"))[:2]  # noqa: E731
+        checked = lambda b: reactive(b, ("round", "adversary round"))  # noqa: E731
 
     def finish(b):
-        trace = Trace.from_rounds(*checked(b))
+        trace = checked(b)
         return trace, _series(ADVERSARY_METRICS, configs[b].metrics, trace, reg, etas[b, 0])
 
     return finish
@@ -436,10 +441,8 @@ def _self_play_batch(game: _Game, configs) -> Callable:
     fs[:, 0], ys[:, 0] = fs[:, 1], ys[:, 1]
 
     def finish(b):
-        loss_max, loss_min = 1.0 - ys[b] @ a.T, fs[b] @ a
-        check_rounds(fs[b], loss_max, context="max side round")
-        check_rounds(ys[b], loss_min, context="min side round")
-        traces = Trace.from_rounds(fs[b], loss_max), Trace.from_rounds(ys[b], loss_min)
+        traces = (Trace.from_rounds(fs[b], 1.0 - ys[b] @ a.T, context="max side round"),
+                  Trace.from_rounds(ys[b], fs[b] @ a, context="min side round"))
         return (*traces, _series(SELF_PLAY_METRICS, configs[b].metrics, game, *traces))
 
     return finish
@@ -481,24 +484,18 @@ def _error(exc: Exception) -> str:
 
 
 def _run_batch(game: _Game, outcomes: list[RunOutcome], replays: dict) -> None:
-    """Step the configs of ``outcomes``, one batch, then check each config and
-    fill in its series or error on its own; if the batch raises, each config steps
-    alone instead (a lone config takes the error).  The blocks are dropped on return."""
+    """Step the configs of ``outcomes`` as one batch (``_each``), then check each
+    config and fill in its series or error on its own.  Only the series are kept,
+    and the blocks are dropped on return."""
     run = (partial(_self_play_batch, game) if outcomes[0].config.adversary.kind == "self_play"
            else partial(_vs_adversary_batch, game, replays=replays))
-    configs = [out.config for out in outcomes]
-    try:
-        finish = run(configs)
-    except Exception as exc:  # noqa: BLE001 - alone, only the failing configs fail
-        if len(configs) == 1:
-            outcomes[0].error = _error(exc)
-            return
-        finish = lambda b: run(configs[b:b + 1])(0)  # noqa: E731
-    for b, out in enumerate(outcomes):
-        try:
-            out.series = finish(b)[-1]
-        except Exception as exc:  # noqa: BLE001 - this config's error
-            out.error = _error(exc)
+    results = _each(run, [out.config for out in outcomes])
+    for out in outcomes:
+        if isinstance(result := next(results), Exception):
+            out.error = _error(result)
+        else:
+            out.series = result[-1]
+        del result  # drops the config's traces before the next config finishes
 
 
 def _run_game(spec: GameSpec, batches) -> None:

@@ -27,7 +27,7 @@ from .metrics import exploitability
 GAP_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 _DEGENERATE_PIVOTS = 50  # degenerate pivots in a row before Bland's entering rule
-FD_STEP = 1e-6  # the central-difference step of the Jacobian, per coordinate
+FD_STEP = 1e-6  # the finite-difference step of the Jacobian, per coordinate
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,13 @@ def _simplex_max(b: np.ndarray):
     column is filled exactly as its unit column would be in the full tableau,
     so every entry is the full tableau's bit for bit.  Returns (w, duals).
 
-    Entering variable: the most negative reduced cost, the smallest variable
-    among equal minima (Dantzig's rule); leaving: the smallest basic variable
-    among the ratio ties.  After ``_DEGENERATE_PIVOTS`` pivots in a row of
-    minimum ratio at most ``_PIVOT_TOL``, the smallest variable with a negative
-    reduced cost enters (Bland's rule, which cannot cycle) until a pivot
-    raises the objective, as every non-degenerate one does.
+    Entering variable: the simplex stops unless the least reduced cost is
+    below ``-_PIVOT_TOL``, else the smallest variable among the candidates
+    enters: the columns at that least cost (Dantzig's rule), or after
+    ``_DEGENERATE_PIVOTS`` pivots in a row of minimum ratio at most
+    ``_PIVOT_TOL`` every column below ``-_PIVOT_TOL`` (Bland's rule, which
+    cannot cycle) until a pivot raises the objective, as every non-degenerate
+    one does.  Leaving: the smallest basic variable among the ratio ties.
     """
     n, m = b.shape
     tab = np.zeros((n + 1, m + 1))
@@ -72,17 +73,12 @@ def _simplex_max(b: np.ndarray):
 
     while True:
         reduced = tab[n, :m]
-        if degenerate >= _DEGENERATE_PIVOTS:
-            candidates = (reduced < -_PIVOT_TOL).nonzero()[0]
-            if candidates.size == 0:
-                break
-            col = candidates[var[candidates].argmin()]
-        else:
-            col = reduced.argmin()
-            if not reduced[col] < -_PIVOT_TOL:
-                break
-            ties = (reduced == reduced[col]).nonzero()[0]
-            col = ties[var[ties].argmin()]
+        col = reduced.argmin()
+        if not reduced[col] < -_PIVOT_TOL:
+            break
+        bland = degenerate >= _DEGENERATE_PIVOTS
+        candidates = (reduced < -_PIVOT_TOL if bland else reduced == reduced[col]).nonzero()[0]
+        col = candidates[var[candidates].argmin()]
         column = tab[:n, col]
         ratios.fill(np.inf)
         np.divide(tab[:n, -1], column, out=ratios, where=column > _PIVOT_TOL)
@@ -180,19 +176,21 @@ def spectral_radius_at_ne(game: MatrixGame, ne: NashSolution, eta: float, alpha:
 
     The Jacobian of the normalized update map (normalization differentiated
     as part of the map) is built by central finite differences with step
-    ``FD_STEP`` per coordinate, from two calls of the map on all the stepped
-    points; the radius is its largest eigenvalue modulus.  On the certificate
-    games it moves by at most 2.1e-10 relative when ``FD_STEP`` goes from 1e-5
-    to 1e-7.  A radius below one certifies local last-iterate convergence,
-    above one local divergence.  ``eta`` must be positive and ``alpha``
-    nonnegative, both finite (``core.check_rates``).
+    ``FD_STEP`` per coordinate (forward differences on a coordinate below
+    ``FD_STEP``, whose step back would hit the weight floor), from two calls of
+    the map on all the stepped points; the radius is its largest eigenvalue
+    modulus.  On the certificate games it moves by at most 2.1e-10 relative
+    when ``FD_STEP`` goes from 1e-5 to 1e-7.  A radius below one certifies
+    local last-iterate convergence, above one local divergence.  ``eta`` must
+    be positive and ``alpha`` nonnegative, both finite (``core.check_rates``).
     """
     check_rates(eta, alpha)
     x0 = _pack((ne.f_star, ne.y_star, ne.f_star, ne.y_star))
     step = FD_STEP * np.eye(x0.size)  # row j steps coordinate j
+    forward = x0 < FD_STEP
     fp, fm = (_pack(amwu_update_map(game, _unpack(x, game.n, game.m), eta, alpha))
-              for x in (x0 + step, x0 - step))
-    jac = ((fp - fm) / (2.0 * FD_STEP)).T
+              for x in (x0 + step, x0 - step * ~forward[:, None]))
+    jac = ((fp - fm) / np.where(forward, FD_STEP, 2.0 * FD_STEP)[:, None]).T
     if not np.all(np.isfinite(jac)):
         raise ValueError("non-finite Jacobian entries")
     return float(np.abs(np.linalg.eigvals(jac)).max())

@@ -272,6 +272,15 @@ class TestMainCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["spectral_radius"] == pytest.approx(0.98, abs=0.01)
 
+    def test_certify_pure_saddle(self, tmp_path, capsys):
+        # the zero-mass coordinates of the saddle step forward only; stepped back,
+        # they would hit the weight floor and halve their Jacobian columns
+        path = tmp_path / "saddle.csv"
+        path.write_text("1,2\n0,3\n")
+        assert main(["certify", str(path), "--eta", "0.1", "--alpha", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["spectral_radius"] == pytest.approx(math.exp(-0.1), rel=1e-5)
+
     def test_run_command_emits_csv(self, tmp_path):
         config_path = tmp_path / "cfg.json"
         out_csv = tmp_path / "series.csv"

@@ -235,8 +235,9 @@ class TestTrace:
         x = np.array([[1.0, 0.0], [0.2, 0.4]])
         np.testing.assert_array_equal(Trace(s, x).realized, [0.5, 0.2])
         for x in (np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0], [0.2, 0.4, 0.0]]), np.ones(2)):
-            with pytest.raises(ValueError, match="inconsistent trace shapes"):
-                Trace.from_rounds(s, x)
+            for strategies in (s, 2.0 * s):  # the shapes are checked before the rounds
+                with pytest.raises(ValueError, match="inconsistent trace shapes"):
+                    Trace.from_rounds(strategies, x)
 
     def test_zero_rounds_rejected(self):
         with pytest.raises(ValueError, match="^empty trace$"):
@@ -249,6 +250,19 @@ class TestTrace:
         tr = Trace.from_rounds(s, x)
         assert tr.horizon == 10
         assert tr.realized[3] == pytest.approx(s[3] @ x[3])
+
+    def test_from_rounds_checks_its_rounds(self):
+        rng = np.random.default_rng(2)
+        s = rng.dirichlet(np.ones(3), size=9)
+        x = rng.uniform(0, 1, (9, 3))
+        s[6] = [0.5, 0.6, 0.0]
+        with pytest.raises(ValueError, match=r"^max side round 7 strategy: entries sum to 1\.1"):
+            Trace.from_rounds(s, x, context="max side round")
+        x[2, 0] = 1.5
+        with pytest.raises(ValueError, match=r"^round 3 loss: entries outside \[0, 1\]"):
+            Trace.from_rounds(s, x)
+        # unchecked, a trace takes any numbers, as the metric tests build them
+        np.testing.assert_array_equal(Trace(s, x).realized, np.einsum("ti,ti->t", s, x))
 
     def test_strategy_sums(self):
         for n in (2, 7):

@@ -8,7 +8,7 @@ import pytest
 
 from zerosum import engine, nash
 from zerosum.cli import LAST_ROUND_AGENTS, VS_ADVERSARY_AGENTS, ConfigError, parse_config
-from zerosum.core import MatrixGame, uniform
+from zerosum.core import MatrixGame, Trace, uniform
 from zerosum.engine import (
     ADVERSARY_KINDS,
     ADVERSARY_METRICS,
@@ -890,6 +890,29 @@ class TestBatches:
         outcomes = grid_run(configs)
         assert sizes == steps
         assert [o.error for o in outcomes] == ["FloatingPointError: batch failed"] * count
+
+    @pytest.mark.parametrize("mode,count,per_row", [("self_play", 4, 2), ("oblivious_mwu", 5, 1)])
+    def test_one_row_of_traces_alive_at_a_time(self, monkeypatch, mode, count, per_row):
+        # one batch: each config keeps only its series, and its traces are gone
+        # before the next config's are recorded
+        live, peak = [0], [0]
+        from_rounds = Trace.from_rounds.__func__
+
+        def counted(cls, *args, **kwargs):
+            trace = from_rounds(cls, *args, **kwargs)
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            weakref.finalize(trace, lambda: live.__setitem__(0, live[0] - 1))
+            return trace
+
+        monkeypatch.setattr(Trace, "from_rounds", classmethod(counted))
+        if mode == "self_play":
+            configs = [self_play_config("AMWU", 0.05 * (i + 1), alpha=1.0) for i in range(count)]
+        else:
+            configs = [vs_config(agent=AgentSpec(kind="MWU", eta=0.05 * (i + 1)))
+                       for i in range(count)]
+        assert all(out.error is None and out.series for out in grid_run(configs))
+        assert peak[0] == per_row and live[0] == 0
 
     @pytest.mark.parametrize("mode", ["oblivious_mwu", "nonoblivious_mwu", "self_play"])
     def test_memory_does_not_grow_with_batch_size(self, monkeypatch, mode):

@@ -425,17 +425,22 @@ class TestAmwuUpdateMap:
 
 def per_column_jacobian(game, ne, eta, alpha, h=1e-6):
     """The central-difference Jacobian of the update map at the equilibrium,
-    one column, two calls of the map on one point each, at a time."""
+    one column, two calls of the map on one point each, at a time; a
+    coordinate below ``h`` takes the forward difference instead, as a step
+    back would leave the simplex."""
     x0 = np.concatenate((ne.f_star, ne.y_star, ne.f_star, ne.y_star))
     n, m, dim = game.n, game.m, x0.size
     jac = np.empty((dim, dim))
     for j in range(dim):
+        central = x0[j] >= h
         xp = x0.copy(); xp[j] += h
-        xm = x0.copy(); xm[j] -= h
+        xm = x0.copy()
+        if central:
+            xm[j] -= h
         fp, fm = (np.concatenate(amwu_update_map(
             game, (x[:n], x[n:n + m], x[n + m:2 * n + m], x[2 * n + m:]), eta, alpha))
             for x in (xp, xm))
-        jac[:, j] = (fp - fm) / (2 * h)
+        jac[:, j] = (fp - fm) / (2 * h if central else h)
     return jac
 
 
