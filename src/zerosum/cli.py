@@ -156,6 +156,7 @@ class SeriesRecord:
 
 
 CSV_HEADER = "t,learner,metric,value,seed,adversary_eta"
+CSV_SLICE_ROWS = 64  # rows per % call in emit_csv
 
 
 def _fmt(x) -> str:
@@ -175,11 +176,17 @@ def emit_csv(records, path) -> None:
     ))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for rec in records:  # Python floats format as numpy's do, and faster
-            prefix = f"{rec.learner},{rec.metric},"
+        for rec in records:
+            # One % call formats a slice of rows: a call a row costs more than its digits, and
+            # a whole series a call grows peak memory.  The names escape % (the rest are numbers).
+            prefix = f"{rec.learner},{rec.metric},".replace("%", "%%")
             suffix = f",{'' if rec.seed is None else rec.seed},{_fmt(rec.adversary_eta)}\n"
-            fh.write("".join([f"{t},{prefix}{v:.12g}{suffix}"
-                              for t, v in enumerate(rec.values.tolist(), 1)]))
+            row, values, k = f"%d,{prefix}%.12g{suffix}", rec.values.tolist(), CSV_SLICE_ROWS
+            cells = [None] * (2 * len(values))  # t, value, t, value, ...
+            cells[::2], cells[1::2] = range(1, len(values) + 1), values
+            whole, block = 2 * (len(values) - len(values) % k), row * k  # whole slices' cells
+            fh.write("".join([block % tuple(cells[i:i + 2 * k]) for i in range(0, whole, 2 * k)]))
+            fh.write((row * (len(values) % k)) % tuple(cells[whole:]))
 
 
 def _records(config: SimulationConfig, series: dict) -> list[SeriesRecord]:

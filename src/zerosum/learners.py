@@ -9,7 +9,8 @@ rounds at once (the engine does).  ``play(losses)`` gives a fresh learner's
 strategies f_1 .. f_T for a (B, T, n) loss block (perhaps written over it),
 bit for bit ``start`` and an ``update`` a round, holding ``PLAY_BLOCKS`` such
 blocks at most: ``Aftrl``, ``Mwu``, ``ProdBr`` and ``BestResponseLearner``,
-whose strategies depend on the losses alone, compute it in block operations.
+whose strategies depend on the losses alone, compute it in block operations
+(``Mwu`` takes its drive's exp at once, then floors and normalizes a round).
 
 Every learner is batch-native: built with shape (B, n) and rates as (B, 1)
 columns, it updates B rows at once (``step`` refuses a batch), each bit for
@@ -21,7 +22,7 @@ weights the most recent loss vector as a prediction of the next one:
 * ``Amd``     mirror-descent analogue via two Bregman proximal steps
 * ``Mwu``     multiplicative weights,
               f_{t+1} ∝ f_t exp(-eta ((1+alpha) x_t - alpha x_{t-1}))
-              (alpha=0 is plain MWU, alpha=1 optimistic MWU)
+              (alpha=0 is plain MWU, whose drive is x_t, alpha=1 optimistic MWU)
 * ``ProdBr``  multiplicative mixture of an internal FTRL and the best
               response to the last loss, with an anchored mixture weight
 * ``DoublingAftrl``  phase-restarted Aftrl with halving learning rate
@@ -44,7 +45,7 @@ import math
 import numpy as np
 
 from .core import MatrixGame, check_loss_vector, check_rates, check_strategy, l_norm, uniform
-from .regularizers import ENTROPY, Regularizer, floored_softmax
+from .regularizers import ENTROPY, Regularizer, floor_normalize, floored_softmax, shifted_exp
 
 BR_TIE_ATOL = 1e-12
 PLAY_BLOCKS = 4  # ProdBr's: losses, leaders, best responses and their difference
@@ -162,9 +163,10 @@ class Mwu(LossStreamLearner):
         super().__init__(shape, eta, alpha)
         self.prev_loss = np.zeros_like(self.current)
         self._now, self._rate = 1.0 + alpha, -eta  # _drive's weight on x_t, and -eta
+        self._plain = not np.any(alpha)  # drive x_t: (1 + 0) x_t - 0 x_{t-1} up to a zero's sign
 
     def update(self, observed: np.ndarray) -> np.ndarray:
-        drive = self._now * observed - self.alpha * self.prev_loss
+        drive = observed if self._plain else self._now * observed - self.alpha * self.prev_loss
         self.current = floored_softmax(self._rate * drive, self.current)
         self.prev_loss = observed
         return self.current
@@ -175,8 +177,8 @@ class Mwu(LossStreamLearner):
         z[1:] -= np.multiply(x[:-1], self.alpha, out=x[:-1])  # x_0 = 0 drops out
         z *= self._rate
         f = losses[:, 0] = self.start()
-        for t, z_t in enumerate(z, start=1):
-            f = losses[:, t] = floored_softmax(z_t, f)
+        for t, e_t in enumerate(shifted_exp(z), start=1):  # floored_softmax, its exp taken at once
+            f = losses[:, t] = floor_normalize(np.multiply(f, e_t, out=e_t))
         return losses
 
 

@@ -111,7 +111,41 @@ class TestParseConfig:
         assert set(cfg.metrics) == {"exploitability", "kl_to_ne"}
 
 
+def row_by_row_csv(records, path) -> None:
+    """``emit_csv`` as one f-string a row: the oracle of its row templates."""
+    records = sorted(records, key=lambda r: (
+        r.learner, r.metric, -1 if r.seed is None else r.seed,
+        -1.0 if r.adversary_eta is None else r.adversary_eta,
+    ))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for rec in records:
+            prefix = f"{rec.learner},{rec.metric},"
+            eta = "" if rec.adversary_eta is None else f"{rec.adversary_eta:.12g}"
+            suffix = f",{'' if rec.seed is None else rec.seed},{eta}\n"
+            fh.write("".join([f"{t},{prefix}{v:.12g}{suffix}"
+                              for t, v in enumerate(rec.values.tolist(), 1)]))
+
+
 class TestEmitCsv:
+    def test_rows_equal_the_row_by_row_writer(self, tmp_path):
+        # names holding % (escaped in the row template), edge values, and
+        # series around the slice a % call formats
+        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 123456789012.5,
+                  1e-5, 0.1, 1 / 3]
+        k = cli.CSV_SLICE_ROWS
+        records = [
+            SeriesRecord(name, metric, np.resize(values, length), seed, eta)
+            for name, metric, seed, eta in [("100%", "m", 1, 0.05), ("a%d%%", "x%.12g", None, None),
+                                            ("x%.12g", "m", 0, 1 / 3)]
+            for length in (0, 1, k - 1, k, k + 1, 3 * k + 5)
+        ]
+        got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+        emit_csv(records, got)
+        row_by_row_csv(records, expected)
+        assert got.read_bytes() == expected.read_bytes()
+        assert "1,a%d%%,x%.12g,nan,,\n" in got.read_text()
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_csv([], path)

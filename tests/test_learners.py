@@ -13,12 +13,19 @@ from zerosum.learners import (
     DoublingAftrl,
     Mwu,
     ProdBr,
+    _drive,
     amwu_step,
     best_response,
     linear_amwu_step,
 )
 from zerosum.metrics import external_regret, forward_comparators
-from zerosum.regularizers import ENTROPY, SQUARED_L2, bregman_prox, regularized_argmin
+from zerosum.regularizers import (
+    ENTROPY,
+    SQUARED_L2,
+    bregman_prox,
+    floored_softmax,
+    regularized_argmin,
+)
 
 MP = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
@@ -318,6 +325,27 @@ class TestBatchRows:
                 assert batch.phase.sum() > 0
 
 
+    @pytest.mark.parametrize("alphas", [[0.0, 0.0, 0.0], [0.0, 1.0, 31.6]],
+                             ids=["all-zero", "mixed"])
+    def test_mwu_rounds_equal_the_drive_formula(self, alphas):
+        # an all-zero batch drives with x_t alone, bit for bit the (1+0) x_t - 0 x_{t-1}
+        # of the formula even at -0.0 losses; a batch with any alpha != 0 takes the formula
+        etas, alphas = TestPlay.ETAS, np.array(alphas)[:, None]
+        xs = play_block()
+        sides = [(Mwu((3, 7), etas, alphas), xs, np.zeros((3, 7))),
+                 (Amwu(MatrixGame(np.eye(7)), "max", etas, alphas), -xs, -xs[:, 0])]
+        assert (-xs <= 0).all()
+        for learner, losses, x_prev in sides:  # the max side's first loss is also its previous
+            zeros = np.signbit(losses[losses == 0])
+            assert zeros.any() and not zeros.all()  # zeros of both signs
+            f = learner.start()
+            for t in range(losses.shape[1]):
+                x = losses[:, t].copy()
+                expected = floored_softmax(-etas * _drive(x, x_prev, alphas), f)
+                f = learner.update(x)
+                np.testing.assert_array_equal(f.view(np.int64), expected.view(np.int64))
+                x_prev = x
+
     def test_step_refuses_a_batch_before_moving_it(self):
         # ``step`` checks one vector: a batch of rows steps by ``update``
         etas, alphas = np.array([[0.1], [0.2]]), np.array([[1.0], [0.0]])
@@ -369,8 +397,8 @@ class TestPlay:
 
     def test_mwu_and_best_response(self):
         xs, shape = play_block(), (3, 7)
-        alphas = np.array([[0.0], [1.0], [100.0]])
-        self.assert_plays_the_loop(lambda: Mwu(shape, self.ETAS, alphas), xs)
+        for alphas in np.array([[0.0], [1.0], [100.0]]), np.zeros((3, 1)):  # an all-zero batch's
+            self.assert_plays_the_loop(lambda: Mwu(shape, self.ETAS, alphas), xs)  # loop: x_t alone
         self.assert_plays_the_loop(lambda: BestResponseLearner(shape), xs)
 
     @pytest.mark.parametrize("reg", [ENTROPY, SQUARED_L2], ids=["entropy", "squared_l2"])
