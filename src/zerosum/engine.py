@@ -22,7 +22,10 @@ learners' unchecked ``update``.  An oblivious agent plays its replay whole
 replays and configs as one batch, or each alone if it raises, and records each row's
 trace checked on its own slice (``core.Trace.from_rounds``), as the per-vector checks
 would.  A batch steps in runs of as many configs as fit ``_BATCH_BYTES``, so memory
-does not grow with the grid.  ``zerosum run`` runs its config as a grid of one (``grid_run``).
+does not grow with the grid.  One per-game runner, ``_run_game``, resolves a game, records
+its replays, steps its configs and yields each one's result or exception in turn;
+``grid_run`` runs it on each game, and a config run alone (``run_vs_adversary``,
+``run_self_play``, ``zerosum run``) is a grid of one.
 
 Each spec checks itself when built, in Python as by ``cli.parse_config``: it
 rejects a set field that the kind tables do not list for its kind, and checks
@@ -405,7 +408,7 @@ def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
     """Step configs that share a game, learner builder and regularizer, horizon
     and adversary kind as one batch; an oblivious agent plays its replay's loss
     block whole (at its ``_replay_key`` in ``replays``, never a failed one).  Returns
-    a function of a row b that checks config b's rounds and gives its (trace, series)."""
+    a function of a row b that checks config b's rounds and gives its (trace, series, unit game)."""
     T = configs[0].horizon
     agent = build_agent([c.agent for c in configs], game.unit.n, T)
     # the rate the learner was built with (DoublingAftrl lowers its eta in play)
@@ -421,7 +424,8 @@ def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
 
     def finish(b):
         trace = checked(b)
-        return trace, _series(ADVERSARY_METRICS, configs[b].metrics, trace, reg, etas[b, 0])
+        series = _series(ADVERSARY_METRICS, configs[b].metrics, trace, reg, etas[b, 0])
+        return trace, series, game.unit
 
     return finish
 
@@ -429,7 +433,7 @@ def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
 def _self_play_batch(game: _Game, configs) -> Callable:
     """Step self-play configs that share a game and a horizon as one batch (as
     ``run_self_play`` describes).  Returns a function of a row b that checks
-    config b's rounds and gives its (trace_max, trace_min, series)."""
+    config b's rounds and gives its (trace_max, trace_min, series, unit game)."""
     a = game.unit.payoff
     rates = (_column([c.agent.eta for c in configs]),
              _column([c.agent.resolved_alpha() for c in configs]))
@@ -443,29 +447,77 @@ def _self_play_batch(game: _Game, configs) -> Callable:
     def finish(b):
         traces = (Trace.from_rounds(fs[b], 1.0 - ys[b] @ a.T, context="max side round"),
                   Trace.from_rounds(ys[b], fs[b] @ a, context="min side round"))
-        return (*traces, _series(SELF_PLAY_METRICS, configs[b].metrics, game, *traces))
+        return (*traces, _series(SELF_PLAY_METRICS, configs[b].metrics, game, *traces), game.unit)
 
     return finish
 
 
+def _run_game(spec: GameSpec, batches):
+    """Resolve one game, then step its batches of outcomes one after another (``_each``),
+    each in runs of as many rows as fit ``_BATCH_BYTES`` (an oblivious row's play holds
+    ``PLAY_BLOCKS`` blocks of n actions); the oblivious ones against a run of replays at a
+    time, as many as fit, recorded as one batch (``_record``) and dropped after its configs
+    have stepped.  Yields each outcome with its result, (*traces, series, unit game), or
+    with its exception, in turn: the game's if it fails, its replay's if that failed (its
+    configs do not step), else its own."""
+    try:
+        game = _Game(spec)
+    except Exception as exc:  # noqa: BLE001 - reported per config, other games unaffected
+        for out in (out for batch in batches for out in batch):
+            yield out, exc
+        return
+    n, m = game.unit.payoff.shape
+    oblivious = [b for b in batches if b[0].config.adversary.kind == "oblivious_mwu"]
+
+    def step(batch, replays, k=n + m):
+        run = (partial(_self_play_batch, game) if batch[0].config.adversary.kind == "self_play"
+               else partial(_vs_adversary_batch, game, replays=replays))
+        for rows in _chunks(batch, batch[0].config.horizon, k):
+            results = _each(run, [out.config for out in rows])
+            for out in rows:
+                yield out, next(results)
+
+    def step_replays(keys):  # its replays are dropped on return
+        replays = _record(game.unit, keys)
+        for batch in oblivious:
+            part = []
+            for out in (out for out in batch if _replay_key(out.config) in replays):
+                if isinstance(failed := replays[_replay_key(out.config)], Exception):
+                    yield out, failed
+                else:
+                    part.append(out)
+            if part:
+                yield from step(part, replays, PLAY_BLOCKS * n)
+
+    for batch in (b for b in batches if b[0].config.adversary.kind != "oblivious_mwu"):
+        yield from step(batch, {})
+    keys = list(dict.fromkeys(_replay_key(out.config) for b in oblivious for out in b))
+    for T in dict.fromkeys(key[1] for key in keys):
+        for run in _chunks([key for key in keys if key[1] == T], T, n + m):
+            yield from step_replays(run)
+
+
+def _run_alone(config: SimulationConfig, kinds: tuple, caller: str):
+    """``config`` run as a grid of one (``_run_game``): its result, or its exception raised."""
+    if config.adversary.kind not in kinds:
+        raise ValueError(f"{caller} cannot handle adversary kind {config.adversary.kind!r}")
+    ((_, result),) = _run_game(config.game, [[RunOutcome(0, config)]])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def run_vs_adversary(config: SimulationConfig):
-    """Simulate one agent against a replayed or reactive adversary, as a batch of one.
+    """Simulate one agent against a replayed or reactive adversary, as a grid of one.
 
     Returns (trace, series, game) where the trace records the agent's
     strategies and the loss stream x_t = A y_t on the unit-normalized game.
     """
-    adv = config.adversary
-    if adv.kind not in ("oblivious_mwu", "nonoblivious_mwu"):
-        raise ValueError(f"run_vs_adversary cannot handle adversary kind {adv.kind!r}")
-    game = _Game(config.game)
-    replays = _record(game.unit, [_replay_key(config)]) if adv.kind == "oblivious_mwu" else {}
-    if isinstance(failed := replays.get(_replay_key(config)), Exception):
-        raise failed
-    return (*_vs_adversary_batch(game, [config], replays)(0), game.unit)
+    return _run_alone(config, ("oblivious_mwu", "nonoblivious_mwu"), "run_vs_adversary")
 
 
 def run_self_play(config: SimulationConfig):
-    """Mirror-play both sides of the game with the agent's update rule, as a batch of one.
+    """Mirror-play both sides of the game with the agent's update rule, as a grid of one.
 
     The agent's kind is marked ``self_play`` in ``AGENT_KINDS``: each side is
     an ``Amwu``, the max side fed -A y_t and the min side A^T f_t; the first
@@ -473,67 +525,7 @@ def run_self_play(config: SimulationConfig):
     as the previous one.  Both sides' rounds, with the losses 1 - A y_t and
     A^T f_t in [0, 1], are checked.  Returns (trace_max, trace_min, series, game).
     """
-    if config.adversary.kind != "self_play":
-        raise ValueError(f"run_self_play cannot handle adversary kind {config.adversary.kind!r}")
-    game = _Game(config.game)
-    return (*_self_play_batch(game, [config])(0), game.unit)
-
-
-def _error(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _run_batch(game: _Game, outcomes: list[RunOutcome], replays: dict) -> None:
-    """Step the configs of ``outcomes`` as one batch (``_each``), then check each
-    config and fill in its series or error on its own.  Only the series are kept,
-    and the blocks are dropped on return."""
-    run = (partial(_self_play_batch, game) if outcomes[0].config.adversary.kind == "self_play"
-           else partial(_vs_adversary_batch, game, replays=replays))
-    results = _each(run, [out.config for out in outcomes])
-    for out in outcomes:
-        if isinstance(result := next(results), Exception):
-            out.error = _error(result)
-        else:
-            out.series = result[-1]
-        del result  # drops the config's traces before the next config finishes
-
-
-def _run_game(spec: GameSpec, batches) -> None:
-    """Resolve one game, then step its batches of outcomes one after another,
-    each in runs of as many rows as fit ``_BATCH_BYTES`` (an oblivious row's play
-    holds ``PLAY_BLOCKS`` blocks of n actions); the oblivious ones against a run of
-    replays at a time, as many as fit, recorded as one batch (``_record``) and
-    dropped after its configs have stepped; a failed replay's configs take its
-    error and do not step.  If the game fails, each config reports that error."""
-    try:
-        game = _Game(spec)
-    except Exception as exc:  # noqa: BLE001 - reported per config, other games unaffected
-        for out in (out for batch in batches for out in batch):
-            out.error = _error(exc)
-        return
-    n, m = game.unit.payoff.shape
-    oblivious = [b for b in batches if b[0].config.adversary.kind == "oblivious_mwu"]
-
-    def step(batch, replays, k=n + m):
-        for rows in _chunks(batch, batch[0].config.horizon, k):
-            _run_batch(game, rows, replays)
-
-    def step_replays(keys):  # its replays are dropped on return
-        replays = _record(game.unit, keys)
-        for batch in oblivious:
-            part = [out for out in batch if _replay_key(out.config) in replays]
-            for out in part:
-                if isinstance(failed := replays[_replay_key(out.config)], Exception):
-                    out.error = _error(failed)
-            if part := [out for out in part if out.error is None]:
-                step(part, replays, PLAY_BLOCKS * n)
-
-    for batch in (b for b in batches if b[0].config.adversary.kind != "oblivious_mwu"):
-        step(batch, {})
-    keys = list(dict.fromkeys(_replay_key(out.config) for b in oblivious for out in b))
-    for T in dict.fromkeys(key[1] for key in keys):
-        for run in _chunks([key for key in keys if key[1] == T], T, n + m):
-            step_replays(run)
+    return _run_alone(config, ("self_play",), "run_self_play")
 
 
 def grid_run(configs, parallelism: int = 1) -> list[RunOutcome]:
@@ -544,11 +536,11 @@ def grid_run(configs, parallelism: int = 1) -> list[RunOutcome]:
     horizon and (against an adversary) a learner builder and regularizer step
     together as one batch, one batch after another, in runs of as many configs
     as fit a fixed memory budget.  A config's series is bit for bit the config
-    run alone, so results never depend on batching or grid order.  A failing
-    config fails alone: checks and metrics run per config after its batch's
-    loop, and a batch whose loop raises reruns per config.  ``parallelism``
-    (>= 1) changes nothing; it is kept only because the benchmark harness
-    (``perfbench/workloads.py``) still passes it.
+    run alone, as a grid of one, so results never depend on batching or grid
+    order.  A failing config fails alone: checks and metrics run per config
+    after its batch's loop, and a batch whose loop raises reruns per config.
+    ``parallelism`` (>= 1) changes nothing; it is kept only because the
+    benchmark harness (``perfbench/workloads.py``) still passes it.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")
@@ -559,5 +551,10 @@ def grid_run(configs, parallelism: int = 1) -> list[RunOutcome]:
         learner = () if mode == "self_play" else (agent.rule.build, agent.regularizer or "entropy")
         games.setdefault(out.config.game, {}).setdefault((mode, T, *learner), []).append(out)
     for spec, batches in games.items():
-        _run_game(spec, list(batches.values()))
+        for out, result in _run_game(spec, list(batches.values())):
+            if isinstance(result, Exception):
+                out.error = f"{type(result).__name__}: {result}"
+            else:
+                out.series = result[-2]  # of (*traces, series, unit game)
+            del result  # drops the config's traces before the next config finishes
     return outcomes

@@ -261,7 +261,8 @@ class TestTrace:
         x[2, 0] = 1.5
         with pytest.raises(ValueError, match=r"^round 3 loss: entries outside \[0, 1\]"):
             Trace.from_rounds(s, x)
-        # unchecked, a trace takes any numbers, as the metric tests build them
+        # built directly, a trace is unchecked and takes any numbers (the metric tests
+        # build checked ones, by Trace.from_rounds)
         np.testing.assert_array_equal(Trace(s, x).realized, np.einsum("ti,ti->t", s, x))
 
     def test_strategy_sums(self):

@@ -1039,3 +1039,76 @@ class TestSelfPlayRoundChecks:
                 assert outcomes[i].error is None
                 for name, series in clean[i].series.items():
                     np.testing.assert_array_equal(outcomes[i].series[name], series)
+
+
+def _missing_csv_game(monkeypatch, tmp_path):
+    return SimulationConfig(game=GameSpec(kind="csv", path=str(tmp_path / "missing.csv")),
+                            horizon=20, agent=AgentSpec(kind="MWU", eta=0.1),
+                            adversary=AdversarySpec(kind="oblivious_mwu", eta=0.5))
+
+
+def _failed_replay_check(monkeypatch, tmp_path):
+    vs_mwu = engine._vs_mwu
+
+    def failing_at_04(row, unit, etas, T):
+        checked = vs_mwu(row, unit, etas, T)
+
+        def check(b, contexts):
+            if etas[b] == 0.4:
+                raise ValueError("replay check failed")
+            return checked(b, contexts)
+        return check
+
+    monkeypatch.setattr(engine, "_vs_mwu", failing_at_04)
+    return vs_config(horizon=30, adversary=AdversarySpec(kind="oblivious_mwu", eta=0.4))
+
+
+def _off_simplex_round(monkeypatch, tmp_path):
+    build = engine.build_agent
+    monkeypatch.setattr(
+        engine, "build_agent", lambda spec, n, horizon: _OffSimplexAt(build(spec, n, horizon), 9)
+    )
+    return vs_config(horizon=20, adversary=AdversarySpec(kind="nonoblivious_mwu", eta=0.4))
+
+
+def _unsolved_equilibrium(monkeypatch, tmp_path):
+    def failing(game):
+        raise ArithmeticError("no certified equilibrium")
+
+    monkeypatch.setattr(nash, "solve_zero_sum", failing)
+    return self_play_config("OMWU", 0.2, metrics=("kl_to_ne",))
+
+
+class TestAloneIsAGridOfOne:
+    @pytest.mark.parametrize("failure", [_missing_csv_game, _failed_replay_check,
+                                         _off_simplex_round, _unsolved_equilibrium])
+    def test_config_alone_fails_as_in_the_grid(self, monkeypatch, tmp_path, failure):
+        # the type and message raised alone are the config's error in a grid, and a
+        # config beside it that does not reach the fault is unaffected
+        config = failure(monkeypatch, tmp_path)
+        run = run_self_play if config.adversary.kind == "self_play" else run_vs_adversary
+        with pytest.raises(Exception) as alone:
+            run(config)
+        bad, good = grid_run([config, self_play_config("MWU", 0.1, metrics=("exploitability",))])
+        assert bad.error == f"{type(alone.value).__name__}: {alone.value}"
+        assert bad.series == {}
+        assert good.error is None and set(good.series) == {"exploitability"}
+
+    @pytest.mark.parametrize("run,config,recorded", [
+        (run_vs_adversary, vs_config(horizon=30), [[(0.5, 30)]]),
+        (run_vs_adversary,
+         vs_config(horizon=30, adversary=AdversarySpec(kind="nonoblivious_mwu", eta=0.5)), []),
+        (run_self_play, self_play_config("OMWU", 0.1), []),
+    ])
+    def test_config_alone_steps_through_the_grids_runner(self, monkeypatch, run, config, recorded):
+        # one game of one outcome, and a replay recorded only for an oblivious config
+        games, recordings = [], []
+        run_game, record = engine._run_game, engine._record
+        monkeypatch.setattr(engine, "_run_game", lambda spec, batches: games.append(
+            (spec, [[out.config for out in batch] for batch in batches])) or run_game(spec, batches))
+        monkeypatch.setattr(engine, "_record", lambda unit, keys: recordings.append(list(keys))
+                            or record(unit, keys))
+        result = run(config)
+        assert games == [(config.game, [[config]])]
+        assert recordings == recorded
+        assert result[-2].keys() == set(config.metrics)
