@@ -32,7 +32,8 @@ loss of the opponent's strategy, -A y on the max side (which ascends the
 payoff) and A^T f on the min side, whose first update also takes its
 first loss as the previous one.  ``step`` takes the opponent's strategy.
 ``amwu_step`` is the same update as a function of the opponent's current
-and previous strategies (``nash`` differentiates it), and
+and previous strategies (the step of ``nash.amwu_update_map``, whose
+Jacobian ``nash`` takes in closed form), and
 ``linear_amwu_step`` its linearization on the same drive.
 
 The previous-loss convention elsewhere: x_0 is the zero vector, so first

@@ -9,9 +9,9 @@ strategy off the dual values.  The duality gap of the returned profile is
 certified directly on the original matrix, relative to max|A|.
 
 ``spectral_radius_at_ne`` measures the local stability of the self-play
-update map around an equilibrium: the largest eigenvalue modulus of a
-finite-difference Jacobian of the four-block update (current and previous
-strategy pairs).
+update map around an equilibrium: the largest eigenvalue modulus of the
+closed-form Jacobian of the four-block update (current and previous strategy
+pairs), built from the blocks of its normalized exponentials.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .metrics import exploitability
 GAP_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 _DEGENERATE_PIVOTS = 50  # degenerate pivots in a row before Bland's entering rule
-FD_STEP = 1e-6  # the finite-difference step of the Jacobian, per coordinate
 
 
 @dataclass(frozen=True)
@@ -163,34 +162,34 @@ def amwu_update_map(
     return f_next, y_next, f, y
 
 
-def _pack(point) -> np.ndarray:
-    return np.concatenate([np.asarray(b, dtype=float) for b in point], axis=-1)
-
-
-def _unpack(vec: np.ndarray, n: int, m: int):
-    return vec[..., :n], vec[..., n : n + m], vec[..., n + m : 2 * n + m], vec[..., 2 * n + m :]
+def _softmax_blocks(p: np.ndarray, d: np.ndarray, eta: float):
+    """dS/dp = (diag(e) - q e') / <p, e> and dS/d(-eta d) = diag(q) - q q' at
+    q = S(p, d) = p e / <p, e>, e = exp(-eta (d - min d)): one side's update."""
+    e = np.exp(-eta * (d - d.min()))
+    mass = p @ e
+    q = p * e / mass
+    return (np.diag(e) - np.outer(q, e)) / mass, np.diag(q) - np.outer(q, q)
 
 
 def spectral_radius_at_ne(game: MatrixGame, ne: NashSolution, eta: float, alpha: float) -> float:
     """Spectral radius of the self-play update Jacobian at the equilibrium.
 
-    The Jacobian of the normalized update map (normalization differentiated
-    as part of the map) is built by central finite differences with step
-    ``FD_STEP`` per coordinate (forward differences on a coordinate below
-    ``FD_STEP``, whose step back would hit the weight floor), from two calls of
-    the map on all the stepped points; the radius is its largest eigenvalue
-    modulus.  On the certificate games it moves by at most 2.1e-10 relative
-    when ``FD_STEP`` goes from 1e-5 to 1e-7.  A radius below one certifies
-    local last-iterate convergence, above one local divergence.  ``eta`` must
-    be positive and ``alpha`` nonnegative, both finite (``core.check_rates``).
+    The exact Jacobian of ``amwu_update_map`` at (f*, y*, f*, y*), from each side's
+    ``_softmax_blocks`` at its loss -A y* (max) or A^T f* (min), which is its drive
+    there at any exploit rate; the radius is its largest eigenvalue modulus.  Below
+    one it certifies local last-iterate convergence, above one local divergence.
+    ``eta`` must be positive and ``alpha`` nonnegative, both finite (``core.check_rates``).
     """
     check_rates(eta, alpha)
-    x0 = _pack((ne.f_star, ne.y_star, ne.f_star, ne.y_star))
-    step = FD_STEP * np.eye(x0.size)  # row j steps coordinate j
-    forward = x0 < FD_STEP
-    fp, fm = (_pack(amwu_update_map(game, _unpack(x, game.n, game.m), eta, alpha))
-              for x in (x0 + step, x0 - step * ~forward[:, None]))
-    jac = ((fp - fm) / np.where(forward, FD_STEP, 2.0 * FD_STEP)[:, None]).T
+    a, n, m = game.payoff, game.n, game.m
+    now, prev = eta * (1.0 + alpha), eta * alpha  # rates first: inf rate * zero block is NaN
+    dp_f, ds_f = _softmax_blocks(ne.f_star, -(a @ ne.y_star), eta)
+    dp_y, ds_y = _softmax_blocks(ne.y_star, a.T @ ne.f_star, eta)
+    jac = np.block([
+        [dp_f, now * ds_f @ a, np.zeros((n, n)), -prev * ds_f @ a],
+        [-now * ds_y @ a.T, dp_y, prev * ds_y @ a.T, np.zeros((m, m))],
+        [np.eye(n + m, 2 * (n + m))],  # f and y move into the previous-strategy slots
+    ])
     if not np.all(np.isfinite(jac)):
         raise ValueError("non-finite Jacobian entries")
     return float(np.abs(np.linalg.eigvals(jac)).max())

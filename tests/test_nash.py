@@ -444,34 +444,34 @@ def per_column_jacobian(game, ne, eta, alpha, h=1e-6):
     return jac
 
 
+def certified_games():
+    """The certificate games, criterion 4's five unit games and two rectangular
+    games with mixed equilibria, as named params: none with a pure equilibrium,
+    where the oracle's forward difference is off by O(h)."""
+    from zerosum.cli import CERTIFICATE_3X3_SEEDS, centered_random_game
+
+    games = {"pennies": MP_UNIT}
+    games.update({f"3x3-{s}": centered_random_game(3, 3, s) for s in CERTIFICATE_3X3_SEEDS})
+    games.update({f"unit20-{s}": make_random_game(20, 20, s).to_unit_range()
+                  for s in (12, 90, 96, 128, 134)})
+    games.update({"3x5-1": centered_random_game(3, 5, 1), "5x3-2": centered_random_game(5, 3, 2)})
+    return [pytest.param(game, id=name) for name, game in games.items()]
+
+
 class TestSpectralRadius:
     def test_identity_at_eta_zero(self):
         ne = solve_zero_sum(MP_UNIT)
         rho = spectral_radius_at_ne(MP_UNIT, ne, eta=1e-12, alpha=10.0)
         assert rho == pytest.approx(1.0, abs=1e-3)
 
-    def test_matches_eigvals_oracle(self):
-        # the certificate against a direct eigenvalue computation of the
-        # per-column finite-difference Jacobian
-        for game, eta, alpha in (
-            (MP_UNIT, 0.1, 10.0),
-            (MP_UNIT, 0.1, 0.0),
-            (MatrixGame((RPS.payoff + 1) / 2), 0.1, 3.0),
-        ):
-            ne = solve_zero_sum(game)
-            oracle = float(np.abs(np.linalg.eigvals(per_column_jacobian(game, ne, eta, alpha))).max())
-            got = spectral_radius_at_ne(game, ne, eta, alpha)
-            assert got == pytest.approx(oracle, rel=1e-3)
-
-    @pytest.mark.parametrize("n,seed", [(20, 1), (3, 19)], ids=["20x20", "3x3"])
-    @pytest.mark.parametrize("eta,alpha", [(0.1, 10.0), (0.1, 0.0)])
-    def test_equals_the_per_column_jacobian(self, n, seed, eta, alpha):
-        # the certificate maps all the stepped points in one call each way,
-        # and its radius is that of the reference Jacobian to the bit
-        game = make_random_game(n, n, seed=seed)
+    @pytest.mark.parametrize("game", certified_games())
+    def test_matches_the_per_column_jacobian(self, game):
+        # the closed-form radius against the per-column finite-difference one; the
+        # rectangular games catch a block swapped between the n and m halves
         ne = solve_zero_sum(game)
-        jac = per_column_jacobian(game, ne, eta, alpha)
-        assert spectral_radius_at_ne(game, ne, eta, alpha) == np.abs(np.linalg.eigvals(jac)).max()
+        for eta, alpha in ((0.1, 10.0), (0.1, 0.0), (0.01, 100.0), (0.1, 1.0)):
+            oracle = np.abs(np.linalg.eigvals(per_column_jacobian(game, ne, eta, alpha))).max()
+            assert spectral_radius_at_ne(game, ne, eta, alpha) == pytest.approx(oracle, rel=1e-9)
 
     @pytest.mark.parametrize(
         "eta,alpha,name",
