@@ -310,6 +310,8 @@ def run_preset(name: str, output_dir, seeds) -> int:
 
 def _cmd_run(args) -> int:
     config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    if (out := config.output) is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise ValueError(f"output: must be a file in an existing directory, got {out!r}")
     (outcome,) = grid_run([config])
     if outcome.error is not None:
         raise ValueError(outcome.error)

@@ -161,12 +161,12 @@ class AgentKind(NamedTuple):
     The learners are one family indexed by the exploit rate: ``alpha`` is the
     kind's fixed rate (FTRL/MWU 0, OFTRL/OMWU 1, 0 for a kind with none), or
     for a kind that reads ``alpha`` or ``b`` the rate when neither is given.
+    A kind self-plays exactly when ``build`` is ``_multiplicative`` (``Mwu``).
     """
 
     build: Callable  # (shape, eta, alpha, regularizer, horizon) -> a loss-stream learner
     keys: tuple[str, ...]  # the fields it reads besides kind and name; eta, if read, is required
     alpha: float = 0.0
-    self_play: bool = False
 
 
 def _leader(shape, eta, alpha, reg, horizon):
@@ -185,10 +185,9 @@ AGENT_KINDS = {
     "OFTRL": AgentKind(_leader, ("eta", "regularizer"), alpha=1.0),
     "AFTRL": AgentKind(_leader, _FREE),
     "AMD": AgentKind(lambda shape, eta, a, reg, T: Amd(shape, eta, a, reg), _FREE),
-    "MWU": AgentKind(_multiplicative, ("eta",), self_play=True),
-    "OMWU": AgentKind(_multiplicative, ("eta",), alpha=1.0, self_play=True),
-    # the multiplicative member of the leader family: no regularizer but the entropy
-    "AMWU": AgentKind(_leader, ("eta", "alpha", "b"), self_play=True),
+    "MWU": AgentKind(_multiplicative, ("eta",)),
+    "OMWU": AgentKind(_multiplicative, ("eta",), alpha=1.0),
+    "AMWU": AgentKind(_multiplicative, ("eta", "alpha", "b")),
     "BestResponse": AgentKind(lambda shape, *_: BestResponseLearner(shape), ()),
     "ProdBR": AgentKind(lambda shape, eta, a, reg, T: ProdBr(shape, T, reg), ("regularizer",)),
     "DoublingAFTRL": AgentKind(
@@ -297,8 +296,8 @@ class SimulationConfig:
     def __post_init__(self):
         _check_field(self, "horizon", "horizon")
         _check_field(self, "output", "output")
-        if self.adversary.kind == "self_play" and not self.agent.rule.self_play:
-            able = ", ".join(kind for kind, rule in AGENT_KINDS.items() if rule.self_play)
+        if self.adversary.kind == "self_play" and self.agent.rule.build is not _multiplicative:
+            able = ", ".join(k for k, rule in AGENT_KINDS.items() if rule.build is _multiplicative)
             raise ValueError(f"agent.kind: self_play needs one of {able}, got {self.agent.kind!r}")
         table = self.adversary.rule.metrics
         names = tuple(check_choice(name, "metrics", table) for name in self.metrics)
@@ -519,11 +518,11 @@ def run_vs_adversary(config: SimulationConfig):
 def run_self_play(config: SimulationConfig):
     """Mirror-play both sides of the game with the agent's update rule, as a grid of one.
 
-    The agent's kind is marked ``self_play`` in ``AGENT_KINDS``: each side is
-    an ``Amwu``, the max side fed -A y_t and the min side A^T f_t; the first
-    two strategies coincide, as ``Amwu``'s first update takes the round-1 loss
-    as the previous one.  Both sides' rounds, with the losses 1 - A y_t and
-    A^T f_t in [0, 1], are checked.  Returns (trace_max, trace_min, series, game).
+    The agent's kind builds an ``Mwu`` (``_multiplicative``), and each side is
+    one as an ``Amwu``: the max side fed -A y_t, the min side A^T f_t, the
+    first two strategies equal, as ``Amwu``'s first update takes the round-1
+    loss as the previous one.  Both sides' rounds, with the losses 1 - A y_t
+    and A^T f_t in [0, 1], are checked.  Returns (trace_max, trace_min, series, game).
     """
     return _run_alone(config, ("self_play",), "run_self_play")
 
@@ -531,14 +530,13 @@ def run_self_play(config: SimulationConfig):
 def grid_run(configs, parallelism: int = 1) -> list[RunOutcome]:
     """Execute independent configs, preserving input order in the output.
 
-    The configs of one game share one resolve, one equilibrium solve and the
-    recording of each oblivious replay; those that also share a run mode, a
-    horizon and (against an adversary) a learner builder and regularizer step
-    together as one batch, one batch after another, in runs of as many configs
-    as fit a fixed memory budget.  A config's series is bit for bit the config
-    run alone, as a grid of one, so results never depend on batching or grid
-    order.  A failing config fails alone: checks and metrics run per config
-    after its batch's loop, and a batch whose loop raises reruns per config.
+    The configs of one game share one resolve, one equilibrium solve and the recording
+    of each oblivious replay; those that also share a run mode, a horizon, a learner
+    builder and a regularizer step together as one batch, one batch after another, in
+    runs of as many configs as fit a fixed memory budget.  A config's series is bit for
+    bit the config run alone, as a grid of one, so results never depend on batching or
+    grid order.  A failing config fails alone: checks and metrics run per config after
+    its batch's loop, and a batch whose loop raises reruns per config.
     ``parallelism`` (>= 1) changes nothing; it is kept only because the
     benchmark harness (``perfbench/workloads.py``) still passes it.
     """
@@ -548,8 +546,8 @@ def grid_run(configs, parallelism: int = 1) -> list[RunOutcome]:
     games = {}  # game spec -> batch key -> outcomes, in order of first appearance
     for out in outcomes:
         agent, mode, T = out.config.agent, out.config.adversary.kind, out.config.horizon
-        learner = () if mode == "self_play" else (agent.rule.build, agent.regularizer or "entropy")
-        games.setdefault(out.config.game, {}).setdefault((mode, T, *learner), []).append(out)
+        key = (mode, T, agent.rule.build, agent.regularizer or "entropy")
+        games.setdefault(out.config.game, {}).setdefault(key, []).append(out)
     for spec, batches in games.items():
         for out, result in _run_game(spec, list(batches.values())):
             if isinstance(result, Exception):

@@ -203,9 +203,9 @@ class TestEmitCsv:
 
 # The reference output: the sha256 of each preset's CSV and manifest at --seeds 1.
 REFERENCE_SHA256 = {
-    "oblivious-loss": ("73c06a69f6db75073f55624e5f9fd401ed5521b0af5c5f207be3ad97507ba081",
+    "oblivious-loss": ("892fd0e399515fd39a8de6fbcba5f986e4a41ffee8029b8134da7a5106cecad2",
                        "837c41d09743eef577216bbdf20bad2b77a73e6b60b27a4e95ce750689309534"),
-    "nonoblivious-regret": ("9f6a274ea309c7d1c702b46b0277e0af2ce9b2f83a5f1a61bef042597649040c",
+    "nonoblivious-regret": ("972bc24a9fbae9d78c05ef2a447723bdc1df490aae27e71a82e6037b99620633",
                             "ffb97f1bb950d59d9ad2a05ac9cf481ac9f53d832bd01b494178ea49c2fa7e69"),
     "last-round": ("95a33d34e9de260ff7862c7fae591d123390329786dda42155540e1a7825780b",
                    "87e1ee6be02eba9faa46c04e4789dfb1b798bf03b10afb6dbfd1d67480175827"),
@@ -437,6 +437,21 @@ class TestMainCommands:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "missing" in err
 
+    @pytest.mark.parametrize("where", ["missing/series.csv", "a_directory"])
+    def test_bad_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, where):
+        # an output the run could not write is an error before anything is simulated
+        (tmp_path / "a_directory").mkdir()
+        monkeypatch.setattr(cli, "grid_run", lambda configs: pytest.fail("grid_run was called"))
+        output = str(tmp_path / where)
+        (tmp_path / "cfg.json").write_text(doc(output=output))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", str(tmp_path / "cfg.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: output: must be a file in an existing directory, got {output!r}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize(
         "argv,flag",
         [
@@ -635,7 +650,8 @@ def _documents(draw):
             agent[key] = value
     if "alpha" in agent and "b" in agent:
         del agent["b"]
-    adv_kinds = sorted(k for k in ADVERSARY_KINDS if rule.self_play or k != "self_play")
+    self_plays = rule.build is AGENT_KINDS["MWU"].build  # the multiplicative kinds
+    adv_kinds = sorted(k for k in ADVERSARY_KINDS if self_plays or k != "self_play")
     adversary = {"kind": draw(st.sampled_from(adv_kinds))}
     if "eta" in ADVERSARY_KINDS[adversary["kind"]].keys:
         adversary["eta"] = 0.3

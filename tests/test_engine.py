@@ -432,6 +432,36 @@ class TestRunSelfPlay:
         assert np.all(series["kl_to_ne"] >= 0.0)
 
 
+class TestOneLearnerPerKind:
+    """AMWU is ``Mwu`` in every run mode: at alpha 1 it is OMWU, at alpha 0 MWU."""
+
+    def test_multiplicative_kinds_build_one_mwu(self):
+        specs = [AgentSpec(kind="MWU", eta=0.1), AgentSpec(kind="OMWU", eta=0.2),
+                 AgentSpec(kind="AMWU", eta=0.3, alpha=5.0)]
+        assert type(engine.build_agent(specs[2:], 4, 10)) is Mwu  # AMWU alone
+        agent = engine.build_agent(specs, 4, 10)
+        assert type(agent) is Mwu and agent.current.shape == (3, 4)
+        np.testing.assert_array_equal(agent.alpha, [[0.0], [1.0], [5.0]])
+
+    @pytest.mark.parametrize("mode", ["oblivious_mwu", "nonoblivious_mwu", "self_play"])
+    @pytest.mark.parametrize("alpha,kind", [(1.0, "OMWU"), (0.0, "MWU")])
+    def test_amwu_equals_its_fixed_rate_kind(self, mode, alpha, kind):
+        def run(agent):
+            config = SimulationConfig(
+                game=GameSpec(kind="random", n=6, m=4, seed=5), horizon=300, agent=agent,
+                adversary=AdversarySpec(kind=mode, **({} if mode == "self_play" else
+                                                      {"eta": 0.3})))
+            return (run_self_play if mode == "self_play" else run_vs_adversary)(config)
+
+        amwu = run(AgentSpec(kind="AMWU", eta=0.1, alpha=alpha))
+        fixed = run(AgentSpec(kind=kind, eta=0.1))
+        for got, expected in zip(amwu[:-2], fixed[:-2]):  # the traces
+            np.testing.assert_array_equal(got.strategies, expected.strategies)
+            np.testing.assert_array_equal(got.losses, expected.losses)
+        assert set(amwu[-2]) == set(ADVERSARY_KINDS[mode].metrics)  # every series
+        _assert_same_series(amwu[-2], fixed[-2])
+
+
 class TestGridRun:
     def test_empty(self):
         assert grid_run([], parallelism=4) == []
@@ -827,8 +857,8 @@ class TestBatches:
         monkeypatch.setattr(engine, "build_agent",
                             lambda specs, n, T: rows.append(len(specs)) or build(specs, n, T))
         outcomes = grid_run(configs)
-        # per game: 3 Mwu and one Aftrl and ProdBr batch per adversary kind
-        assert sorted(rows) == sorted([3 * 3, 3, 3, 2 * 3, 2, 2] * 2)
+        # per game and adversary kind: one Mwu batch (MWU, OMWU, OMWU1 and AMWU) and one ProdBr
+        assert sorted(rows) == sorted([4 * 3, 3, 4 * 2, 2] * 2)
         for out, config in zip(outcomes, configs):
             assert out.config is config and out.error is None, out.error
             (alone,) = grid_run([config])
@@ -937,6 +967,39 @@ class TestBatches:
                 tracemalloc.stop()
 
         assert peak(18) < 1.5 * peak(3)
+
+
+class TestNonSquareSelfPlay:
+    def test_batch_equals_each_config_run_alone(self, monkeypatch):
+        # the four last-round agents on an 8x6 and a 6x8 game, in one grid_run:
+        # one batch per game, each row its config run alone
+        T = 300
+        configs = [SimulationConfig(
+            game=GameSpec(kind="random", n=n, m=m, seed=4), horizon=T, agent=spec,
+            adversary=AdversarySpec(kind="self_play"),
+        ) for n, m in ((8, 6), (6, 8)) for spec in LAST_ROUND_AGENTS]
+        batched, sizes = {}, []
+        batch = engine._self_play_batch
+
+        def recorded(game, part):
+            sizes.append(len(part))
+            finish = batch(game, part)
+            return lambda b: batched.setdefault(id(part[b]), finish(b))
+
+        monkeypatch.setattr(engine, "_self_play_batch", recorded)
+        outcomes = grid_run(configs)
+        assert sizes == [4, 4]
+        monkeypatch.undo()
+        for out, config in zip(outcomes, configs):
+            assert out.error is None, out.error
+            trace_max, trace_min, _, _ = batched[id(config)]
+            n, m = config.game.n, config.game.m
+            assert trace_max.strategies.shape == (T, n) and trace_min.strategies.shape == (T, m)
+            alone = run_self_play(config)
+            for got, expected in zip((trace_max, trace_min), alone[:2]):
+                np.testing.assert_array_equal(got.strategies, expected.strategies)
+                np.testing.assert_array_equal(got.losses, expected.losses)
+            _assert_same_series(out.series, alone[2])
 
 
 class _OffSimplexAt:
