@@ -2,30 +2,32 @@
 
 All randomness flows from the SplitMix64 sequence (``splitmix64``) so that a given
 (config, seed) pair reproduces bit-identical runs.  Games are affinely
-normalized into [0, 1] before play so every loss vector delivered to a
-learner is a valid loss vector; the normalization never changes best
-responses or equilibria.
+normalized into [0, 1] before play, so every loss vector fed to a learner
+against an adversary, and every loss a trace records, lies in [0, 1]; in
+self-play the max side is fed -A y in [-1, 0]: its trace's loss 1 - A y less
+a constant, which the multiplicative update's normalization cancels.  The
+affine map never changes best responses or equilibria.
 
 Round timing is simultaneous-move: both sides commit their round-t
 strategies before either observes the other's, and feedback arrives after
 the round.  A non-oblivious adversary reacting to the agent therefore
 sees only f_1 .. f_{t-1} when choosing y_t.
 
-Every loop steps a batch of configs, the rows of batch-native learners
-(``learners``) with every product the stacked one, so that each row is bit
-for bit its config run alone.  One two-player loop, ``_play``, runs the
-replay recording and reactive play (a row learner against a column MWU,
-``_vs_mwu``) and self-play (one ``learners.Amwu`` per side), calling the
-learners' unchecked ``update``.  An oblivious agent plays its replay whole
-(``play``): MWU(eta) recorded against MWU(eta) once per game and (eta, horizon)
-(``_record``), kept as the (T, n) loss block x_t = A y_t.  One runner, ``_each``, steps
-replays and configs as one batch, or each alone if it raises, and records each row's
-trace checked on its own slice (``core.Trace.from_rounds``), as the per-vector checks
-would.  A batch steps in runs of as many configs as fit ``_BATCH_BYTES``, so memory
-does not grow with the grid.  One per-game runner, ``_run_game``, resolves a game, records
-its replays, steps its configs and yields each one's result or exception in turn;
-``grid_run`` runs it on each game, and a config run alone (``run_vs_adversary``,
-``run_self_play``, ``zerosum run``) is a grid of one.
+Every loop steps a batch of configs, the rows of batch-native learners (``learners``)
+with every product the stacked one, so that each row is bit for bit its config run
+alone.  One two-player loop, ``_play``, runs the replay recording and reactive play (a
+row learner against a column MWU, ``_vs_mwu``) and self-play (one ``Mwu`` per side from
+``build_agent``, fed its ``learners.side_loss``), calling the learners' unchecked
+``update``.  An oblivious agent plays its replay whole (``play``): MWU(eta) recorded
+against MWU(eta) once per game and (eta, horizon) (``_record``), kept as the (T, n) loss
+block x_t = A y_t.  One runner, ``_each``, steps replays and configs as one batch, or
+each alone if it raises, and records each row's trace checked on its own slice
+(``core.Trace.from_rounds``), as the per-vector checks would.  A batch steps in runs of
+as many configs as fit ``_BATCH_BYTES``, so memory does not grow with the grid.  One
+per-game runner, ``_run_game``, resolves a game, records its replays, steps its configs
+and yields each one's result or exception in turn; ``grid_run`` runs it on each game,
+and a config run alone (``run_vs_adversary``, ``run_self_play``, ``zerosum run``) is a
+grid of one.
 
 Each spec checks itself when built, in Python as by ``cli.parse_config``: it
 rejects a set field that the kind tables do not list for its kind, and checks
@@ -39,11 +41,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import metrics, nash
+from . import learners, metrics, nash
 from .core import (
     MatrixGame, Trace, check_choice, check_keys, check_number, check_rounds, check_string,
 )
-from .learners import PLAY_BLOCKS, Aftrl, Amd, Amwu, BestResponseLearner, DoublingAftrl, Mwu, ProdBr
+from .learners import PLAY_BLOCKS, Aftrl, Amd, BestResponseLearner, DoublingAftrl, Mwu, ProdBr
 from .regularizers import ENTROPY, REGULARIZERS
 
 _MASK64 = (1 << 64) - 1
@@ -433,14 +435,14 @@ def _self_play_batch(game: _Game, configs) -> Callable:
     """Step self-play configs that share a game and a horizon as one batch (as
     ``run_self_play`` describes).  Returns a function of a row b that checks
     config b's rounds and gives its (trace_max, trace_min, series, unit game)."""
-    a = game.unit.payoff
-    rates = (_column([c.agent.eta for c in configs]),
-             _column([c.agent.resolved_alpha() for c in configs]))
-    row, col = (Amwu(game.unit, side, *rates) for side in ("max", "min"))
-    fs, ys = (np.empty((len(configs), configs[0].horizon, k)) for k in a.shape)
-    # round 2 repeats round 1 (each side's first update takes its round-1
-    # loss as the previous one too), so the loop plays rounds 2 .. T
-    _play(row, col, fs[:, 1:], ys[:, 1:], row.loss, col.loss)
+    a, T = game.unit.payoff, configs[0].horizon
+    row, col = (build_agent([c.agent for c in configs], k, T) for k in a.shape)
+    row_loss, col_loss = (learners.side_loss(game.unit, side) for side in ("max", "min"))
+    fs, ys = (np.empty((len(configs), T, k)) for k in a.shape)
+    # The round-1 rule: rounds 1 and 2 play the starts.  The loop plays rounds 2 .. T, its
+    # first update taking round 1's losses as x_{t-1} (``prev_loss``); round 1 copies round 2.
+    row.prev_loss, col.prev_loss = row_loss(col.start()), col_loss(row.start())
+    _play(row, col, fs[:, 1:], ys[:, 1:], row_loss, col_loss)
     fs[:, 0], ys[:, 0] = fs[:, 1], ys[:, 1]
 
     def finish(b):
@@ -518,10 +520,10 @@ def run_vs_adversary(config: SimulationConfig):
 def run_self_play(config: SimulationConfig):
     """Mirror-play both sides of the game with the agent's update rule, as a grid of one.
 
-    The agent's kind builds an ``Mwu`` (``_multiplicative``), and each side is
-    one as an ``Amwu``: the max side fed -A y_t, the min side A^T f_t, the
-    first two strategies equal, as ``Amwu``'s first update takes the round-1
-    loss as the previous one.  Both sides' rounds, with the losses 1 - A y_t
+    Each side is the ``Mwu`` that the agent's kind builds (``build_agent``), fed
+    its ``learners.side_loss``: the max side -A y_t, the min side A^T f_t.  The
+    first two strategies are equal, and the first update takes the round-1
+    losses as the previous ones.  Both sides' rounds, with the losses 1 - A y_t
     and A^T f_t in [0, 1], are checked.  Returns (trace_max, trace_min, series, game).
     """
     return _run_alone(config, ("self_play",), "run_self_play")

@@ -23,17 +23,17 @@ weights the most recent loss vector as a prediction of the next one:
 * ``Mwu``     multiplicative weights,
               f_{t+1} ∝ f_t exp(-eta ((1+alpha) x_t - alpha x_{t-1}))
               (alpha=0 is plain MWU, whose drive is x_t, alpha=1 optimistic MWU)
-* ``ProdBr``  multiplicative mixture of an internal FTRL and the best
-              response to the last loss, with an anchored mixture weight
+* ``ProdBr``  multiplicative mixture of two learners, an ``Aftrl`` at alpha=0
+              and a ``BestResponseLearner``, with an anchored mixture weight
 * ``DoublingAftrl``  phase-restarted Aftrl with halving learning rate
 
-``Amwu`` is the game-coupled self-play learner: an ``Mwu`` fed its side's
-loss of the opponent's strategy, -A y on the max side (which ascends the
-payoff) and A^T f on the min side, whose first update also takes its
-first loss as the previous one.  ``step`` takes the opponent's strategy.
-``amwu_step`` is the same update as a function of the opponent's current
-and previous strategies (the step of ``nash.amwu_update_map``, whose
-Jacobian ``nash`` takes in closed form), and
+In self-play each side is an ``Mwu`` fed its ``side_loss`` of the opponent's
+strategy: -A y on the max side (which ascends the payoff), A^T f on the min
+side.  ``Amwu`` is that side as one learner, whose ``step`` takes the
+opponent's strategy and whose first update also takes its first loss as the
+previous one.  ``amwu_step`` is the same update as a function of the
+opponent's current and previous strategies (the step of
+``nash.amwu_update_map``, whose Jacobian ``nash`` takes in closed form), and
 ``linear_amwu_step`` its linearization on the same drive.
 
 The previous-loss convention elsewhere: x_0 is the zero vector, so first
@@ -158,7 +158,8 @@ def _drive(x: np.ndarray, x_prev: np.ndarray, alpha: float) -> np.ndarray:
 
 class Mwu(LossStreamLearner):
     """Multiplicative weights on a loss stream, driven by the exploit-weighted
-    loss: f_{t+1} ∝ f_t exp(-eta ((1+alpha) x_t - alpha x_{t-1}))."""
+    loss: f_{t+1} ∝ f_t exp(-eta ((1+alpha) x_t - alpha x_{t-1})); ``prev_loss``
+    is x_{t-1}, the zero vector before the first update unless a caller sets it."""
 
     def __init__(self, shape, eta, alpha=0.0):
         super().__init__(shape, eta, alpha)
@@ -183,10 +184,21 @@ class Mwu(LossStreamLearner):
         return losses
 
 
+def side_loss(game: MatrixGame, side: str):
+    """The map from the opponent's strategy, or a (B, k) block of them, to
+    ``side``'s self-play loss rows, -A y (max) or A^T f (min); each row is the
+    stacked product, exactly the 1-D ``a @ y``."""
+    a = game.payoff
+    if side == "max":
+        return lambda y: -(a @ y[..., None])[..., 0]
+    if side == "min":
+        return lambda f: (a.T @ f[..., None])[..., 0]
+    raise ValueError(f"side must be 'max' or 'min', got {side!r}")
+
+
 class Amwu(Mwu):
     """``Mwu`` on one side of a game, fed that side's loss of the opponent's
-    strategy: ``loss(y) = -A y`` on the max side, ``loss(f) = A^T f`` on the
-    min side.
+    strategy (``side_loss``).
 
     ``step`` takes the opponent's strategy; ``update`` takes the loss, and
     its first call also takes that loss as the previous one.  ``alpha=0``
@@ -195,24 +207,11 @@ class Amwu(Mwu):
     """
 
     def __init__(self, game: MatrixGame, side: str, eta, alpha):
-        self.loss = self.side_loss(game, side)
-        actions = game.n if side == "max" else game.m
-        super().__init__(np.shape(eta)[:-1] + (actions,), eta, alpha)
+        self.loss = side_loss(game, side)
+        super().__init__(np.shape(eta)[:-1] + (game.n if side == "max" else game.m,), eta, alpha)
         self.prev_loss = None
 
     play = LossStreamLearner.play  # the first update reads its own loss as the previous one
-
-    @staticmethod
-    def side_loss(game: MatrixGame, side: str):
-        """The map from the opponent's strategy, or a (B, k) block of them, to
-        ``side``'s loss rows; each row is the stacked product, exactly the
-        1-D ``a @ y``."""
-        a = game.payoff
-        if side == "max":
-            return lambda y: -(a @ y[..., None])[..., 0]
-        if side == "min":
-            return lambda f: (a.T @ f[..., None])[..., 0]
-        raise ValueError(f"side must be 'max' or 'min', got {side!r}")
 
     def update(self, observed: np.ndarray) -> np.ndarray:
         if self.prev_loss is None:
@@ -239,7 +238,7 @@ def amwu_step(
     Max side: f'(i) ∝ f(i) exp(eta ((alpha+1) (A y)_i - alpha (A y_prev)_i)).
     Min side: y'(i) ∝ y(i) exp(-eta ((alpha+1) (A^T f)_i - alpha (A^T f_prev)_i)).
     """
-    loss = Amwu.side_loss(game, side)
+    loss = side_loss(game, side)
     drive = _drive(loss(opp_now), loss(opp_prev), alpha)
     if current.shape != drive.shape:
         raise ValueError(f"dimension mismatch: {current.shape} vs {drive.shape}")
@@ -261,7 +260,7 @@ def linear_amwu_step(
     Valid only while every multiplier stays positive; raises otherwise
     (eta too large for the payoff scale).
     """
-    loss = Amwu.side_loss(game, side)
+    loss = side_loss(game, side)
     mult = 1.0 - eta * _drive(loss(opp_now), loss(opp_prev), alpha)
     if mult.min() <= 0.0:
         raise ValueError(
@@ -288,12 +287,13 @@ class BestResponseLearner(LossStreamLearner):
 
 
 class ProdBr(LossStreamLearner):
-    """Anchored multiplicative mixture of an internal FTRL and best response.
+    """Anchored multiplicative mixture of two learners: ``ftrl``, an ``Aftrl``
+    at alpha=0, and ``br``, a ``BestResponseLearner``.
 
     The horizon must be known up front; the parameters are
-    eta = n / sqrt(2 T), eta1 = 0.5 sqrt(log T / T), and the anchored
-    best-response weight w_br = 1 - eta1 stays fixed while the FTRL weight
-    w_r (initially eta1; a column, one entry per row) is scaled by
+    eta = n / sqrt(2 T) (the FTRL rate), eta1 = 0.5 sqrt(log T / T), and the
+    anchored best-response weight w_br = 1 - eta1 stays fixed while the FTRL
+    weight w_r (initially eta1; a column, one entry per row) is scaled by
     1 + eta1 <BR_t - f_t, x_t> after each round, using the pair that was
     mixed for the round just scored.  For a loss vector in [0, 1] the inner
     product lies in [-1, 1] and eta1 < 1/3, so w_r stays positive.
@@ -302,37 +302,33 @@ class ProdBr(LossStreamLearner):
     def __init__(self, shape, horizon: int, reg: Regularizer = ENTROPY):
         if horizon < 2:
             raise ValueError(f"horizon must be at least 2, got {horizon}")
-        self.reg = reg
-        self.ftrl_current = uniform(shape)   # f_1 = argmin R
-        self.br_current = uniform(shape)     # best response to x_0 = 0
-        self.cumulative = np.zeros_like(self.ftrl_current)
-        self.n = self.cumulative.shape[-1]
-        self.eta = self.n / math.sqrt(2.0 * horizon)
+        self.br = BestResponseLearner(shape)  # the best response to x_0 = 0 is uniform
+        self.n = self.br.n
+        self.eta, self.reg = self.n / math.sqrt(2.0 * horizon), reg
+        self.ftrl = Aftrl(shape, self.eta, 0.0, reg)  # f_1 = argmin R
         self.eta1 = 0.5 * math.sqrt(math.log(horizon) / horizon)
-        self.w_r = np.full(self.cumulative.shape[:-1] + (1,), self.eta1)
+        self.w_r = np.full(self.br.current.shape[:-1] + (1,), self.eta1)
         self.w_br = 1.0 - self.eta1
-        self.current = self._mix()
+        self.current = self._mix(self.ftrl.current, self.br.current)
 
-    def _mix(self) -> np.ndarray:
-        total = self.w_r + self.w_br
-        return (self.w_r * self.ftrl_current + self.w_br * self.br_current) / total
+    ftrl_current = property(lambda self: self.ftrl.current)
+    br_current = property(lambda self: self.br.current)
+
+    def _mix(self, ftrl: np.ndarray, br: np.ndarray) -> np.ndarray:
+        return (self.w_r * ftrl + self.w_br * br) / (self.w_r + self.w_br)
 
     def update(self, observed: np.ndarray) -> np.ndarray:
         # <BR_t - f_t, x_t> per row: the stacked product, each row exactly the 1-D one
-        gain = ((self.br_current - self.ftrl_current)[..., None, :] @ observed[..., None])[..., 0]
+        gain = ((self.br.current - self.ftrl.current)[..., None, :] @ observed[..., None])[..., 0]
         self.w_r = self.w_r * (1.0 + self.eta1 * gain)
-        self.cumulative = self.cumulative + observed
-        self.ftrl_current = self.reg.leader(-self.eta * self.cumulative)
-        self.br_current = best_response(observed)
-        self.current = self._mix()
+        self.current = self._mix(self.ftrl.update(observed), self.br.update(observed))
         return self.current
 
     def play(self, losses: np.ndarray) -> np.ndarray:
-        x = losses.transpose(1, 0, 2)  # (T, B, n): the weight column broadcasts over rounds
-        ftrl, br = np.zeros(x.shape), np.empty(x.shape)
-        np.cumsum(x[:-1], axis=0, out=ftrl[1:])
-        ftrl = self.reg.leader(np.multiply(ftrl, -self.eta, out=ftrl))
-        ftrl[0], br[0], br[1:] = self.ftrl_current, self.br_current, best_response(x[:-1])
+        # each learner plays a copy of the losses, which its play writes over
+        ftrl, br = self.ftrl.play(losses.copy()), self.br.play(losses.copy())
+        # (T, B, n): the weight column broadcasts over rounds
+        x, ftrl, br = (block.transpose(1, 0, 2) for block in (losses, ftrl, br))
         gain = ((br[:-1] - ftrl[:-1])[..., None, :] @ x[:-1, ..., None])[..., 0]
         w_r = np.multiply.accumulate(np.concatenate((self.w_r[None], 1.0 + self.eta1 * gain)))
         ftrl *= w_r

@@ -215,8 +215,11 @@ REFERENCE_SHA256 = {
 
 
 class TestPresets:
-    @pytest.mark.slow
-    @pytest.mark.parametrize("name", list(REFERENCE_SHA256))
+    # the quick tier checks the bytes of every preset but last-round (4.5 s)
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.slow) if name == "last-round" else name
+        for name in REFERENCE_SHA256
+    ])
     def test_reference_output(self, tmp_path, name):
         assert run_preset(name, tmp_path, [1]) == 0
         written = (tmp_path / PRESETS[name].csv, tmp_path / "manifest.json")

@@ -359,6 +359,27 @@ class TestRunVsAdversary:
             AdversarySpec(kind="nonoblivious_mwu", eta=None)
 
 
+def _self_play_traces(monkeypatch, configs) -> dict:
+    """``configs`` run by ``grid_run`` as one self-play batch: each config's
+    (trace_max, trace_min) by the config's id."""
+    traces, self_play_batch = {}, engine._self_play_batch
+
+    def recording(game, batch):
+        assert batch == configs
+        finish = self_play_batch(game, batch)
+
+        def each(b):
+            result = finish(b)
+            traces[id(batch[b])] = result[:2]
+            return result
+        return each
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_self_play_batch", recording)
+        assert all(out.error is None for out in grid_run(configs))
+    return traces
+
+
 class TestRunSelfPlay:
     def test_other_run_mode_rejected(self):
         with pytest.raises(ValueError, match="^run_self_play cannot handle adversary kind"):
@@ -399,25 +420,30 @@ class TestRunSelfPlay:
         spec = AgentSpec(kind="AMWU", eta=0.01, b=0.5)
         assert spec.resolved_alpha() == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("n,m", [(6, 6), (8, 6), (6, 8)])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_equals_the_amwu_step_reference(self, seed):
-        # two uniform rounds, then each side's exponential self-play update
+    def test_equals_the_amwu_step_reference(self, monkeypatch, seed, n, m):
+        # two uniform rounds, then each side's exponential self-play update: each
+        # config alone, and the four as one batch at alpha 0, 1 and 100 mixed
         T = 300
-        for spec in LAST_ROUND_AGENTS:
-            cfg = SimulationConfig(
-                game=GameSpec(kind="random", n=8, m=6, seed=seed), horizon=T, agent=spec,
-                adversary=AdversarySpec(kind="self_play"), metrics=("exploitability",),
-            )
-            tf, ty, _, unit = run_self_play(cfg)
-            eta, alpha = spec.eta, spec.resolved_alpha()
+        configs = [SimulationConfig(
+            game=GameSpec(kind="random", n=n, m=m, seed=seed), horizon=T, agent=spec,
+            adversary=AdversarySpec(kind="self_play"), metrics=("exploitability",),
+        ) for spec in LAST_ROUND_AGENTS]
+        batched = _self_play_traces(monkeypatch, configs)
+        for config in configs:
+            tf, ty, _, unit = run_self_play(config)
+            eta, alpha = config.agent.eta, config.agent.resolved_alpha()
             fs, ys = np.empty((T, unit.n)), np.empty((T, unit.m))
             fs[0] = fs[1] = uniform(unit.n)
             ys[0] = ys[1] = uniform(unit.m)
             for t in range(2, T):
                 fs[t] = amwu_step(fs[t - 1], unit, ys[t - 1], ys[t - 2], "max", eta, alpha)
                 ys[t] = amwu_step(ys[t - 1], unit, fs[t - 1], fs[t - 2], "min", eta, alpha)
-            np.testing.assert_array_equal(tf.strategies, fs, err_msg=spec.name)
-            np.testing.assert_array_equal(ty.strategies, ys, err_msg=spec.name)
+            for got_f, got_y in ((tf, ty), batched[id(config)]):
+                for got, expected in ((got_f, fs), (got_y, ys)):
+                    np.testing.assert_array_equal(got.strategies.view(np.int64),
+                                                  expected.view(np.int64), config.agent.name)
 
     def test_kl_series_requested(self):
         cfg = SimulationConfig(
@@ -852,13 +878,14 @@ def _assert_same_series(got: dict, expected: dict):
 class TestBatches:
     def test_batched_series_equal_each_config_run_alone(self, monkeypatch):
         configs = _mixed_grid()
-        rows = []  # the size of each batch built against an adversary
+        rows = []  # the size of each batch built
         build = engine.build_agent
         monkeypatch.setattr(engine, "build_agent",
                             lambda specs, n, T: rows.append(len(specs)) or build(specs, n, T))
         outcomes = grid_run(configs)
-        # per game and adversary kind: one Mwu batch (MWU, OMWU, OMWU1 and AMWU) and one ProdBr
-        assert sorted(rows) == sorted([4 * 3, 3, 4 * 2, 2] * 2)
+        # per game and adversary kind: one Mwu batch (MWU, OMWU, OMWU1 and AMWU) and one
+        # ProdBr; per game in self-play: one Mwu batch per side
+        assert sorted(rows) == sorted([4 * 3, 3, 4 * 2, 2, 4, 4] * 2)
         for out, config in zip(outcomes, configs):
             assert out.config is config and out.error is None, out.error
             (alone,) = grid_run([config])
@@ -1127,11 +1154,14 @@ def _failed_replay_check(monkeypatch, tmp_path):
 
 
 def _off_simplex_round(monkeypatch, tmp_path):
+    config = vs_config(horizon=20, adversary=AdversarySpec(kind="nonoblivious_mwu", eta=0.4))
     build = engine.build_agent
-    monkeypatch.setattr(
-        engine, "build_agent", lambda spec, n, horizon: _OffSimplexAt(build(spec, n, horizon), 9)
-    )
-    return vs_config(horizon=20, adversary=AdversarySpec(kind="nonoblivious_mwu", eta=0.4))
+
+    def off_simplex(specs, n, horizon):  # the adversary config's learner, not self-play's
+        agent = build(specs, n, horizon)
+        return _OffSimplexAt(agent, 9) if specs[0] is config.agent else agent
+    monkeypatch.setattr(engine, "build_agent", off_simplex)
+    return config
 
 
 def _unsolved_equilibrium(monkeypatch, tmp_path):

@@ -443,7 +443,7 @@ class TestProdBr:
         agent = ProdBr(2, horizon=100)
         agent.w_r = 0.5
         agent.eta1 = 0.1
-        agent.ftrl_current, agent.br_current = np.array([1.0, 0.0]), np.array([0.8, 0.2])
+        agent.ftrl.current, agent.br.current = np.array([1.0, 0.0]), np.array([0.8, 0.2])
         # <BR - f, x> = <(-0.2, 0.2), x>; choose x = (1, 0) so the inner product is -0.2
         agent.step(np.array([1.0, 0.0]))
         assert agent.w_r == pytest.approx(0.49)
@@ -555,7 +555,7 @@ class TestUpdatesMatchCheckedKernels:
             return bregman_prox(after.reg, g, after.alpha * x, after.eta)
         gain = float((before.br_current - before.ftrl_current) @ x)
         w_r = before.w_r * (1.0 + before.eta1 * gain)
-        f = regularized_argmin(after.reg, before.cumulative + x, after.eta)
+        f = regularized_argmin(after.reg, before.ftrl.cumulative + x, after.eta)
         return (w_r * f + after.w_br * best_response(x)) / (w_r + after.w_br)
 
     @pytest.mark.parametrize("reg", [ENTROPY, SQUARED_L2], ids=["entropy", "squared_l2"])
