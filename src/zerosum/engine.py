@@ -16,18 +16,18 @@ sees only f_1 .. f_{t-1} when choosing y_t.
 Every loop steps a batch of configs, the rows of batch-native learners (``learners``)
 with every product the stacked one, so that each row is bit for bit its config run
 alone.  One two-player loop, ``_play``, runs the replay recording and reactive play (a
-row learner against a column MWU, ``_vs_mwu``) and self-play (one ``Mwu`` per side from
-``build_agent``, fed its ``learners.side_loss``), calling the learners' unchecked
-``update``.  An oblivious agent plays its replay whole (``play``): MWU(eta) recorded
-against MWU(eta) once per game and (eta, horizon) (``_record``), kept as the (T, n) loss
-block x_t = A y_t.  One runner, ``_each``, steps replays and configs as one batch, or
-each alone if it raises, and records each row's trace checked on its own slice
-(``core.Trace.from_rounds``), as the per-vector checks would.  A batch steps in runs of
-as many configs as fit ``_BATCH_BYTES``, so memory does not grow with the grid.  One
-per-game runner, ``_run_game``, resolves a game, records its replays, steps its configs
-and yields each one's result or exception in turn; ``grid_run`` runs it on each game,
-and a config run alone (``run_vs_adversary``, ``run_self_play``, ``zerosum run``) is a
-grid of one.
+row learner against a column MWU, ``_vs_mwu``) and self-play (the kind's ``Mwu`` from
+``build_agent`` on each side), calling the learners' unchecked ``update``; on a square
+game two ``Mwu`` sides step as one ``Mwu`` of both sides' rows.  An oblivious agent
+plays its replay whole (``play``): MWU(eta) recorded against MWU(eta) once per game and
+(eta, horizon) (``_record``), kept as the (T, n) loss block x_t = A y_t.  One runner,
+``_each``, steps replays and configs as one batch, or each alone if it raises, and
+records each row's trace checked on its own slice (``core.Trace.from_rounds``), as the
+per-vector checks would.  A batch steps in runs of as many configs as fit
+``_BATCH_BYTES``, so memory does not grow with the grid.  One per-game runner,
+``_run_game``, resolves a game, records its replays, steps its configs and yields each
+one's result or exception in turn; ``grid_run`` runs it on each game, and a config run
+alone (``run_vs_adversary``, ``run_self_play``, ``zerosum run``) is a grid of one.
 
 Each spec checks itself when built, in Python as by ``cli.parse_config``: it
 rejects a set field that the kind tables do not list for its kind, and checks
@@ -41,9 +41,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import learners, metrics, nash
+from . import metrics, nash
 from .core import (
-    MatrixGame, Trace, check_choice, check_keys, check_number, check_rounds, check_string,
+    MatrixGame, Trace, check_choice, check_keys, check_number, check_rounds, check_string, uniform,
 )
 from .learners import PLAY_BLOCKS, Aftrl, Amd, BestResponseLearner, DoublingAftrl, Mwu, ProdBr
 from .regularizers import ENTROPY, REGULARIZERS
@@ -339,31 +339,65 @@ def build_agent(specs, n: int, horizon: int):
     return specs[0].rule.build((len(specs), n), *rates, reg, horizon)
 
 
-def _play(row, col, fs: np.ndarray, ys: np.ndarray, row_loss: Callable, col_loss: Callable):
-    """Fill the (B, T, k) strategy blocks ``fs`` and ``ys`` with T simultaneous
-    rounds of two batches of loss-stream learners: in round t both commit their
-    B strategies f_t and y_t, then the row learner is fed ``row_loss(y_t)`` and
-    the column learner ``col_loss(f_t)``."""
+def _losses(a: np.ndarray, self_play: bool, f, y, out=(None, None)):
+    """Both sides' loss rows of the strategy rows f and y (into ``out``'s (B, k, 1) blocks if
+    given): in self-play ``learners.side_loss``, the max side's -A y and the min side's A^T f,
+    else the row's A y and the column's 1 - A^T f (the negated gain, in [0, 1]).  Each row is
+    the stacked product, exactly the 1-D ``a @ y``; A^T is a transposed view, as a contiguous
+    copy has other bits."""
+    row, col = np.matmul(a, y[..., None], out=out[0]), np.matmul(a.T, f[..., None], out=out[1])
+    if self_play:
+        np.negative(row, out=row)
+    else:
+        np.subtract(1.0, col, out=col)
+    return row[..., 0], col[..., 0]
+
+
+def _play(sides, a: np.ndarray, T: int, self_play: bool, first: int = 0):
+    """Rounds ``first`` + 1 .. T of two batches of B loss-stream learners, each round's f_t
+    and y_t committed before either side is fed its ``_losses``; returns the (B, T, k)
+    strategy blocks fs and ys.  ``sides`` is the row and the column learner, or on a square
+    game one ``Mwu`` of 2B rows, the row's over the column's, fed from two loss buffers in
+    turn (it keeps the last by reference, ``Mwu.prev_loss``)."""
+    n, m = a.shape
+    if len(sides) == 1:  # fs and ys view one (2B, T, n) block
+        x = sides[0].start()
+        block, B = np.empty((len(x), T, n)), len(x) // 2
+        buffers = [(out[:B], out[B:], out[..., 0]) for out in np.empty((2, 2 * B, n, 1))]
+        for t in range(first, T):
+            block[:, t] = x
+            row_out, col_out, observed = buffers[t % 2]
+            _losses(a, self_play, x[:B], x[B:], (row_out, col_out))
+            x = sides[0].update(observed)
+        return block[:B], block[B:]
+    row, col = sides
     f, y = row.start(), col.start()
-    for t in range(fs.shape[1]):
+    fs, ys = np.empty((len(f), T, n)), np.empty((len(y), T, m))
+    for t in range(first, T):
         fs[:, t], ys[:, t] = f, y
-        f, y = row.update(row_loss(y)), col.update(col_loss(f))
+        row_loss, col_loss = _losses(a, self_play, f, y)
+        f, y = row.update(row_loss), col.update(col_loss)
+    return fs, ys
 
 
 def _vs_mwu(row, unit: MatrixGame, etas, T: int):
-    """Play the batch ``row``, fed A y_t, against a column MWU at ``etas`` fed
-    1 - A^T f_t (the negated gain, in [0, 1]) on a unit-range game.  Returns a
-    function of a row b and two contexts that checks both sides' rounds of row b,
-    its losses recomputed to the same bits, and gives the row side's trace."""
-    a = unit.payoff
-    row_loss = lambda y: (a @ y[..., None])[..., 0]  # noqa: E731
-    col_loss = lambda f: 1.0 - (a.T @ f[..., None])[..., 0]  # noqa: E731
-    fs, ys = np.empty((len(etas), T, unit.n)), np.empty((len(etas), T, unit.m))
-    _play(row, Mwu((len(etas), unit.m), _column(etas)), fs, ys, row_loss, col_loss)
+    """Play the batch ``row``, fed A y_t, against a column MWU at ``etas`` fed 1 - A^T f_t on
+    a unit-range game (``_play``; an ``Mwu`` row on a square game plays as one ``Mwu``, its
+    rates over the column's at alpha 0).  Returns a function of a row b and two contexts that
+    checks both sides' rounds of row b, its losses recomputed to the same bits, and gives the
+    row side's trace."""
+    a, B, col_eta = unit.payoff, len(etas), _column(etas)
+    if unit.n == unit.m and type(row) is Mwu:
+        alpha = np.vstack((np.broadcast_to(row.alpha, (B, 1)), np.zeros((B, 1))))
+        sides = [Mwu((2 * B, unit.n), np.vstack((row.eta, col_eta)), alpha)]
+    else:
+        sides = [row, Mwu((B, unit.m), col_eta)]
+    fs, ys = _play(sides, a, T, False)
 
     def checked(b: int, contexts: tuple[str, str]) -> Trace:
-        trace = Trace.from_rounds(fs[b], row_loss(ys[b]), context=contexts[0])
-        check_rounds(ys[b], col_loss(fs[b]), context=contexts[1])
+        row_loss, col_loss = _losses(a, False, fs[b], ys[b])
+        trace = Trace.from_rounds(fs[b], row_loss, context=contexts[0])
+        check_rounds(ys[b], col_loss, context=contexts[1])
         return trace
 
     return checked
@@ -435,14 +469,16 @@ def _self_play_batch(game: _Game, configs) -> Callable:
     """Step self-play configs that share a game and a horizon as one batch (as
     ``run_self_play`` describes).  Returns a function of a row b that checks
     config b's rounds and gives its (trace_max, trace_min, series, unit game)."""
-    a, T = game.unit.payoff, configs[0].horizon
-    row, col = (build_agent([c.agent for c in configs], k, T) for k in a.shape)
-    row_loss, col_loss = (learners.side_loss(game.unit, side) for side in ("max", "min"))
-    fs, ys = (np.empty((len(configs), T, k)) for k in a.shape)
+    a, T, B = game.unit.payoff, configs[0].horizon, len(configs)
+    specs, (n, m) = [c.agent for c in configs], a.shape
+    # a square game's sides step as one Mwu, built from the specs twice (``_play``)
+    sides = [build_agent(specs * 2, n, T)] if n == m else [build_agent(specs, k, T) for k in (n, m)]
     # The round-1 rule: rounds 1 and 2 play the starts.  The loop plays rounds 2 .. T, its
     # first update taking round 1's losses as x_{t-1} (``prev_loss``); round 1 copies round 2.
-    row.prev_loss, col.prev_loss = row_loss(col.start()), col_loss(row.start())
-    _play(row, col, fs[:, 1:], ys[:, 1:], row_loss, col_loss)
+    prev = _losses(a, True, uniform((B, n)), uniform((B, m)))
+    for side, x in zip(sides, [np.concatenate(prev)] if n == m else prev):
+        side.prev_loss = x
+    fs, ys = _play(sides, a, T, True, first=1)
     fs[:, 0], ys[:, 0] = fs[:, 1], ys[:, 1]
 
     def finish(b):
@@ -521,8 +557,9 @@ def run_self_play(config: SimulationConfig):
     """Mirror-play both sides of the game with the agent's update rule, as a grid of one.
 
     Each side is the ``Mwu`` that the agent's kind builds (``build_agent``), fed
-    its ``learners.side_loss``: the max side -A y_t, the min side A^T f_t.  The
-    first two strategies are equal, and the first update takes the round-1
+    its ``learners.side_loss``: the max side -A y_t, the min side A^T f_t; on a
+    square game both sides are one ``Mwu`` of two rows, built from the spec twice.
+    The first two strategies are equal, and the first update takes the round-1
     losses as the previous ones.  Both sides' rounds, with the losses 1 - A y_t
     and A^T f_t in [0, 1], are checked.  Returns (trace_max, trace_min, series, game).
     """

@@ -29,9 +29,11 @@ weights the most recent loss vector as a prediction of the next one:
 
 In self-play each side is an ``Mwu`` fed its ``side_loss`` of the opponent's
 strategy: -A y on the max side (which ascends the payoff), A^T f on the min
-side.  ``Amwu`` is that side as one learner, whose ``step`` takes the
-opponent's strategy and whose first update also takes its first loss as the
-previous one.  ``amwu_step`` is the same update as a function of the
+side.  On a square game the engine steps the two sides as one ``Mwu`` of 2B
+rows, the max side's over the min side's: each row updates as alone, so that
+is bit for bit the two.  ``Amwu`` is that side as one learner, whose ``step``
+takes the opponent's strategy and whose first update also takes its first
+loss as the previous one.  ``amwu_step`` is the same update as a function of the
 opponent's current and previous strategies (the step of
 ``nash.amwu_update_map``, whose Jacobian ``nash`` takes in closed form), and
 ``linear_amwu_step`` its linearization on the same drive.
@@ -49,18 +51,20 @@ from .core import MatrixGame, check_loss_vector, check_rates, check_strategy, l_
 from .regularizers import ENTROPY, Regularizer, floor_normalize, floored_softmax, shifted_exp
 
 BR_TIE_ATOL = 1e-12
-PLAY_BLOCKS = 4  # ProdBr's: losses, leaders, best responses and their difference
+# ProdBr's: losses, leaders, best responses and their difference, plus (T, B, 1) columns
+PLAY_BLOCKS = 4
 
 
-def best_response(observed: np.ndarray) -> np.ndarray:
-    """Uniform distribution over the minimizers of each loss row (last axis).
+def best_response(observed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform distribution over the minimizers of each loss row (last axis),
+    written into ``out`` if given (it may overlap ``observed``).
 
     Ties within ``BR_TIE_ATOL`` of the minimum share the mass equally; the
     all-zero vector (the x_0 convention) yields the uniform strategy.
     """
     observed = np.asarray(observed, dtype=float)
     mask = observed <= np.minimum.reduce(observed, axis=-1, keepdims=True) + BR_TIE_ATOL
-    return mask / np.add.reduce(mask, axis=-1, keepdims=True)
+    return np.divide(mask, np.add.reduce(mask, axis=-1, keepdims=True), out=out)
 
 
 class LossStreamLearner:
@@ -282,7 +286,8 @@ class BestResponseLearner(LossStreamLearner):
         return self.current
 
     def play(self, losses: np.ndarray) -> np.ndarray:
-        losses[:, 1:], losses[:, 0] = best_response(losses[:, :-1]), self.start()
+        best_response(losses[:, :-1], out=losses[:, 1:])
+        losses[:, 0] = self.start()
         return losses
 
 

@@ -23,7 +23,7 @@ from zerosum.engine import (
     run_vs_adversary,
     splitmix64,
 )
-from zerosum.learners import LossStreamLearner, Mwu, amwu_step
+from zerosum.learners import LossStreamLearner, Mwu, amwu_step, side_loss
 from zerosum.regularizers import ENTROPY
 
 # First outputs of the published SplitMix64 algorithm, computed with an
@@ -884,8 +884,8 @@ class TestBatches:
                             lambda specs, n, T: rows.append(len(specs)) or build(specs, n, T))
         outcomes = grid_run(configs)
         # per game and adversary kind: one Mwu batch (MWU, OMWU, OMWU1 and AMWU) and one
-        # ProdBr; per game in self-play: one Mwu batch per side
-        assert sorted(rows) == sorted([4 * 3, 3, 4 * 2, 2, 4, 4] * 2)
+        # ProdBr; per (square) game in self-play: one Mwu of both sides' rows
+        assert sorted(rows) == sorted([4 * 3, 3, 4 * 2, 2, 2 * 4] * 2)
         for out, config in zip(outcomes, configs):
             assert out.config is config and out.error is None, out.error
             (alone,) = grid_run([config])
@@ -1029,6 +1029,80 @@ class TestNonSquareSelfPlay:
             _assert_same_series(out.series, alone[2])
 
 
+class TestOneMwuForBothSides:
+    """On a square game the two ``Mwu`` sides step as one ``Mwu`` of 2B rows (``engine._play``),
+    each round bit for bit two separate ``Mwu`` sides fed fresh loss rows; a non-square
+    game keeps the two.  Self-play and the recording/reactive loop (``_vs_mwu``), at B=1
+    and B=4, all rows at alpha 0 or at ``ALPHAS`` (B=1: alpha 100)."""
+
+    ETAS, ALPHAS, COLUMN_ETAS = [0.01, 0.1, 0.05, 0.2], [100.0, 0.0, 1.0, 3.0], [0.4, 0.3, 0.2, 0.5]
+    T = 200
+
+    @staticmethod
+    def two_sides(row, col, unit, row_loss, col_loss, first):
+        """Rounds first + 1 .. T of two separate learners, each fed its fresh loss rows."""
+        B, n, m, T = len(row.current), unit.n, unit.m, TestOneMwuForBothSides.T
+        fs, ys = np.empty((B, T, n)), np.empty((B, T, m))
+        f, y = row.start(), col.start()
+        for t in range(first, T):
+            fs[:, t], ys[:, t] = f, y
+            f, y = row.update(row_loss(y)), col.update(col_loss(f))
+        return fs, ys
+
+    @staticmethod
+    def played(monkeypatch, run):
+        """How many learners ``run()`` makes ``engine._play`` step, and what it returns."""
+        calls, play = [], engine._play
+
+        def recorded(sides, *args, **kwargs):
+            calls.append((len(sides), play(sides, *args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(engine, "_play", recorded)
+        run()
+        ((count, blocks),) = calls
+        return count, blocks
+
+    def rates(self, B, mixed):
+        return engine._column(self.ETAS[:B]), engine._column(self.ALPHAS[:B] if mixed else [0.0] * B)
+
+    @pytest.mark.parametrize("n,m", [(20, 20), (8, 6)])
+    @pytest.mark.parametrize("B", [1, 4])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["alpha0", "mixed"])
+    def test_self_play(self, monkeypatch, n, m, B, mixed):
+        spec = GameSpec(kind="random", n=n, m=m, seed=12)
+        etas, alphas = self.rates(B, mixed)
+        configs = [SimulationConfig(
+            game=spec, horizon=self.T, agent=AgentSpec(kind="AMWU", eta=eta, alpha=alpha),
+            adversary=AdversarySpec(kind="self_play")) for eta, alpha in zip(etas[:, 0], alphas[:, 0])]
+        game = engine._Game(spec)
+        count, (fs, ys) = self.played(monkeypatch, lambda: engine._self_play_batch(game, configs))
+        assert count == (1 if n == m else 2)
+        row, col = Mwu((B, n), etas, alphas), Mwu((B, m), etas, alphas)
+        row_loss, col_loss = (side_loss(game.unit, side) for side in ("max", "min"))
+        row.prev_loss, col.prev_loss = row_loss(col.start()), col_loss(row.start())
+        expected = self.two_sides(row, col, game.unit, row_loss, col_loss, first=1)
+        for got, want in zip((fs, ys), expected):
+            np.testing.assert_array_equal(got[:, 1:].view(np.int64), want[:, 1:].view(np.int64))
+
+    @pytest.mark.parametrize("n,m", [(20, 20), (8, 6)])
+    @pytest.mark.parametrize("B", [1, 4])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["alpha0", "mixed"])
+    def test_vs_mwu(self, monkeypatch, n, m, B, mixed):
+        unit = make_random_game(n, m, seed=12).to_unit_range()
+        a, (etas, alphas), column_etas = unit.payoff, self.rates(B, mixed), self.COLUMN_ETAS[:B]
+        alphas = alphas if mixed else 0.0  # as the recording builds its row
+        count, (fs, ys) = self.played(monkeypatch, lambda: engine._vs_mwu(
+            Mwu((B, n), etas, alphas), unit, column_etas, self.T))
+        assert count == (1 if n == m else 2)
+        expected = self.two_sides(
+            Mwu((B, n), etas, alphas), Mwu((B, m), engine._column(column_etas)), unit,
+            lambda y: (a @ y[..., None])[..., 0], lambda f: 1.0 - (a.T @ f[..., None])[..., 0],
+            first=0)
+        for got, want in zip((fs, ys), expected):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class _OffSimplexAt:
     """A learner whose strategy for round k is scaled off the simplex."""
 
@@ -1085,21 +1159,22 @@ class TestRoundChecks:
 
 
 def _off_simplex_self_play_round(monkeypatch, eta, side, k):
-    """Patch ``Mwu.update`` so that the self-play run at ``eta`` gives
-    ``side`` a strategy off the simplex in round k (its first update plays
-    round 3), in the batch rows at ``eta`` only.  Each round updates the
-    max side's learner first."""
+    """Patch ``Mwu.update`` so that the self-play run at ``eta`` on a square game gives
+    ``side`` a strategy off the simplex in round k (its first update plays round 3), in
+    the rows at ``eta`` only: of the one ``Mwu`` of both sides' rows, the max side's first
+    half or the min side's second."""
     update = engine.Mwu.update
-    sides = {}  # id of each learner with rows at eta -> its side
     calls = 0
 
     def off_at_k(self, observed):
         nonlocal calls
         out = update(self, observed)
-        at_eta = self.eta == eta  # a (B, 1) column
-        if at_eta.any() and sides.setdefault(id(self), "min" if sides else "max") == side:
+        at_eta = self.eta == eta  # a (2B, 1) column
+        if at_eta.any():
             calls += 1
             if calls == k - 2:
+                half = len(at_eta) // 2
+                at_eta[slice(half, None) if side == "max" else slice(half)] = False  # the other side
                 return out + 1e-8 * at_eta
         return out
 

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from zerosum.core import MatrixGame, Trace, l_norm, uniform
 from zerosum.engine import AgentSpec, build_agent
 from zerosum.learners import (
+    PLAY_BLOCKS,
     Aftrl,
     Amd,
     Amwu,
@@ -460,6 +462,20 @@ class TestProdBr:
         for _ in range(10):
             np.testing.assert_allclose(f, np.full(3, 1 / 3), atol=1e-12)
             f = agent.step(np.zeros(3))
+
+    def test_play_holds_play_blocks_at_most(self):
+        # PLAY_BLOCKS = 4 blocks, the input's among them, plus (T, B, 1) columns: at n=20
+        # each column is 0.05 block, so 3.1 blocks above the input hold a column or two
+        B, T, n = 10, 10_000, 20
+        xs = np.random.default_rng(4).uniform(0, 1, (B, T, n))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ProdBr((B, n), T).play(xs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < (PLAY_BLOCKS - 0.9) * xs.nbytes
 
     def test_prefix_bounds_vs_internal_experts(self):
         # mixture loss <= FTRL loss + 2 sqrt(T log T) and <= BR loss + 2 log 2
