@@ -13,15 +13,15 @@ strategies before either observes the other's, and feedback arrives after
 the round.  A non-oblivious adversary reacting to the agent therefore
 sees only f_1 .. f_{t-1} when choosing y_t.
 
-Every loop steps a batch of configs, the rows of batch-native learners (``learners``)
-with every product the stacked one, so that each row is bit for bit its config run
-alone.  One two-player loop, ``_play``, runs the replay recording and reactive play (a
-row learner against a column MWU, ``_vs_mwu``) and self-play (the kind's ``Mwu`` from
-``build_agent`` on each side), calling the learners' unchecked ``update``; on a square
-game two ``Mwu`` sides step as one ``Mwu`` of both sides' rows.  An oblivious agent
-plays its replay whole (``play``): MWU(eta) recorded against MWU(eta) once per game and
-(eta, horizon) (``_record``), kept as the (T, n) loss block x_t = A y_t.  One runner,
-``_each``, steps replays and configs as one batch, or each alone if it raises, and
+Every loop steps a batch of configs, the rows of batch-native learners (``learners``) with
+every product the stacked one, so that each row is bit for bit its config run alone.  One
+two-player loop, ``_play``, runs the replay recording and reactive play (a row learner
+against a column MWU, ``_vs_mwu``) and self-play (the kind's ``Mwu`` from ``build_agent``
+on each side), calling the learners' unchecked ``update``; it alone decides that on a
+square game two sides of type exactly ``Mwu`` step as one ``Mwu`` of both sides' rows.  An
+oblivious agent plays its replay whole (``play``): MWU(eta) recorded against MWU(eta) once
+per game and (eta, horizon) (``_record``), kept as the (T, n) loss block x_t = A y_t.  One
+runner, ``_each``, steps replays and configs as one batch, or each alone if it raises, and
 records each row's trace checked on its own slice (``core.Trace.from_rounds``), as the
 per-vector checks would.  A batch steps in runs of as many configs as fit
 ``_BATCH_BYTES``, so memory does not grow with the grid.  One per-game runner,
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import metrics, nash
 from .core import (
-    MatrixGame, Trace, check_choice, check_keys, check_number, check_rounds, check_string, uniform,
+    MatrixGame, Trace, check_choice, check_keys, check_number, check_rounds, check_string,
 )
 from .learners import PLAY_BLOCKS, Aftrl, Amd, BestResponseLearner, DoublingAftrl, Mwu, ProdBr
 from .regularizers import ENTROPY, REGULARIZERS
@@ -353,24 +353,28 @@ def _losses(a: np.ndarray, self_play: bool, f, y, out=(None, None)):
     return row[..., 0], col[..., 0]
 
 
-def _play(sides, a: np.ndarray, T: int, self_play: bool, first: int = 0):
-    """Rounds ``first`` + 1 .. T of two batches of B loss-stream learners, each round's f_t
-    and y_t committed before either side is fed its ``_losses``; returns the (B, T, k)
-    strategy blocks fs and ys.  ``sides`` is the row and the column learner, or on a square
-    game one ``Mwu`` of 2B rows, the row's over the column's, fed from two loss buffers in
-    turn (it keeps the last by reference, ``Mwu.prev_loss``)."""
+def _play(row, col, a: np.ndarray, T: int, self_play: bool, first: int = 0):
+    """Rounds ``first`` + 1 .. T of two unstepped batches of B loss-stream learners, the row's
+    f_t and the column's y_t each committed before either side is fed its ``_losses``; returns
+    the (B, T, k) strategy blocks fs and ys.  On a square game two sides of type exactly ``Mwu``
+    (not a subclass, such as ``Amwu``, whose first update differs) step as one ``Mwu`` of 2B
+    rows, the row's rates and ``prev_loss`` over the column's, fed from two loss buffers in
+    turn (it keeps the last by reference); fs and ys view one (2B, T, n) block."""
     n, m = a.shape
-    if len(sides) == 1:  # fs and ys view one (2B, T, n) block
-        x = sides[0].start()
-        block, B = np.empty((len(x), T, n)), len(x) // 2
+    if n == m and type(row) is type(col) is Mwu:
+        B = len(row.current)
+        eta, alpha = (np.vstack([np.broadcast_to(rate, (B, 1)) for rate in pair])
+                      for pair in ((row.eta, col.eta), (row.alpha, col.alpha)))
+        both = Mwu((2 * B, n), eta, alpha)
+        both.prev_loss = np.vstack((row.prev_loss, col.prev_loss))
+        x, block = both.start(), np.empty((2 * B, T, n))
         buffers = [(out[:B], out[B:], out[..., 0]) for out in np.empty((2, 2 * B, n, 1))]
         for t in range(first, T):
             block[:, t] = x
             row_out, col_out, observed = buffers[t % 2]
             _losses(a, self_play, x[:B], x[B:], (row_out, col_out))
-            x = sides[0].update(observed)
+            x = both.update(observed)
         return block[:B], block[B:]
-    row, col = sides
     f, y = row.start(), col.start()
     fs, ys = np.empty((len(f), T, n)), np.empty((len(y), T, m))
     for t in range(first, T):
@@ -381,18 +385,12 @@ def _play(sides, a: np.ndarray, T: int, self_play: bool, first: int = 0):
 
 
 def _vs_mwu(row, unit: MatrixGame, etas, T: int):
-    """Play the batch ``row``, fed A y_t, against a column MWU at ``etas`` fed 1 - A^T f_t on
-    a unit-range game (``_play``; an ``Mwu`` row on a square game plays as one ``Mwu``, its
-    rates over the column's at alpha 0).  Returns a function of a row b and two contexts that
+    """Play the batch ``row``, fed A y_t, against a column ``Mwu`` at ``etas`` fed 1 - A^T f_t
+    on a unit-range game (``_play``).  Returns a function of a row b and two contexts that
     checks both sides' rounds of row b, its losses recomputed to the same bits, and gives the
     row side's trace."""
-    a, B, col_eta = unit.payoff, len(etas), _column(etas)
-    if unit.n == unit.m and type(row) is Mwu:
-        alpha = np.vstack((np.broadcast_to(row.alpha, (B, 1)), np.zeros((B, 1))))
-        sides = [Mwu((2 * B, unit.n), np.vstack((row.eta, col_eta)), alpha)]
-    else:
-        sides = [row, Mwu((B, unit.m), col_eta)]
-    fs, ys = _play(sides, a, T, False)
+    a = unit.payoff
+    fs, ys = _play(row, Mwu((len(etas), unit.m), _column(etas)), a, T, False)
 
     def checked(b: int, contexts: tuple[str, str]) -> Trace:
         row_loss, col_loss = _losses(a, False, fs[b], ys[b])
@@ -466,19 +464,15 @@ def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
 
 
 def _self_play_batch(game: _Game, configs) -> Callable:
-    """Step self-play configs that share a game and a horizon as one batch (as
-    ``run_self_play`` describes).  Returns a function of a row b that checks
-    config b's rounds and gives its (trace_max, trace_min, series, unit game)."""
-    a, T, B = game.unit.payoff, configs[0].horizon, len(configs)
-    specs, (n, m) = [c.agent for c in configs], a.shape
-    # a square game's sides step as one Mwu, built from the specs twice (``_play``)
-    sides = [build_agent(specs * 2, n, T)] if n == m else [build_agent(specs, k, T) for k in (n, m)]
+    """Step self-play configs that share a game and a horizon as one batch, an ``Mwu`` of
+    their rows per side (as ``run_self_play`` describes).  Returns a function of a row b
+    that checks config b's rounds and gives its (trace_max, trace_min, series, unit game)."""
+    a, T, specs = game.unit.payoff, configs[0].horizon, [c.agent for c in configs]
+    row, col = (build_agent(specs, k, T) for k in a.shape)
     # The round-1 rule: rounds 1 and 2 play the starts.  The loop plays rounds 2 .. T, its
     # first update taking round 1's losses as x_{t-1} (``prev_loss``); round 1 copies round 2.
-    prev = _losses(a, True, uniform((B, n)), uniform((B, m)))
-    for side, x in zip(sides, [np.concatenate(prev)] if n == m else prev):
-        side.prev_loss = x
-    fs, ys = _play(sides, a, T, True, first=1)
+    row.prev_loss, col.prev_loss = _losses(a, True, row.start(), col.start())
+    fs, ys = _play(row, col, a, T, True, first=1)
     fs[:, 0], ys[:, 0] = fs[:, 1], ys[:, 1]
 
     def finish(b):
@@ -557,11 +551,12 @@ def run_self_play(config: SimulationConfig):
     """Mirror-play both sides of the game with the agent's update rule, as a grid of one.
 
     Each side is the ``Mwu`` that the agent's kind builds (``build_agent``), fed
-    its ``learners.side_loss``: the max side -A y_t, the min side A^T f_t; on a
-    square game both sides are one ``Mwu`` of two rows, built from the spec twice.
-    The first two strategies are equal, and the first update takes the round-1
-    losses as the previous ones.  Both sides' rounds, with the losses 1 - A y_t
-    and A^T f_t in [0, 1], are checked.  Returns (trace_max, trace_min, series, game).
+    its ``learners.side_loss``: the max side -A y_t, the min side A^T f_t (``_play``
+    steps a square game's two as one ``Mwu``).  The first two strategies are equal,
+    and the first update takes the round-1 losses as the previous ones, so rounds
+    2 .. T are an ``Amwu`` pair's rounds 1 .. T-1.  Both sides' rounds, with the
+    losses 1 - A y_t and A^T f_t in [0, 1], are checked.  Returns (trace_max,
+    trace_min, series, game).
     """
     return _run_alone(config, ("self_play",), "run_self_play")
 

@@ -32,9 +32,10 @@ strategy: -A y on the max side (which ascends the payoff), A^T f on the min
 side.  On a square game the engine steps the two sides as one ``Mwu`` of 2B
 rows, the max side's over the min side's: each row updates as alone, so that
 is bit for bit the two.  ``Amwu`` is that side as one learner, whose ``step``
-takes the opponent's strategy and whose first update also takes its first
-loss as the previous one.  ``amwu_step`` is the same update as a function of the
-opponent's current and previous strategies (the step of
+takes the opponent's strategy and whose first update also takes its first loss
+as the previous one (the engine's self-play rounds 2 .. T are, bit for bit, an
+``Amwu`` pair's rounds 1 .. T-1).  ``amwu_step`` is the same update as a function
+of the opponent's current and previous strategies (the step of
 ``nash.amwu_update_map``, whose Jacobian ``nash`` takes in closed form), and
 ``linear_amwu_step`` its linearization on the same drive.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MatrixGame, binary_exponent, check_rates
-from .learners import amwu_step
+from .learners import amwu_step, side_loss
 from .metrics import exploitability
 
 GAP_TOL = 1e-9
@@ -175,16 +175,16 @@ def spectral_radius_at_ne(game: MatrixGame, ne: NashSolution, eta: float, alpha:
     """Spectral radius of the self-play update Jacobian at the equilibrium.
 
     The exact Jacobian of ``amwu_update_map`` at (f*, y*, f*, y*), from each side's
-    ``_softmax_blocks`` at its loss -A y* (max) or A^T f* (min), which is its drive
-    there at any exploit rate; the radius is its largest eigenvalue modulus.  Below
+    ``_softmax_blocks`` at its ``learners.side_loss`` -A y* (max) or A^T f* (min), which is
+    its drive there at any exploit rate; the radius is its largest eigenvalue modulus.  Below
     one it certifies local last-iterate convergence, above one local divergence.
     ``eta`` must be positive and ``alpha`` nonnegative, both finite (``core.check_rates``).
     """
     check_rates(eta, alpha)
     a, n, m = game.payoff, game.n, game.m
     now, prev = eta * (1.0 + alpha), eta * alpha  # rates first: inf rate * zero block is NaN
-    dp_f, ds_f = _softmax_blocks(ne.f_star, -(a @ ne.y_star), eta)
-    dp_y, ds_y = _softmax_blocks(ne.y_star, a.T @ ne.f_star, eta)
+    dp_f, ds_f = _softmax_blocks(ne.f_star, side_loss(game, "max")(ne.y_star), eta)
+    dp_y, ds_y = _softmax_blocks(ne.y_star, side_loss(game, "min")(ne.f_star), eta)
     jac = np.block([
         [dp_f, now * ds_f @ a, np.zeros((n, n)), -prev * ds_f @ a],
         [-now * ds_y @ a.T, dp_y, prev * ds_y @ a.T, np.zeros((m, m))],

@@ -23,7 +23,7 @@ from zerosum.engine import (
     run_vs_adversary,
     splitmix64,
 )
-from zerosum.learners import LossStreamLearner, Mwu, amwu_step, side_loss
+from zerosum.learners import Amwu, LossStreamLearner, Mwu, amwu_step, side_loss
 from zerosum.regularizers import ENTROPY
 
 # First outputs of the published SplitMix64 algorithm, computed with an
@@ -884,8 +884,8 @@ class TestBatches:
                             lambda specs, n, T: rows.append(len(specs)) or build(specs, n, T))
         outcomes = grid_run(configs)
         # per game and adversary kind: one Mwu batch (MWU, OMWU, OMWU1 and AMWU) and one
-        # ProdBr; per (square) game in self-play: one Mwu of both sides' rows
-        assert sorted(rows) == sorted([4 * 3, 3, 4 * 2, 2, 2 * 4] * 2)
+        # ProdBr; per game in self-play: one Mwu per side (``_play`` stacks them)
+        assert sorted(rows) == sorted([4 * 3, 3, 4 * 2, 2, 4, 4] * 2)
         for out, config in zip(outcomes, configs):
             assert out.config is config and out.error is None, out.error
             (alone,) = grid_run([config])
@@ -1029,11 +1029,30 @@ class TestNonSquareSelfPlay:
             _assert_same_series(out.series, alone[2])
 
 
+@pytest.mark.parametrize("n,m", [(20, 20), (8, 6)])
+def test_self_play_is_an_amwu_pair_a_round_later(n, m):
+    # the round-1 rule: rounds 2 .. T are, bit for bit, an Amwu pair's rounds 1 .. T-1, whose
+    # first update takes its own loss as the previous one
+    T, eta, alpha = 300, 0.05, 3.0
+    trace_max, trace_min, _, unit = run_self_play(SimulationConfig(
+        game=GameSpec(kind="random", n=n, m=m, seed=4), horizon=T,
+        agent=AgentSpec(kind="AMWU", eta=eta, alpha=alpha),
+        adversary=AdversarySpec(kind="self_play")))
+    f, y = Amwu(unit, "max", eta, alpha), Amwu(unit, "min", eta, alpha)
+    fs, ys = [f.start()], [y.start()]
+    for _ in range(T - 2):  # both step on the opponent's last strategy
+        fs, ys = fs + [f.step(ys[-1]).copy()], ys + [y.step(fs[-1]).copy()]
+    for trace, want in ((trace_max, fs), (trace_min, ys)):
+        np.testing.assert_array_equal(trace.strategies[1:].view(np.int64),
+                                      np.array(want).view(np.int64))
+
+
 class TestOneMwuForBothSides:
     """On a square game the two ``Mwu`` sides step as one ``Mwu`` of 2B rows (``engine._play``),
     each round bit for bit two separate ``Mwu`` sides fed fresh loss rows; a non-square
-    game keeps the two.  Self-play and the recording/reactive loop (``_vs_mwu``), at B=1
-    and B=4, all rows at alpha 0 or at ``ALPHAS`` (B=1: alpha 100)."""
+    game, or a row of an ``Mwu`` subclass, keeps the two.  Self-play and the
+    recording/reactive loop (``_vs_mwu``), at B=1 and B=4, all rows at alpha 0 or at
+    ``ALPHAS`` (B=1: alpha 100)."""
 
     ETAS, ALPHAS, COLUMN_ETAS = [0.01, 0.1, 0.05, 0.2], [100.0, 0.0, 1.0, 3.0], [0.4, 0.3, 0.2, 0.5]
     T = 200
@@ -1051,17 +1070,20 @@ class TestOneMwuForBothSides:
 
     @staticmethod
     def played(monkeypatch, run):
-        """How many learners ``run()`` makes ``engine._play`` step, and what it returns."""
-        calls, play = [], engine._play
-
-        def recorded(sides, *args, **kwargs):
-            calls.append((len(sides), play(sides, *args, **kwargs)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(engine, "_play", recorded)
+        """The rows of each ``Mwu.update`` call that ``run()`` makes, and the strategy blocks
+        that its one ``engine._play`` returns."""
+        rows, calls, update, play = [], [], Mwu.update, engine._play
+        monkeypatch.setattr(Mwu, "update", lambda self, x: rows.append(len(x)) or update(self, x))
+        monkeypatch.setattr(engine, "_play", lambda *args, **kwargs: calls.append(
+            play(*args, **kwargs)) or calls[-1])
         run()
-        ((count, blocks),) = calls
-        return count, blocks
+        (blocks,) = calls
+        return rows, blocks
+
+    def stepped(self, n, m, B, first):
+        """The ``update`` rows of one ``Mwu`` of both sides' 2B rows a round on a square game,
+        else of two B-row sides."""
+        return [2 * B] * (self.T - first) if n == m else [B] * (2 * (self.T - first))
 
     def rates(self, B, mixed):
         return engine._column(self.ETAS[:B]), engine._column(self.ALPHAS[:B] if mixed else [0.0] * B)
@@ -1076,8 +1098,8 @@ class TestOneMwuForBothSides:
             game=spec, horizon=self.T, agent=AgentSpec(kind="AMWU", eta=eta, alpha=alpha),
             adversary=AdversarySpec(kind="self_play")) for eta, alpha in zip(etas[:, 0], alphas[:, 0])]
         game = engine._Game(spec)
-        count, (fs, ys) = self.played(monkeypatch, lambda: engine._self_play_batch(game, configs))
-        assert count == (1 if n == m else 2)
+        rows, (fs, ys) = self.played(monkeypatch, lambda: engine._self_play_batch(game, configs))
+        assert rows == self.stepped(n, m, B, first=1)
         row, col = Mwu((B, n), etas, alphas), Mwu((B, m), etas, alphas)
         row_loss, col_loss = (side_loss(game.unit, side) for side in ("max", "min"))
         row.prev_loss, col.prev_loss = row_loss(col.start()), col_loss(row.start())
@@ -1092,11 +1114,28 @@ class TestOneMwuForBothSides:
         unit = make_random_game(n, m, seed=12).to_unit_range()
         a, (etas, alphas), column_etas = unit.payoff, self.rates(B, mixed), self.COLUMN_ETAS[:B]
         alphas = alphas if mixed else 0.0  # as the recording builds its row
-        count, (fs, ys) = self.played(monkeypatch, lambda: engine._vs_mwu(
+        rows, (fs, ys) = self.played(monkeypatch, lambda: engine._vs_mwu(
             Mwu((B, n), etas, alphas), unit, column_etas, self.T))
-        assert count == (1 if n == m else 2)
+        assert rows == self.stepped(n, m, B, first=0)
         expected = self.two_sides(
             Mwu((B, n), etas, alphas), Mwu((B, m), engine._column(column_etas)), unit,
+            lambda y: (a @ y[..., None])[..., 0], lambda f: 1.0 - (a.T @ f[..., None])[..., 0],
+            first=0)
+        for got, want in zip((fs, ys), expected):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("B", [1, 4])
+    def test_mwu_subclass_row_stays_two_learners(self, monkeypatch, B):
+        # an Amwu row's first update takes its loss as the previous one, not the zero vector:
+        # on a square game it steps beside the column MWU, not as one Mwu with it
+        n = 20
+        unit = make_random_game(n, n, seed=12).to_unit_range()
+        a, (etas, alphas), column_etas = unit.payoff, self.rates(B, True), self.COLUMN_ETAS[:B]
+        rows, (fs, ys) = self.played(monkeypatch, lambda: engine._vs_mwu(
+            Amwu(unit, "max", etas, alphas), unit, column_etas, self.T))
+        assert rows == [B] * (2 * self.T)
+        expected = self.two_sides(
+            Amwu(unit, "max", etas, alphas), Mwu((B, n), engine._column(column_etas)), unit,
             lambda y: (a @ y[..., None])[..., 0], lambda f: 1.0 - (a.T @ f[..., None])[..., 0],
             first=0)
         for got, want in zip((fs, ys), expected):
