@@ -356,7 +356,8 @@ def _losses(a: np.ndarray, self_play: bool, f, y, out=(None, None)):
 def _play(row, col, a: np.ndarray, T: int, self_play: bool, first: int = 0):
     """Rounds ``first`` + 1 .. T of two unstepped batches of B loss-stream learners, the row's
     f_t and the column's y_t each committed before either side is fed its ``_losses``; returns
-    the (B, T, k) strategy blocks fs and ys.  On a square game two sides of type exactly ``Mwu``
+    the (B, T, k) strategy blocks fs and ys, after T - ``first`` - 1 updates per side (round T's
+    strategies are committed, not fed).  On a square game two sides of type exactly ``Mwu``
     (not a subclass, such as ``Amwu``, whose first update differs) step as one ``Mwu`` of 2B
     rows, the row's rates and ``prev_loss`` over the column's, fed from two loss buffers in
     turn (it keeps the last by reference); fs and ys view one (2B, T, n) block."""
@@ -369,18 +370,20 @@ def _play(row, col, a: np.ndarray, T: int, self_play: bool, first: int = 0):
         both.prev_loss = np.vstack((row.prev_loss, col.prev_loss))
         x, block = both.start(), np.empty((2 * B, T, n))
         buffers = [(out[:B], out[B:], out[..., 0]) for out in np.empty((2, 2 * B, n, 1))]
-        for t in range(first, T):
+        for t in range(first, T - 1):
             block[:, t] = x
             row_out, col_out, observed = buffers[t % 2]
             _losses(a, self_play, x[:B], x[B:], (row_out, col_out))
             x = both.update(observed)
+        block[:, T - 1] = x
         return block[:B], block[B:]
     f, y = row.start(), col.start()
     fs, ys = np.empty((len(f), T, n)), np.empty((len(y), T, m))
-    for t in range(first, T):
+    for t in range(first, T - 1):
         fs[:, t], ys[:, t] = f, y
         row_loss, col_loss = _losses(a, self_play, f, y)
         f, y = row.update(row_loss), col.update(col_loss)
+    fs[:, T - 1], ys[:, T - 1] = f, y
     return fs, ys
 
 

@@ -1082,8 +1082,9 @@ class TestOneMwuForBothSides:
 
     def stepped(self, n, m, B, first):
         """The ``update`` rows of one ``Mwu`` of both sides' 2B rows a round on a square game,
-        else of two B-row sides."""
-        return [2 * B] * (self.T - first) if n == m else [B] * (2 * (self.T - first))
+        else of two B-row sides, for rounds first + 1 .. T - 1: round T's strategies are
+        committed, not fed."""
+        return [2 * B] * (self.T - first - 1) if n == m else [B] * (2 * (self.T - first - 1))
 
     def rates(self, B, mixed):
         return engine._column(self.ETAS[:B]), engine._column(self.ALPHAS[:B] if mixed else [0.0] * B)
@@ -1133,7 +1134,7 @@ class TestOneMwuForBothSides:
         a, (etas, alphas), column_etas = unit.payoff, self.rates(B, True), self.COLUMN_ETAS[:B]
         rows, (fs, ys) = self.played(monkeypatch, lambda: engine._vs_mwu(
             Amwu(unit, "max", etas, alphas), unit, column_etas, self.T))
-        assert rows == [B] * (2 * self.T)
+        assert rows == [B] * (2 * (self.T - 1))
         expected = self.two_sides(
             Amwu(unit, "max", etas, alphas), Mwu((B, n), engine._column(column_etas)), unit,
             lambda y: (a @ y[..., None])[..., 0], lambda f: 1.0 - (a.T @ f[..., None])[..., 0],

@@ -403,6 +403,20 @@ class TestPlay:
             self.assert_plays_the_loop(lambda: Mwu(shape, self.ETAS, alphas), xs)  # loop: x_t alone
         self.assert_plays_the_loop(lambda: BestResponseLearner(shape), xs)
 
+    def test_mwu_play_holds_its_drive_block(self):
+        # the drive block, (T-1, B, n), is one block; its (T-1, B, 1) maxima are 0.05 of one
+        # at n=20, so the strategies go back into the input without a transposed temporary
+        B, T, n = 10, 10_000, 20
+        xs = np.random.default_rng(4).uniform(0, 1, (B, T, n))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            Mwu((B, n), np.full((B, 1), 0.1), np.linspace(0.0, 3.0, B)[:, None]).play(xs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * xs.nbytes
+
     @pytest.mark.parametrize("reg", [ENTROPY, SQUARED_L2], ids=["entropy", "squared_l2"])
     def test_looping_learners(self, reg):
         xs, shape = play_block(), (3, 7)
@@ -553,6 +567,12 @@ class TestMwu:
         omwu, mwu = (build_agent([AgentSpec(kind=k, eta=0.1)], 3, 10) for k in ("OMWU", "MWU"))
         assert type(omwu) is type(mwu) is Mwu
         assert omwu.alpha == 1.0 and mwu.alpha == 0.0
+
+    def test_rates_stay_the_callers(self):
+        # the kernel reads private (B, n) rows; the engine reads eta and alpha as (B, 1) columns
+        etas, alphas = np.array([[0.1], [0.5]]), np.array([[0.0], [2.0]])
+        learner = Mwu((2, 5), etas, alphas)
+        assert learner.eta is etas and learner.alpha is alphas
 
 
 class TestUpdatesMatchCheckedKernels:
