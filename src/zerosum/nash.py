@@ -4,9 +4,11 @@
 matrix by a power of two to max|A| in (0.5, 1], shift it positive, solve
 max 1'w s.t. Bw <= 1, w >= 0 with a condensed tableau simplex (only the
 nonbasic columns are stored; Dantzig's entering rule, Bland's after a run of
-degenerate pivots, ties broken by variable index), and read the row player's
-strategy off the dual values.  The duality gap of the returned profile is
-certified directly on the original matrix, relative to max|A|.
+degenerate pivots, ties broken by variable index; each pivot works in buffers
+allocated once per solve and takes the full tableau's pivots bit for bit), and
+read the row player's strategy off the dual values.  The duality gap of the
+returned profile is certified directly on the original matrix, relative to
+max|A|.
 
 ``spectral_radius_at_ne`` measures the local stability of the self-play
 update map around an equilibrium: the largest eigenvalue modulus of the
@@ -59,49 +61,61 @@ def _simplex_max(b: np.ndarray):
     ``_PIVOT_TOL`` every column below ``-_PIVOT_TOL`` (Bland's rule, which
     cannot cycle) until a pivot raises the objective, as every non-degenerate
     one does.  Leaving: the smallest basic variable among the ratio ties.
+
+    A pivot works in buffers allocated once per solve and looks ties up by
+    variable only when there are ties.  Each entry still gets one divide, or
+    one product and one subtraction, so the pivots are the same bit for bit
+    (einsum's product is +0.0 where the plain one is -0.0, which subtracts
+    alike from any entry but -0.0, and B > 0 leaves the tableau none).
     """
     n, m = b.shape
     tab = np.zeros((n + 1, m + 1))
     tab[:n, :m] = b
     tab[:n, -1] = 1.0
     tab[n, :m] = -1.0
+    rhs, reduced = tab[:n, -1], tab[n, :m]
     var = np.arange(m)  # the variable of each column
     basis = np.arange(m, m + n)  # the variable of each row
-    ratios = np.empty(n)
+    ratios, factors, product = np.empty(n), np.empty(n + 1), np.empty_like(tab)
     degenerate = 0  # degenerate pivots in a row
 
-    while True:
-        reduced = tab[n, :m]
-        col = reduced.argmin()
-        if not reduced[col] < -_PIVOT_TOL:
-            break
-        bland = degenerate >= _DEGENERATE_PIVOTS
-        candidates = (reduced < -_PIVOT_TOL if bland else reduced == reduced[col]).nonzero()[0]
-        col = candidates[var[candidates].argmin()]
-        column = tab[:n, col]
-        ratios.fill(np.inf)
-        np.divide(tab[:n, -1], column, out=ratios, where=column > _PIVOT_TOL)
-        best = ratios.min()
-        if best == np.inf:  # no entry above _PIVOT_TOL, whose ratio would be finite
-            raise DegenerateGameError("simplex detected an unbounded direction")
-        degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
-        ties = (ratios <= best + _PIVOT_TOL).nonzero()[0]
-        row = ties[basis[ties].argmin()]
-        pivot = tab[row, col]
-        # rank-one elimination of the pivot column from every other row; the
-        # column then holds the leaving variable's, 0 - factor * (1 / pivot)
-        factors = tab[:, col].copy()
-        factors[row] = 0.0
-        tab[row] /= pivot
-        tab[:, col] = 0.0
-        tab[row, col] = 1.0 / pivot
-        tab -= np.outer(factors, tab[row])
-        var[col], basis[row] = basis[row], var[col]
+    # the ratio test divides by every entry, zero and NaN ones too, and then
+    # sets the ratio of each entry not above _PIVOT_TOL to inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            col = reduced.argmin()
+            if not reduced[col] < -_PIVOT_TOL:
+                break
+            bland = degenerate >= _DEGENERATE_PIVOTS
+            candidates = (reduced < -_PIVOT_TOL if bland else reduced == reduced[col]).nonzero()[0]
+            if candidates.size > 1:
+                col = candidates[var[candidates].argmin()]
+            column = tab[:n, col]
+            np.divide(rhs, column, out=ratios)
+            ratios[~(column > _PIVOT_TOL)] = np.inf  # not <=, which keeps a NaN entry
+            row = ratios.argmin()
+            best = ratios[row]
+            if best == np.inf:  # no entry above _PIVOT_TOL, whose ratio would be finite
+                raise DegenerateGameError("simplex detected an unbounded direction")
+            degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
+            ties = (ratios <= best + _PIVOT_TOL).nonzero()[0]
+            if ties.size != 1:  # none only at a NaN best, whose lookup raises
+                row = ties[basis[ties].argmin()]
+            pivot = tab[row, col]
+            # rank-one elimination of the pivot column from every other row; the
+            # column then holds the leaving variable's, 0 - factor * (1 / pivot)
+            factors[:] = tab[:, col]
+            factors[row] = 0.0
+            tab[row] /= pivot
+            tab[:, col] = 0.0
+            tab[row, col] = 1.0 / pivot
+            tab -= np.einsum("i,j->ij", factors, tab[row], out=product)
+            var[col], basis[row] = basis[row], var[col]
 
     w, duals = np.zeros(m), np.zeros(n)
     structural, slack = basis < m, var >= m
-    w[basis[structural]] = tab[:n, -1][structural]
-    duals[var[slack] - m] = tab[n, :m][slack]
+    w[basis[structural]] = rhs[structural]
+    duals[var[slack] - m] = reduced[slack]
     return w, duals
 
 

@@ -333,9 +333,16 @@ def tie_games():
             yield degenerate_game(family, 12, 12, seed)
 
 
+def assert_same_bits(got, want):
+    """Equal as int64 views, so a -0.0 differs from a 0.0 as it prints."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def assert_same_simplex(got, want):
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
+    assert_same_bits(got[0], want[0])
+    assert_same_bits(got[1], want[1])
 
 
 class TestRankOnePivot:
@@ -362,6 +369,24 @@ class TestRankOnePivot:
             with pytest.raises(DegenerateGameError, match="unbounded direction"):
                 simplex(b)
 
+    def test_ratio_test_drops_entries_not_above_the_tolerance(self):
+        # an entry at _PIVOT_TOL has no ratio, the next float up has one, and a
+        # NaN entry has none either
+        for simplex in (nash._simplex_max, simplex_max_row_loop):
+            for entry in (nash._PIVOT_TOL, np.nan):
+                with pytest.raises(DegenerateGameError, match="unbounded direction"):
+                    simplex(np.array([[entry, 1.0]]))
+        b = np.array([[np.nextafter(nash._PIVOT_TOL, 1), 1.0]])
+        got, want = nash._simplex_max(b), simplex_max_row_loop(b)
+        assert_same_simplex(got, want)
+        np.testing.assert_allclose(got[0], [1e11, 0.0], rtol=1e-9)
+
+    @pytest.mark.parametrize("n,m", [(56, 112), (112, 56), (100, 100)])
+    def test_largest_workload_shapes_match_row_loop(self, n, m):
+        a = np.random.default_rng(0).random((n, m))
+        b = a + 1.0 - a.min()
+        assert_same_simplex(nash._simplex_max(b), simplex_max_row_loop(b))
+
     def test_long_degenerate_run_falls_back(self, monkeypatch):
         # the fallback changes the pivots that Dantzig's rule alone would take
         b = degenerate_run_game() + 1.0
@@ -385,10 +410,8 @@ class TestRankOnePivot:
             with monkeypatch.context() as m:
                 m.setattr(nash, "_simplex_max", simplex_max_row_loop)
                 want = solve_zero_sum(MatrixGame(a))
-            np.testing.assert_array_equal(got.f_star, want.f_star)
-            np.testing.assert_array_equal(got.y_star, want.y_star)
-            assert got.value == want.value
-            assert got.gap == want.gap
+            for field in ("f_star", "y_star", "value", "gap"):
+                assert_same_bits(getattr(got, field), getattr(want, field))
 
 
 class TestAmwuUpdateMap:
