@@ -230,7 +230,8 @@ class Amwu(Mwu):
 
     def step(self, opp_now: np.ndarray) -> np.ndarray:
         self._check_unbatched()
-        return check_strategy(self.update(self.loss(np.asarray(opp_now, dtype=float))))
+        opp_now = check_strategy(opp_now, "opponent strategy")  # before the learner moves
+        return check_strategy(self.update(self.loss(opp_now)))
 
 
 def amwu_step(

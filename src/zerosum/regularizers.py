@@ -7,7 +7,8 @@ simplex is exactly zero:
 * ``squared_l2``:  R(f) = 0.5 ||f||^2 - 1/(2n)           (1-strongly convex in l2)
 
 The constant shifts never affect argmins.  Each regularizer has two
-unchecked kernels, the ones the learners call every round:
+kernels, the ones the learners call every round, which check nothing but,
+for squared-l2, that the input is finite (``project_to_simplex``):
 ``Regularizer.leader(z)`` is argmin_{f in simplex} R(f) - <f, z> and
 ``Regularizer.prox(prior, z)`` is argmin_{f in simplex} D_R(f, prior) - <f, z>.
 ``regularized_argmin`` (argmin <f, L> + R(f)/eta) and ``bregman_prox``
@@ -57,16 +58,16 @@ class Regularizer:
         return 0.5 - 0.5 / n
 
     def leader(self, z: np.ndarray) -> np.ndarray:
-        """argmin over the simplex of R(f) - <f, z> per row, unchecked (``z`` may
-        be overwritten): the floored softmax, or the projection, of z."""
+        """argmin over the simplex of R(f) - <f, z> per row (``z`` may be overwritten):
+        the floored softmax of z, or its projection, which refuses a non-finite z."""
         if self.kind == "entropy":
             return floored_softmax(z)
         return project_to_simplex(z)
 
     def prox(self, prior: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """argmin over the simplex of D_R(f, prior) - <f, z> per row, unchecked
-        (``z`` may be overwritten): prior * exp(z) floored and normalized, or the
-        projection of prior + z."""
+        """argmin over the simplex of D_R(f, prior) - <f, z> per row (``z`` may be
+        overwritten): prior * exp(z) floored and normalized, or the projection of
+        prior + z, which refuses a non-finite sum."""
         if self.kind == "entropy":
             return floored_softmax(z, prior)
         return project_to_simplex(prior + z)

@@ -129,22 +129,21 @@ def row_by_row_csv(records, path) -> None:
 
 class TestEmitCsv:
     def test_rows_equal_the_row_by_row_writer(self, tmp_path):
-        # names holding % (escaped in the row template), edge values, and
-        # series around the slice a % call formats
+        # names holding % (escaped in the row template) or non-ASCII, edge values,
+        # short series, and one at last-round's horizon
         values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 123456789012.5,
                   1e-5, 0.1, 1 / 3]
-        k = cli.CSV_SLICE_ROWS
         records = [
             SeriesRecord(name, metric, np.resize(values, length), seed, eta)
             for name, metric, seed, eta in [("100%", "m", 1, 0.05), ("a%d%%", "x%.12g", None, None),
-                                            ("x%.12g", "m", 0, 1 / 3)]
-            for length in (0, 1, k - 1, k, k + 1, 3 * k + 5)
-        ]
+                                            ("x%.12g", "m", 0, 1 / 3), ("AMWU(α=1)", "m", 2, 0.1)]
+            for length in (0, 1, 63, 64, 65, 197)
+        ] + [SeriesRecord("AMWU", "kl_to_ne", np.resize(values, 100_000), 5, None)]
         got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
         emit_csv(records, got)
         row_by_row_csv(records, expected)
         assert got.read_bytes() == expected.read_bytes()
-        assert "1,a%d%%,x%.12g,nan,,\n" in got.read_text()
+        assert "1,a%d%%,x%.12g,nan,,\n" in got.read_text(encoding="utf-8")
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -234,6 +234,20 @@ class TestAmwuWrapper:
         for o in opp:
             np.testing.assert_array_equal(agent.step(o), ref.update(loss(o)))
 
+    @pytest.mark.parametrize("opp,match", [
+        (np.ones((2, 3)) / 3, "opponent strategy: expected a 1-D vector"),
+        ([2.0, -1.0, 0.0], "opponent strategy: negative entry"),
+        ([0.5, 0.5], "mismatch"),
+    ])
+    def test_step_refuses_an_opponent_before_moving(self, opp, match):
+        game = MatrixGame(np.arange(6.0).reshape(2, 3) / 5)  # the max side plays 2, meets 3
+        agent = Amwu(game, "max", 0.1, 1.0)
+        before = agent.current.copy()
+        with pytest.raises(ValueError, match=match):
+            agent.step(opp)
+        np.testing.assert_array_equal(agent.current.view(np.int64), before.view(np.int64))
+        assert agent.prev_loss is None
+
     def test_unknown_side_rejected(self):
         with pytest.raises(ValueError, match="side must be 'max' or 'min'"):
             Amwu(MP, "row", eta=0.1, alpha=1.0)
