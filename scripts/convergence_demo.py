@@ -10,14 +10,8 @@ Example:
 """
 import sys
 
-from zerosum.cli import ArgumentParser, parse_number, report_errors
-from zerosum.engine import (
-    AdversarySpec,
-    AgentSpec,
-    GameSpec,
-    SimulationConfig,
-    run_self_play,
-)
+from zerosum.cli import AGENTS, ArgumentParser, parse_number, report_errors
+from zerosum.engine import AdversarySpec, GameSpec, SimulationConfig, run_self_play
 from zerosum.nash import solve_zero_sum, spectral_radius_at_ne
 
 
@@ -27,11 +21,8 @@ def run(args) -> int:
     T = parse_number(args.horizon, "--horizon", 2, integer=True)
 
     checkpoints = sorted({c for c in (100, 1000, T // 2, T) if c <= T})
-    agents = [
-        ("MWU", AgentSpec(kind="MWU", eta=0.01)),
-        ("OMWU", AgentSpec(kind="OMWU", eta=0.01)),
-        ("AMWU(alpha=100)", AgentSpec(kind="AMWU", eta=0.01, alpha=100.0)),
-    ]
+    agents = [("MWU", AGENTS["MWU"]), ("OMWU", AGENTS["OMWU"]),
+              ("AMWU(alpha=100)", AGENTS["AMWU"])]
     game_spec = GameSpec(kind="random", n=size, m=size, seed=seed)
 
     print(f"random {size}x{size} game, seed {seed}, T={T}")

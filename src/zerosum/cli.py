@@ -36,22 +36,18 @@ from .nash import solve_zero_sum, spectral_radius_at_ne
 # Adversary learning-rate grid for the loss/regret presets.
 ADVERSARY_ETA_GRID = tuple(round(0.5 - 0.05 * i, 2) for i in range(10))
 
-# Self-play agents at the common learning rate, plus the eta=1 variant that
-# matches AMWU's relative weight between the latest loss and the regularizer.
-LAST_ROUND_AGENTS = (
+# The presets' agents, each defined once: MWU, OMWU and AMWU at the common learning rate, the
+# eta=1 OMWU that matches AMWU's relative weight between the latest loss and the regularizer,
+# and ProdBR; a learner name means one agent in every grid preset and the demo script.
+AGENTS = {spec.name: spec for spec in (
     AgentSpec(kind="MWU", eta=0.01, name="MWU"),
     AgentSpec(kind="OMWU", eta=0.01, name="OMWU"),
     AgentSpec(kind="AMWU", eta=0.01, alpha=100.0, name="AMWU"),
     AgentSpec(kind="OMWU", eta=1.0, name="OMWU1"),
-)
-
-VS_ADVERSARY_AGENTS = (
-    AgentSpec(kind="MWU", eta=0.01, name="MWU"),
-    AgentSpec(kind="OMWU", eta=0.01, name="OMWU"),
-    AgentSpec(kind="OMWU", eta=1.0, name="OMWU1"),
-    AgentSpec(kind="AMWU", eta=0.01, alpha=100.0, name="AMWU"),
     AgentSpec(kind="ProdBR", name="ProdBR"),
-)
+)}
+LAST_ROUND_AGENTS = tuple(AGENTS[name] for name in ("MWU", "OMWU", "AMWU", "OMWU1"))
+VS_ADVERSARY_AGENTS = tuple(AGENTS[name] for name in ("MWU", "OMWU", "OMWU1", "AMWU", "ProdBR"))
 
 OBLIVIOUS_HORIZON = 10_000
 NONOBLIVIOUS_HORIZON = 10_000

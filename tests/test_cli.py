@@ -290,6 +290,17 @@ class TestPresets:
         assert g.payoff.min() >= -1.0 and g.payoff.max() <= 1.0
         assert g.payoff.min() < 0.0 < g.payoff.max()
 
+    def test_a_learner_name_means_one_agent(self):
+        # within and across cli's agent tables, a shared name is an equal spec, so a
+        # learner column names one agent in every grid preset
+        tables = [table.values() if isinstance(table, dict) else table
+                  for table in vars(cli).values() if isinstance(table, (tuple, dict))]
+        by_name = {}
+        for spec in (spec for table in tables for spec in table):
+            if isinstance(spec, engine.AgentSpec):
+                assert by_name.setdefault(spec.display_name, spec) == spec, spec.display_name
+        assert set(by_name) >= {"MWU", "OMWU", "AMWU", "OMWU1", "ProdBR"}
+
 
 class TestMainCommands:
     def test_solve_command(self, tmp_path, capsys):

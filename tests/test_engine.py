@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerosum import engine, nash
 from zerosum.cli import LAST_ROUND_AGENTS, VS_ADVERSARY_AGENTS, ConfigError, parse_config
@@ -519,6 +521,17 @@ class TestGridRun:
         assert outcomes[1].error is None
         assert "average_loss" in outcomes[1].series
 
+    @pytest.mark.parametrize("parallelism", [0, -1])
+    def test_parallelism_below_one_is_rejected_before_any_config_steps(self, monkeypatch,
+                                                                        parallelism):
+        def stepped(spec, batches):
+            raise AssertionError("a config stepped")
+
+        monkeypatch.setattr(engine, "_run_game", stepped)
+        with pytest.raises(ValueError,
+                           match=rf"^parallelism must be positive, got {parallelism}$"):
+            grid_run([vs_config(horizon=10)], parallelism)
+
     def test_grid_cardinality(self):
         configs = [
             vs_config(seed=s, horizon=20, adversary=AdversarySpec(kind="oblivious_mwu", eta=e))
@@ -994,6 +1007,82 @@ class TestBatches:
                 tracemalloc.stop()
 
         assert peak(18) < 1.5 * peak(3)
+
+
+# The grid contract's draws: agents (self-play takes only the multiplicative kinds), games
+# (a CSV game whose file is missing fails each of its configs), adversaries and horizons.
+MULTIPLICATIVE_AGENTS = tuple(a for a in ALL_AGENTS if a.rule.build is AGENT_KINDS["MWU"].build)
+CONTRACT_GAMES = (
+    GameSpec(kind="random", n=6, m=6, seed=1), GameSpec(kind="random", n=6, m=6, seed=2),
+    GameSpec(kind="random", n=5, m=7, seed=3), GameSpec(kind="random", n=7, m=5, seed=4),
+    GameSpec(kind="csv", path="/nonexistent/matrix.csv"),
+)
+CONTRACT_ADVERSARIES = tuple(
+    AdversarySpec(kind=kind, eta=eta) for kind in ("oblivious_mwu", "nonoblivious_mwu")
+    for eta in (0.5, 0.2)
+) + (AdversarySpec(kind="self_play"),)
+
+
+@st.composite
+def contract_grids(draw):
+    """1 to 10 configs of the contract's draws, and a permutation of their indices."""
+    configs = []
+    for _ in range(draw(st.integers(1, 10))):
+        adversary = draw(st.sampled_from(CONTRACT_ADVERSARIES))
+        agents = MULTIPLICATIVE_AGENTS if adversary.kind == "self_play" else ALL_AGENTS
+        configs.append(SimulationConfig(
+            game=draw(st.sampled_from(CONTRACT_GAMES)), horizon=draw(st.sampled_from((3, 17, 40))),
+            agent=draw(st.sampled_from(agents)), adversary=adversary,
+        ))
+    return configs, draw(st.permutations(range(len(configs))))
+
+
+def _compared(out) -> tuple:
+    """An outcome's error and its series as int64 views (-0.0 and 0.0 differ, NaNs compare)."""
+    return out.error, {name: values.view(np.int64).tolist() for name, values in out.series.items()}
+
+
+def _grid_permuted_alone(configs, order) -> tuple:
+    """Each config's outcome (``_compared``) in the grid, in the grid permuted by ``order``
+    and run alone."""
+    permuted = [None] * len(configs)
+    for i, out in zip(order, grid_run([configs[i] for i in order])):
+        permuted[i] = _compared(out)
+    return ([_compared(out) for out in grid_run(configs)], permuted,
+            [_compared(grid_run([config])[0]) for config in configs])
+
+
+class TestGridContract:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(drawn=contract_grids(), faulty_eta=st.sampled_from((0.1, 0.05)))
+    def test_config_is_the_same_in_a_grid_permuted_and_alone(self, drawn, faulty_eta):
+        # a config's series, bit for bit, and its error do not depend on the configs
+        # beside it or their order; a NaN row in the Mwu rows at one agent eta (no
+        # adversary's) fails only the multiplicative configs at that eta, alike in all three
+        configs, order = drawn
+        grid, permuted, alone = _grid_permuted_alone(configs, order)
+        assert grid == permuted == alone
+        update, play = engine.Mwu.update, engine.Mwu.play
+
+        def faulty_update(self, observed):  # reactive play and self-play, round by round
+            return np.where(np.asarray(self.eta) == faulty_eta, np.nan, update(self, observed))
+
+        def faulty_play(self, losses):  # oblivious play, all rounds at once
+            strategies = play(self, losses)
+            strategies[(np.asarray(self.eta) == faulty_eta)[:, 0], 1:] = np.nan
+            return strategies
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine.Mwu, "update", faulty_update)
+            patch.setattr(engine.Mwu, "play", faulty_play)
+            faulted, permuted, alone = _grid_permuted_alone(configs, order)
+        assert faulted == permuted == alone
+        for config, clean, (error, series) in zip(configs, grid, faulted):
+            if (clean[0] is None and config.agent.eta == faulty_eta
+                    and config.agent in MULTIPLICATIVE_AGENTS):
+                assert error is not None and series == {}
+            else:
+                assert (error, series) == clean
 
 
 class TestNonSquareSelfPlay:
