@@ -10,7 +10,9 @@ Example:
 """
 import sys
 
-from zerosum.cli import AGENTS, ArgumentParser, parse_number, report_errors
+from zerosum.cli import (
+    AGENTS, CERTIFICATE_ALPHAS, CERTIFICATE_ETA, ArgumentParser, parse_number, report_errors,
+)
 from zerosum.engine import AdversarySpec, GameSpec, SimulationConfig, run_self_play
 from zerosum.nash import solve_zero_sum, spectral_radius_at_ne
 
@@ -21,8 +23,9 @@ def run(args) -> int:
     T = parse_number(args.horizon, "--horizon", 2, integer=True)
 
     checkpoints = sorted({c for c in (100, 1000, T // 2, T) if c <= T})
+    amwu = AGENTS["AMWU"]
     agents = [("MWU", AGENTS["MWU"]), ("OMWU", AGENTS["OMWU"]),
-              ("AMWU(alpha=100)", AGENTS["AMWU"])]
+              (f"AMWU(alpha={amwu.alpha:g})", amwu)]
     game_spec = GameSpec(kind="random", n=size, m=size, seed=seed)
 
     print(f"random {size}x{size} game, seed {seed}, T={T}")
@@ -42,8 +45,9 @@ def run(args) -> int:
 
     ne = solve_zero_sum(unit)
     print(f"\nequilibrium value {ne.value:.6f} (duality gap {ne.gap:.2e})")
-    for alpha, label in ((10.0, "exploit rate 10"), (0.0, "plain")):
-        rho = spectral_radius_at_ne(unit, ne, 0.1, alpha)
+    for _, alpha in CERTIFICATE_ALPHAS:
+        label = f"exploit rate {alpha:g}" if alpha else "plain"
+        rho = spectral_radius_at_ne(unit, ne, CERTIFICATE_ETA, alpha)
         print(f"spectral radius at the equilibrium, {label}: {rho:.6f}")
     return 0
 

@@ -21,13 +21,14 @@ on each side), calling the learners' unchecked ``update``; it alone decides that
 square game two sides of type exactly ``Mwu`` step as one ``Mwu`` of both sides' rows.  An
 oblivious agent plays its replay whole (``play``): MWU(eta) recorded against MWU(eta) once
 per game and (eta, horizon) (``_record``), kept as the (T, n) loss block x_t = A y_t.  One
-runner, ``_each``, steps replays and configs as one batch, or each alone if it raises, and
-records each row's trace checked on its own slice (``core.Trace.from_rounds``), as the
-per-vector checks would.  A batch steps in runs of as many configs as fit
-``_BATCH_BYTES``, so memory does not grow with the grid.  One per-game runner,
-``_run_game``, resolves a game, records its replays, steps its configs and yields each
-one's result or exception in turn; ``grid_run`` runs it on each game, and a config run
-alone (``run_vs_adversary``, ``run_self_play``, ``zerosum run``) is a grid of one.
+runner, ``_each``, steps replays and configs as one batch, and records each row's trace checked
+on its own slice (``core.Trace.from_rounds``), as the per-vector checks would.  Its one failure
+rule: a batch that raises, a batch of one too, runs again one item at a time; a batch that
+reads a failed replay raises the replay's error.  A batch steps in runs of as many configs as
+fit ``_BATCH_BYTES``, so memory does not grow with the grid.  One per-game runner,
+``_run_game``, resolves a game, records its replays, steps its configs and yields each one's
+result or exception in turn; ``grid_run`` runs it on each game, and a config run alone
+(``run_vs_adversary``, ``run_self_play``, ``zerosum run``) is a grid of one.
 
 Each spec checks itself when built, in Python as by ``cli.parse_config``: it
 rejects a set field that the kind tables do not list for its kind, and checks
@@ -410,16 +411,13 @@ def _replay_key(config: SimulationConfig) -> tuple:
 
 
 def _each(run: Callable, items: list):
-    """Step ``items`` as one batch, ``run(items)``, a function of a row b, or each item alone
-    if that raises (a lone item takes the error); then yield each row's result or exception
+    """Step ``items`` as one batch, ``run(items)``, a function of a row b, or, if that raises,
+    each item again alone (a batch of one too); then yield each row's result or exception
     in turn, so that no finished row is kept while the next finishes.  An exception comes
     without its traceback, whose frames would hold the batch's blocks."""
     try:
         finish = run(items)
-    except Exception as exc:  # noqa: BLE001 - alone, only the failing items fail
-        if len(items) == 1:
-            yield exc.with_traceback(None)
-            return
+    except Exception:  # noqa: BLE001 - alone, only the failing items fail
         finish = lambda b: run(items[b:b + 1])(0)  # noqa: E731
     for b in range(len(items)):
         try:
@@ -443,15 +441,18 @@ def _record(unit: MatrixGame, keys) -> dict:
 def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
     """Step configs that share a game, learner builder and regularizer, horizon
     and adversary kind as one batch; an oblivious agent plays its replay's loss
-    block whole (at its ``_replay_key`` in ``replays``, never a failed one).  Returns
-    a function of a row b that checks config b's rounds and gives its (trace, series, unit game)."""
-    T = configs[0].horizon
+    block whole (at its ``_replay_key`` in ``replays``), and a failed replay's error
+    is raised before the learner is built.  Returns a function of a row b that
+    checks config b's rounds and gives its (trace, series, unit game)."""
+    T, oblivious = configs[0].horizon, configs[0].adversary.kind == "oblivious_mwu"
+    losses = [replays[_replay_key(c)] for c in configs] if oblivious else []
+    for failed in (x for x in losses if isinstance(x, Exception)):
+        raise failed
     agent = build_agent([c.agent for c in configs], game.unit.n, T)
     # the rate the learner was built with (DoublingAftrl lowers its eta in play)
     reg = getattr(agent, "reg", ENTROPY)
     etas = np.broadcast_to(getattr(agent, "eta", 1.0), (len(configs), 1))
-    if configs[0].adversary.kind == "oblivious_mwu":
-        losses = [replays[_replay_key(c)] for c in configs]
+    if oblivious:
         strategies = agent.play(np.stack(losses))
         checked = lambda b: Trace.from_rounds(strategies[b], losses[b])  # noqa: E731
     else:  # reactive: the adversary sees f_t only after the round
@@ -492,8 +493,8 @@ def _run_game(spec: GameSpec, batches):
     ``PLAY_BLOCKS`` blocks of n actions); the oblivious ones against a run of replays at a
     time, as many as fit, recorded as one batch (``_record``) and dropped after its configs
     have stepped.  Yields each outcome with its result, (*traces, series, unit game), or
-    with its exception, in turn: the game's if it fails, its replay's if that failed (its
-    configs do not step), else its own."""
+    with its exception, in turn: the game's if it fails, else its own from ``_each``, its
+    replay's if that failed (raised before its learner is built, so it plays no round)."""
     try:
         game = _Game(spec)
     except Exception as exc:  # noqa: BLE001 - reported per config, other games unaffected
@@ -514,13 +515,7 @@ def _run_game(spec: GameSpec, batches):
     def step_replays(keys):  # its replays are dropped on return
         replays = _record(game.unit, keys)
         for batch in oblivious:
-            part = []
-            for out in (out for out in batch if _replay_key(out.config) in replays):
-                if isinstance(failed := replays[_replay_key(out.config)], Exception):
-                    yield out, failed
-                else:
-                    part.append(out)
-            if part:
+            if part := [out for out in batch if _replay_key(out.config) in replays]:
                 yield from step(part, replays, PLAY_BLOCKS * n)
 
     for batch in (b for b in batches if b[0].config.adversary.kind != "oblivious_mwu"):

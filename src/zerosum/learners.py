@@ -323,9 +323,6 @@ class ProdBr(LossStreamLearner):
         self.w_br = 1.0 - self.eta1
         self.current = self._mix(self.ftrl.current, self.br.current)
 
-    ftrl_current = property(lambda self: self.ftrl.current)
-    br_current = property(lambda self: self.br.current)
-
     def _mix(self, ftrl: np.ndarray, br: np.ndarray) -> np.ndarray:
         return (self.w_r * ftrl + self.w_br * br) / (self.w_r + self.w_br)
 

@@ -176,8 +176,8 @@ def test_criterion_02_lemma_suite():
         gs, fl, br = np.empty_like(xs), np.empty_like(xs), np.empty_like(xs)
         for t in range(T):
             gs[t] = agent.current
-            fl[t] = agent.ftrl_current
-            br[t] = agent.br_current
+            fl[t] = agent.ftrl.current
+            br[t] = agent.br.current
             agent.step(xs[t])
         gsum = np.cumsum(np.einsum("ti,ti->t", gs, xs))
         fsum = np.cumsum(np.einsum("ti,ti->t", fl, xs))

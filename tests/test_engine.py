@@ -826,14 +826,20 @@ class TestReplayGroups:
                 np.testing.assert_array_equal(out.series[name], values, err_msg=name)
 
     def test_failed_replay_configs_do_not_step(self, monkeypatch):
-        # a failed replay's configs take its error without stepping, and the
-        # configs of their batch that read good replays step once, as one batch
-        sizes = []
-        vs_adversary_batch, vs_mwu = engine._vs_adversary_batch, engine._vs_mwu
+        # a batch that reads a failed replay raises its error before it plays and runs
+        # again one config at a time: the replay's configs take the error without
+        # playing a round, and their batch-mates that read a good replay play alone
+        sizes, played, current = [], [], []
+        vs_adversary_batch, vs_mwu, play = engine._vs_adversary_batch, engine._vs_mwu, Mwu.play
 
         def counting(game, configs, replays):
             sizes.append(len(configs))
+            current[:] = configs
             return vs_adversary_batch(game, configs, replays)
+
+        def playing(self, losses):
+            played.append([c.adversary.eta for c in current])
+            return play(self, losses)
 
         def failing_at_04(row, unit, etas, T):
             checked = vs_mwu(row, unit, etas, T)
@@ -850,8 +856,10 @@ class TestReplayGroups:
         clean = grid_run(configs[2:])
         monkeypatch.setattr(engine, "_vs_adversary_batch", counting)
         monkeypatch.setattr(engine, "_vs_mwu", failing_at_04)
+        monkeypatch.setattr(engine.Mwu, "play", playing)
         outcomes = grid_run(configs)
-        assert sizes == [2]
+        assert sizes == [4, 1, 1, 1, 1]
+        assert played == [[0.5], [0.5]]
         assert [o.error for o in outcomes[:2]] == ["ValueError: replay check failed"] * 2
         for out, expected in zip(outcomes[2:], clean):
             assert out.error is None, out.error
@@ -944,10 +952,10 @@ class TestBatches:
                 assert out.error is None, out.error
                 _assert_same_series(out.series, before.series)
 
-    @pytest.mark.parametrize("count,steps", [(1, [1]), (2, [2, 1, 1])])
+    @pytest.mark.parametrize("count,steps", [(1, [1, 1]), (2, [2, 1, 1])])
     def test_raising_batch_steps_each_config_once_alone(self, monkeypatch, count, steps):
-        # a batch of several configs that raises steps each again alone; a lone
-        # config is not stepped again, and takes the error it raised
+        # a batch that raises steps each config again alone, a batch of one too;
+        # each takes the error it raised alone
         sizes = []
 
         def failing(game, configs, replays):
@@ -1054,22 +1062,30 @@ def _grid_permuted_alone(configs, order) -> tuple:
 
 class TestGridContract:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(drawn=contract_grids(), faulty_eta=st.sampled_from((0.1, 0.05)))
-    def test_config_is_the_same_in_a_grid_permuted_and_alone(self, drawn, faulty_eta):
+    @given(drawn=contract_grids(), faulty_eta=st.sampled_from((0.1, 0.05, 0.5, 0.2)),
+           raising=st.booleans())
+    def test_config_is_the_same_in_a_grid_permuted_and_alone(self, drawn, faulty_eta, raising):
         # a config's series, bit for bit, and its error do not depend on the configs
-        # beside it or their order; a NaN row in the Mwu rows at one agent eta (no
-        # adversary's) fails only the multiplicative configs at that eta, alike in all three
+        # beside it or their order; a fault in the Mwu rows at one eta (two agent rates,
+        # two adversary rates), NaN rows or a raise for any batch that holds one, fails
+        # only the multiplicative agents and the adversaries at that eta, alike in all three
         configs, order = drawn
         grid, permuted, alone = _grid_permuted_alone(configs, order)
         assert grid == permuted == alone
         update, play = engine.Mwu.update, engine.Mwu.play
 
-        def faulty_update(self, observed):  # reactive play and self-play, round by round
-            return np.where(np.asarray(self.eta) == faulty_eta, np.nan, update(self, observed))
+        def faulty_rows(self):
+            rows = np.asarray(self.eta) == faulty_eta
+            if raising and rows.any():
+                raise FloatingPointError(f"a row at eta {faulty_eta}")
+            return rows
+
+        def faulty_update(self, observed):  # reactive play, replays and self-play
+            return np.where(faulty_rows(self), np.nan, update(self, observed))
 
         def faulty_play(self, losses):  # oblivious play, all rounds at once
-            strategies = play(self, losses)
-            strategies[(np.asarray(self.eta) == faulty_eta)[:, 0], 1:] = np.nan
+            rows, strategies = faulty_rows(self)[:, 0], play(self, losses)
+            strategies[rows, 1:] = np.nan
             return strategies
 
         with pytest.MonkeyPatch.context() as patch:
@@ -1078,8 +1094,9 @@ class TestGridContract:
             faulted, permuted, alone = _grid_permuted_alone(configs, order)
         assert faulted == permuted == alone
         for config, clean, (error, series) in zip(configs, grid, faulted):
-            if (clean[0] is None and config.agent.eta == faulty_eta
-                    and config.agent in MULTIPLICATIVE_AGENTS):
+            faulty = ((config.agent in MULTIPLICATIVE_AGENTS and config.agent.eta == faulty_eta)
+                      or config.adversary.eta == faulty_eta)
+            if clean[0] is None and faulty:
                 assert error is not None and series == {}
             else:
                 assert (error, series) == clean

@@ -516,8 +516,8 @@ class TestProdBr:
             br = np.empty_like(xs)
             for t in range(T):
                 gs[t] = agent.current
-                fl[t] = agent.ftrl_current
-                br[t] = agent.br_current
+                fl[t] = agent.ftrl.current
+                br[t] = agent.br.current
                 agent.step(xs[t])
             gsum = np.cumsum(np.einsum("ti,ti->t", gs, xs))
             fsum = np.cumsum(np.einsum("ti,ti->t", fl, xs))
@@ -603,7 +603,7 @@ class TestUpdatesMatchCheckedKernels:
             if after.alpha == 0.0:
                 return g
             return bregman_prox(after.reg, g, after.alpha * x, after.eta)
-        gain = float((before.br_current - before.ftrl_current) @ x)
+        gain = float((before.br.current - before.ftrl.current) @ x)
         w_r = before.w_r * (1.0 + before.eta1 * gain)
         f = regularized_argmin(after.reg, before.ftrl.cumulative + x, after.eta)
         return (w_r * f + after.w_br * best_response(x)) / (w_r + after.w_br)
