@@ -359,9 +359,9 @@ def _play(row, col, a: np.ndarray, T: int, self_play: bool, first: int = 0):
     f_t and the column's y_t each committed before either side is fed its ``_losses``; returns
     the (B, T, k) strategy blocks fs and ys, after T - ``first`` - 1 updates per side (round T's
     strategies are committed, not fed).  On a square game two sides of type exactly ``Mwu``
-    (not a subclass, such as ``Amwu``, whose first update differs) step as one ``Mwu`` of 2B
-    rows, the row's rates and ``prev_loss`` over the column's, fed from two loss buffers in
-    turn (it keeps the last by reference); fs and ys view one (2B, T, n) block."""
+    (not a subclass, whose update may differ) step as one ``Mwu`` of 2B rows, the row's
+    rates and ``prev_loss`` over the column's, fed from two loss buffers in turn (it keeps
+    the last by reference); fs and ys view one (2B, T, n) block."""
     n, m = a.shape
     if n == m and type(row) is type(col) is Mwu:
         B = len(row.current)
@@ -551,9 +551,9 @@ def run_self_play(config: SimulationConfig):
     Each side is the ``Mwu`` that the agent's kind builds (``build_agent``), fed
     its ``learners.side_loss``: the max side -A y_t, the min side A^T f_t (``_play``
     steps a square game's two as one ``Mwu``).  The first two strategies are equal,
-    and the first update takes the round-1 losses as the previous ones, so rounds
-    2 .. T are an ``Amwu`` pair's rounds 1 .. T-1.  Both sides' rounds, with the
-    losses 1 - A y_t and A^T f_t in [0, 1], are checked.  Returns (trace_max,
+    and the first update takes the round-1 losses as the previous ones, so each round
+    from 3 on is ``learners.amwu_step`` of the two rounds before it.  Both sides' rounds,
+    with the losses 1 - A y_t and A^T f_t in [0, 1], are checked.  Returns (trace_max,
     trace_min, series, game).
     """
     return _run_alone(config, ("self_play",), "run_self_play")

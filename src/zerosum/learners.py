@@ -33,16 +33,14 @@ In self-play each side is an ``Mwu`` fed its ``side_loss`` of the opponent's
 strategy: -A y on the max side (which ascends the payoff), A^T f on the min
 side.  On a square game the engine steps the two sides as one ``Mwu`` of 2B
 rows, the max side's over the min side's: each row updates as alone, so that
-is bit for bit the two.  ``Amwu`` is that side as one learner, whose ``step``
-takes the opponent's strategy and whose first update also takes its first loss
-as the previous one (the engine's self-play rounds 2 .. T are, bit for bit, an
-``Amwu`` pair's rounds 1 .. T-1).  ``amwu_step`` is the same update as a function
-of the opponent's current and previous strategies (the step of
+is bit for bit the two.  ``amwu_step`` is that side's update as a function of
+the opponent's current and previous strategies (the step of
 ``nash.amwu_update_map``, whose Jacobian ``nash`` takes in closed form), and
 ``linear_amwu_step`` its linearization on the same drive.
 
-The previous-loss convention elsewhere: x_0 is the zero vector, so first
-steps are well defined and the initial strategy is argmin R (uniform).
+The previous-loss convention: x_0 is the zero vector unless a caller sets
+``Mwu.prev_loss`` (the engine's self-play sets it to round 1's losses), so
+first steps are well defined and the initial strategy is argmin R (uniform).
 """
 from __future__ import annotations
 
@@ -93,7 +91,8 @@ class LossStreamLearner:
         return self.current
 
     def step(self, observed: np.ndarray) -> np.ndarray:
-        self._check_unbatched()
+        if self.current.ndim != 1:  # before it moves a batch
+            raise ValueError(f"step: a batch of shape {self.current.shape} steps by update")
         observed = check_loss_vector(observed)
         if observed.shape != (self.n,):
             raise ValueError(f"dimension mismatch: expected {self.n}, got {observed.shape}")
@@ -110,10 +109,6 @@ class LossStreamLearner:
         for t in range(1, losses.shape[1]):
             strategies[:, t] = self.update(losses[:, t - 1])
         return strategies
-
-    def _check_unbatched(self) -> None:  # before step moves a batch
-        if self.current.ndim != 1:
-            raise ValueError(f"step: a batch of shape {self.current.shape} steps by update")
 
 
 class Aftrl(LossStreamLearner):
@@ -204,34 +199,6 @@ def side_loss(game: MatrixGame, side: str):
     if side == "min":
         return lambda f: (a.T @ f[..., None])[..., 0]
     raise ValueError(f"side must be 'max' or 'min', got {side!r}")
-
-
-class Amwu(Mwu):
-    """``Mwu`` on one side of a game, fed that side's loss of the opponent's
-    strategy (``side_loss``).
-
-    ``step`` takes the opponent's strategy; ``update`` takes the loss, and
-    its first call also takes that loss as the previous one.  ``alpha=0``
-    recovers plain MWU dynamics and ``alpha=1`` the optimistic variant.
-    Rates given as (B, 1) columns make it a batch of B rows.
-    """
-
-    def __init__(self, game: MatrixGame, side: str, eta, alpha):
-        self.loss = side_loss(game, side)
-        super().__init__(np.shape(eta)[:-1] + (game.n if side == "max" else game.m,), eta, alpha)
-        self.prev_loss = None
-
-    play = LossStreamLearner.play  # the first update reads its own loss as the previous one
-
-    def update(self, observed: np.ndarray) -> np.ndarray:
-        if self.prev_loss is None:
-            self.prev_loss = observed
-        return Mwu.update(self, observed)  # per round: no super() object
-
-    def step(self, opp_now: np.ndarray) -> np.ndarray:
-        self._check_unbatched()
-        opp_now = check_strategy(opp_now, "opponent strategy")  # before the learner moves
-        return check_strategy(self.update(self.loss(opp_now)))
 
 
 def amwu_step(

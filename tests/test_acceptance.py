@@ -29,7 +29,6 @@ from zerosum.engine import (
 from zerosum.learners import (
     Aftrl,
     Amd,
-    Amwu,
     DoublingAftrl,
     Mwu,
     ProdBr,
@@ -75,19 +74,19 @@ def test_criterion_01_equivalences():
 
         game = MatrixGame(_stream(100 + seed, n, n))
         opp = np.random.default_rng(200 + seed).dirichlet(np.ones(n), size=T)
-        # game side: exploit weight zero vs plain ascent, one vs optimistic
-        w0 = Amwu(game, "max", 0.1, 0.0)
-        w1 = Amwu(game, "max", 0.1, 1.0)
-        f0 = np.full(n, 1.0 / n)
-        f1 = np.full(n, 1.0 / n)
+        # game side: exploit weight zero vs plain ascent, one vs optimistic; the first
+        # step takes the opponent's first strategy as its previous one
+        w0 = w1 = f0 = f1 = np.full(n, 1.0 / n)
         prev = opp[0]
         for t in range(T):
             e = f0 * np.exp(0.1 * (game.payoff @ opp[t]))
             f0 = e / e.sum()
-            worst = max(worst, np.abs(w0.step(opp[t]) - f0).max())
+            w0 = amwu_step(w0, game, opp[t], prev, "max", 0.1, 0.0)
+            worst = max(worst, np.abs(w0 - f0).max())
             e = f1 * np.exp(0.1 * (2.0 * (game.payoff @ opp[t]) - (game.payoff @ prev)))
             f1 = e / e.sum()
-            worst = max(worst, np.abs(w1.step(opp[t]) - f1).max())
+            w1 = amwu_step(w1, game, opp[t], prev, "max", 0.1, 1.0)
+            worst = max(worst, np.abs(w1 - f1).max())
             prev = opp[t]
     report(1, "equivalence suite, max deviation <= 1e-12", worst <= 1e-12, f"max={worst:.2e}")
 

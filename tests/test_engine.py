@@ -25,7 +25,7 @@ from zerosum.engine import (
     run_vs_adversary,
     splitmix64,
 )
-from zerosum.learners import Amwu, LossStreamLearner, Mwu, amwu_step, side_loss
+from zerosum.learners import LossStreamLearner, Mwu, amwu_step, side_loss
 from zerosum.regularizers import ENTROPY
 
 # First outputs of the published SplitMix64 algorithm, computed with an
@@ -422,7 +422,7 @@ class TestRunSelfPlay:
         spec = AgentSpec(kind="AMWU", eta=0.01, b=0.5)
         assert spec.resolved_alpha() == pytest.approx(10.0)
 
-    @pytest.mark.parametrize("n,m", [(6, 6), (8, 6), (6, 8)])
+    @pytest.mark.parametrize("n,m", [(6, 6), (8, 6), (6, 8), (20, 20)])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_equals_the_amwu_step_reference(self, monkeypatch, seed, n, m):
         # two uniform rounds, then each side's exponential self-play update: each
@@ -1135,24 +1135,6 @@ class TestNonSquareSelfPlay:
             _assert_same_series(out.series, alone[2])
 
 
-@pytest.mark.parametrize("n,m", [(20, 20), (8, 6)])
-def test_self_play_is_an_amwu_pair_a_round_later(n, m):
-    # the round-1 rule: rounds 2 .. T are, bit for bit, an Amwu pair's rounds 1 .. T-1, whose
-    # first update takes its own loss as the previous one
-    T, eta, alpha = 300, 0.05, 3.0
-    trace_max, trace_min, _, unit = run_self_play(SimulationConfig(
-        game=GameSpec(kind="random", n=n, m=m, seed=4), horizon=T,
-        agent=AgentSpec(kind="AMWU", eta=eta, alpha=alpha),
-        adversary=AdversarySpec(kind="self_play")))
-    f, y = Amwu(unit, "max", eta, alpha), Amwu(unit, "min", eta, alpha)
-    fs, ys = [f.start()], [y.start()]
-    for _ in range(T - 2):  # both step on the opponent's last strategy
-        fs, ys = fs + [f.step(ys[-1]).copy()], ys + [y.step(fs[-1]).copy()]
-    for trace, want in ((trace_max, fs), (trace_min, ys)):
-        np.testing.assert_array_equal(trace.strategies[1:].view(np.int64),
-                                      np.array(want).view(np.int64))
-
-
 class TestOneMwuForBothSides:
     """On a square game the two ``Mwu`` sides step as one ``Mwu`` of 2B rows (``engine._play``),
     each round bit for bit two separate ``Mwu`` sides fed fresh loss rows; a non-square
@@ -1231,18 +1213,28 @@ class TestOneMwuForBothSides:
         for got, want in zip((fs, ys), expected):
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
+    class PrimedMwu(Mwu):
+        """An ``Mwu`` whose first update also takes its loss as the previous one."""
+
+        primed = False
+
+        def update(self, observed):
+            if not self.primed:
+                self.prev_loss, self.primed = observed, True
+            return super().update(observed)
+
     @pytest.mark.parametrize("B", [1, 4])
     def test_mwu_subclass_row_stays_two_learners(self, monkeypatch, B):
-        # an Amwu row's first update takes its loss as the previous one, not the zero vector:
-        # on a square game it steps beside the column MWU, not as one Mwu with it
+        # a PrimedMwu row's first update takes its loss as the previous one, not the zero
+        # vector: on a square game it steps beside the column MWU, not as one Mwu with it
         n = 20
         unit = make_random_game(n, n, seed=12).to_unit_range()
         a, (etas, alphas), column_etas = unit.payoff, self.rates(B, True), self.COLUMN_ETAS[:B]
         rows, (fs, ys) = self.played(monkeypatch, lambda: engine._vs_mwu(
-            Amwu(unit, "max", etas, alphas), unit, column_etas, self.T))
+            self.PrimedMwu((B, n), etas, alphas), unit, column_etas, self.T))
         assert rows == [B] * (2 * (self.T - 1))
         expected = self.two_sides(
-            Amwu(unit, "max", etas, alphas), Mwu((B, n), engine._column(column_etas)), unit,
+            self.PrimedMwu((B, n), etas, alphas), Mwu((B, n), engine._column(column_etas)), unit,
             lambda y: (a @ y[..., None])[..., 0], lambda f: 1.0 - (a.T @ f[..., None])[..., 0],
             first=0)
         for got, want in zip((fs, ys), expected):

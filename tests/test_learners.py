@@ -10,7 +10,6 @@ from zerosum.learners import (
     PLAY_BLOCKS,
     Aftrl,
     Amd,
-    Amwu,
     BestResponseLearner,
     DoublingAftrl,
     Mwu,
@@ -200,73 +199,20 @@ class TestLinearAmwu:
 
 
 class TestAmwuWrapper:
-    def test_first_step_uses_opp_now_as_prev(self):
-        agent = Amwu(MP, "max", eta=0.1, alpha=5.0)
-        opp = np.array([0.9, 0.1])
-        got = agent.step(opp)
-        ref = amwu_step(np.array([0.5, 0.5]), MP, opp, opp, "max", 0.1, 5.0)
-        np.testing.assert_allclose(got, ref, atol=1e-15)
-
-    def test_tracks_previous_opponent(self):
-        agent = Amwu(MP, "max", eta=0.1, alpha=2.0)
-        o1 = np.array([0.8, 0.2])
-        o2 = np.array([0.3, 0.7])
-        agent.step(o1)
-        got = agent.step(o2)
-        ref = amwu_step(
-            amwu_step(np.array([0.5, 0.5]), MP, o1, o1, "max", 0.1, 2.0),
-            MP, o2, o1, "max", 0.1, 2.0,
-        )
-        np.testing.assert_allclose(got, ref, atol=1e-15)
-
-    @pytest.mark.parametrize("side", ["max", "min"])
-    def test_is_mwu_fed_its_side_loss(self, side):
-        # max side: loss -A y; min side: loss A^T f; the first loss primes x_{t-1}
-        rng = np.random.default_rng(3)
-        game = MatrixGame(rng.uniform(-1.0, 1.0, (5, 3)))
-        a = game.payoff
-        k, opp_k = (game.n, game.m) if side == "max" else (game.m, game.n)
-        loss = (lambda y: -(a @ y)) if side == "max" else (lambda f: a.T @ f)
-        opp = rng.dirichlet(np.ones(opp_k), size=60)
-        agent = Amwu(game, side, 0.3, 2.5)
-        ref = Mwu(k, 0.3, 2.5)
-        ref.prev_loss = loss(opp[0])
-        for o in opp:
-            np.testing.assert_array_equal(agent.step(o), ref.update(loss(o)))
-
-    @pytest.mark.parametrize("opp,match", [
-        (np.ones((2, 3)) / 3, "opponent strategy: expected a 1-D vector"),
-        ([2.0, -1.0, 0.0], "opponent strategy: negative entry"),
-        ([0.5, 0.5], "mismatch"),
-    ])
-    def test_step_refuses_an_opponent_before_moving(self, opp, match):
-        game = MatrixGame(np.arange(6.0).reshape(2, 3) / 5)  # the max side plays 2, meets 3
-        agent = Amwu(game, "max", 0.1, 1.0)
-        before = agent.current.copy()
-        with pytest.raises(ValueError, match=match):
-            agent.step(opp)
-        np.testing.assert_array_equal(agent.current.view(np.int64), before.view(np.int64))
-        assert agent.prev_loss is None
+    """The boundary checks of the self-play kernel and of the exploit-rate learners."""
 
     def test_unknown_side_rejected(self):
-        with pytest.raises(ValueError, match="side must be 'max' or 'min'"):
-            Amwu(MP, "row", eta=0.1, alpha=1.0)
         with pytest.raises(ValueError, match="side must be 'max' or 'min'"):
             amwu_step(np.array([0.5, 0.5]), MP, np.array([0.5, 0.5]),
                       np.array([0.5, 0.5]), "row", 0.1, 1.0)
 
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            Amwu(MP, "max", eta=0.1, alpha=-1.0)
-
     @pytest.mark.parametrize("eta,alpha", [(0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
                                            (-np.inf, 1.0), (0.1, np.nan), (0.1, np.inf),
-                                           (True, 1.0), ("0.1", 1.0), (0.1, "1")])
+                                           (True, 1.0), ("0.1", 1.0), (0.1, "1"), (0.1, -1.0)])
     def test_rates_must_be_finite(self, eta, alpha):
         # the exploit-rate learners and the checked kernels share one check
-        makers = [lambda: Amwu(MP, "max", eta, alpha), lambda: Aftrl(3, eta, alpha),
-                  lambda: Amd(3, eta, alpha), lambda: DoublingAftrl(3, eta, alpha),
-                  lambda: Mwu(3, eta, alpha)]
+        makers = [lambda: Aftrl(3, eta, alpha), lambda: Amd(3, eta, alpha),
+                  lambda: DoublingAftrl(3, eta, alpha), lambda: Mwu(3, eta, alpha)]
         if alpha == 1.0:
             for reg in (ENTROPY, SQUARED_L2):  # the kernels take eta alone
                 makers += [lambda reg=reg: regularized_argmin(reg, np.zeros(3), eta),
@@ -348,8 +294,9 @@ class TestBatchRows:
         # of the formula even at -0.0 losses; a batch with any alpha != 0 takes the formula
         etas, alphas = TestPlay.ETAS, np.array(alphas)[:, None]
         xs = play_block()
-        sides = [(Mwu((3, 7), etas, alphas), xs, np.zeros((3, 7))),
-                 (Amwu(MatrixGame(np.eye(7)), "max", etas, alphas), -xs, -xs[:, 0])]
+        primed = Mwu((3, 7), etas, alphas)
+        primed.prev_loss = -xs[:, 0]  # as _self_play_batch primes a self-play side
+        sides = [(Mwu((3, 7), etas, alphas), xs, np.zeros((3, 7))), (primed, -xs, -xs[:, 0])]
         assert (-xs <= 0).all()
         for learner, losses, x_prev in sides:  # the max side's first loss is also its previous
             zeros = np.signbit(losses[losses == 0])
@@ -366,7 +313,7 @@ class TestBatchRows:
         # ``step`` checks one vector: a batch of rows steps by ``update``
         etas, alphas = np.array([[0.1], [0.2]]), np.array([[1.0], [0.0]])
         batches = [Mwu((2, 3), etas), Mwu((2, 3), etas, alphas), Aftrl((2, 3), etas),
-                   ProdBr((2, 3), 50), Amwu(MatrixGame(np.eye(3)), "max", etas, alphas)]
+                   ProdBr((2, 3), 50)]
         for batch in batches:
             current, prev_loss = batch.current.copy(), getattr(batch, "prev_loss", None)
             with pytest.raises(ValueError, match=r"^step: a batch of shape \(2, 3\) steps by update$"):
