@@ -1135,6 +1135,25 @@ class TestNonSquareSelfPlay:
             _assert_same_series(out.series, alone[2])
 
 
+@pytest.mark.parametrize("n,m", [(20, 20), (8, 6)])
+def test_self_play_is_an_amwu_pair_a_round_later(n, m):
+    # the round-1 rule: rounds 2 .. T are, bit for bit, an amwu_step pair's rounds 1 .. T-1,
+    # whose first update takes the opponent's first strategy as its previous one too
+    T, eta, alpha = 300, 0.05, 3.0
+    trace_max, trace_min, _, unit = run_self_play(SimulationConfig(
+        game=GameSpec(kind="random", n=n, m=m, seed=4), horizon=T,
+        agent=AgentSpec(kind="AMWU", eta=eta, alpha=alpha),
+        adversary=AdversarySpec(kind="self_play")))
+    fs, ys = [uniform(unit.n)], [uniform(unit.m)]
+    for _ in range(T - 2):  # both step on the opponent's last two strategies
+        f_prev, y_prev = fs[-2] if len(fs) > 1 else fs[-1], ys[-2] if len(ys) > 1 else ys[-1]
+        fs, ys = (fs + [amwu_step(fs[-1], unit, ys[-1], y_prev, "max", eta, alpha)],
+                  ys + [amwu_step(ys[-1], unit, fs[-1], f_prev, "min", eta, alpha)])
+    for trace, want in ((trace_max, fs), (trace_min, ys)):
+        np.testing.assert_array_equal(trace.strategies[1:].view(np.int64),
+                                      np.array(want).view(np.int64))
+
+
 class TestOneMwuForBothSides:
     """On a square game the two ``Mwu`` sides step as one ``Mwu`` of 2B rows (``engine._play``),
     each round bit for bit two separate ``Mwu`` sides fed fresh loss rows; a non-square
