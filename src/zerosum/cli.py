@@ -6,6 +6,8 @@ which check every value and key.  Metric series go to CSV with the fixed header
 ordered by learner, metric, seed, adversary eta, round); each preset also
 writes a JSON manifest recording the grid, the seeds it reads and the library version, and
 ``zerosum preset`` prints a ``<sha256>  <path>`` line for each of its two files.
+``zerosum demo`` prints the last-iterate gaps of MWU, OMWU and AMWU in self-play
+on one seeded random game, then that game's equilibrium and spectral certificates.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ ADVERSARY_ETA_GRID = tuple(round(0.5 - 0.05 * i, 2) for i in range(10))
 
 # The presets' agents, each defined once: MWU, OMWU and AMWU at the common learning rate, the
 # eta=1 OMWU that matches AMWU's relative weight between the latest loss and the regularizer,
-# and ProdBR; a learner name means one agent in every grid preset and the demo script.
+# and ProdBR; a learner name means one agent in every grid preset and ``zerosum demo``.
 AGENTS = {spec.name: spec for spec in (
     AgentSpec(kind="MWU", eta=0.01, name="MWU"),
     AgentSpec(kind="OMWU", eta=0.01, name="OMWU"),
@@ -366,25 +368,44 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+def _cmd_demo(args) -> int:
+    seed = parse_number(args.seed, "--seed", integer=True)
+    size = parse_number(args.size, "--size", 2, integer=True)
+    T = parse_number(args.horizon, "--horizon", 2, integer=True)
+    game = GameSpec(kind="random", n=size, m=size, seed=seed)
+    amwu = AGENTS["AMWU"]
+    agents = [("MWU", AGENTS["MWU"]), ("OMWU", AGENTS["OMWU"]),
+              (f"AMWU(alpha={amwu.alpha:g})", amwu)]
+    outcomes = grid_run([
+        SimulationConfig(game, T, spec, AdversarySpec(kind="self_play"), ("exploitability",))
+        for _, spec in agents
+    ])
+    for outcome in outcomes:
+        if outcome.error is not None:
+            raise ValueError(outcome.error)
+    unit = game.resolve().to_unit_range()  # the game the configs played
+    ne = solve_zero_sum(unit)
+    rhos = [spectral_radius_at_ne(unit, ne, CERTIFICATE_ETA, alpha)
+            for _, alpha in CERTIFICATE_ALPHAS]
+
+    checkpoints = sorted({c for c in (100, 1000, T // 2, T) if c <= T})
+    print(f"random {size}x{size} game, seed {seed}, T={T}")
+    print(f"{'agent':>18} " + " ".join(f"t={c:<8d}" for c in checkpoints))
+    for (label, _), outcome in zip(agents, outcomes):
+        gaps = " ".join(f"{outcome.series['exploitability'][c - 1]:<10.5f}" for c in checkpoints)
+        print(f"{label:>18} {gaps}")
+    print(f"\nequilibrium value {ne.value:.6f} (duality gap {ne.gap:.2e})")
+    for (_, alpha), rho in zip(CERTIFICATE_ALPHAS, rhos):
+        label = f"exploit rate {alpha:g}" if alpha else "plain"
+        print(f"spectral radius at the equilibrium, {label}: {rho:.6f}")
+    return 0
+
+
 class ArgumentParser(argparse.ArgumentParser):
     """An argparse parser (and subparsers) whose bad-flag errors raise ValueError."""
 
     def error(self, message):
         raise ValueError(message)
-
-
-def report_errors(parser: ArgumentParser, argv=None) -> int:
-    """Parse ``argv`` and run the parser's ``func`` default on it; a bad flag, or a
-    ValueError or OSError from the command, ends in one ``error:`` line on stderr
-    and exit code 2.  ``main`` and the demo script report errors so."""
-    try:  # numpy's warnings are silenced, as every result is checked before it is reported
-        # (a finite payoff, a certified gap, a finite Jacobian, core.check_rounds)
-        with np.errstate(all="ignore"):
-            args = parser.parse_args(argv)
-            return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main(argv=None) -> int:
@@ -414,7 +435,22 @@ def main(argv=None) -> int:
     p_cert.add_argument("--alpha", required=True)
     p_cert.set_defaults(func=_cmd_certify)
 
-    return report_errors(parser, argv)
+    p_demo = sub.add_parser("demo", help="last-iterate gaps of MWU, OMWU and AMWU in self-play")
+    p_demo.add_argument("--seed", default="12", help="seed of the random game")
+    p_demo.add_argument("--size", default="20", help="actions per side, at least 2")
+    p_demo.add_argument("--horizon", default="20000", help="rounds, at least 2")
+    p_demo.set_defaults(func=_cmd_demo)
+
+    # A bad flag, or a ValueError or OSError from the command, ends in one error: line and exit
+    # code 2.  numpy's warnings are silenced, as every result is checked before it is reported
+    # (a finite payoff, a certified gap, a finite Jacobian, core.check_rounds).
+    try:
+        with np.errstate(all="ignore"):
+            args = parser.parse_args(argv)
+            return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -211,6 +211,9 @@ def replay(game, eta, horizon):
 
 
 class TestRecordObliviousTrace:
+    """The oblivious replay recording, ``engine._record`` (the class keeps the name of the
+    recorder that it replaced, so that its tests keep their names)."""
+
     def test_deterministic(self):
         g = make_random_game(4, 4, seed=5)
         np.testing.assert_array_equal(replay(g, 0.5, 50), replay(g, 0.5, 50))
