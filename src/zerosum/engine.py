@@ -17,7 +17,8 @@ Every loop steps a batch of configs, the rows of batch-native learners (``learne
 every product the stacked one, so that each row is bit for bit its config run alone.  One
 two-player loop, ``_play``, runs the replay recording and reactive play (a row learner
 against a column MWU, ``_vs_mwu``) and self-play (the kind's ``Mwu`` from ``build_agent``
-on each side), calling the learners' unchecked ``update``; it alone decides that on a
+on each side), calling the learners' unchecked ``update`` on the losses it takes as data
+(``_losses`` of A and the offset 1, or in self-play -A and 0); it alone decides that on a
 square game two sides of type exactly ``Mwu`` step as one ``Mwu`` of both sides' rows.  An
 oblivious agent plays its replay whole (``play``): MWU(eta) recorded against MWU(eta) once
 per game and (eta, horizon) (``_record``), kept as the (T, n) loss block x_t = A y_t.  One
@@ -28,7 +29,7 @@ reads a failed replay raises the replay's error.  A batch steps in runs of as ma
 fit ``_BATCH_BYTES``, so memory does not grow with the grid.  One per-game runner,
 ``_run_game``, resolves a game, records its replays, steps its configs and yields each one's
 result or exception in turn; ``grid_run`` runs it on each game, and a config run alone
-(``run_vs_adversary``, ``run_self_play``, ``zerosum run``) is a grid of one.
+(``run_alone``, in the run mode its config names, or ``zerosum run``) is a grid of one.
 
 Each spec checks itself when built, in Python as by ``cli.parse_config``: it
 rejects a set field that the kind tables do not list for its kind, and checks
@@ -340,28 +341,24 @@ def build_agent(specs, n: int, horizon: int):
     return specs[0].rule.build((len(specs), n), *rates, reg, horizon)
 
 
-def _losses(a: np.ndarray, self_play: bool, f, y, out=(None, None)):
+def _losses(a: np.ndarray, offset: float, f, y, out=(None, None)):
     """Both sides' loss rows of the strategy rows f and y (into ``out``'s (B, k, 1) blocks if
-    given): in self-play ``learners.side_loss``, the max side's -A y and the min side's A^T f,
-    else the row's A y and the column's 1 - A^T f (the negated gain, in [0, 1]).  Each row is
-    the stacked product, exactly the 1-D ``a @ y``; A^T is a transposed view, as a contiguous
-    copy has other bits."""
+    given), one rule for every mode: the row's a y and the column's ``offset`` - a^T f.  Each
+    row is the stacked product, exactly the 1-D ``a @ y``; a^T is a transposed view, as a
+    contiguous copy has other bits."""
     row, col = np.matmul(a, y[..., None], out=out[0]), np.matmul(a.T, f[..., None], out=out[1])
-    if self_play:
-        np.negative(row, out=row)
-    else:
-        np.subtract(1.0, col, out=col)
+    np.subtract(offset, col, out=col)
     return row[..., 0], col[..., 0]
 
 
-def _play(row, col, a: np.ndarray, T: int, self_play: bool, first: int = 0):
+def _play(row, col, a: np.ndarray, offset: float, T: int, first: int = 0):
     """Rounds ``first`` + 1 .. T of two unstepped batches of B loss-stream learners, the row's
-    f_t and the column's y_t each committed before either side is fed its ``_losses``; returns
-    the (B, T, k) strategy blocks fs and ys, after T - ``first`` - 1 updates per side (round T's
-    strategies are committed, not fed).  On a square game two sides of type exactly ``Mwu``
-    (not a subclass, whose update may differ) step as one ``Mwu`` of 2B rows, the row's
-    rates and ``prev_loss`` over the column's, fed from two loss buffers in turn (it keeps
-    the last by reference); fs and ys view one (2B, T, n) block."""
+    f_t and the column's y_t each committed before either side is fed its ``_losses`` of ``a``
+    and ``offset``; returns the (B, T, k) strategy blocks fs and ys, after T - ``first`` - 1
+    updates per side (round T's strategies are committed, not fed).  On a square game two
+    sides of type exactly ``Mwu`` (not a subclass, whose update may differ) step as one
+    ``Mwu`` of 2B rows, the row's rates and ``prev_loss`` over the column's, fed from two loss
+    buffers in turn (it keeps the last by reference); fs and ys view one (2B, T, n) block."""
     n, m = a.shape
     if n == m and type(row) is type(col) is Mwu:
         B = len(row.current)
@@ -374,7 +371,7 @@ def _play(row, col, a: np.ndarray, T: int, self_play: bool, first: int = 0):
         for t in range(first, T - 1):
             block[:, t] = x
             row_out, col_out, observed = buffers[t % 2]
-            _losses(a, self_play, x[:B], x[B:], (row_out, col_out))
+            _losses(a, offset, x[:B], x[B:], (row_out, col_out))
             x = both.update(observed)
         block[:, T - 1] = x
         return block[:B], block[B:]
@@ -382,7 +379,7 @@ def _play(row, col, a: np.ndarray, T: int, self_play: bool, first: int = 0):
     fs, ys = np.empty((len(f), T, n)), np.empty((len(y), T, m))
     for t in range(first, T - 1):
         fs[:, t], ys[:, t] = f, y
-        row_loss, col_loss = _losses(a, self_play, f, y)
+        row_loss, col_loss = _losses(a, offset, f, y)
         f, y = row.update(row_loss), col.update(col_loss)
     fs[:, T - 1], ys[:, T - 1] = f, y
     return fs, ys
@@ -390,14 +387,14 @@ def _play(row, col, a: np.ndarray, T: int, self_play: bool, first: int = 0):
 
 def _vs_mwu(row, unit: MatrixGame, etas, T: int):
     """Play the batch ``row``, fed A y_t, against a column ``Mwu`` at ``etas`` fed 1 - A^T f_t
-    on a unit-range game (``_play``).  Returns a function of a row b and two contexts that
-    checks both sides' rounds of row b, its losses recomputed to the same bits, and gives the
-    row side's trace."""
+    (the negated gain, in [0, 1]) on a unit-range game: ``_play`` of A and the offset 1.
+    Returns a function of a row b and two contexts that checks both sides' rounds of row b,
+    its losses recomputed to the same bits, and gives the row side's trace."""
     a = unit.payoff
-    fs, ys = _play(row, Mwu((len(etas), unit.m), _column(etas)), a, T, False)
+    fs, ys = _play(row, Mwu((len(etas), unit.m), _column(etas)), a, 1.0, T)
 
     def checked(b: int, contexts: tuple[str, str]) -> Trace:
-        row_loss, col_loss = _losses(a, False, fs[b], ys[b])
+        row_loss, col_loss = _losses(a, 1.0, fs[b], ys[b])
         trace = Trace.from_rounds(fs[b], row_loss, context=contexts[0])
         check_rounds(ys[b], col_loss, context=contexts[1])
         return trace
@@ -468,15 +465,22 @@ def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
 
 
 def _self_play_batch(game: _Game, configs) -> Callable:
-    """Step self-play configs that share a game and a horizon as one batch, an ``Mwu`` of
-    their rows per side (as ``run_self_play`` describes).  Returns a function of a row b
-    that checks config b's rounds and gives its (trace_max, trace_min, series, unit game)."""
+    """Mirror-play both sides of the game with the update rule of each config (sharing a game
+    and a horizon), as one batch: each side is the ``Mwu`` of their rows that their kind builds
+    (``build_agent``), fed its ``learners.side_loss``, the max side -A y_t and the min side
+    A^T f_t (``_play`` of -A and the offset 0, the same bits, as rounding is symmetric under
+    negation).  The first two strategies are equal, and the first update takes the round-1
+    losses as the previous ones, so each round from 3 on is ``learners.amwu_step`` of the two
+    rounds before it.  Both sides' rounds, with the losses 1 - A y_t and A^T f_t in [0, 1],
+    are checked.  Returns a function of a row b that checks config b's rounds and gives its
+    (trace_max, trace_min, series, unit game)."""
     a, T, specs = game.unit.payoff, configs[0].horizon, [c.agent for c in configs]
     row, col = (build_agent(specs, k, T) for k in a.shape)
+    loss = np.negative(a)  # the max side's loss matrix
     # The round-1 rule: rounds 1 and 2 play the starts.  The loop plays rounds 2 .. T, its
     # first update taking round 1's losses as x_{t-1} (``prev_loss``); round 1 copies round 2.
-    row.prev_loss, col.prev_loss = _losses(a, True, row.start(), col.start())
-    fs, ys = _play(row, col, a, T, True, first=1)
+    row.prev_loss, col.prev_loss = _losses(loss, 0.0, row.start(), col.start())
+    fs, ys = _play(row, col, loss, 0.0, T, first=1)
     fs[:, 0], ys[:, 0] = fs[:, 1], ys[:, 1]
 
     def finish(b):
@@ -526,37 +530,18 @@ def _run_game(spec: GameSpec, batches):
             yield from step_replays(run)
 
 
-def _run_alone(config: SimulationConfig, kinds: tuple, caller: str):
-    """``config`` run as a grid of one (``_run_game``): its result, or its exception raised."""
-    if config.adversary.kind not in kinds:
-        raise ValueError(f"{caller} cannot handle adversary kind {config.adversary.kind!r}")
+def run_alone(config: SimulationConfig):
+    """``config`` run as a grid of one (``_run_game``), its result or its exception raised:
+    against an adversary (trace, series, unit game), the trace recording the agent's strategies
+    and the loss stream x_t = A y_t; in self-play (trace_max, trace_min, series, unit game)."""
     ((_, result),) = _run_game(config.game, [[RunOutcome(0, config)]])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def run_vs_adversary(config: SimulationConfig):
-    """Simulate one agent against a replayed or reactive adversary, as a grid of one.
-
-    Returns (trace, series, game) where the trace records the agent's
-    strategies and the loss stream x_t = A y_t on the unit-normalized game.
-    """
-    return _run_alone(config, ("oblivious_mwu", "nonoblivious_mwu"), "run_vs_adversary")
-
-
-def run_self_play(config: SimulationConfig):
-    """Mirror-play both sides of the game with the agent's update rule, as a grid of one.
-
-    Each side is the ``Mwu`` that the agent's kind builds (``build_agent``), fed
-    its ``learners.side_loss``: the max side -A y_t, the min side A^T f_t (``_play``
-    steps a square game's two as one ``Mwu``).  The first two strategies are equal,
-    and the first update takes the round-1 losses as the previous ones, so each round
-    from 3 on is ``learners.amwu_step`` of the two rounds before it.  Both sides' rounds,
-    with the losses 1 - A y_t and A^T f_t in [0, 1], are checked.  Returns (trace_max,
-    trace_min, series, game).
-    """
-    return _run_alone(config, ("self_play",), "run_self_play")
+# The names the benchmark harness (``perfbench/workloads.py``) still calls.
+run_vs_adversary = run_self_play = run_alone
 
 
 def grid_run(configs, parallelism: int = 1) -> list[RunOutcome]:

@@ -23,8 +23,7 @@ from zerosum.engine import (
     GameSpec,
     SimulationConfig,
     make_random_game,
-    run_self_play,
-    run_vs_adversary,
+    run_alone,
 )
 from zerosum.learners import (
     Aftrl,
@@ -247,7 +246,7 @@ def _self_play_exploitability(seed, kind, eta, alpha=None):
         adversary=AdversarySpec(kind="self_play"),
         metrics=("exploitability",),
     )
-    _, _, series, _ = run_self_play(cfg)
+    _, _, series, _ = run_alone(cfg)
     e = series["exploitability"]
     return float(e[99]), float(e[-1])
 
@@ -287,7 +286,7 @@ def test_criterion_05_kl_monotonicity():
             adversary=AdversarySpec(kind="self_play"),
             metrics=("kl_to_ne",),
         )
-        trace_f, trace_y, series, game = run_self_play(cfg)
+        trace_f, trace_y, series, game = run_alone(cfg)
         kl = series["kl_to_ne"]
         first_close = None
         for t in range(trace_f.horizon):
@@ -330,7 +329,7 @@ def _oblivious_final_average_loss(seed, agent_spec):
         adversary=AdversarySpec(kind="oblivious_mwu", eta=0.5),
         metrics=("average_loss",),
     )
-    _, series, _ = run_vs_adversary(cfg)
+    _, series, _ = run_alone(cfg)
     return float(series["average_loss"][-1])
 
 
@@ -362,7 +361,7 @@ def test_criterion_08_forward_regret_plateau():
             adversary=AdversarySpec(kind="nonoblivious_mwu", eta=1.0 / np.sqrt(T)),
             metrics=("forward_regret",),
         )
-        _, series, _ = run_vs_adversary(cfg)
+        _, series, _ = run_alone(cfg)
         fr = series["forward_regret"]
         lhs = fr[T - 1] - fr[T // 10 - 1]
         rhs = 0.05 * (fr[T // 10 - 1] - fr[T // 100 - 1]) + 1.0

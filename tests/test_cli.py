@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -126,6 +127,13 @@ def row_by_row_csv(records, path) -> None:
                               for t, v in enumerate(rec.values.tolist(), 1)]))
 
 
+def _python(*args):
+    """A fresh Python process that imports this zerosum, run to its end."""
+    src = str(Path(cli.__file__).resolve().parents[1])  # the directory holding zerosum
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+
 class TestEmitCsv:
     def test_rows_equal_the_row_by_row_writer(self, tmp_path):
         # names holding % (escaped in the row template) or non-ASCII, edge values,
@@ -197,6 +205,33 @@ class TestEmitCsv:
             tracemalloc.stop()
         assert path.read_text().count("\n") == 100_001
         assert peak < path.stat().st_size / 4
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_peak_rss_growth_of_a_last_round_emit(self, tmp_path):
+        # tracemalloc cannot see the RSS that the writer's layout decides.  Last-round's 8
+        # series of 1e5 rows grew a fresh process's peak RSS by 18.4 MB written as one bytes %
+        # call a series, and by 22.9 MB as a str % call then .encode() (10 runs each); the
+        # bound is their midpoint.  The peak is VmHWM, this address space's: ru_maxrss starts
+        # a spawned process at its parent's RSS, so under pytest it hid both
+        script = textwrap.dedent("""\
+            import sys
+            import numpy as np
+            from zerosum.cli import LAST_ROUND_AGENTS, LAST_ROUND_HORIZON, SeriesRecord, emit_csv
+
+            def peak_kb():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+            rng = np.random.default_rng(0)
+            records = [SeriesRecord(spec.name, metric, rng.uniform(0, 1, LAST_ROUND_HORIZON), 1)
+                       for spec in LAST_ROUND_AGENTS for metric in ("exploitability", "kl_to_ne")]
+            before = peak_kb()
+            emit_csv(records, sys.argv[1])
+            print(peak_kb() - before)
+        """)
+        run = _python("-c", script, str(tmp_path / "last_round.csv"))
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) / 1024 < 20.6, f"peak RSS grew {int(run.stdout) / 1024:.2f} MB"
 
 
 # The reference output: the sha256 of each preset's CSV and manifest at --seeds 1.
@@ -732,33 +767,27 @@ class TestModules:
 
     MODULES = ("core", "regularizers", "learners", "metrics", "nash", "engine", "cli")
 
-    @staticmethod
-    def _python(*args):
-        src = str(Path(cli.__file__).resolve().parents[1])  # the directory holding zerosum
-        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
-
     @pytest.mark.parametrize("module", MODULES)
     def test_each_module_imports_alone(self, module):
-        run = self._python("-c", f"import zerosum.{module}")
+        run = _python("-c", f"import zerosum.{module}")
         assert run.returncode == 0, run.stderr
 
     def test_package_has_no_public_name(self):
-        run = self._python("-c", "import json, zerosum; print(json.dumps(sorted(vars(zerosum))))")
+        run = _python("-c", "import json, zerosum; print(json.dumps(sorted(vars(zerosum))))")
         assert run.returncode == 0, run.stderr
         names = json.loads(run.stdout)
         assert "__version__" in names
         assert [name for name in names if not name.startswith("_")] == []
 
     def test_cli_module_runs(self):
-        run = self._python("-m", "zerosum.cli", "--help")
+        run = _python("-m", "zerosum.cli", "--help")
         assert run.returncode == 0, run.stderr
         assert run.stdout.startswith("usage: zerosum")
 
     def test_cli_module_runs_a_command(self, tmp_path, capsys):
         path = tmp_path / "mp.csv"
         path.write_text("1,-1\n-1,1\n")
-        run = self._python("-m", "zerosum.cli", "solve", str(path))
+        run = _python("-m", "zerosum.cli", "solve", str(path))
         assert run.returncode == 0, run.stderr
         assert main(["solve", str(path)]) == 0
         assert json.loads(run.stdout) == json.loads(capsys.readouterr().out)

@@ -21,8 +21,7 @@ from zerosum.engine import (
     SimulationConfig,
     grid_run,
     make_random_game,
-    run_self_play,
-    run_vs_adversary,
+    run_alone,
     splitmix64,
 )
 from zerosum.learners import LossStreamLearner, Mwu, amwu_step, side_loss
@@ -226,7 +225,7 @@ class TestRecordObliviousTrace:
         cfg = SimulationConfig(game=GameSpec(kind="csv", path=str(path)), horizon=20,
                                agent=AgentSpec(kind="MWU", eta=0.1),
                                adversary=AdversarySpec(kind="oblivious_mwu", eta=0.5))
-        trace, _, _ = run_vs_adversary(cfg)
+        trace, _, _ = run_alone(cfg)
         np.testing.assert_array_equal(trace.losses, np.zeros((20, 3)))
         np.testing.assert_allclose(trace.strategies, np.full((20, 3), 1 / 3), atol=1e-12)
 
@@ -279,14 +278,14 @@ class TestRecordObliviousTrace:
 class TestRunVsAdversary:
     def test_deterministic(self):
         cfg = vs_config(agent=AgentSpec(kind="AFTRL", eta=0.05, alpha=2.0))
-        t1, s1, _ = run_vs_adversary(cfg)
-        t2, s2, _ = run_vs_adversary(cfg)
+        t1, s1, _ = run_alone(cfg)
+        t2, s2, _ = run_alone(cfg)
         np.testing.assert_array_equal(t1.strategies, t2.strategies)
         np.testing.assert_array_equal(s1["external_regret"], s2["external_regret"])
 
     def test_loss_range_contract(self):
         cfg = vs_config(agent=AgentSpec(kind="ProdBR"), horizon=150)
-        trace, _, _ = run_vs_adversary(cfg)
+        trace, _, _ = run_alone(cfg)
         assert trace.losses.min() >= 0.0 and trace.losses.max() <= 1.0
 
     def test_best_response_vs_constant_adversary(self, tmp_path):
@@ -301,7 +300,7 @@ class TestRunVsAdversary:
             adversary=AdversarySpec(kind="oblivious_mwu", eta=0.5),
             metrics=("dynamic_regret",),
         )
-        _, series, _ = run_vs_adversary(cfg)
+        _, series, _ = run_alone(cfg)
         increments = np.diff(series["dynamic_regret"])
         np.testing.assert_allclose(increments, np.zeros(49), atol=1e-12)
 
@@ -311,8 +310,8 @@ class TestRunVsAdversary:
         adv = AdversarySpec(kind="nonoblivious_mwu", eta=0.4)
         cfg_a = vs_config(agent=AgentSpec(kind="MWU", eta=0.05), adversary=adv, horizon=5)
         cfg_b = vs_config(agent=AgentSpec(kind="MWU", eta=0.4), adversary=adv, horizon=5)
-        ta, _, ga = run_vs_adversary(cfg_a)
-        tb, _, gb = run_vs_adversary(cfg_b)
+        ta, _, ga = run_alone(cfg_a)
+        tb, _, gb = run_alone(cfg_b)
         # identical first-round strategies (uniform), so x_1 and x_2 agree
         np.testing.assert_allclose(ta.losses[0], tb.losses[0], atol=1e-15)
         np.testing.assert_allclose(ta.losses[1], tb.losses[1], atol=1e-15)
@@ -322,7 +321,7 @@ class TestRunVsAdversary:
     def test_oblivious_run_equals_a_per_round_step_loop(self, seed):
         T = 300
         for spec in VS_ADVERSARY_AGENTS:
-            trace, _, unit = run_vs_adversary(vs_config(seed=seed, horizon=T, agent=spec))
+            trace, _, unit = run_alone(vs_config(seed=seed, horizon=T, agent=spec))
             a = unit.payoff
             # the replay: an MWU row player fed A y_t against an MWU column
             # player fed 1 - A^T f_t, both at the adversary's eta, unbatched
@@ -348,16 +347,12 @@ class TestRunVsAdversary:
                 game=GameSpec(kind="random", n=4, m=4, seed=3), horizon=horizon,
                 agent=AgentSpec(kind=kind, eta=1.0, alpha=100.0),
                 adversary=AdversarySpec(kind=adversary, eta=0.5))
-            return run_vs_adversary(config)[1]
+            return run_alone(config)[1]
 
         short, long = series(100), series(2000)
         assert set(short) == set(ADVERSARY_METRICS)
         for name, values in short.items():
             np.testing.assert_array_equal(values, long[name][:len(values)], err_msg=name)
-
-    def test_other_run_mode_rejected(self):
-        with pytest.raises(ValueError, match="^run_vs_adversary cannot handle adversary kind"):
-            run_vs_adversary(self_play_config("MWU", 0.1))
 
     def test_adversary_without_rate_rejected(self):
         with pytest.raises(ValueError, match=r"^adversary\.eta: missing required key$"):
@@ -386,10 +381,6 @@ def _self_play_traces(monkeypatch, configs) -> dict:
 
 
 class TestRunSelfPlay:
-    def test_other_run_mode_rejected(self):
-        with pytest.raises(ValueError, match="^run_self_play cannot handle adversary kind"):
-            run_self_play(vs_config())
-
     def test_first_two_rounds_uniform(self):
         cfg = SimulationConfig(
             game=GameSpec(kind="random", n=4, m=4, seed=2),
@@ -398,7 +389,7 @@ class TestRunSelfPlay:
             adversary=AdversarySpec(kind="self_play"),
             metrics=("exploitability",),
         )
-        tf, ty, series, game = run_self_play(cfg)
+        tf, ty, series, game = run_alone(cfg)
         np.testing.assert_allclose(tf.strategies[0], np.full(4, 0.25))
         np.testing.assert_allclose(tf.strategies[1], np.full(4, 0.25))
         np.testing.assert_allclose(ty.strategies[1], np.full(4, 0.25))
@@ -416,7 +407,7 @@ class TestRunSelfPlay:
             adversary=AdversarySpec(kind="self_play"),
             metrics=("exploitability",),
         )
-        tf, ty, series, _ = run_self_play(cfg)
+        tf, ty, series, _ = run_alone(cfg)
         np.testing.assert_allclose(tf.strategies, np.full((40, 2), 0.5), atol=1e-12)
         np.testing.assert_allclose(ty.strategies, np.full((40, 2), 0.5), atol=1e-12)
         np.testing.assert_allclose(series["exploitability"], np.zeros(40), atol=1e-12)
@@ -437,7 +428,7 @@ class TestRunSelfPlay:
         ) for spec in LAST_ROUND_AGENTS]
         batched = _self_play_traces(monkeypatch, configs)
         for config in configs:
-            tf, ty, _, unit = run_self_play(config)
+            tf, ty, _, unit = run_alone(config)
             eta, alpha = config.agent.eta, config.agent.resolved_alpha()
             fs, ys = np.empty((T, unit.n)), np.empty((T, unit.m))
             fs[0] = fs[1] = uniform(unit.n)
@@ -458,7 +449,7 @@ class TestRunSelfPlay:
             adversary=AdversarySpec(kind="self_play"),
             metrics=("exploitability", "kl_to_ne"),
         )
-        _, _, series, _ = run_self_play(cfg)
+        _, _, series, _ = run_alone(cfg)
         assert set(series) == {"exploitability", "kl_to_ne"}
         assert np.all(series["kl_to_ne"] >= 0.0)
 
@@ -482,7 +473,7 @@ class TestOneLearnerPerKind:
                 game=GameSpec(kind="random", n=6, m=4, seed=5), horizon=300, agent=agent,
                 adversary=AdversarySpec(kind=mode, **({} if mode == "self_play" else
                                                       {"eta": 0.3})))
-            return (run_self_play if mode == "self_play" else run_vs_adversary)(config)
+            return run_alone(config)
 
         amwu = run(AgentSpec(kind="AMWU", eta=0.1, alpha=alpha))
         fixed = run(AgentSpec(kind=kind, eta=0.1))
@@ -580,7 +571,7 @@ class TestReplayGroups:
             for seed in (1, 2)
             for agent in ALL_AGENTS
         ]
-        alone = [run_vs_adversary(c)[1] for c in configs]
+        alone = [run_alone(c)[1] for c in configs]
         forward = list(range(len(configs)))
         for order in (forward, forward[::-1]):
             for parallelism in (1, 2):
@@ -607,7 +598,7 @@ class TestReplayGroups:
         ]
         for out, config in zip(grid_run(configs), configs):
             assert out.error is None, out.error
-            alone = run_vs_adversary(config)[1]
+            alone = run_alone(config)[1]
             assert set(out.series) == set(alone)
             for name, values in alone.items():
                 np.testing.assert_array_equal(out.series[name].view(np.int64),
@@ -669,7 +660,7 @@ class TestReplayGroups:
             assert len(calls) == 3
             assert {spec.seed for spec in calls} == {1, 2, 3}
         calls.clear()
-        run_vs_adversary(configs[0])  # a config run alone resolves its own game
+        run_alone(configs[0])  # a config run alone resolves its own game
         assert len(calls) == 1
 
     def test_one_equilibrium_per_self_play_game(self, monkeypatch):
@@ -686,7 +677,7 @@ class TestReplayGroups:
             for seed in (1, 2)
             for spec in LAST_ROUND_AGENTS
         ]
-        alone = [run_self_play(c)[2] for c in configs]
+        alone = [run_alone(c)[2] for c in configs]
         monkeypatch.setattr(nash, "solve_zero_sum", counting)
         for parallelism in (1, 2):
             calls.clear()
@@ -720,7 +711,7 @@ class TestReplayGroups:
         good = [vs_config(horizon=30, agent=a) for a in agents]
         configs = [c for pair in zip(bad, good) for c in pair]
         with pytest.raises(ValueError) as alone:
-            run_vs_adversary(bad[0])
+            run_alone(bad[0])
         for parallelism in (1, 2):
             outcomes = grid_run(configs, parallelism)
             assert [o.index for o in outcomes] == list(range(len(configs)))
@@ -1131,7 +1122,7 @@ class TestNonSquareSelfPlay:
             trace_max, trace_min, _, _ = batched[id(config)]
             n, m = config.game.n, config.game.m
             assert trace_max.strategies.shape == (T, n) and trace_min.strategies.shape == (T, m)
-            alone = run_self_play(config)
+            alone = run_alone(config)
             for got, expected in zip((trace_max, trace_min), alone[:2]):
                 np.testing.assert_array_equal(got.strategies, expected.strategies)
                 np.testing.assert_array_equal(got.losses, expected.losses)
@@ -1143,7 +1134,7 @@ def test_self_play_is_an_amwu_pair_a_round_later(n, m):
     # the round-1 rule: rounds 2 .. T are, bit for bit, an amwu_step pair's rounds 1 .. T-1,
     # whose first update takes the opponent's first strategy as its previous one too
     T, eta, alpha = 300, 0.05, 3.0
-    trace_max, trace_min, _, unit = run_self_play(SimulationConfig(
+    trace_max, trace_min, _, unit = run_alone(SimulationConfig(
         game=GameSpec(kind="random", n=n, m=m, seed=4), horizon=T,
         agent=AgentSpec(kind="AMWU", eta=eta, alpha=alpha),
         adversary=AdversarySpec(kind="self_play")))
@@ -1155,6 +1146,36 @@ def test_self_play_is_an_amwu_pair_a_round_later(n, m):
     for trace, want in ((trace_max, fs), (trace_min, ys)):
         np.testing.assert_array_equal(trace.strategies[1:].view(np.int64),
                                       np.array(want).view(np.int64))
+
+
+class TestLosses:
+    """``engine._losses`` is one rule for every mode: the row a y, the column offset - a^T f."""
+
+    @pytest.mark.parametrize("n,m", [(20, 20), (8, 6), (6, 8)])
+    @pytest.mark.parametrize("B", [1, 4])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "out"])
+    def test_self_play_and_adversary_losses(self, n, m, B, buffered):
+        # self-play's -A and 0 are side_loss's -A y and A^T f, the adversary's A and 1 the
+        # stacked products; on a square game into the halves of one block, as _play passes them
+        game = make_random_game(n, m, seed=12).to_unit_range()
+        a, rng = game.payoff, np.random.default_rng(B * 100 + n)
+        f, y = rng.dirichlet(np.ones(n), B), rng.dirichlet(np.ones(m), B)
+        if not buffered:
+            outs = [(None, None)] * 2
+        elif n == m:
+            outs = [(out[:B], out[B:]) for out in np.empty((2, 2 * B, n, 1))]
+        else:
+            outs = [(np.empty((B, n, 1)), np.empty((B, m, 1))) for _ in range(2)]
+        cases = [
+            (engine._losses(np.negative(a), 0.0, f, y, outs[0]),
+             (side_loss(game, "max")(y), side_loss(game, "min")(f))),
+            (engine._losses(a, 1.0, f, y, outs[1]),
+             ((a @ y[..., None])[..., 0], 1.0 - (a.T @ f[..., None])[..., 0])),
+        ]
+        for got, want in cases:
+            for side, expected in zip(got, want):
+                assert side.shape == expected.shape
+                np.testing.assert_array_equal(side.view(np.int64), expected.view(np.int64))
 
 
 class TestOneMwuForBothSides:
@@ -1289,7 +1310,7 @@ class TestRoundChecks:
         )
         cfg = vs_config(horizon=20, adversary=AdversarySpec(kind=kind, eta=0.4))
         with pytest.raises(ValueError, match=r"^round 9 strategy: entries sum to"):
-            run_vs_adversary(cfg)
+            run_alone(cfg)
 
     def test_bad_loss_names_its_round(self, monkeypatch):
         record = engine._record
@@ -1302,7 +1323,7 @@ class TestRoundChecks:
 
         monkeypatch.setattr(engine, "_record", corrupted)
         with pytest.raises(ValueError, match=r"^round 6 loss: entries outside \[0, 1\]"):
-            run_vs_adversary(vs_config(horizon=20))
+            run_alone(vs_config(horizon=20))
 
     def test_bad_replay_recording_names_its_round(self, monkeypatch):
         mwu_update = engine.Mwu.update
@@ -1346,7 +1367,7 @@ class TestSelfPlayRoundChecks:
     def test_bad_strategy_names_its_round(self, monkeypatch, side):
         _off_simplex_self_play_round(monkeypatch, 0.2, side, 7)
         with pytest.raises(ValueError, match=rf"^{side} side round 7 strategy: entries sum to"):
-            run_self_play(self_play_config("OMWU", 0.2))
+            run_alone(self_play_config("OMWU", 0.2))
 
     def test_bad_round_fails_only_its_config(self, monkeypatch):
         configs = [
@@ -1414,21 +1435,36 @@ class TestAloneIsAGridOfOne:
         # the type and message raised alone are the config's error in a grid, and a
         # config beside it that does not reach the fault is unaffected
         config = failure(monkeypatch, tmp_path)
-        run = run_self_play if config.adversary.kind == "self_play" else run_vs_adversary
         with pytest.raises(Exception) as alone:
-            run(config)
+            run_alone(config)
         bad, good = grid_run([config, self_play_config("MWU", 0.1, metrics=("exploitability",))])
         assert bad.error == f"{type(alone.value).__name__}: {alone.value}"
         assert bad.series == {}
         assert good.error is None and set(good.series) == {"exploitability"}
 
-    @pytest.mark.parametrize("run,config,recorded", [
-        (run_vs_adversary, vs_config(horizon=30), [[(0.5, 30)]]),
-        (run_vs_adversary,
+    @pytest.mark.parametrize("config", [
+        vs_config(horizon=30),
+        vs_config(horizon=30, adversary=AdversarySpec(kind="nonoblivious_mwu", eta=0.5)),
+        self_play_config("OMWU", 0.1),
+    ], ids=["oblivious_mwu", "nonoblivious_mwu", "self_play"])
+    def test_one_runner_reads_the_mode_from_the_config(self, config):
+        # against an adversary (trace, series, unit game); in self-play both sides' traces
+        result = engine.run_alone(config)
+        assert len(result) == (4 if config.adversary.kind == "self_play" else 3)
+        (outcome,) = grid_run([config])
+        assert result[-2].keys() == outcome.series.keys() == set(config.metrics)
+        for name, values in outcome.series.items():
+            np.testing.assert_array_equal(result[-2][name].view(np.int64), values.view(np.int64))
+        assert engine.run_vs_adversary is engine.run_self_play is engine.run_alone
+
+    @pytest.mark.parametrize("name,config,recorded", [
+        ("run_vs_adversary", vs_config(horizon=30), [[(0.5, 30)]]),
+        ("run_vs_adversary",
          vs_config(horizon=30, adversary=AdversarySpec(kind="nonoblivious_mwu", eta=0.5)), []),
-        (run_self_play, self_play_config("OMWU", 0.1), []),
+        ("run_self_play", self_play_config("OMWU", 0.1), []),
     ])
-    def test_config_alone_steps_through_the_grids_runner(self, monkeypatch, run, config, recorded):
+    def test_config_alone_steps_through_the_grids_runner(self, monkeypatch, name, config,
+                                                          recorded):
         # one game of one outcome, and a replay recorded only for an oblivious config
         games, recordings = [], []
         run_game, record = engine._run_game, engine._record
@@ -1436,7 +1472,7 @@ class TestAloneIsAGridOfOne:
             (spec, [[out.config for out in batch] for batch in batches])) or run_game(spec, batches))
         monkeypatch.setattr(engine, "_record", lambda unit, keys: recordings.append(list(keys))
                             or record(unit, keys))
-        result = run(config)
+        result = getattr(engine, name)(config)  # the names the benchmark harness calls
         assert games == [(config.game, [[config]])]
         assert recordings == recorded
         assert result[-2].keys() == set(config.metrics)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zerosum.core import MatrixGame, Trace, kl_divergence, l_norm
-from zerosum.engine import AdversarySpec, AgentSpec, GameSpec, SimulationConfig, run_self_play
+from zerosum.engine import AdversarySpec, AgentSpec, GameSpec, SimulationConfig, run_alone
 from zerosum.learners import Mwu
 from zerosum.metrics import (
     average_dynamic_regret,
@@ -59,7 +59,7 @@ def self_play_traces(kind, n, horizon, **agent):
         adversary=AdversarySpec(kind="self_play"),
         metrics=("exploitability",),
     )
-    trace_f, trace_y, _, _ = run_self_play(cfg)
+    trace_f, trace_y, _, _ = run_alone(cfg)
     return trace_f, trace_y
 
 
