@@ -357,8 +357,8 @@ def _play(row, col, a: np.ndarray, offset: float, T: int, first: int = 0):
     and ``offset``; returns the (B, T, k) strategy blocks fs and ys, after T - ``first`` - 1
     updates per side (round T's strategies are committed, not fed).  On a square game two
     sides of type exactly ``Mwu`` (not a subclass, whose update may differ) step as one
-    ``Mwu`` of 2B rows, the row's rates and ``prev_loss`` over the column's, fed from two loss
-    buffers in turn (it keeps the last by reference); fs and ys view one (2B, T, n) block."""
+    ``Mwu`` of 2B rows, the row's rates and ``prev_loss`` over the column's, in its flat loop
+    (``Mwu.play_sides``); fs and ys view its (2B, T, n) block."""
     n, m = a.shape
     if n == m and type(row) is type(col) is Mwu:
         B = len(row.current)
@@ -366,14 +366,7 @@ def _play(row, col, a: np.ndarray, offset: float, T: int, first: int = 0):
                       for pair in ((row.eta, col.eta), (row.alpha, col.alpha)))
         both = Mwu((2 * B, n), eta, alpha)
         both.prev_loss = np.vstack((row.prev_loss, col.prev_loss))
-        x, block = both.start(), np.empty((2 * B, T, n))
-        buffers = [(out[:B], out[B:], out[..., 0]) for out in np.empty((2, 2 * B, n, 1))]
-        for t in range(first, T - 1):
-            block[:, t] = x
-            row_out, col_out, observed = buffers[t % 2]
-            _losses(a, offset, x[:B], x[B:], (row_out, col_out))
-            x = both.update(observed)
-        block[:, T - 1] = x
+        block = both.play_sides(a, offset, T, first)
         return block[:B], block[B:]
     f, y = row.start(), col.start()
     fs, ys = np.empty((len(f), T, n)), np.empty((len(y), T, m))

@@ -48,8 +48,10 @@ import math
 
 import numpy as np
 
-from .core import MatrixGame, check_loss_vector, check_rates, check_strategy, l_norm, uniform
-from .regularizers import ENTROPY, Regularizer, floor_normalize, floored_softmax, shifted_exp
+from .core import (
+    WEIGHT_FLOOR, MatrixGame, check_loss_vector, check_rates, check_strategy, l_norm, uniform,
+)
+from .regularizers import ENTROPY, Regularizer, floored_softmax, shifted_exp
 
 BR_TIE_ATOL = 1e-12
 # ProdBr's: losses, leaders, best responses and their difference, plus (T, B, 1) columns
@@ -182,11 +184,52 @@ class Mwu(LossStreamLearner):
         z = np.multiply(x, self._now, out=np.empty(x.shape))  # (T-1, B, n): each z[t] contiguous
         z[1:] -= np.multiply(x[:-1], self._prev, out=x[:-1])  # x_0 = 0 drops out
         z *= self._rate
+        total = np.empty(z.shape[1:-1] + (1,))  # a round's row sums
         f = losses[:, 0] = self.start()
         for e_t in shifted_exp(z):  # floored_softmax, its exp taken at once; z[t] becomes f_{t+2}
-            f = floor_normalize(np.multiply(f, e_t, out=e_t))
+            np.multiply(f, e_t, out=e_t)
+            np.maximum(e_t, WEIGHT_FLOOR, out=e_t)
+            f = np.divide(e_t, np.add.reduce(e_t, axis=-1, keepdims=True, out=total), out=e_t)
         losses[:, 1:] = z.transpose(1, 0, 2)
         return losses
+
+    def play_sides(self, a: np.ndarray, offset: float, T: int, first: int = 0) -> np.ndarray:
+        """Rounds ``first`` + 1 .. T of this fresh learner's 2B rows as both sides of the square
+        game ``a``: each round the first B rows, the row side, are fed a y_t and the last B,
+        the column, ``offset`` - a^T f_t (``engine._losses``, a^T the transposed view); returns
+        the (2B, T, n) strategy block, bit for bit ``start`` and an ``update`` a round.  The
+        loop restates ``update`` in buffers made once, so a round makes its arithmetic's numpy
+        calls and no other: no Python frame, allocation or new view."""
+        B = len(self.current) // 2
+        block, x = np.empty((2 * B, T, self.n)), self.current.copy()  # x: the strategy f_t, y_t
+        f, y, at = x[:B, :, None], x[B:, :, None], a.T
+        losses = np.empty((2, 2 * B, self.n, 1))  # x_t and x_{t-1} in turn (round t's is t % 2)
+        losses[(first - 1) % 2, ..., 0] = self.prev_loss
+        turns = [(out[:B], out[B:], out[..., 0], losses[1 - i, ..., 0]) for i, out in enumerate(losses)]
+        drive, top, total = np.empty_like(x), np.empty((2 * B, 1)), np.empty((2 * B, 1))
+        now, prev, rate, plain = self._now, self._prev, self._rate, self._plain
+        # bound once, as a round looks up no attribute
+        matmul, multiply, subtract, divide, exp, maximum = (
+            np.matmul, np.multiply, np.subtract, np.divide, np.exp, np.maximum)
+        top_of, sum_of = np.maximum.reduce, np.add.reduce
+        for t in range(first, T - 1):
+            block[:, t] = x
+            row_out, col_out, observed, previous = turns[t % 2]
+            matmul(a, y, out=row_out)
+            matmul(at, f, out=col_out)
+            subtract(offset, col_out, out=col_out)
+            if plain:
+                multiply(rate, observed, out=drive)
+            else:  # x_{t-1} is read for the last time: weigh it in its own buffer
+                multiply(now, observed, out=drive)
+                subtract(drive, multiply(prev, previous, out=previous), out=drive)
+                multiply(rate, drive, out=drive)
+            subtract(drive, top_of(drive, axis=-1, keepdims=True, out=top), out=drive)
+            multiply(x, exp(drive, out=drive), out=x)
+            maximum(x, WEIGHT_FLOOR, out=x)
+            divide(x, sum_of(x, axis=-1, keepdims=True, out=total), out=x)
+        block[:, T - 1] = x
+        return block
 
 
 def side_loss(game: MatrixGame, side: str):

@@ -102,26 +102,23 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 
 def floored_softmax(z: np.ndarray, prior: np.ndarray | None = None) -> np.ndarray:
     """prior * exp(z - max z), floored at ``WEIGHT_FLOOR`` and normalized, over
-    the last axis (``shifted_exp``, then ``floor_normalize``): the multiplicative
-    kernel of every entropy update.  It works in the array ``z``, so callers pass
-    a fresh one.  No prior means a uniform one."""
+    the last axis (``shifted_exp``, then the floor and the sum): the multiplicative
+    kernel of every entropy update, which ``Mwu.play`` and ``Mwu.play_sides`` restate
+    in their loops.  It works in the array ``z``, so callers pass a fresh one.  No
+    prior means a uniform one."""
     w = shifted_exp(z)
-    return floor_normalize(w if prior is None else np.multiply(prior, w, out=w))
+    if prior is not None:
+        np.multiply(prior, w, out=w)
+    np.maximum(w, WEIGHT_FLOOR, out=w)
+    return np.divide(w, np.add.reduce(w, axis=-1, keepdims=True), out=w)
 
 
 def shifted_exp(z: np.ndarray) -> np.ndarray:
     """exp(z - max z) over the last axis, in the array ``z``: on a block, each row
-    as alone.  Its reduction and ``floor_normalize``'s are the ufuncs' own, as
+    as alone.  Its reduction and ``floored_softmax``'s sum are the ufuncs' own, as
     ``max`` and ``sum`` call them."""
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     return np.exp(z, out=z)
-
-
-def floor_normalize(w: np.ndarray) -> np.ndarray:
-    """Weights floored at ``WEIGHT_FLOOR`` and normalized over the last axis,
-    in the array ``w``: the kernel of ``floored_softmax`` and ``Mwu.play``."""
-    w = np.maximum(w, WEIGHT_FLOOR, out=w)
-    return np.divide(w, np.add.reduce(w, axis=-1, keepdims=True), out=w)
 
 
 def regularized_argmin(reg: Regularizer, cumulative: np.ndarray, eta: float) -> np.ndarray:

@@ -890,6 +890,30 @@ def _assert_same_series(got: dict, expected: dict):
         np.testing.assert_array_equal(got[name], values, err_msg=name)
 
 
+def _fault_mwu_rows(patch, faulty_rows):
+    """Make the ``Mwu`` rows that ``faulty_rows(learner)`` marks, as a (B, 1) column (it may
+    raise instead), play NaN from their first update on: in ``engine._play``, which every
+    two-player loop goes through (the replay recordings, reactive play and self-play), and in
+    ``Mwu.play``, oblivious play."""
+    play_pair, play = engine._play, engine.Mwu.play
+
+    def faulty_pair(row, col, a, offset, T, first=0):  # round by round
+        marked = [faulty_rows(side)[:, 0] if isinstance(side, Mwu) else None for side in (row, col)]
+        blocks = play_pair(row, col, a, offset, T, first)
+        for block, rows in zip(blocks, marked):
+            if rows is not None:
+                block[rows, first + 1:] = np.nan
+        return blocks
+
+    def faulty_play(self, losses):  # all rounds at once
+        rows, strategies = faulty_rows(self)[:, 0], play(self, losses)
+        strategies[rows, 1:] = np.nan
+        return strategies
+
+    patch.setattr(engine, "_play", faulty_pair)
+    patch.setattr(engine.Mwu, "play", faulty_play)
+
+
 class TestBatches:
     def test_batched_series_equal_each_config_run_alone(self, monkeypatch):
         configs = _mixed_grid()
@@ -918,24 +942,14 @@ class TestBatches:
             for eta in (0.1, 0.2, 0.3)
         ]
         clean = grid_run(configs)
-        update, play = engine.Mwu.update, engine.Mwu.play
 
-        def rows_at_02(self):
-            at_eta = np.asarray(self.eta) == 0.2
+        def rows_at_02(learner):
+            at_eta = np.asarray(learner.eta) == 0.2
             if at_eta.any() and fault == "raise":
                 raise FloatingPointError("row at eta 0.2")
             return at_eta
 
-        def faulty_update(self, observed):  # reactive play, round by round
-            return np.where(rows_at_02(self), np.nan, update(self, observed))
-
-        def faulty_play(self, losses):  # oblivious play, all rounds at once
-            rows, strategies = rows_at_02(self)[:, 0], play(self, losses)
-            strategies[rows, 1:] = np.nan
-            return strategies
-
-        monkeypatch.setattr(engine.Mwu, "update", faulty_update)
-        monkeypatch.setattr(engine.Mwu, "play", faulty_play)
+        _fault_mwu_rows(monkeypatch, rows_at_02)
         outcomes = grid_run(configs)
         expected_error = {"nan": "ValueError: round 2 strategy: non-finite entries",
                           "raise": "FloatingPointError: row at eta 0.2"}[fault]
@@ -1066,25 +1080,15 @@ class TestGridContract:
         configs, order = drawn
         grid, permuted, alone = _grid_permuted_alone(configs, order)
         assert grid == permuted == alone
-        update, play = engine.Mwu.update, engine.Mwu.play
 
-        def faulty_rows(self):
-            rows = np.asarray(self.eta) == faulty_eta
+        def faulty_rows(learner):
+            rows = np.asarray(learner.eta) == faulty_eta
             if raising and rows.any():
                 raise FloatingPointError(f"a row at eta {faulty_eta}")
             return rows
 
-        def faulty_update(self, observed):  # reactive play, replays and self-play
-            return np.where(faulty_rows(self), np.nan, update(self, observed))
-
-        def faulty_play(self, losses):  # oblivious play, all rounds at once
-            rows, strategies = faulty_rows(self)[:, 0], play(self, losses)
-            strategies[rows, 1:] = np.nan
-            return strategies
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine.Mwu, "update", faulty_update)
-            patch.setattr(engine.Mwu, "play", faulty_play)
+            _fault_mwu_rows(patch, faulty_rows)
             faulted, permuted, alone = _grid_permuted_alone(configs, order)
         assert faulted == permuted == alone
         for config, clean, (error, series) in zip(configs, grid, faulted):
@@ -1179,8 +1183,9 @@ class TestLosses:
 
 
 class TestOneMwuForBothSides:
-    """On a square game the two ``Mwu`` sides step as one ``Mwu`` of 2B rows (``engine._play``),
-    each round bit for bit two separate ``Mwu`` sides fed fresh loss rows; a non-square
+    """On a square game the two ``Mwu`` sides step as one ``Mwu`` of 2B rows (``engine._play``)
+    in its flat loop (``Mwu.play_sides``), each round bit for bit two separate ``Mwu`` sides
+    fed fresh loss rows by ``Mwu.update``; a non-square
     game, or a row of an ``Mwu`` subclass, keeps the two.  Self-play and the
     recording/reactive loop (``_vs_mwu``), at B=1 and B=4, all rows at alpha 0 or at
     ``ALPHAS`` (B=1: alpha 100)."""
@@ -1201,21 +1206,24 @@ class TestOneMwuForBothSides:
 
     @staticmethod
     def played(monkeypatch, run):
-        """The rows of each ``Mwu.update`` call that ``run()`` makes, and the strategy blocks
-        that its one ``engine._play`` returns."""
-        rows, calls, update, play = [], [], Mwu.update, engine._play
+        """The rows of each ``Mwu.update`` and of each ``Mwu.play_sides`` call that ``run()``
+        makes, and the strategy blocks that its one ``engine._play`` returns."""
+        rows, sides, calls = [], [], []
+        update, play_sides, play = Mwu.update, Mwu.play_sides, engine._play
         monkeypatch.setattr(Mwu, "update", lambda self, x: rows.append(len(x)) or update(self, x))
+        monkeypatch.setattr(Mwu, "play_sides", lambda self, *args: sides.append(
+            len(self.current)) or play_sides(self, *args))
         monkeypatch.setattr(engine, "_play", lambda *args, **kwargs: calls.append(
             play(*args, **kwargs)) or calls[-1])
         run()
         (blocks,) = calls
-        return rows, blocks
+        return (rows, sides), blocks
 
     def stepped(self, n, m, B, first):
-        """The ``update`` rows of one ``Mwu`` of both sides' 2B rows a round on a square game,
-        else of two B-row sides, for rounds first + 1 .. T - 1: round T's strategies are
-        committed, not fed."""
-        return [2 * B] * (self.T - first - 1) if n == m else [B] * (2 * (self.T - first - 1))
+        """The ``update`` and the ``play_sides`` rows: on a square game one ``Mwu`` of both
+        sides' 2B rows and no ``update``, else two B-row sides, each an ``update`` a round for
+        rounds first + 1 .. T - 1 (round T's strategies are committed, not fed)."""
+        return ([], [2 * B]) if n == m else ([B] * (2 * (self.T - first - 1)), [])
 
     def rates(self, B, mixed):
         return engine._column(self.ETAS[:B]), engine._column(self.ALPHAS[:B] if mixed else [0.0] * B)
@@ -1275,7 +1283,7 @@ class TestOneMwuForBothSides:
         a, (etas, alphas), column_etas = unit.payoff, self.rates(B, True), self.COLUMN_ETAS[:B]
         rows, (fs, ys) = self.played(monkeypatch, lambda: engine._vs_mwu(
             self.PrimedMwu((B, n), etas, alphas), unit, column_etas, self.T))
-        assert rows == [B] * (2 * (self.T - 1))
+        assert rows == ([B] * (2 * (self.T - 1)), [])
         expected = self.two_sides(
             self.PrimedMwu((B, n), etas, alphas), Mwu((B, n), engine._column(column_etas)), unit,
             lambda y: (a @ y[..., None])[..., 0], lambda f: 1.0 - (a.T @ f[..., None])[..., 0],
@@ -1326,40 +1334,32 @@ class TestRoundChecks:
             run_alone(vs_config(horizon=20))
 
     def test_bad_replay_recording_names_its_round(self, monkeypatch):
-        mwu_update = engine.Mwu.update
-        counts = {}
+        play = engine._play
 
-        def drifting(self, observed):
-            counts[id(self)] = counts.get(id(self), 0) + 1
-            f = mwu_update(self, observed)
-            return f + 1e-6 if counts[id(self)] == 3 else f
+        def drifting(*args):  # each side's third update, round 4, drifts off the simplex
+            blocks = play(*args)
+            for block in blocks:
+                block[:, 3] += 1e-6
+            return blocks
 
-        monkeypatch.setattr(engine.Mwu, "update", drifting)
+        monkeypatch.setattr(engine, "_play", drifting)
         with pytest.raises(ValueError, match=r"^replay row player round 4 strategy"):
             replay(make_random_game(4, 4, seed=1), 0.5, 10)
 
 
 def _off_simplex_self_play_round(monkeypatch, eta, side, k):
-    """Patch ``Mwu.update`` so that the self-play run at ``eta`` on a square game gives
-    ``side`` a strategy off the simplex in round k (its first update plays round 3), in
-    the rows at ``eta`` only: of the one ``Mwu`` of both sides' rows, the max side's first
-    half or the min side's second."""
-    update = engine.Mwu.update
-    calls = 0
+    """Wrap ``engine._play`` so that the self-play run at ``eta`` gives ``side`` a strategy
+    off the simplex in round k (its first update plays round 3), in the rows at ``eta``
+    only: of the max side's block, the row learner's, or the min side's."""
+    play = engine._play
 
-    def off_at_k(self, observed):
-        nonlocal calls
-        out = update(self, observed)
-        at_eta = self.eta == eta  # a (2B, 1) column
-        if at_eta.any():
-            calls += 1
-            if calls == k - 2:
-                half = len(at_eta) // 2
-                at_eta[slice(half, None) if side == "max" else slice(half)] = False  # the other side
-                return out + 1e-8 * at_eta
-        return out
+    def off_at_k(row, col, *args, **kwargs):
+        blocks = play(row, col, *args, **kwargs)
+        learner, block = (row, blocks[0]) if side == "max" else (col, blocks[1])
+        block[(learner.eta == eta)[:, 0], k - 1] += 1e-8
+        return blocks
 
-    monkeypatch.setattr(engine.Mwu, "update", off_at_k)
+    monkeypatch.setattr(engine, "_play", off_at_k)
 
 
 class TestSelfPlayRoundChecks:
