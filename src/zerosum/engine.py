@@ -19,7 +19,8 @@ two-player loop, ``_play``, runs the replay recording and reactive play (a row l
 against a column MWU, ``_vs_mwu``) and self-play (the kind's ``Mwu`` from ``build_agent``
 on each side), calling the learners' unchecked ``update`` on the losses it takes as data
 (``_losses`` of A and the offset 1, or in self-play -A and 0); it alone decides that on a
-square game two sides of type exactly ``Mwu`` step as one ``Mwu`` of both sides' rows.  An
+square game two sides of type exactly ``Mwu`` step as one ``Mwu`` of both sides' rows, whose
+``Mwu.play_sides`` restates ``update`` and ``_losses`` in one flat loop, bit for bit.  An
 oblivious agent plays its replay whole (``play``): MWU(eta) recorded against MWU(eta) once
 per game and (eta, horizon) (``_record``), kept as the (T, n) loss block x_t = A y_t.  One
 runner, ``_each``, steps replays and configs as one batch, and records each row's trace checked

@@ -33,8 +33,10 @@ In self-play each side is an ``Mwu`` fed its ``side_loss`` of the opponent's
 strategy: -A y on the max side (which ascends the payoff), A^T f on the min
 side.  On a square game the engine steps the two sides as one ``Mwu`` of 2B
 rows, the max side's over the min side's: each row updates as alone, so that
-is bit for bit the two.  ``amwu_step`` is that side's update as a function of
-the opponent's current and previous strategies (the step of
+is bit for bit the two.  ``Mwu.play_sides`` runs those rounds, its ``update``
+and the engine's loss rows restated in buffers made once per call, as ``play``
+restates ``update`` on a loss block.  ``amwu_step`` is that side's update as a
+function of the opponent's current and previous strategies (the step of
 ``nash.amwu_update_map``, whose Jacobian ``nash`` takes in closed form), and
 ``linear_amwu_step`` its linearization on the same drive.
 
