@@ -310,6 +310,12 @@ class BestResponseLearner(LossStreamLearner):
         return losses
 
 
+def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u, v> over the last axis, kept as a length-1 axis: ``ProdBr``'s gain, one route for
+    ``update`` and ``play`` that takes no BLAS kernel, whose summation order varies by CPU."""
+    return np.einsum("...i,...i->...", u, v)[..., None]
+
+
 class ProdBr(LossStreamLearner):
     """Anchored multiplicative mixture of two learners: ``ftrl``, an ``Aftrl``
     at alpha=0, and ``br``, a ``BestResponseLearner``.
@@ -339,8 +345,7 @@ class ProdBr(LossStreamLearner):
         return (self.w_r * ftrl + self.w_br * br) / (self.w_r + self.w_br)
 
     def update(self, observed: np.ndarray) -> np.ndarray:
-        # <BR_t - f_t, x_t> per row: the stacked product, each row exactly the 1-D one
-        gain = ((self.br.current - self.ftrl.current)[..., None, :] @ observed[..., None])[..., 0]
+        gain = _inner(self.br.current - self.ftrl.current, observed)  # <BR_t - f_t, x_t> per row
         self.w_r = self.w_r * (1.0 + self.eta1 * gain)
         self.current = self._mix(self.ftrl.update(observed), self.br.update(observed))
         return self.current
@@ -350,7 +355,7 @@ class ProdBr(LossStreamLearner):
         ftrl, br = self.ftrl.play(losses.copy()), self.br.play(losses.copy())
         # (T, B, n): the weight column broadcasts over rounds
         x, ftrl, br = (block.transpose(1, 0, 2) for block in (losses, ftrl, br))
-        gain = ((br[:-1] - ftrl[:-1])[..., None, :] @ x[:-1, ..., None])[..., 0]
+        gain = _inner(br[:-1] - ftrl[:-1], x[:-1])
         w_r = np.multiply.accumulate(np.concatenate((self.w_r[None], 1.0 + self.eta1 * gain)))
         ftrl *= w_r
         ftrl += np.multiply(br, self.w_br, out=br)

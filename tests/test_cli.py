@@ -238,7 +238,7 @@ class TestEmitCsv:
 REFERENCE_SHA256 = {
     "oblivious-loss": ("892fd0e399515fd39a8de6fbcba5f986e4a41ffee8029b8134da7a5106cecad2",
                        "837c41d09743eef577216bbdf20bad2b77a73e6b60b27a4e95ce750689309534"),
-    "nonoblivious-regret": ("972bc24a9fbae9d78c05ef2a447723bdc1df490aae27e71a82e6037b99620633",
+    "nonoblivious-regret": ("4693fee1b34ed9d847181e1cbb9bd7aae2193a3163d2acd97c62f59076b66a3d",
                             "ffb97f1bb950d59d9ad2a05ac9cf481ac9f53d832bd01b494178ea49c2fa7e69"),
     "last-round": ("95a33d34e9de260ff7862c7fae591d123390329786dda42155540e1a7825780b",
                    "87e1ee6be02eba9faa46c04e4789dfb1b798bf03b10afb6dbfd1d67480175827"),
@@ -610,10 +610,10 @@ class TestConvergenceDemo:
         assert captured.err.startswith(f"error: {named}") and captured.err.count("\n") == 1
 
     def test_failed_run_is_one_error_line(self, capsys, monkeypatch):
-        def overflow(self, observed):
+        def overflow(*args, **kwargs):  # every two-player loop, the replay recordings too
             raise FloatingPointError("overflow")
 
-        monkeypatch.setattr(engine.Mwu, "update", overflow)
+        monkeypatch.setattr(engine, "_play", overflow)
         assert main(["demo", "--size", "3", "--horizon", "50"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -550,7 +550,7 @@ class TestUpdatesMatchCheckedKernels:
             if after.alpha == 0.0:
                 return g
             return bregman_prox(after.reg, g, after.alpha * x, after.eta)
-        gain = float((before.br.current - before.ftrl.current) @ x)
+        gain = float(np.einsum("...i,...i->...", before.br.current - before.ftrl.current, x))
         w_r = before.w_r * (1.0 + before.eta1 * gain)
         f = regularized_argmin(after.reg, before.ftrl.cumulative + x, after.eta)
         return (w_r * f + after.w_br * best_response(x)) / (w_r + after.w_br)
