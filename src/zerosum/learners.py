@@ -207,7 +207,8 @@ class Mwu(LossStreamLearner):
         f, y, at = x[:B, :, None], x[B:, :, None], a.T
         losses = np.empty((2, 2 * B, self.n, 1))  # x_t and x_{t-1} in turn (round t's is t % 2)
         losses[(first - 1) % 2, ..., 0] = self.prev_loss
-        turns = [(out[:B], out[B:], out[..., 0], losses[1 - i, ..., 0]) for i, out in enumerate(losses)]
+        turns = [(out[:B], out[B:], out[..., 0], losses[1 - i, ..., 0])
+                 for i, out in enumerate(losses)]
         drive, top, total = np.empty_like(x), np.empty((2 * B, 1)), np.empty((2 * B, 1))
         now, prev, rate, plain = self._now, self._prev, self._rate, self._plain
         # bound once, as a round looks up no attribute
@@ -222,7 +223,7 @@ class Mwu(LossStreamLearner):
             subtract(offset, col_out, out=col_out)
             if plain:
                 multiply(rate, observed, out=drive)
-            else:  # x_{t-1} is read for the last time: weigh it in its own buffer
+            else:  # x_{t-1} is read for the last time: scale it in its own buffer
                 multiply(now, observed, out=drive)
                 subtract(drive, multiply(prev, previous, out=previous), out=drive)
                 multiply(rate, drive, out=drive)

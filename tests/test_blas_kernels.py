@@ -26,7 +26,7 @@ import ctypes, pathlib, numpy
 libs = sorted((pathlib.Path(numpy.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"))
 get = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_corename64_", None) if libs else None
 if get is not None:
-    get.restype = ctypes.c_char_p
+    get.argtypes, get.restype = [], ctypes.c_char_p
     print(get().decode())
 """
 

@@ -1160,7 +1160,8 @@ class TestLosses:
     @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "out"])
     def test_self_play_and_adversary_losses(self, n, m, B, buffered):
         # self-play's -A and 0 are side_loss's -A y and A^T f, the adversary's A and 1 the
-        # stacked products; on a square game into the halves of one block, as _play passes them
+        # stacked products; on a square game into the halves of one block, as Mwu.play_sides
+        # writes them
         game = make_random_game(n, m, seed=12).to_unit_range()
         a, rng = game.payoff, np.random.default_rng(B * 100 + n)
         f, y = rng.dirichlet(np.ones(n), B), rng.dirichlet(np.ones(m), B)
@@ -1185,10 +1186,9 @@ class TestLosses:
 class TestOneMwuForBothSides:
     """On a square game the two ``Mwu`` sides step as one ``Mwu`` of 2B rows (``engine._play``)
     in its flat loop (``Mwu.play_sides``), each round bit for bit two separate ``Mwu`` sides
-    fed fresh loss rows by ``Mwu.update``; a non-square
-    game, or a row of an ``Mwu`` subclass, keeps the two.  Self-play and the
-    recording/reactive loop (``_vs_mwu``), at B=1 and B=4, all rows at alpha 0 or at
-    ``ALPHAS`` (B=1: alpha 100)."""
+    fed fresh loss rows by ``Mwu.update``; a non-square game, or a row of an ``Mwu``
+    subclass, keeps the two.  Self-play and the recording/reactive loop (``_vs_mwu``), at
+    B=1 and B=4, all rows at alpha 0 or at ``ALPHAS`` (B=1: alpha 100)."""
 
     ETAS, ALPHAS, COLUMN_ETAS = [0.01, 0.1, 0.05, 0.2], [100.0, 0.0, 1.0, 3.0], [0.4, 0.3, 0.2, 0.5]
     T = 200
