@@ -19,8 +19,8 @@ two-player loop, ``_play``, runs the replay recording and reactive play (a row l
 against a column MWU, ``_vs_mwu``) and self-play (the kind's ``Mwu`` from ``build_agent``
 on each side), calling the learners' unchecked ``update`` on the losses it takes as data
 (``_losses`` of A and the offset 1, or in self-play -A and 0); it alone decides that on a
-square game two sides of type exactly ``Mwu`` step as one ``Mwu`` of both sides' rows, whose
-``Mwu.play_sides`` restates ``update`` and ``_losses`` in one flat loop, bit for bit.  An
+square game two sides of type exactly ``Mwu`` step together in ``Mwu.play_sides``, which
+stacks their rows and restates ``update`` and ``_losses`` in one flat loop, bit for bit.  An
 oblivious agent plays its replay whole (``play``): MWU(eta) recorded against MWU(eta) once
 per game and (eta, horizon) (``_record``), kept as the (T, n) loss block x_t = A y_t.  One
 runner, ``_each``, steps replays and configs as one batch, and records each row's trace checked
@@ -342,12 +342,11 @@ def build_agent(specs, n: int, horizon: int):
     return specs[0].rule.build((len(specs), n), *rates, reg, horizon)
 
 
-def _losses(a: np.ndarray, offset: float, f, y, out=(None, None)):
-    """Both sides' loss rows of the strategy rows f and y (into ``out``'s (B, k, 1) blocks if
-    given), one rule for every mode: the row's a y and the column's ``offset`` - a^T f.  Each
-    row is the stacked product, exactly the 1-D ``a @ y``; a^T is a transposed view, as a
-    contiguous copy has other bits."""
-    row, col = np.matmul(a, y[..., None], out=out[0]), np.matmul(a.T, f[..., None], out=out[1])
+def _losses(a: np.ndarray, offset: float, f, y):
+    """Both sides' loss rows of the strategy rows f and y, one rule for every mode: the row's
+    a y and the column's ``offset`` - a^T f.  Each row is the stacked product, exactly the 1-D
+    ``a @ y``; a^T is a transposed view, as a contiguous copy has other bits."""
+    row, col = np.matmul(a, y[..., None]), np.matmul(a.T, f[..., None])
     np.subtract(offset, col, out=col)
     return row[..., 0], col[..., 0]
 
@@ -357,18 +356,11 @@ def _play(row, col, a: np.ndarray, offset: float, T: int, first: int = 0):
     f_t and the column's y_t each committed before either side is fed its ``_losses`` of ``a``
     and ``offset``; returns the (B, T, k) strategy blocks fs and ys, after T - ``first`` - 1
     updates per side (round T's strategies are committed, not fed).  On a square game two
-    sides of type exactly ``Mwu`` (not a subclass, whose update may differ) step as one
-    ``Mwu`` of 2B rows, the row's rates and ``prev_loss`` over the column's, in its flat loop
-    (``Mwu.play_sides``); fs and ys view its (2B, T, n) block."""
+    sides of type exactly ``Mwu`` (not a subclass, whose update may differ) step in the row
+    side's flat loop, ``Mwu.play_sides``, which stacks both sides' rows as one."""
     n, m = a.shape
     if n == m and type(row) is type(col) is Mwu:
-        B = len(row.current)
-        eta, alpha = (np.vstack([np.broadcast_to(rate, (B, 1)) for rate in pair])
-                      for pair in ((row.eta, col.eta), (row.alpha, col.alpha)))
-        both = Mwu((2 * B, n), eta, alpha)
-        both.prev_loss = np.vstack((row.prev_loss, col.prev_loss))
-        block = both.play_sides(a, offset, T, first)
-        return block[:B], block[B:]
+        return row.play_sides(col, a, offset, T, first)
     f, y = row.start(), col.start()
     fs, ys = np.empty((len(f), T, n)), np.empty((len(y), T, m))
     for t in range(first, T - 1):

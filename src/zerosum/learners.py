@@ -31,14 +31,14 @@ vector as a prediction of the next one:
 
 In self-play each side is an ``Mwu`` fed its ``side_loss`` of the opponent's
 strategy: -A y on the max side (which ascends the payoff), A^T f on the min
-side.  On a square game the engine steps the two sides as one ``Mwu`` of 2B
-rows, the max side's over the min side's: each row updates as alone, so that
-is bit for bit the two.  ``Mwu.play_sides`` runs those rounds, its ``update``
-and the engine's loss rows restated in buffers made once per call, as ``play``
-restates ``update`` on a loss block.  ``amwu_step`` is that side's update as a
-function of the opponent's current and previous strategies (the step of
-``nash.amwu_update_map``, whose Jacobian ``nash`` takes in closed form), and
-``linear_amwu_step`` its linearization on the same drive.
+side.  On a square game the engine steps the two sides together by
+``row.play_sides(col, ...)``, which stacks their rows, the max side's over the
+min side's: each row updates as alone, so that is bit for bit the two.  Its
+loop restates ``update`` and the engine's loss rows in buffers made once per
+call, as ``play`` restates ``update`` on a loss block.  ``amwu_step`` is that
+side's update as a function of the opponent's current and previous strategies
+(the step of ``nash.amwu_update_map``, whose Jacobian ``nash`` takes in closed
+form), and ``linear_amwu_step`` its linearization on the same drive.
 
 The previous-loss convention: x_0 is the zero vector unless a caller sets
 ``Mwu.prev_loss`` (the engine's self-play sets it to round 1's losses), so
@@ -195,22 +195,26 @@ class Mwu(LossStreamLearner):
         losses[:, 1:] = z.transpose(1, 0, 2)
         return losses
 
-    def play_sides(self, a: np.ndarray, offset: float, T: int, first: int = 0) -> np.ndarray:
-        """Rounds ``first`` + 1 .. T of this fresh learner's 2B rows as both sides of the square
-        game ``a``: each round the first B rows, the row side, are fed a y_t and the last B,
-        the column, ``offset`` - a^T f_t (``engine._losses``, a^T the transposed view); returns
-        the (2B, T, n) strategy block, bit for bit ``start`` and an ``update`` a round.  The
-        loop restates ``update`` in buffers made once, so a round makes its arithmetic's numpy
-        calls and no other: no Python frame, allocation or new view."""
-        B = len(self.current) // 2
-        block, x = np.empty((2 * B, T, self.n)), self.current.copy()  # x: the strategy f_t, y_t
+    def play_sides(self, col: Mwu, a: np.ndarray, offset: float, T: int, first: int):
+        """Rounds ``first`` + 1 .. T of this fresh learner's B rows, the row side, and the fresh
+        ``Mwu`` ``col``'s B rows, the column, on the square game ``a``: each round the row side
+        is fed a y_t and the column ``offset`` - a^T f_t (``engine._losses``, a^T the transposed
+        view); returns the (B, T, n) strategy blocks fs and ys, bit for bit ``start`` and an
+        ``update`` a round per side.  The loop steps both sides' rows stacked as one, each row
+        updating as alone, and restates ``update`` in buffers made once, so a round makes its
+        arithmetic's numpy calls and no other: no Python frame, allocation or new view."""
+        B = len(self.current)
+        # the row side's rows over the column's: x is the strategy, f_t over y_t
+        x, prev_loss, now, prev, rate = (np.vstack(pair) for pair in (
+            (self.current, col.current), (self.prev_loss, col.prev_loss), (self._now, col._now),
+            (self._prev, col._prev), (self._rate, col._rate)))
+        block, plain = np.empty((2 * B, T, self.n)), self._plain and col._plain
         f, y, at = x[:B, :, None], x[B:, :, None], a.T
         losses = np.empty((2, 2 * B, self.n, 1))  # x_t and x_{t-1} in turn (round t's is t % 2)
-        losses[(first - 1) % 2, ..., 0] = self.prev_loss
+        losses[(first - 1) % 2, ..., 0] = prev_loss
         turns = [(out[:B], out[B:], out[..., 0], losses[1 - i, ..., 0])
                  for i, out in enumerate(losses)]
         drive, top, total = np.empty_like(x), np.empty((2 * B, 1)), np.empty((2 * B, 1))
-        now, prev, rate, plain = self._now, self._prev, self._rate, self._plain
         # bound once, as a round looks up no attribute
         matmul, multiply, subtract, divide, exp, maximum = (
             np.matmul, np.multiply, np.subtract, np.divide, np.exp, np.maximum)
@@ -232,7 +236,7 @@ class Mwu(LossStreamLearner):
             maximum(x, WEIGHT_FLOOR, out=x)
             divide(x, sum_of(x, axis=-1, keepdims=True, out=total), out=x)
         block[:, T - 1] = x
-        return block
+        return block[:B], block[B:]
 
 
 def side_loss(game: MatrixGame, side: str):

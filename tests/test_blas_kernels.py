@@ -2,9 +2,12 @@
 
 ``OPENBLAS_CORETYPE`` picks the kernel of numpy's bundled OpenBLAS; it is set only in the
 child process that re-runs the tests, and the child's own reading of the kernel's name
-says whether it took.  The re-run tests pin the engine's one ``Mwu`` of both sides
-against two learners fed their loss rows, and each block ``play`` against its ``update``
-loop, ``ProdBr``'s gain among them."""
+says whether it took.  The re-run tests are the suite's pairs of code paths pinned bit for
+bit: the engine's stacked ``Mwu`` sides against two learners fed their loss rows,
+``engine._losses`` against ``learners.side_loss``, self-play against an ``amwu_step`` pair, a
+batch against each config run alone, an oblivious run against a per-round ``step`` loop, each
+block ``play`` against its ``update`` loop (``ProdBr``'s gain among them), each batch row
+against its learner alone, and each ``update`` against the checked kernels."""
 import os
 import platform
 import subprocess
@@ -19,7 +22,17 @@ except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_features__
 
 ROOT = Path(__file__).resolve().parents[1]
-TESTS = ("tests/test_engine.py::TestOneMwuForBothSides", "tests/test_learners.py::TestPlay")
+TESTS = (
+    "tests/test_engine.py::TestOneMwuForBothSides",
+    "tests/test_engine.py::TestLosses",
+    "tests/test_engine.py::test_self_play_is_an_amwu_pair_a_round_later",
+    "tests/test_engine.py::TestNonSquareSelfPlay",
+    "tests/test_engine.py::TestRunVsAdversary::test_oblivious_run_equals_a_per_round_step_loop",
+    "tests/test_engine.py::TestBatches::test_batched_series_equal_each_config_run_alone",
+    "tests/test_learners.py::TestPlay",
+    "tests/test_learners.py::TestBatchRows",
+    "tests/test_learners.py::TestUpdatesMatchCheckedKernels",
+)
 # Prints the kernel that numpy's bundled OpenBLAS runs, or nothing if it does not say.
 CORENAME = """
 import ctypes, pathlib, numpy

@@ -1157,24 +1157,16 @@ class TestLosses:
 
     @pytest.mark.parametrize("n,m", [(20, 20), (8, 6), (6, 8)])
     @pytest.mark.parametrize("B", [1, 4])
-    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "out"])
-    def test_self_play_and_adversary_losses(self, n, m, B, buffered):
+    def test_self_play_and_adversary_losses(self, n, m, B):
         # self-play's -A and 0 are side_loss's -A y and A^T f, the adversary's A and 1 the
-        # stacked products; on a square game into the halves of one block, as Mwu.play_sides
-        # writes them
+        # stacked products; Mwu.play_sides writes the same products into its own buffers
         game = make_random_game(n, m, seed=12).to_unit_range()
         a, rng = game.payoff, np.random.default_rng(B * 100 + n)
         f, y = rng.dirichlet(np.ones(n), B), rng.dirichlet(np.ones(m), B)
-        if not buffered:
-            outs = [(None, None)] * 2
-        elif n == m:
-            outs = [(out[:B], out[B:]) for out in np.empty((2, 2 * B, n, 1))]
-        else:
-            outs = [(np.empty((B, n, 1)), np.empty((B, m, 1))) for _ in range(2)]
         cases = [
-            (engine._losses(np.negative(a), 0.0, f, y, outs[0]),
+            (engine._losses(np.negative(a), 0.0, f, y),
              (side_loss(game, "max")(y), side_loss(game, "min")(f))),
-            (engine._losses(a, 1.0, f, y, outs[1]),
+            (engine._losses(a, 1.0, f, y),
              ((a @ y[..., None])[..., 0], 1.0 - (a.T @ f[..., None])[..., 0])),
         ]
         for got, want in cases:
@@ -1184,8 +1176,8 @@ class TestLosses:
 
 
 class TestOneMwuForBothSides:
-    """On a square game the two ``Mwu`` sides step as one ``Mwu`` of 2B rows (``engine._play``)
-    in its flat loop (``Mwu.play_sides``), each round bit for bit two separate ``Mwu`` sides
+    """On a square game ``engine._play`` steps the two ``Mwu`` sides in the row side's flat loop
+    (``Mwu.play_sides``), their 2B rows stacked, each round bit for bit two separate ``Mwu`` sides
     fed fresh loss rows by ``Mwu.update``; a non-square game, or a row of an ``Mwu``
     subclass, keeps the two.  Self-play and the recording/reactive loop (``_vs_mwu``), at
     B=1 and B=4, all rows at alpha 0 or at ``ALPHAS`` (B=1: alpha 100)."""
@@ -1206,13 +1198,13 @@ class TestOneMwuForBothSides:
 
     @staticmethod
     def played(monkeypatch, run):
-        """The rows of each ``Mwu.update`` and of each ``Mwu.play_sides`` call that ``run()``
-        makes, and the strategy blocks that its one ``engine._play`` returns."""
+        """The rows of each ``Mwu.update``, and both sides' rows in each ``Mwu.play_sides`` call,
+        that ``run()`` makes, and the strategy blocks that its one ``engine._play`` returns."""
         rows, sides, calls = [], [], []
         update, play_sides, play = Mwu.update, Mwu.play_sides, engine._play
         monkeypatch.setattr(Mwu, "update", lambda self, x: rows.append(len(x)) or update(self, x))
-        monkeypatch.setattr(Mwu, "play_sides", lambda self, *args: sides.append(
-            len(self.current)) or play_sides(self, *args))
+        monkeypatch.setattr(Mwu, "play_sides", lambda self, col, *args: sides.append(
+            (len(self.current), len(col.current))) or play_sides(self, col, *args))
         monkeypatch.setattr(engine, "_play", lambda *args, **kwargs: calls.append(
             play(*args, **kwargs)) or calls[-1])
         run()
@@ -1220,10 +1212,11 @@ class TestOneMwuForBothSides:
         return (rows, sides), blocks
 
     def stepped(self, n, m, B, first):
-        """The ``update`` and the ``play_sides`` rows: on a square game one ``Mwu`` of both
-        sides' 2B rows and no ``update``, else two B-row sides, each an ``update`` a round for
-        rounds first + 1 .. T - 1 (round T's strategies are committed, not fed)."""
-        return ([], [2 * B]) if n == m else ([B] * (2 * (self.T - first - 1)), [])
+        """The ``update`` and the ``play_sides`` rows: on a square game one ``play_sides`` call
+        of the two B-row sides and no ``update``, else no call and an ``update`` of B rows per
+        side a round for rounds first + 1 .. T - 1 (round T's strategies are committed, not
+        fed)."""
+        return ([], [(B, B)]) if n == m else ([B] * (2 * (self.T - first - 1)), [])
 
     def rates(self, B, mixed):
         return engine._column(self.ETAS[:B]), engine._column(self.ALPHAS[:B] if mixed else [0.0] * B)
