@@ -302,7 +302,11 @@ def run_preset(name: str, output_dir, seeds) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{args.config}: not UTF-8 text ({exc})") from None
+    config = parse_config(text)
     if (out := config.output) is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
         raise ValueError(f"output: must be a file in an existing directory, got {out!r}")
     (outcome,) = grid_run([config])

@@ -185,14 +185,9 @@ def kl_divergence(p: np.ndarray, q: np.ndarray):
 def l_norm(v: np.ndarray, p):
     """l_p norm over the last axis for p in {1, 2, inf}: a float for one
     vector, one value per row for a block of rows."""
-    v = np.asarray(v, dtype=float)
-    if p == 1:
-        return np.abs(v).sum(axis=-1)
-    if p == 2:
-        return np.sqrt(np.sum(v * v, axis=-1))
-    if p == np.inf:
-        return np.abs(v).max(axis=-1, initial=0.0)
-    raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")
+    if p not in (1, 2, np.inf):
+        raise ValueError(f"unsupported norm order {p!r}; use 1, 2 or inf")
+    return np.linalg.norm(np.asarray(v, dtype=float), ord=p, axis=-1)
 
 
 def binary_exponent(a: np.ndarray) -> int:
@@ -228,7 +223,9 @@ class MatrixGame:
         """Load a matrix from CSV: one row per line, comma-separated decimals, no header
         (a leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped)."""
         rows = []
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        # a byte that is not UTF-8 is read as the lone surrogate U+DC00 + byte, which no float
+        # parses: its line fails below, named like any other bad line
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -236,6 +233,9 @@ class MatrixGame:
                 try:
                     row = [float(tok) for tok in line.split(",")]
                 except ValueError as exc:
+                    if bad := [c for c in line if "\udc80" <= c <= "\udcff"]:
+                        byte = f"byte 0x{ord(bad[0]) - 0xDC00:02x}"
+                        raise ValueError(f"{path}:{lineno}: not UTF-8 text ({byte})") from None
                     raise ValueError(f"{path}:{lineno}: bad entry ({exc})") from None
                 if bad := [v for v in row if not math.isfinite(v)]:
                     raise ValueError(f"{path}:{lineno}: non-finite entry {bad[0]}")

@@ -7,7 +7,9 @@ bit: the engine's stacked ``Mwu`` sides against two learners fed their loss rows
 ``engine._losses`` against ``learners.side_loss``, self-play against an ``amwu_step`` pair, a
 batch against each config run alone, an oblivious run against a per-round ``step`` loop, each
 block ``play`` against its ``update`` loop (``ProdBr``'s gain among them), each batch row
-against its learner alone, and each ``update`` against the checked kernels."""
+against its learner alone, and each ``update`` against the checked kernels.  One re-run test
+checks values within a tolerance, not a pair of paths: the self-play traces' losses, products
+of whole runs, against each round's 1-D products."""
 import os
 import platform
 import subprocess
@@ -27,6 +29,7 @@ TESTS = (
     "tests/test_engine.py::TestLosses",
     "tests/test_engine.py::test_self_play_is_an_amwu_pair_a_round_later",
     "tests/test_engine.py::TestNonSquareSelfPlay",
+    "tests/test_engine.py::test_self_play_traces_hold_each_rounds_losses",
     "tests/test_engine.py::TestRunVsAdversary::test_oblivious_run_equals_a_per_round_step_loop",
     "tests/test_engine.py::TestBatches::test_batched_series_equal_each_config_run_alone",
     "tests/test_learners.py::TestPlay",

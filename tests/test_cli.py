@@ -492,6 +492,27 @@ class TestMainCommands:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "missing" in err
 
+    def test_files_that_are_not_utf8_are_named(self, tmp_path, capsys):
+        # a Latin-1 byte in the payoff CSV's line 2, or in the config: one error line that
+        # names the file, and the CSV's line, whether the CSV is solved or a config's game
+        matrix, config_path = tmp_path / "latin1.csv", tmp_path / "cfg.json"
+        matrix.write_bytes(b"1,2\n3,\xe9\n")
+        payload = json.loads(doc())
+        payload["game"] = {"csv": str(matrix)}
+        config_path.write_text(json.dumps(payload))
+        latin1_config = tmp_path / "latin1.json"
+        latin1_config.write_bytes(doc().encode() + b" \xe9\n")
+        for argv, where in (
+            (["solve", str(matrix)], f"{matrix}:2: "),
+            (["run", str(latin1_config)], f"{latin1_config}: "),
+            (["run", str(config_path)], f"{matrix}:2: "),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert where in captured.err
+
     @pytest.mark.parametrize("where", ["missing/series.csv", "a_directory"])
     def test_bad_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, where):
         # an output the run could not write is an error before anything is simulated

@@ -177,17 +177,18 @@ class TestMatrixGame:
     @pytest.mark.parametrize(
         "body,lineno,message",
         [
-            ("1,nan\n0,1\n", 1, "non-finite entry nan"),
-            ("1,0\n\n0,-inf\n", 3, "non-finite entry -inf"),
-            ("1,0\n0,1e400\n", 2, "non-finite entry inf"),
-            ("1,0\n0,1\n1,0,1\n0\n", 3, "ragged rows: 3 entries, the first row has 2"),
-            ("1,x\n0,1\n", 1, "bad entry (could not convert string to float: 'x')"),
+            (b"1,nan\n0,1\n", 1, "non-finite entry nan"),
+            (b"1,0\n\n0,-inf\n", 3, "non-finite entry -inf"),
+            (b"1,0\n0,1e400\n", 2, "non-finite entry inf"),
+            (b"1,0\n0,1\n1,0,1\n0\n", 3, "ragged rows: 3 entries, the first row has 2"),
+            (b"1,x\n0,1\n", 1, "bad entry (could not convert string to float: 'x')"),
+            (b"1,2\n3,\xe9\n", 2, "not UTF-8 text (byte 0xe9)"),  # a Latin-1 e-acute
         ],
-        ids=["nan", "-inf", "1e400", "ragged", "bad-token"],
+        ids=["nan", "-inf", "1e400", "ragged", "bad-token", "latin-1"],
     )
     def test_csv_error_names_the_line(self, tmp_path, body, lineno, message):
         path = tmp_path / "bad.csv"
-        path.write_text(body)
+        path.write_bytes(body)
         with pytest.raises(ValueError) as err:
             MatrixGame.from_csv(path)
         assert str(err.value) == f"{path}:{lineno}: {message}"

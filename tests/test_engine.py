@@ -1152,6 +1152,26 @@ def test_self_play_is_an_amwu_pair_a_round_later(n, m):
                                       np.array(want).view(np.int64))
 
 
+@pytest.mark.parametrize("n,m", [(6, 6), (8, 6)])
+def test_self_play_traces_hold_each_rounds_losses(monkeypatch, n, m):
+    # every round's losses, round 1 included, are the 1-D products of the opponent's strategy
+    # that round, 1 - A y_t for the max side and A^T f_t for the min side: one config run alone
+    # and a mixed-alpha batch.  Within 1e-12, not bit for bit: the traces take them as GEMMs
+    # of the whole run, which may sum in another order than a 1-D product
+    configs = [SimulationConfig(
+        game=GameSpec(kind="random", n=n, m=m, seed=5), horizon=300, agent=spec,
+        adversary=AdversarySpec(kind="self_play"),
+    ) for spec in LAST_ROUND_AGENTS]
+    batched = _self_play_traces(monkeypatch, configs)
+    alone = run_alone(configs[2])
+    a = alone[3].payoff
+    for trace_max, trace_min in [alone[:2], *batched.values()]:
+        want_max = [1.0 - a @ y for y in trace_min.strategies]
+        want_min = [a.T @ f for f in trace_max.strategies]
+        np.testing.assert_allclose(trace_max.losses, want_max, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace_min.losses, want_min, rtol=0, atol=1e-12)
+
+
 class TestLosses:
     """``engine._losses`` is one rule for every mode: the row a y, the column offset - a^T f."""
 
