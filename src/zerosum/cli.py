@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -88,13 +89,29 @@ def _object(obj: dict, key: str, prefix: str = "") -> dict:
     return value
 
 
-def _reject_null(obj: dict, prefix: str = ""):
-    """Reject a JSON null in ``obj`` or within it: a spec reads None as not given."""
+class _RepeatedKey(dict):
+    """A JSON object that gives its key ``key`` more than once (the last value is kept)."""
+
+
+def _json_object(pairs: list) -> dict:
+    """``json.loads``' object hook: the pairs as a dict, a ``_RepeatedKey`` if a key repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        obj = _RepeatedKey(obj)
+        obj.key = next(key for key, count in Counter(k for k, _ in pairs).items() if count > 1)
+    return obj
+
+
+def _reject_null_and_repeats(obj: dict, prefix: str = ""):
+    """Reject a repeated key or a JSON null in ``obj`` or an object within it: a spec reads
+    None as not given, and JSON alone keeps a repeated key's last value."""
+    if isinstance(obj, _RepeatedKey):
+        raise ValueError(f"{prefix}{obj.key}: repeated key")
     for key, value in obj.items():
         if value is None:
             raise ValueError(f"{prefix}{key}: must not be null")
         if isinstance(value, dict):
-            _reject_null(value, f"{prefix}{key}.")
+            _reject_null_and_repeats(value, f"{prefix}{key}.")
 
 
 def _kind_spec(spec_class, obj: dict, where: str):
@@ -107,18 +124,22 @@ def _kind_spec(spec_class, obj: dict, where: str):
 def parse_config(text: str) -> SimulationConfig:
     """Parse a JSON simulation config into the engine's specs.
 
-    Only JSON's own checks are made here: the document's shape, nulls, and
-    keys that name no field; the specs check every value, and reject a key
+    Only JSON's own checks are made here: the document's shape, nulls, repeated
+    keys, and keys that name no field; the specs check every value, and reject a key
     the kind does not read.  Each error names its key and is raised as a
-    ``ConfigError``.  Defaults: the entropy, all metrics of the run mode,
+    ``ConfigError``; a document that JSON cannot read, nested too deeply included,
+    is ``malformed JSON``.  Defaults: the entropy, all metrics of the run mode,
     and a free exploit rate ``alpha`` 0 (or ``b``, for eta^(b-1)).
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_json_object)
+    except (ValueError, RecursionError) as exc:  # bad syntax, too long an integer, too deep
+        raise ConfigError(f"malformed JSON: {exc}") from None
+    try:
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
         check_keys(doc, SimulationConfig.__dataclass_fields__, "config")
-        _reject_null(doc)
+        _reject_null_and_repeats(doc)
         game_doc = _object(doc, "game")
         check_keys(game_doc, GAME_KINDS, "game")
         if len(game_doc) != 1:
@@ -131,12 +152,9 @@ def parse_config(text: str) -> SimulationConfig:
             game = GameSpec(kind="random", **rnd)
         agent = _kind_spec(AgentSpec, _object(doc, "agent"), "agent")
         adversary = _kind_spec(AdversarySpec, _object(doc, "adversary"), "adversary")
-        names = doc.get("metrics", [])
-        if not isinstance(names, list):
-            raise ValueError(f"metrics: must be a list of metric names, got {names!r}")
-        return SimulationConfig(game, doc.get("horizon"), agent, adversary, tuple(names),
-                                doc.get("output"))
-    except json.JSONDecodeError as exc:
+        return SimulationConfig(game, doc.get("horizon"), agent, adversary,
+                                doc.get("metrics", ()), doc.get("output"))
+    except RecursionError as exc:  # a nesting the decoder took but the null walk cannot
         raise ConfigError(f"malformed JSON: {exc}") from None
     except ValueError as exc:  # a check here or a spec's
         raise ConfigError(str(exc)) from None

@@ -304,6 +304,8 @@ class SimulationConfig:
         if self.adversary.kind == "self_play" and self.agent.rule.build is not _multiplicative:
             able = ", ".join(k for k, rule in AGENT_KINDS.items() if rule.build is _multiplicative)
             raise ValueError(f"agent.kind: self_play needs one of {able}, got {self.agent.kind!r}")
+        if not isinstance(self.metrics, (list, tuple)):
+            raise ValueError(f"metrics: must be a list of metric names, got {self.metrics!r}")
         table = self.adversary.rule.metrics
         names = tuple(check_choice(name, "metrics", table) for name in self.metrics)
         object.__setattr__(self, "metrics", names or tuple(table))
@@ -502,18 +504,16 @@ def _run_game(spec: GameSpec, batches):
             for out in rows:
                 yield out, next(results)
 
-    def step_replays(keys):  # its replays are dropped on return
-        replays = _record(game.unit, keys)
-        for batch in oblivious:
-            if part := [out for out in batch if _replay_key(out.config) in replays]:
-                yield from step(part, replays, PLAY_BLOCKS * n)
-
     for batch in (b for b in batches if b[0].config.adversary.kind != "oblivious_mwu"):
         yield from step(batch, {})
     keys = list(dict.fromkeys(_replay_key(out.config) for b in oblivious for out in b))
     for T in dict.fromkeys(key[1] for key in keys):
         for run in _chunks([key for key in keys if key[1] == T], T, n + m):
-            yield from step_replays(run)
+            replays = _record(game.unit, run)
+            for batch in oblivious:
+                if part := [out for out in batch if _replay_key(out.config) in replays]:
+                    yield from step(part, replays, PLAY_BLOCKS * n)
+            del replays  # else the next run is recorded while this one is still held
 
 
 def run_alone(config: SimulationConfig):

@@ -10,6 +10,7 @@ import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -696,6 +697,50 @@ class TestBadConfigs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert re.search(rf"\b{re.escape(key)}\b", captured.err)
+
+    @pytest.mark.parametrize("text,key", [
+        (doc()[:-1] + ', "horizon": 20}', "horizon"),
+        (doc().replace('"eta": 0.1', '"eta": 0.1, "eta": 0.2'), "agent.eta"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_is_named_by_its_path(self, tmp_path, capsys, text, key):
+        # JSON would keep the last value; a config says each key once
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: repeated key$"):
+            parse_config(text)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key}: repeated key\n"
+
+    @pytest.mark.parametrize("game,reason", [
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ("9" * 4301, "Exceeds the limit (4300 digits)"),
+    ], ids=["nested-100000-deep", "integer-of-4301-digits"])
+    def test_json_it_cannot_read_is_malformed(self, tmp_path, capsys, game, reason):
+        path = tmp_path / "unreadable.json"
+        path.write_text(doc(game="@").replace('"@"', game))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: malformed JSON: {reason}")
+        assert captured.err.count("\n") == 1
+
+    def test_nesting_too_deep_for_the_null_walk_is_malformed(self, tmp_path, capsys, monkeypatch):
+        # where the decoder nests deeper than Python's stack, the walk for nulls and repeated
+        # keys runs out of it
+        deep = {}
+        for _ in range(100_000):
+            deep = {"a": deep}
+        decoded = {**MINIMAL, "agent": deep}
+        monkeypatch.setattr(cli, "json", SimpleNamespace(loads=lambda text, **hook: decoded))
+        path = tmp_path / "deep.json"
+        path.write_text("{}")
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed JSON: maximum recursion depth exceeded")
+        assert captured.err.count("\n") == 1
 
     def test_recorder_rate_is_an_unknown_key(self, tmp_path, capsys):
         # the oblivious replay is MWU(eta) recorded against MWU(eta): one rate

@@ -140,6 +140,19 @@ class TestSpecChecks:
         assert str(built.value).startswith("metrics: unknown value 'kl_to_ne'; choose from ")
         assert calls == []
 
+    @pytest.mark.parametrize("metrics", ["exploitability", 5, None, {"exploitability": 1}],
+                             ids=["string", "number", "none", "object"])
+    def test_metrics_must_be_a_list(self, metrics):
+        # the spec makes the one type check, with parse_config's text for the JSON value
+        text = f"metrics: must be a list of metric names, got {metrics!r}"
+        with pytest.raises(ValueError) as built:
+            vs_config(metrics=metrics)
+        assert str(built.value) == text
+        if metrics is not None:  # JSON's null is rejected as a null
+            with pytest.raises(ConfigError) as parsed:
+                parse_config(vs_document(metrics=metrics))
+            assert str(parsed.value) == text
+
     def test_recorder_rate_is_an_unknown_key(self):
         # the replay is MWU(eta) recorded against MWU(eta): there is no second rate
         adversary = {"kind": "oblivious_mwu", "eta": 0.5, "recorder_eta": 0.2}
@@ -555,6 +568,30 @@ ALL_AGENTS = tuple(AgentSpec(kind=k, **p) for k, p in sorted(AGENT_PARAMS.items(
 )
 
 
+class _LiveReplays:
+    """``engine._record`` patched to count the replay loss blocks alive, their ``peak``,
+    and the keys each call records (``runs``)."""
+
+    def __init__(self, monkeypatch):
+        self.live = self.peak = 0
+        self.runs = []
+        record = engine._record
+
+        def tracked(unit, keys):
+            replays = record(unit, keys)
+            self.runs.append(len(keys))
+            for xs in replays.values():  # each replay's loss block
+                self.live += 1
+                weakref.finalize(xs, self.release)
+            self.peak = max(self.peak, self.live)
+            return replays
+
+        monkeypatch.setattr(engine, "_record", tracked)
+
+    def release(self):
+        self.live -= 1
+
+
 class TestReplayGroups:
     def test_agent_table_covers_every_kind(self):
         assert set(AGENT_PARAMS) == set(AGENT_KINDS)
@@ -726,23 +763,7 @@ class TestReplayGroups:
 
     def test_replays_held_one_game_at_a_time(self, monkeypatch):
         # games run one after another: only one game's loss blocks are held at once
-        live = peak = 0
-        record = engine._record
-
-        def release():
-            nonlocal live
-            live -= 1
-
-        def tracked(unit, keys):
-            nonlocal live, peak
-            replays = record(unit, keys)
-            for xs in replays.values():  # each replay's loss block
-                live += 1
-                weakref.finalize(xs, release)
-            peak = max(peak, live)
-            return replays
-
-        monkeypatch.setattr(engine, "_record", tracked)
+        replays = _LiveReplays(monkeypatch)
         configs = [
             vs_config(seed=seed, horizon=60, agent=AgentSpec(kind="MWU", eta=eta),
                       adversary=AdversarySpec(kind="oblivious_mwu", eta=adversary_eta))
@@ -751,11 +772,28 @@ class TestReplayGroups:
             for adversary_eta in (0.5, 0.3)
         ]
         for parallelism in (1, 2):
-            peak = 0
+            replays.peak = 0
             outcomes = grid_run(configs, parallelism)
             assert all(o.error is None for o in outcomes)
-            assert live == 0
-            assert peak == 2  # the two replays of one game
+            assert replays.live == 0
+            assert replays.peak == 2  # the two replays of one game
+
+    def test_replays_held_one_run_at_a_time(self, monkeypatch):
+        # a budget of two replays a run: a game's five replay keys record in three runs, and
+        # each run is dropped before the next is recorded
+        T, n, m = 60, 10, 10
+        monkeypatch.setattr(engine, "_BATCH_BYTES", 2 * 8 * T * (n + m))
+        replays = _LiveReplays(monkeypatch)
+        configs = [SimulationConfig(
+            game=GameSpec(kind="random", n=n, m=m, seed=1), horizon=T,
+            agent=AgentSpec(kind="MWU", eta=0.1),
+            adversary=AdversarySpec(kind="oblivious_mwu", eta=0.1 * (i + 1)),
+            metrics=("average_loss",),
+        ) for i in range(5)]
+        assert all(o.error is None for o in grid_run(configs))
+        assert replays.runs == [2, 2, 1]
+        assert replays.live == 0
+        assert replays.peak == 2  # one run's replays
 
     def test_failed_recording_batch_records_each_key_alone_once(self, monkeypatch):
         # a recording batch that raises is recorded again one key at a time, once;
