@@ -72,10 +72,6 @@ def centered_random_game(n: int, m: int, seed: int) -> MatrixGame:
     return MatrixGame(2.0 * base.payoff - 1.0)
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _require(obj: dict, key: str, prefix: str = ""):
     if key not in obj:
         raise ValueError(f"{prefix}{key}: missing required key")
@@ -126,38 +122,36 @@ def parse_config(text: str) -> SimulationConfig:
 
     Only JSON's own checks are made here: the document's shape, nulls, repeated
     keys, and keys that name no field; the specs check every value, and reject a key
-    the kind does not read.  Each error names its key and is raised as a
-    ``ConfigError``; a document that JSON cannot read, nested too deeply included,
-    is ``malformed JSON``.  Defaults: the entropy, all metrics of the run mode,
+    the kind does not read.  Each error is the check's own ``ValueError``, naming its
+    key; a document that JSON cannot read, nested too deeply included, is
+    ``malformed JSON``.  Defaults: the entropy, all metrics of the run mode,
     and a free exploit rate ``alpha`` 0 (or ``b``, for eta^(b-1)).
     """
     try:
         doc = json.loads(text, object_pairs_hook=_json_object)
     except (ValueError, RecursionError) as exc:  # bad syntax, too long an integer, too deep
-        raise ConfigError(f"malformed JSON: {exc}") from None
+        raise ValueError(f"malformed JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
+    check_keys(doc, SimulationConfig.__dataclass_fields__, "config")
     try:
-        if not isinstance(doc, dict):
-            raise ValueError("config must be a JSON object")
-        check_keys(doc, SimulationConfig.__dataclass_fields__, "config")
         _reject_null_and_repeats(doc)
-        game_doc = _object(doc, "game")
-        check_keys(game_doc, GAME_KINDS, "game")
-        if len(game_doc) != 1:
-            raise ValueError("game: give one of 'random' or 'csv'")
-        if "csv" in game_doc:
-            game = GameSpec(kind="csv", path=game_doc["csv"])
-        else:
-            rnd = _object(game_doc, "random", "game.")
-            check_keys(rnd, GAME_KINDS["random"], "game.random")
-            game = GameSpec(kind="random", **rnd)
-        agent = _kind_spec(AgentSpec, _object(doc, "agent"), "agent")
-        adversary = _kind_spec(AdversarySpec, _object(doc, "adversary"), "adversary")
-        return SimulationConfig(game, doc.get("horizon"), agent, adversary,
-                                doc.get("metrics", ()), doc.get("output"))
     except RecursionError as exc:  # a nesting the decoder took but the null walk cannot
-        raise ConfigError(f"malformed JSON: {exc}") from None
-    except ValueError as exc:  # a check here or a spec's
-        raise ConfigError(str(exc)) from None
+        raise ValueError(f"malformed JSON: {exc}") from None
+    game_doc = _object(doc, "game")
+    check_keys(game_doc, GAME_KINDS, "game")
+    if len(game_doc) != 1:
+        raise ValueError("game: give one of 'random' or 'csv'")
+    if "csv" in game_doc:
+        game = GameSpec(kind="csv", path=game_doc["csv"])
+    else:
+        rnd = _object(game_doc, "random", "game.")
+        check_keys(rnd, GAME_KINDS["random"], "game.random")
+        game = GameSpec(kind="random", **rnd)
+    agent = _kind_spec(AgentSpec, _object(doc, "agent"), "agent")
+    adversary = _kind_spec(AdversarySpec, _object(doc, "adversary"), "adversary")
+    return SimulationConfig(game, doc.get("horizon"), agent, adversary,
+                            doc.get("metrics", ()), doc.get("output"))
 
 
 @dataclass(frozen=True)
@@ -357,9 +351,9 @@ def parse_seeds(text: str) -> list[int]:
     try:
         seeds = [int(tok) for tok in text.split(",")]
     except ValueError:
-        raise ConfigError(f"--seeds: must be comma-separated integers, got {text!r}") from None
+        raise ValueError(f"--seeds: must be comma-separated integers, got {text!r}") from None
     if len(set(seeds)) < len(seeds):
-        raise ConfigError(f"--seeds: must not repeat a seed, got {text!r}")
+        raise ValueError(f"--seeds: must not repeat a seed, got {text!r}")
     return seeds
 
 

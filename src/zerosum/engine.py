@@ -308,6 +308,8 @@ class SimulationConfig:
             raise ValueError(f"metrics: must be a list of metric names, got {self.metrics!r}")
         table = self.adversary.rule.metrics
         names = tuple(check_choice(name, "metrics", table) for name in self.metrics)
+        if repeated := [name for i, name in enumerate(names) if name in names[:i]]:
+            raise ValueError(f"metrics: repeated metric {repeated[0]!r}")  # the series keeps one
         object.__setattr__(self, "metrics", names or tuple(table))
 
 

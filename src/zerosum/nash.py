@@ -145,16 +145,15 @@ def solve_zero_sum(game: MatrixGame) -> NashSolution:
     e = binary_exponent(a)
     scaled = np.ldexp(a, -e)
     tol = math.ldexp(GAP_TOL, e)
-    f, y = _solve_shifted(scaled)
-    gap = exploitability(game, f, y)
-    if not gap <= tol:  # a NaN gap is not certified either
-        n, m = a.shape
-        jitter = 1e-12 * (np.arange(n)[:, None] + 2.0 * np.arange(m)[None, :] + 1.0)
-        f, y = _solve_shifted(scaled + jitter)
+    for perturbed in (False, True):
+        if perturbed:  # the plain solve failed: break its pivot ties
+            n, m = a.shape
+            scaled = scaled + 1e-12 * (np.arange(n)[:, None] + 2.0 * np.arange(m)[None, :] + 1.0)
+        f, y = _solve_shifted(scaled)
         gap = exploitability(game, f, y)
-        if not gap <= tol:
-            raise DegenerateGameError(f"duality gap {gap} above tolerance after perturbed resolve")
-    return NashSolution(f_star=f, y_star=y, value=float(f @ a @ y), gap=gap)
+        if gap <= tol:  # a NaN gap is not certified
+            return NashSolution(f_star=f, y_star=y, value=float(f @ a @ y), gap=gap)
+    raise DegenerateGameError(f"duality gap {gap} above tolerance after perturbed resolve")
 
 
 def amwu_update_map(

@@ -7,7 +7,8 @@ bit: the engine's stacked ``Mwu`` sides against two learners fed their loss rows
 ``engine._losses`` against ``learners.side_loss``, self-play against an ``amwu_step`` pair, a
 batch against each config run alone, an oblivious run against a per-round ``step`` loop, each
 block ``play`` against its ``update`` loop (``ProdBr``'s gain among them), each batch row
-against its learner alone, and each ``update`` against the checked kernels.  One re-run test
+against its learner alone, each ``update`` against the checked kernels, and the solver's
+condensed simplex tableau against the full tableau's row loop.  One re-run test
 checks values within a tolerance, not a pair of paths: the self-play traces' losses, products
 of whole runs, against each round's 1-D products."""
 import os
@@ -35,6 +36,7 @@ TESTS = (
     "tests/test_learners.py::TestPlay",
     "tests/test_learners.py::TestBatchRows",
     "tests/test_learners.py::TestUpdatesMatchCheckedKernels",
+    "tests/test_nash.py::TestRankOnePivot",
 )
 # Prints the kernel that numpy's bundled OpenBLAS runs, or nothing if it does not say.
 CORENAME = """

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from zerosum.cli import (
     CSV_HEADER,
     PRESETS,
-    ConfigError,
     SeriesRecord,
     centered_random_game,
     emit_csv,
@@ -59,23 +58,23 @@ class TestParseConfig:
         assert ftrl.regularizer is None and build_agent([ftrl], 4, 100).reg is ENTROPY
 
     def test_unknown_top_key(self):
-        with pytest.raises(ConfigError, match="'extra'"):
+        with pytest.raises(ValueError, match="'extra'"):
             parse_config(doc(extra=1))
 
     def test_unknown_agent_key(self):
         bad = json.loads(doc())
         bad["agent"]["learningrate"] = 0.1
-        with pytest.raises(ConfigError, match="learningrate"):
+        with pytest.raises(ValueError, match="learningrate"):
             parse_config(json.dumps(bad))
 
     def test_horizon_zero(self):
-        with pytest.raises(ConfigError, match="horizon"):
+        with pytest.raises(ValueError, match="horizon"):
             parse_config(doc(horizon=0))
 
     def test_eta_must_be_positive(self):
         bad = json.loads(doc())
         bad["agent"]["eta"] = -0.5
-        with pytest.raises(ConfigError, match="agent.eta"):
+        with pytest.raises(ValueError, match="agent.eta"):
             parse_config(json.dumps(bad))
 
     def test_b_exponent_resolves_alpha(self):
@@ -85,23 +84,23 @@ class TestParseConfig:
         assert cfg.agent.resolved_alpha() == pytest.approx(10.0)
 
     def test_alpha_and_b_conflict(self):
-        with pytest.raises(ConfigError, match="alpha"):
+        with pytest.raises(ValueError, match="alpha"):
             parse_config(doc(agent={"kind": "AMWU", "eta": 0.01, "alpha": 5, "b": 0.5}))
 
     def test_malformed_json(self):
-        with pytest.raises(ConfigError, match="malformed"):
+        with pytest.raises(ValueError, match="malformed"):
             parse_config("{not json")
 
     def test_unknown_metric(self):
-        with pytest.raises(ConfigError, match="spectral"):
+        with pytest.raises(ValueError, match="spectral"):
             parse_config(doc(metrics=["spectral"]))
 
     def test_document_must_be_an_object(self):
-        with pytest.raises(ConfigError, match=r"^config must be a JSON object$"):
+        with pytest.raises(ValueError, match=r"^config must be a JSON object$"):
             parse_config("[]")
 
     def test_metrics_must_be_a_list(self):
-        with pytest.raises(ConfigError, match="metrics: must be a list"):
+        with pytest.raises(ValueError, match="metrics: must be a list"):
             parse_config(doc(metrics="average_loss"))
 
     def test_self_play_metrics(self):
@@ -690,7 +689,7 @@ class TestBadConfigs:
     def test_one_error_line_names_the_key(self, tmp_path, capsys, payload, key):
         path = tmp_path / "bad.json"
         path.write_text(_text(payload))
-        with pytest.raises(ConfigError, match=re.escape(key)):
+        with pytest.raises(ValueError, match=re.escape(key)):
             parse_config(_text(payload))
         assert main(["run", str(path)]) == 2
         captured = capsys.readouterr()
@@ -706,7 +705,7 @@ class TestBadConfigs:
         # JSON would keep the last value; a config says each key once
         path = tmp_path / "repeated.json"
         path.write_text(text)
-        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: repeated key$"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)}: repeated key$"):
             parse_config(text)
         assert main(["run", str(path)]) == 2
         captured = capsys.readouterr()
@@ -741,6 +740,16 @@ class TestBadConfigs:
         assert captured.out == ""
         assert captured.err.startswith("error: malformed JSON: maximum recursion depth exceeded")
         assert captured.err.count("\n") == 1
+
+    def test_repeated_metric_is_an_error(self, tmp_path, capsys):
+        # the run's series holds one kl_to_ne; the config may not ask for two
+        path = tmp_path / "twice.json"
+        path.write_text(doc(agent={"kind": "AMWU", "eta": 0.01, "alpha": 100},
+                            adversary={"kind": "self_play"}, metrics=["kl_to_ne", "kl_to_ne"]))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: metrics: repeated metric 'kl_to_ne'\n"
 
     def test_recorder_rate_is_an_unknown_key(self, tmp_path, capsys):
         # the oblivious replay is MWU(eta) recorded against MWU(eta): one rate
@@ -816,7 +825,7 @@ class TestParseConfigProperty:
         payload, changed = drawn
         try:
             config = parse_config(_text(payload))
-        except ConfigError as exc:
+        except ValueError as exc:
             assert changed, f"valid document rejected: {exc}"
             leaves = [path.split(".")[-1] for path in changed]
             assert any(re.search(rf"\b{leaf}\b", str(exc)) for leaf in leaves), (str(exc), changed)
@@ -824,7 +833,7 @@ class TestParseConfigProperty:
         (outcome,) = grid_run([config])
         assert outcome.error is None, outcome.error
         series = outcome.series
-        assert set(series) == set(config.metrics)
+        assert list(series) == list(config.metrics)  # one series per metric, none twice
         assert all(np.all(np.isfinite(v)) for v in series.values())
 
 

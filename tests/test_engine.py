@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerosum import engine, nash
-from zerosum.cli import LAST_ROUND_AGENTS, VS_ADVERSARY_AGENTS, ConfigError, parse_config
+from zerosum.cli import LAST_ROUND_AGENTS, VS_ADVERSARY_AGENTS, parse_config
 from zerosum.core import MatrixGame, Trace, uniform
 from zerosum.engine import (
     ADVERSARY_KINDS,
@@ -119,7 +119,7 @@ class TestSpecChecks:
     def test_same_text_as_parse_config(self, build, document, text):
         with pytest.raises(ValueError) as built:
             build()
-        with pytest.raises(ConfigError) as parsed:
+        with pytest.raises(ValueError) as parsed:
             parse_config(document)
         assert str(built.value) == str(parsed.value) == text
 
@@ -134,7 +134,7 @@ class TestSpecChecks:
         monkeypatch.setattr(engine, "_play", lambda *args: calls.append("_play"))
         with pytest.raises(ValueError) as built:
             grid_run([vs_config(horizon=100_000, metrics=("kl_to_ne",))])
-        with pytest.raises(ConfigError) as parsed:
+        with pytest.raises(ValueError) as parsed:
             parse_config(vs_document(horizon=100_000, metrics=["kl_to_ne"]))
         assert str(built.value) == str(parsed.value)
         assert str(built.value).startswith("metrics: unknown value 'kl_to_ne'; choose from ")
@@ -149,14 +149,23 @@ class TestSpecChecks:
             vs_config(metrics=metrics)
         assert str(built.value) == text
         if metrics is not None:  # JSON's null is rejected as a null
-            with pytest.raises(ConfigError) as parsed:
+            with pytest.raises(ValueError) as parsed:
                 parse_config(vs_document(metrics=metrics))
             assert str(parsed.value) == text
+
+    def test_repeated_metric_is_named(self):
+        # the run's series is keyed by metric, so a second name would be dropped
+        names = ["external_regret", "average_loss", "external_regret"]
+        with pytest.raises(ValueError) as built:
+            vs_config(metrics=tuple(names))
+        with pytest.raises(ValueError) as parsed:
+            parse_config(vs_document(metrics=names))
+        assert str(built.value) == str(parsed.value) == "metrics: repeated metric 'external_regret'"
 
     def test_recorder_rate_is_an_unknown_key(self):
         # the replay is MWU(eta) recorded against MWU(eta): there is no second rate
         adversary = {"kind": "oblivious_mwu", "eta": 0.5, "recorder_eta": 0.2}
-        with pytest.raises(ConfigError) as parsed:
+        with pytest.raises(ValueError) as parsed:
             parse_config(vs_document(adversary=adversary))
         assert str(parsed.value) == "adversary: unknown key 'recorder_eta'; accepted: eta, kind"
         with pytest.raises(TypeError, match="recorder_eta"):
