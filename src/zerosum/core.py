@@ -159,14 +159,14 @@ def check_rounds(strategies: np.ndarray, losses: np.ndarray, context: str = "rou
         raise ValueError(f"{context} {bad_x[0] + 1} loss: {bad_x[1]}")
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray):
+def kl_divergence(p: np.ndarray, q: np.ndarray, context: str = "q row"):
     """Relative entropy sum_i p_i log(p_i / q_i), natural log, over the last axis.
 
     ``p`` is one distribution of shape (n,); ``q`` is one of shape (n,),
     giving a float, or a block of rows of shape (T, n), giving one value
     per row.  Terms with p_i = 0 contribute zero, and a sum rounded below zero
-    reads 0.0.  Raises if any row of q puts zero mass where p does not (the
-    divergence would be infinite).
+    reads 0.0.  Raises if a row of q puts zero mass where p does not (the
+    divergence would be infinite), naming a block's first such row, ``context`` t (1-based).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -177,7 +177,8 @@ def kl_divergence(p: np.ndarray, q: np.ndarray):
     # row sum over them would round differently from the 1-D sum
     qs = np.ascontiguousarray(q[..., support])
     if np.any(qs <= 0.0):
-        raise ValueError("kl_divergence undefined: q has zero mass on the support of p")
+        where = "q" if q.ndim == 1 else f"{context} {np.argmax(np.any(qs <= 0.0, axis=-1)) + 1}"
+        raise ValueError(f"kl_divergence undefined: {where} has zero mass on the support of p")
     ps = p[support]
     return np.maximum(np.sum(ps * np.log(ps / qs), axis=-1), 0.0)
 

@@ -5,8 +5,8 @@ All randomness flows from the SplitMix64 sequence (``splitmix64``) so that a giv
 normalized into [0, 1] before play, so every loss vector fed to a learner
 against an adversary, and every loss a trace records, lies in [0, 1]; in
 self-play the max side is fed -A y in [-1, 0]: its trace's loss 1 - A y less
-a constant, which the multiplicative update's normalization cancels.  The
-affine map never changes best responses or equilibria.
+a constant, which no learner's update reads.  The affine map never changes
+best responses or equilibria.
 
 Round timing is simultaneous-move: both sides commit their round-t
 strategies before either observes the other's, and feedback arrives after
@@ -16,8 +16,8 @@ sees only f_1 .. f_{t-1} when choosing y_t.
 Every loop steps a batch of configs, the rows of batch-native learners (``learners``) with
 every product the stacked one, so that each row is bit for bit its config run alone.  One
 two-player loop, ``_play``, runs the replay recording and reactive play (a row learner
-against a column MWU, ``_vs_mwu``) and self-play (the kind's ``Mwu`` from ``build_agent``
-on each side), calling the learners' unchecked ``update`` on the losses it takes as data
+against a column MWU, ``_vs_mwu``) and self-play (the kind's learner from ``build_agent``
+on each side, any kind), calling the learners' unchecked ``update`` on the losses it takes as data
 (``_losses`` of A and the offset 1, or in self-play -A and 0); it alone decides that on a
 square game two sides of type exactly ``Mwu`` step together in ``Mwu.play_sides``, which
 stacks their rows and restates ``update`` and ``_losses`` in one flat loop, bit for bit.  An
@@ -166,7 +166,6 @@ class AgentKind(NamedTuple):
     The learners are one family indexed by the exploit rate: ``alpha`` is the
     kind's fixed rate (FTRL/MWU 0, OFTRL/OMWU 1, 0 for a kind with none), or
     for a kind that reads ``alpha`` or ``b`` the rate when neither is given.
-    A kind self-plays exactly when ``build`` is ``_multiplicative`` (``Mwu``).
     """
 
     build: Callable  # (shape, eta, alpha, regularizer, horizon) -> a loss-stream learner
@@ -301,9 +300,6 @@ class SimulationConfig:
     def __post_init__(self):
         _check_field(self, "horizon", "horizon")
         _check_field(self, "output", "output")
-        if self.adversary.kind == "self_play" and self.agent.rule.build is not _multiplicative:
-            able = ", ".join(k for k, rule in AGENT_KINDS.items() if rule.build is _multiplicative)
-            raise ValueError(f"agent.kind: self_play needs one of {able}, got {self.agent.kind!r}")
         if not isinstance(self.metrics, (list, tuple)):
             raise ValueError(f"metrics: must be a list of metric names, got {self.metrics!r}")
         table = self.adversary.rule.metrics
@@ -455,15 +451,15 @@ def _vs_adversary_batch(game: _Game, configs, replays: dict) -> Callable:
 
 
 def _self_play_batch(game: _Game, configs) -> Callable:
-    """Mirror-play both sides of the game with the update rule of each config (sharing a game
-    and a horizon), as one batch: each side is the ``Mwu`` of their rows that their kind builds
-    (``build_agent``), fed its ``learners.side_loss``, the max side -A y_t and the min side
-    A^T f_t (``_play`` of -A and the offset 0, the same bits, as rounding is symmetric under
-    negation).  The first two strategies are equal, and the first update takes the round-1
-    losses as the previous ones, so each round from 3 on is ``learners.amwu_step`` of the two
-    rounds before it.  Both sides' rounds, with the losses 1 - A y_t and A^T f_t in [0, 1],
-    are checked.  Returns a function of a row b that checks config b's rounds and gives its
-    (trace_max, trace_min, series, unit game)."""
+    """Mirror-play both sides of the game with the update rule of each config (of any kind,
+    sharing a game and a horizon), as one batch: each side is the learner of their rows that
+    their kind builds (``build_agent``), fed its ``learners.side_loss``, the max side -A y_t and
+    the min side A^T f_t (``_play`` of -A and the offset 0, the same bits, as rounding is
+    symmetric under negation).  The first two strategies are equal, and the first update takes
+    the round-1 losses as the previous ones, so for ``Mwu`` each round from 3 on is
+    ``learners.amwu_step`` of the two rounds before it.  Both sides' rounds, with the losses
+    1 - A y_t and A^T f_t in [0, 1], are checked.  Returns a function of a row b that checks
+    config b's rounds and gives its (trace_max, trace_min, series, unit game)."""
     a, T, specs = game.unit.payoff, configs[0].horizon, [c.agent for c in configs]
     row, col = (build_agent(specs, k, T) for k in a.shape)
     loss = np.negative(a)  # the max side's loss matrix

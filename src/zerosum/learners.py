@@ -29,9 +29,9 @@ vector as a prediction of the next one:
               and a ``BestResponseLearner``, with an anchored mixture weight
 * ``DoublingAftrl``  phase-restarted Aftrl with halving learning rate
 
-In self-play each side is an ``Mwu`` fed its ``side_loss`` of the opponent's
-strategy: -A y on the max side (which ascends the payoff), A^T f on the min
-side.  On a square game the engine steps the two sides together by
+In self-play each side, of any kind, is fed its ``side_loss`` of the opponent's
+strategy: -A y on the max side (1 - A y less a constant no update reads), A^T f
+on the min side.  On a square game the engine steps two ``Mwu`` sides together by
 ``row.play_sides(col, ...)``, which stacks their rows, the max side's over the
 min side's: each row updates as alone, so that is bit for bit the two.  Its
 loop restates ``update`` and the engine's loss rows in buffers made once per

@@ -100,14 +100,15 @@ def step_distances(trace: Trace, p) -> np.ndarray:
 def kl_series(trace_pair: tuple[Trace, Trace], reference: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Per-round KL(f*, f_t) + KL(y*, y_t) against a reference profile.
 
-    Iterates must be strictly positive on the reference supports; the
-    multiplicative learners guarantee this by clamping.
+    An iterate with zero mass on its reference's support has no finite divergence:
+    the error names the first such side (max, then min) and round (1-based).
     """
     trace_f, trace_y = trace_pair
-    f_star, y_star = reference
     if trace_f.horizon != trace_y.horizon:
         raise ValueError("trace pair has mismatched horizons")
-    return kl_divergence(f_star, trace_f.strategies) + kl_divergence(y_star, trace_y.strategies)
+    f_kl, y_kl = (kl_divergence(star, trace.strategies, f"{side} side round")
+                  for side, trace, star in zip(("max", "min"), trace_pair, reference))
+    return f_kl + y_kl
 
 
 def average_loss(trace: Trace) -> np.ndarray:

@@ -8,9 +8,10 @@ bit: the engine's stacked ``Mwu`` sides against two learners fed their loss rows
 batch against each config run alone, an oblivious run against a per-round ``step`` loop, each
 block ``play`` against its ``update`` loop (``ProdBr``'s gain among them), each batch row
 against its learner alone, each ``update`` against the checked kernels, and the solver's
-condensed simplex tableau against the full tableau's row loop.  One re-run test
-checks values within a tolerance, not a pair of paths: the self-play traces' losses, products
-of whole runs, against each round's 1-D products."""
+condensed simplex tableau against the full tableau's row loop.  Three re-run tests check
+values within a tolerance, not a pair of paths: the self-play traces' losses, products of
+whole runs, against each round's 1-D products; FTRL's self-play against MWU's; and each
+kind's self-play, fed -A y, against its per-round ``update`` loop fed 1 - A y."""
 import os
 import platform
 import subprocess
@@ -31,6 +32,8 @@ TESTS = (
     "tests/test_engine.py::test_self_play_is_an_amwu_pair_a_round_later",
     "tests/test_engine.py::TestNonSquareSelfPlay",
     "tests/test_engine.py::test_self_play_traces_hold_each_rounds_losses",
+    "tests/test_engine.py::test_ftrl_self_play_is_mwu",
+    "tests/test_engine.py::test_each_kind_self_plays_as_its_update_loop_on_unit_losses",
     "tests/test_engine.py::TestRunVsAdversary::test_oblivious_run_equals_a_per_round_step_loop",
     "tests/test_engine.py::TestBatches::test_batched_series_equal_each_config_run_alone",
     "tests/test_learners.py::TestPlay",

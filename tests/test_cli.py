@@ -396,6 +396,25 @@ class TestMainCommands:
             assert summary[metric] == {"final": values[-1], "mean": np.mean(values),
                                        "std": np.std(values)}
 
+    def test_ftrl_self_play_runs(self, tmp_path, capsys):
+        # every kind self-plays, not only the multiplicative ones
+        payload = json.loads(doc(agent={"kind": "FTRL", "eta": 0.1},
+                                 adversary={"kind": "self_play"}))
+        (tmp_path / "cfg.json").write_text(json.dumps(payload))
+        assert main(["run", str(tmp_path / "cfg.json")]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"exploitability", "kl_to_ne"}
+
+    def test_undefined_kl_is_one_error_line_naming_its_side_and_round(self, tmp_path, capsys):
+        # a best response is pure from round 3 on, with zero mass on part of the equilibrium's
+        # support, so its kl_to_ne is undefined from that round
+        payload = json.loads(doc(agent={"kind": "BestResponse"}, adversary={"kind": "self_play"}))
+        (tmp_path / "cfg.json").write_text(json.dumps(payload))
+        assert main(["run", str(tmp_path / "cfg.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: ValueError: kl_divergence undefined: max side round 3 "
+                                "has zero mass on the support of p\n")
+
     def test_overflowing_payoff_range_runs(self, tmp_path, capsys):
         # finite entries whose max - min overflows still map onto [0, 1]
         (tmp_path / "m.csv").write_text("1e308,-1e308\n-1e308,1e308\n")
@@ -658,7 +677,7 @@ PROBES = [
     (_probe(agent={"kind": "MWU", "eta": True}), "agent.eta"),
     (_probe(agent={"kind": "MWU", "eta": "1e400"}), "agent.eta"),  # the JSON number 1e400
     (_probe(adversary={"kind": "oblivious_mwu", "eta": 0.5, "recorder_eta": 0.2}), "recorder_eta"),
-    (_probe(agent={"kind": "FTRL", "eta": 0.1}, adversary={"kind": "self_play"}), "agent.kind"),
+    (_probe(agent={"kind": "Hedge", "eta": 0.1}, adversary={"kind": "self_play"}), "agent.kind"),
     *[
         (_probe(agent={"kind": k, "eta": 0.1, "alpha": 5}), "alpha")
         for k in ("MWU", "OMWU", "FTRL", "OFTRL")
@@ -789,9 +808,7 @@ def _documents(draw):
             agent[key] = value
     if "alpha" in agent and "b" in agent:
         del agent["b"]
-    self_plays = rule.build is AGENT_KINDS["MWU"].build  # the multiplicative kinds
-    adv_kinds = sorted(k for k in ADVERSARY_KINDS if self_plays or k != "self_play")
-    adversary = {"kind": draw(st.sampled_from(adv_kinds))}
+    adversary = {"kind": draw(st.sampled_from(sorted(ADVERSARY_KINDS)))}
     if "eta" in ADVERSARY_KINDS[adversary["kind"]].keys:
         adversary["eta"] = 0.3
     payload = {

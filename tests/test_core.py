@@ -100,7 +100,7 @@ class TestKlDivergence:
         p = np.array([0.5, 0.0, 0.5])
         q = np.full((30, 3), 1.0 / 3)
         q[17] = [0.5, 0.5, 0.0]
-        with pytest.raises(ValueError, match="zero mass"):
+        with pytest.raises(ValueError, match="q row 18 has zero mass"):  # the first bad row
             kl_divergence(p, q)
         q[17] = [0.5, 0.0, 0.5]  # zero only off the support of p
         assert np.isfinite(kl_divergence(p, q)).all()

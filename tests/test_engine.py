@@ -1072,8 +1072,9 @@ class TestBatches:
         assert peak(18) < 1.5 * peak(3)
 
 
-# The grid contract's draws: agents (self-play takes only the multiplicative kinds), games
-# (a CSV game whose file is missing fails each of its configs), adversaries and horizons.
+# The grid contract's draws: agents (every kind in every mode), games (a CSV game whose file
+# is missing fails each of its configs), adversaries and horizons.  The multiplicative agents
+# are those whose rows the fault below marks.
 MULTIPLICATIVE_AGENTS = tuple(a for a in ALL_AGENTS if a.rule.build is AGENT_KINDS["MWU"].build)
 CONTRACT_GAMES = (
     GameSpec(kind="random", n=6, m=6, seed=1), GameSpec(kind="random", n=6, m=6, seed=2),
@@ -1092,10 +1093,9 @@ def contract_grids(draw):
     configs = []
     for _ in range(draw(st.integers(1, 10))):
         adversary = draw(st.sampled_from(CONTRACT_ADVERSARIES))
-        agents = MULTIPLICATIVE_AGENTS if adversary.kind == "self_play" else ALL_AGENTS
         configs.append(SimulationConfig(
             game=draw(st.sampled_from(CONTRACT_GAMES)), horizon=draw(st.sampled_from((3, 17, 40))),
-            agent=draw(st.sampled_from(agents)), adversary=adversary,
+            agent=draw(st.sampled_from(ALL_AGENTS)), adversary=adversary,
         ))
     return configs, draw(st.permutations(range(len(configs))))
 
@@ -1217,6 +1217,67 @@ def test_self_play_traces_hold_each_rounds_losses(monkeypatch, n, m):
         want_min = [a.T @ f for f in trace_max.strategies]
         np.testing.assert_allclose(trace_max.losses, want_max, rtol=0, atol=1e-12)
         np.testing.assert_allclose(trace_min.losses, want_min, rtol=0, atol=1e-12)
+
+
+def _self_play(spec, n, m, T):
+    """``spec`` in self-play on the seed-3 n x m game, run alone: (trace_max, trace_min,
+    series, unit game), its one metric ``exploitability``."""
+    return run_alone(SimulationConfig(
+        game=GameSpec(kind="random", n=n, m=m, seed=3), horizon=T, agent=spec,
+        adversary=AdversarySpec(kind="self_play"), metrics=("exploitability",)))
+
+
+@pytest.mark.parametrize("n,m", [(6, 6), (8, 6), (20, 20)])
+def test_ftrl_self_play_is_mwu(n, m):
+    # the entropy leader of the cumulative loss is the multiplicative update's softmax, so
+    # FTRL's self-play (two learners, an update a round) is MWU's (one flat loop on a square
+    # game) up to rounding
+    ftrl, mwu = (_self_play(AgentSpec(kind=kind, eta=0.1), n, m, 1000) for kind in ("FTRL", "MWU"))
+    for got, want in zip(ftrl[:2], mwu[:2]):
+        np.testing.assert_allclose(got.strategies, want.strategies, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(ftrl[2]["exploitability"], mwu[2]["exploitability"],
+                               rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n,m", [(6, 6), (8, 6)])
+@pytest.mark.parametrize("spec", ALL_AGENTS + (
+    AgentSpec(kind="AMD", eta=0.1, alpha=2.0, regularizer="squared_l2", name="AMD-l2"),
+), ids=lambda spec: spec.display_name)
+def test_each_kind_self_plays_as_its_update_loop_on_unit_losses(spec, n, m):
+    # the engine feeds the max side -A y_t; every learner's update reads a loss vector only up
+    # to a constant added to each entry, so a per-round update loop fed its trace's losses
+    # 1 - A y_t (and A^T f_t) plays the same rounds up to rounding, under the round-1 rule
+    T = 1000
+    trace_max, trace_min, _, unit = _self_play(spec, n, m, T)
+    a = unit.payoff
+    row, col = (engine.build_agent([spec], k, T) for k in a.shape)
+    fs, ys = [row.start()] * 2, [col.start()] * 2  # rounds 1 and 2 play the starts
+    row.prev_loss, col.prev_loss = 1.0 - ys[0] @ a.T, fs[0] @ a  # round 1's losses
+    for _ in range(T - 2):
+        f, y = fs[-1], ys[-1]
+        fs.append(row.update(1.0 - y @ a.T).copy())
+        ys.append(col.update(f @ a).copy())
+    assert getattr(row, "restarts", []) == getattr(col, "restarts", []) == []  # no near-tie
+    for trace, want in ((trace_max, fs), (trace_min, ys)):
+        np.testing.assert_allclose(trace.strategies, np.vstack(want), rtol=0, atol=1e-10)
+
+
+def test_undefined_kl_fails_alone_naming_its_side_and_round():
+    # a best response plays a pure strategy from round 3 on, with zero mass on part of the
+    # equilibrium's support: its config fails, naming the first such round, and the configs
+    # beside it are as if run alone
+    best_response = self_play_config("BestResponse", None, metrics=("kl_to_ne",))
+    strategies = _self_play(best_response.agent, 6, 6, 20)[0].strategies
+    pure = np.flatnonzero(strategies.max(axis=1) == 1.0)[0] + 1
+    assert pure == 3
+    others = [self_play_config("FTRL", 0.1), self_play_config("MWU", 0.1), vs_config(horizon=20)]
+    bad, *good = grid_run([best_response, *others])
+    assert bad.error == (f"ValueError: kl_divergence undefined: max side round {pure} has zero "
+                         "mass on the support of p") and bad.series == {}
+    for out, config in zip(good, others):
+        (alone,) = grid_run([config])
+        assert out.error is None and alone.error is None
+        _assert_same_series(out.series, alone.series)
 
 
 class TestLosses:

@@ -108,6 +108,18 @@ class TestWholeRunMatchesLoops:
         with pytest.raises(ValueError, match="zero mass"):
             kl_series((tf, tf), (np.full(3, 1.0 / 3), np.array([1.0, 0.0, 0.0])))
 
+    def test_undefined_kl_names_its_side_and_round(self):
+        # the max side's first bad round is named before the min side's
+        strategies = np.full((50, 3), 1.0 / 3)
+        good = trace_of(strategies.copy(), np.zeros((50, 3)))
+        strategies[41] = [0.5, 0.5, 0.0]
+        bad = trace_of(strategies, np.zeros((50, 3)))
+        reference = (np.full(3, 1.0 / 3), np.full(3, 1.0 / 3))
+        for pair, side in (((good, bad), "min"), ((bad, bad), "max")):
+            with pytest.raises(ValueError, match=f"^kl_divergence undefined: {side} side round 42 "
+                                                 "has zero mass"):
+                kl_series(pair, reference)
+
 
 class TestExternalRegret:
     def test_single_round(self):
