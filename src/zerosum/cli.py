@@ -179,19 +179,23 @@ def emit_csv(records, path) -> None:
         r.learner, r.metric, -1 if r.seed is None else r.seed,
         -1.0 if r.adversary_eta is None else r.adversary_eta,
     ))
+    rounds, length = b"", 0  # b"1\0" .. b"N\0", the round numbers of the last length N seen
     with open(path, "wb") as fh:
         fh.write(f"{CSV_HEADER}\n".encode())
         for rec in records:
             # One % call formats the whole series: a call a row costs more than its digits.
             # On bytes, not str: str % calls that long raised a 1,500-series emit's peak RSS
-            # by over 1 MB, and need an encode.  The names escape % (the rest are numbers).
+            # by over 1 MB, and need an encode.  Its template is the round numbers, each
+            # separator replaced by the rest of a row, so a row converts its value alone (and
+            # a name may hold the separator).  The names escape % (the rest are numbers).
+            values = tuple(rec.values.tolist())
+            if length != len(values):  # built once per length, not kept for every length
+                length = len(values)
+                rounds = (b"%d\0" * length) % tuple(range(1, length + 1))
             prefix = f"{rec.learner},{rec.metric},".replace("%", "%%")
             seed = "" if rec.seed is None else rec.seed
             eta = "" if rec.adversary_eta is None else f"{rec.adversary_eta:.12g}"
-            values = rec.values.tolist()
-            cells = [None] * (2 * len(values))  # t, value, t, value, ...
-            cells[::2], cells[1::2] = range(1, len(values) + 1), values
-            fh.write((f"%d,{prefix}%.12g,{seed},{eta}\n".encode() * len(values)) % tuple(cells))
+            fh.write(rounds.replace(b"\0", f",{prefix}%.12g,{seed},{eta}\n".encode()) % values)
 
 
 def _records(config: SimulationConfig, series: dict) -> list[SeriesRecord]:

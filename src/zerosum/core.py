@@ -105,17 +105,22 @@ def _first_fault(v: np.ndarray, kind: str) -> tuple[int, str] | None:
     of the test it fails; None if every row passes.  A non-finite entry fails
     each test: it is out of range, and it makes its row's sum non-finite."""
     v = np.atleast_2d(v)
+    # The whole block is tested at once; only a block that fails is searched row by row.
     if kind == "loss":
-        bad = ~((v >= -LOSS_ATOL) & (v <= 1.0 + LOSS_ATOL)).all(axis=-1)
+        ok = (v >= -LOSS_ATOL) & (v <= 1.0 + LOSS_ATOL)
+        if ok.all():
+            return None
+        bad = ~ok.all(axis=-1)
     else:
-        negative = (v < -SIMPLEX_ATOL).any(axis=-1)
+        negative = v < -SIMPLEX_ATOL
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or past the float range
             total = v.sum(axis=-1)
-        bad = negative | ~(np.abs(total - 1.0) <= SIMPLEX_ATOL)
-    failed = np.flatnonzero(bad)
-    if failed.size == 0:
-        return None
-    t = int(failed[0])
+        off = ~(np.abs(total - 1.0) <= SIMPLEX_ATOL)
+        if not (negative.any() or off.any()):
+            return None
+        negative = negative.any(axis=-1)
+        bad = negative | off
+    t = int(np.flatnonzero(bad)[0])
     row = v[t]
     if not np.isfinite(row).all():
         return t, "non-finite entries"

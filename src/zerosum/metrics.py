@@ -17,6 +17,22 @@ from .core import MatrixGame, Trace, kl_divergence, l_norm
 from .regularizers import Regularizer, regularized_argmin
 
 BETA_CLOSE_ATOL = 1e-12
+_EXTREMUM_ROWS = 4096  # rows per column-major copy: the copy stays small at any T
+
+
+def _row_extremum(reduce, block: np.ndarray) -> np.ndarray:
+    """The min or max (``reduce``, ``np.minimum.reduce`` or ``np.maximum.reduce``) of each row
+    of a (T, k) block, over column-major copies of ``_EXTREMUM_ROWS`` rows at a time: an
+    elementwise reduction of k columns is about three times as fast at k = 20 as T short row
+    reductions.  Min and max are exact, so the values are those of ``block.min(axis=1)`` or
+    ``block.max(axis=1)``, NaN included; only where a row's extreme is a zero that the row
+    holds with both signs can the sign of that zero differ.  The engine's losses and payoff
+    products are sums of non-negative products, so they hold no -0.0."""
+    out = np.empty(block.shape[0])
+    for t in range(0, len(out), _EXTREMUM_ROWS):
+        rows = slice(t, t + _EXTREMUM_ROWS)
+        reduce(np.asfortranarray(block[rows]), axis=1, out=out[rows])
+    return out
 
 
 def external_regret(trace: Trace) -> np.ndarray:
@@ -26,12 +42,12 @@ def external_regret(trace: Trace) -> np.ndarray:
     """
     cum_realized = np.cumsum(trace.realized)
     cum_losses = np.cumsum(trace.losses, axis=0)
-    return cum_realized - cum_losses.min(axis=1)
+    return cum_realized - _row_extremum(np.minimum.reduce, cum_losses)
 
 
 def dynamic_regret(trace: Trace) -> np.ndarray:
     """Cumulative gap to the per-round best action; nondecreasing in t."""
-    per_round = trace.realized - trace.losses.min(axis=1)
+    per_round = trace.realized - _row_extremum(np.minimum.reduce, trace.losses)
     return np.cumsum(per_round)
 
 
@@ -68,7 +84,8 @@ def exploitability_series(game: MatrixGame, f_rounds: np.ndarray, y_rounds: np.n
     a = game.payoff
     f_rounds = np.asarray(f_rounds, dtype=float)
     y_rounds = np.asarray(y_rounds, dtype=float)
-    return (y_rounds @ a.T).max(axis=1) - (f_rounds @ a).min(axis=1)
+    return (_row_extremum(np.maximum.reduce, y_rounds @ a.T)
+            - _row_extremum(np.minimum.reduce, f_rounds @ a))
 
 
 def beta_close(game: MatrixGame, f: np.ndarray, y: np.ndarray, beta: float) -> bool:

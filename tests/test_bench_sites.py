@@ -74,3 +74,26 @@ def test_each_workload_runs_clean_at_its_tiny_size(workloads, tmp_path):
                                                w.sample(configs, seed))
             failed, ops = [], len(outcomes)
         assert ops > 0 and failures == {} and failed == [], (name, failures, failed)
+
+
+@pytest.mark.parametrize("name", ("oblivious-grid", "self-play"))
+def test_each_traced_site_sees_its_workload(workloads, tmp_path, name):
+    # a refactor that calls around a traced function (as forward_regret around
+    # forward_comparators) leaves its per-layer metric reading 0 with no error; the sites
+    # each workload reaches are the metrics that layers.MOVES names it for, the checked
+    # traces and the CSV writer
+    layers, w = workloads.layers, workloads.WORKLOADS[name]
+    configs = w.setup(7, 1, tiny=True)
+    originals = {fn: vars(layers.metrics)[fn] for fn in layers.METRIC_FUNCTIONS}
+    tracer = workloads.Tracer()
+    layers.install(tracer)
+    try:
+        w.timed(configs, tmp_path)
+    finally:
+        tracer.uninstall()
+    assert {fn: vars(layers.metrics)[fn] for fn in layers.METRIC_FUNCTIONS} == originals
+    sites = [f"metrics.{fn}" for fn in layers.METRIC_FUNCTIONS
+             if name in layers.MOVES[f"metrics.{fn}.self_s"][1]]
+    assert len(sites) == {"oblivious-grid": 6, "self-play": 2}[name]
+    sites += ["core.Trace.from_rounds", "cli.emit_csv"]
+    assert [site for site in sites if not tracer.spans(site)] == []

@@ -136,21 +136,31 @@ def _python(*args):
 
 class TestEmitCsv:
     def test_rows_equal_the_row_by_row_writer(self, tmp_path):
-        # names holding % (escaped in the row template) or non-ASCII, edge values,
-        # short series, and one at last-round's horizon
+        # names holding % (escaped in the row template), non-ASCII or the template's
+        # separator byte NUL, edge values, short series, lengths that alternate from one
+        # series to the next (the round numbers are rebuilt), and one at last-round's horizon
         values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 123456789012.5,
                   1e-5, 0.1, 1 / 3]
         records = [
             SeriesRecord(name, metric, np.resize(values, length), seed, eta)
             for name, metric, seed, eta in [("100%", "m", 1, 0.05), ("a%d%%", "x%.12g", None, None),
-                                            ("x%.12g", "m", 0, 1 / 3), ("AMWU(α=1)", "m", 2, 0.1)]
+                                            ("x%.12g", "m", 0, 1 / 3), ("AMWU(α=1)", "m", 2, 0.1),
+                                            ("N\0L", "m\0", 3, None)]
             for length in (0, 1, 63, 64, 65, 197)
-        ] + [SeriesRecord("AMWU", "kl_to_ne", np.resize(values, 100_000), 5, None)]
+        ] + [SeriesRecord("AMWU", "kl_to_ne", np.resize(values, 100_000), 5, None)] + [
+            SeriesRecord("Alt", "m", np.resize(values, length), seed, None)
+            for seed, length in enumerate((400, 399, 400, 0, 400))
+        ]
         got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
         emit_csv(records, got)
         row_by_row_csv(records, expected)
         assert got.read_bytes() == expected.read_bytes()
-        assert "1,a%d%%,x%.12g,nan,,\n" in got.read_text(encoding="utf-8")
+        text = got.read_text(encoding="utf-8")
+        assert "1,a%d%%,x%.12g,nan,,\n" in text and "197,N\0L,m\0,123456789012,3,\n" in text
+        for last, first in (("400,Alt,m,0.333333333333,0", "1,Alt,m,nan,1"),
+                            ("399,Alt,m,0.1,1", "1,Alt,m,nan,2"),
+                            ("400,Alt,m,0.333333333333,2", "1,Alt,m,nan,4")):
+            assert f"\n{last},\n{first},\n" in text
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

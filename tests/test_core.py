@@ -370,3 +370,52 @@ class TestCheckRounds:
     def test_rejects_non_blocks(self):
         with pytest.raises(ValueError, match="2-D"):
             check_rounds(uniform(3), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("shape", ((1, 5), (400, 20)))
+    def test_each_fault_is_the_vector_checks_first(self, shape):
+        # the whole-block test and the row search behind it against a loop of the vector
+        # checks: the same first round and the same message, or both silent
+        def looped(s, x, context="round"):
+            for t, (strategy, loss) in enumerate(zip(s, x), 1):
+                check_strategy(strategy, f"{context} {t} strategy")
+                check_loss_vector(loss, f"{context} {t} loss")
+
+        def message(check, s, x):
+            try:
+                check(s, x)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        T, n = shape
+        faults = [("strategy", j, value) for value in (np.nan, np.inf, -np.inf, -2e-9, -0.5)
+                  for j in (0, n - 1)]
+        faults += [("loss", j, value) for value in (np.nan, np.inf, -np.inf, -2e-9, 1 + 2e-9, 1.5)
+                   for j in (0, n - 1)]
+        faults += [("sum", 0, 2e-9), ("sum", 0, -2e-9), ("sum", n - 1, 0.5), ("shift", 0, -2e-9)]
+        s, x = self.blocks(T, n, seed=T)
+        cases = [(s, x)]
+        for rounds in sorted({0, T // 2, T - 1}):
+            for kind, j, value in faults:
+                bad_s, bad_x = s.copy(), x.copy()
+                if kind == "loss":
+                    bad_x[rounds, j] = value
+                elif kind == "sum":
+                    bad_s[rounds, j] += value
+                elif kind == "shift":  # its mass moved to the next entry: only the sign fails
+                    bad_s[rounds, j + 1] += bad_s[rounds, j] - value
+                    bad_s[rounds, j] = value
+                else:
+                    bad_s[rounds, j] = value
+                cases.append((bad_s, bad_x))
+            both_s, both_x = s.copy(), x.copy()
+            both_s[rounds, 0], both_x[rounds, 0] = -0.5, 1.5  # the strategy is named first
+            cases.append((both_s, both_x))
+            late_s = s.copy()
+            late_s[min(rounds + 1, T - 1), 0] = np.nan  # a later bad strategy is not named
+            late_x = x.copy()
+            late_x[rounds, 0] = np.nan
+            cases.append((late_s, late_x))
+        messages = [message(check_rounds, *case) for case in cases]
+        assert messages == [message(looped, *case) for case in cases]
+        assert messages[0] is None and None not in messages[1:]

@@ -17,6 +17,7 @@ from zerosum.metrics import (
     kl_series,
     step_distances,
 )
+from zerosum.metrics import _EXTREMUM_ROWS, _row_extremum
 from zerosum.regularizers import ENTROPY, SQUARED_L2, regularized_argmin
 
 MP = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -49,6 +50,19 @@ def kl_series_loop(trace_pair, reference):
             y_star, trace_y.strategies[t]
         )
     return out
+
+
+# The metrics that take a per-round extremum, as written with row-major reductions.
+def external_regret_rows(trace):
+    return np.cumsum(trace.realized) - np.cumsum(trace.losses, axis=0).min(axis=1)
+
+
+def dynamic_regret_rows(trace):
+    return np.cumsum(trace.realized - trace.losses.min(axis=1))
+
+
+def exploitability_series_rows(game, f_rounds, y_rounds):
+    return (y_rounds @ game.payoff.T).max(axis=1) - (f_rounds @ game.payoff).min(axis=1)
 
 
 def self_play_traces(kind, n, horizon, **agent):
@@ -95,6 +109,60 @@ class TestWholeRunMatchesLoops:
                     np.testing.assert_array_equal(
                         kl_series(pair, (f_star, y_star)), kl_series_loop(pair, (f_star, y_star))
                     )
+
+    @pytest.mark.parametrize("horizon", (2, 400))
+    def test_row_extrema_on_engine_traces(self, horizon):
+        # bit for bit (as int64) the row-major reductions, on each run mode's traces and their
+        # first rounds (a config plays at least 2); the blocks reduced hold no -0.0
+        def int64_equal(got, old):
+            np.testing.assert_array_equal(got.view(np.int64), old.view(np.int64))
+
+        for adversary in ("oblivious_mwu", "nonoblivious_mwu"):
+            for kind, agent in (("MWU", {"eta": 0.1}), ("ProdBR", {})):
+                cfg = SimulationConfig(GameSpec(kind="random", n=20, m=20, seed=horizon), horizon,
+                                       AgentSpec(kind=kind, **agent),
+                                       AdversarySpec(kind=adversary, eta=0.3), ("dynamic_regret",))
+                trace = run_alone(cfg)[0]
+                assert not np.signbit(trace.losses).any()
+                for tr in (trace, Trace(trace.strategies[:1], trace.losses[:1])):
+                    int64_equal(external_regret(tr), external_regret_rows(tr))
+                    int64_equal(dynamic_regret(tr), dynamic_regret_rows(tr))
+        for n, m in ((20, 20), (9, 6)):
+            cfg = SimulationConfig(GameSpec(kind="random", n=n, m=m, seed=horizon), horizon,
+                                   AgentSpec(kind="AMWU", eta=0.05, alpha=20.0),
+                                   AdversarySpec(kind="self_play"), metrics=("exploitability",))
+            trace_f, trace_y, _, unit = run_alone(cfg)
+            assert not np.signbit(trace_f.strategies @ unit.payoff).any()
+            assert not np.signbit(trace_y.strategies @ unit.payoff.T).any()
+            for t in (1, horizon):
+                f, y = trace_f.strategies[:t], trace_y.strategies[:t]
+                got = exploitability_series(unit, f, y)
+                int64_equal(got, exploitability_series_rows(unit, f, y))
+
+    def test_row_extrema_on_nan_inf_and_signed_zeros(self):
+        # equal values and NaN in the same places, over more rows than one column-major copy
+        rng = np.random.default_rng(33)
+        T = 2 * _EXTREMUM_ROWS + 3
+        for n in (1, 9, 20):
+            block = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf, 0.25, 1.0], size=(T, n),
+                               p=[0.25, 0.25, 0.02, 0.02, 0.02, 0.22, 0.22])
+            trace = Trace(rng.dirichlet(np.ones(n), T), block)
+            game = MatrixGame(rng.choice([-1.0, 0.0, 1.0], size=(n, n)))
+            with np.errstate(invalid="ignore"):  # inf - inf, 0 * inf
+                for got, old in ((external_regret(trace), external_regret_rows(trace)),
+                                 (dynamic_regret(trace), dynamic_regret_rows(trace)),
+                                 (exploitability_series(game, block, block[::-1]),
+                                  exploitability_series_rows(game, block, block[::-1]))):
+                    np.testing.assert_array_equal(got, old)
+            for reduce, rows in ((np.minimum.reduce, block.min(axis=1)),
+                                 (np.maximum.reduce, block.max(axis=1))):
+                got = _row_extremum(reduce, block)
+                np.testing.assert_array_equal(got, rows)
+                # a sign differs only where the extreme is a zero the row holds with both signs
+                zeros = block == 0.0
+                signs = np.signbit(block)
+                both = (zeros & signs).any(axis=1) & (zeros & ~signs).any(axis=1)
+                assert not ((np.signbit(got) != np.signbit(rows)) & ~((rows == 0.0) & both)).any()
 
     def test_bad_rows_still_raise(self):
         losses = np.random.default_rng(32).uniform(0, 1, (50, 4))
